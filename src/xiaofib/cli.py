@@ -97,8 +97,8 @@ def _cmd_numerology(args) -> int:
 
 
 def _monodromy_summary(cover: monodromy.BranchedCover, max_group_order: int) -> int:
-    genus = monodromy.rh_genus(cover)
     group = monodromy.generated_group(cover, max_group_order)
+    genus = monodromy.rh_genus(cover)
     closure = monodromy.galois_closure_genus(cover, max_group_order)
     print(f"degree {cover.degree} cover of a genus-{cover.base_genus} base, "
           f"{len(cover.branch_monodromy)} branch points")

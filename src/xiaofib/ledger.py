@@ -112,7 +112,9 @@ def _fmt_profile(profile: invariants.SurfaceProfile) -> str:
 def _dihedral_tower(g: int, p: int, max_group_order: int) -> str:
     cover = monodromy.build_dihedral_cover(g, p)
     group = monodromy.generated_group(cover, max_group_order)
-    quotient = monodromy.quotient_genus(cover, monodromy.cyclic_rotation_subgroup(group))
+    quotient = monodromy.quotient_genus(
+        cover, monodromy.cyclic_rotation_subgroup(group), max_group_order
+    )
     return fmt(
         (
             monodromy.rh_genus(cover),
@@ -133,7 +135,7 @@ def _trigonal_cover() -> monodromy.BranchedCover:
 def _trigonal_tower(max_group_order: int) -> str:
     cover = _trigonal_cover()
     group = monodromy.generated_group(cover, max_group_order)
-    quotient = monodromy.quotient_genus(cover, monodromy.even_subgroup(group))
+    quotient = monodromy.quotient_genus(cover, monodromy.even_subgroup(group), max_group_order)
     return fmt(
         (
             monodromy.rh_genus(cover),

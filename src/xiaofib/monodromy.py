@@ -11,9 +11,11 @@ types, so branch points are abstract labels and carry no coordinates.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
-from math import factorial
+from math import factorial, lcm
+
+from .numerology import is_odd_prime
 
 DEFAULT_MAX_GROUP_ORDER = 5000
 
@@ -82,7 +84,7 @@ class Permutation:
         """Composite applying ``self`` first, then ``other``."""
         if other.degree != self.degree:
             raise MonodromyDataError("composing permutations of different degrees")
-        return Permutation(tuple(other.images[i] for i in self.images))
+        return Permutation(tuple(map(other.images.__getitem__, self.images)))
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         return self.then(other)
@@ -118,12 +120,8 @@ class Permutation:
         return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
 
     def order(self) -> int:
-        power = self
-        k = 1
-        while not power.is_identity():
-            power = power.then(self)
-            k += 1
-        return k
+        """Least common multiple of the cycle lengths."""
+        return lcm(*(len(c) for c in self.cycles()))
 
     def sign(self) -> int:
         return -1 if (self.degree - len(self.cycles())) % 2 else 1
@@ -136,6 +134,11 @@ class Permutation:
         return "".join(parts) if parts else "()"
 
 
+def _distinct(perms) -> list[Permutation]:
+    """``perms`` without repeats, in first-seen order."""
+    return list(dict.fromkeys(perms))
+
+
 @dataclass(frozen=True)
 class BranchedCover:
     """Degree-n cover of a genus-b curve, branch monodromy acting left to right."""
@@ -143,6 +146,8 @@ class BranchedCover:
     degree: int
     base_genus: int
     branch_monodromy: tuple[Permutation, ...]
+    # the monodromy group, set by the first ``generated_group`` call that enumerates it
+    _group: GroupDescriptor | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "branch_monodromy", tuple(self.branch_monodromy))
@@ -163,15 +168,18 @@ class BranchedCover:
             raise MonodromyDataError("monodromy group is not transitive: cover is disconnected")
 
     def _is_transitive(self) -> bool:
+        # Forward images suffice: a permutation that maps a finite set into
+        # itself maps it onto itself, so the set is closed under its inverse too.
+        maps = [sigma.images for sigma in _distinct(self.branch_monodromy)]
         reached = {0}
         frontier = [0]
         while frontier:
             i = frontier.pop()
-            for sigma in self.branch_monodromy:
-                for j in (sigma.images[i], sigma.inverse().images[i]):
-                    if j not in reached:
-                        reached.add(j)
-                        frontier.append(j)
+            for images in maps:
+                j = images[i]
+                if j not in reached:
+                    reached.add(j)
+                    frontier.append(j)
         return len(reached) == self.degree
 
 
@@ -188,15 +196,17 @@ class GroupDescriptor:
         if self.order != len(self.elements):
             raise MonodromyDataError("group order does not match element count")
 
-    def __contains__(self, perm: Permutation) -> bool:
-        return perm in set(self.elements)
-
 
 def rh_genus(cover: BranchedCover) -> int:
     """Genus from Riemann-Hurwitz: 2g - 2 = n(2b - 2) + sum over cycles of (len - 1)."""
     n = cover.degree
     ramification = sum(n - len(sigma.cycles()) for sigma in cover.branch_monodromy)
-    rhs = n * (2 * cover.base_genus - 2) + ramification
+    return _rh_solve(n, cover.base_genus, ramification)
+
+
+def _rh_solve(degree: int, base_genus: int, ramification: int) -> int:
+    """Solve 2g - 2 = degree * (2 * base_genus - 2) + ramification for g."""
+    rhs = degree * (2 * base_genus - 2) + ramification
     if rhs % 2:
         raise MonodromyDataError(f"Riemann-Hurwitz total {rhs} is odd: malformed monodromy data")
     genus = (rhs + 2) // 2
@@ -210,24 +220,40 @@ def ramification_profile(cover: BranchedCover) -> list[tuple[int, ...]]:
     return [sigma.cycle_type() for sigma in cover.branch_monodromy]
 
 
-def _closure(generators: list[Permutation], degree: int, max_order: int) -> list[Permutation]:
-    identity = Permutation.identity(degree)
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        new_frontier = []
-        for g in frontier:
-            for s in generators:
-                h = g.then(s)
-                if h not in elements:
-                    elements.add(h)
-                    new_frontier.append(h)
-                    if len(elements) > max_order:
-                        raise EnumerationLimitError(
-                            f"group closure exceeds the configured bound {max_order}"
-                        )
-        frontier = new_frontier
-    return sorted(elements, key=lambda p: p.images)
+def _span(
+    candidates, degree: int, max_order: int, within: set[Permutation] | None = None
+) -> set[Permutation]:
+    """The group generated by ``candidates``, grown one generator at a time.
+
+    A candidate already in the span is skipped, and each one taken at
+    least doubles the span, so this costs O(|G| log |G|) compositions.
+    Raises ``EnumerationLimitError`` before the span exceeds ``max_order``
+    elements and, when ``within`` is given, ``MonodromyDataError`` as soon
+    as the span leaves it.
+    """
+    span = {Permutation.identity(degree)}
+    generators: list[Permutation] = []
+    for u in candidates:
+        if u in span:
+            continue
+        generators.append(u)
+        # the old span is closed under the old generators; new elements meet all of them
+        frontier = [g.then(u) for g in span]
+        while frontier:
+            fresh = []
+            for h in frontier:
+                if h in span:
+                    continue
+                if within is not None and h not in within:
+                    raise MonodromyDataError("element set is not closed under composition")
+                if len(span) >= max_order:
+                    raise EnumerationLimitError(
+                        f"group closure exceeds the configured bound {max_order}"
+                    )
+                span.add(h)
+                fresh.append(h)
+            frontier = [h.then(s) for h in fresh for s in generators]
+    return span
 
 
 def _classify(elements: list[Permutation]) -> str:
@@ -238,8 +264,8 @@ def _classify(elements: list[Permutation]) -> str:
     if n % 2 == 0 and n >= 6:
         m = n // 2
         element_set = set(elements)
-        for r in elements:
-            if r.order() != m:
+        for r, order in zip(elements, orders):
+            if order != m:
                 continue
             rotations = set()
             power = Permutation.identity(r.degree)
@@ -260,9 +286,25 @@ def _classify(elements: list[Permutation]) -> str:
 
 
 def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> GroupDescriptor:
-    """Enumerate the monodromy group by closure under composition and classify it."""
-    elements = _closure(list(cover.branch_monodromy), cover.degree, max_order)
-    return GroupDescriptor(len(elements), _classify(elements), tuple(elements))
+    """Enumerate the monodromy group by closure under composition and classify it.
+
+    The group is enumerated once per cover and kept on it; ``max_order``
+    is checked on every call.  A transitive group has at least as many
+    elements as sheets, so a cover of larger degree is refused at once.
+    """
+    if cover.degree > max_order:
+        raise EnumerationLimitError(
+            f"cover degree {cover.degree} exceeds the configured group-order bound {max_order}"
+        )
+    group = cover._group
+    if group is None:
+        span = _span(cover.branch_monodromy, cover.degree, max_order)
+        elements = sorted(span, key=lambda p: p.images)
+        group = GroupDescriptor(len(elements), _classify(elements), tuple(elements))
+        object.__setattr__(cover, "_group", group)
+    elif group.order > max_order:
+        raise EnumerationLimitError(f"group closure exceeds the configured bound {max_order}")
+    return group
 
 
 def group_from_elements(perms: list[Permutation]) -> GroupDescriptor:
@@ -273,10 +315,7 @@ def group_from_elements(perms: list[Permutation]) -> GroupDescriptor:
     degree = next(iter(elements)).degree
     if Permutation.identity(degree) not in elements:
         raise MonodromyDataError("element list is missing the identity")
-    for a in elements:
-        for b in elements:
-            if a.then(b) not in elements:
-                raise MonodromyDataError("element list is not closed under composition")
+    _span(elements, degree, len(elements), within=elements)
     ordered = sorted(elements, key=lambda p: p.images)
     return GroupDescriptor(len(ordered), _classify(ordered), tuple(ordered))
 
@@ -294,7 +333,7 @@ def cyclic_rotation_subgroup(group: GroupDescriptor) -> GroupDescriptor:
         for _ in range(m):
             rotations.append(power)
             power = power.then(r)
-        return GroupDescriptor(m, _classify(rotations), tuple(sorted(rotations, key=lambda p: p.images)))
+        return GroupDescriptor(m, CYCLIC, tuple(sorted(rotations, key=lambda p: p.images)))
     raise MonodromyDataError("dihedral descriptor has no rotation of half order")
 
 
@@ -305,16 +344,14 @@ def even_subgroup(group: GroupDescriptor) -> GroupDescriptor:
 
 
 def galois_closure_genus(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> int:
-    """Genus of the regular cover on which the monodromy group acts by translation."""
-    group = generated_group(cover, max_order)
-    index = {g.images: i for i, g in enumerate(group.elements)}
-    regular = []
-    for sigma in cover.branch_monodromy:
-        # translation g -> g * sigma; the homomorphism side for left-to-right products
-        images = tuple(index[g.then(sigma).images] for g in group.elements)
-        regular.append(Permutation(images))
-    closure = BranchedCover(group.order, cover.base_genus, tuple(regular))
-    return rh_genus(closure)
+    """Genus of the regular cover on which the monodromy group acts by translation.
+
+    Translation by sigma has no fixed element, so it splits the |G|
+    elements into |G| / ord(sigma) cycles of length ord(sigma).
+    """
+    order = generated_group(cover, max_order).order
+    ramification = sum(order - order // sigma.order() for sigma in cover.branch_monodromy)
+    return _rh_solve(order, cover.base_genus, ramification)
 
 
 def quotient_genus(
@@ -335,30 +372,21 @@ def quotient_genus(
             raise SubgroupContainmentError("subgroup element is not in the monodromy group")
     if Permutation.identity(cover.degree) not in members:
         raise MonodromyDataError("subgroup is missing the identity")
-    for u in members:
-        for v in members:
-            if u.then(v) not in members:
-                raise MonodromyDataError("subgroup is not closed under composition")
+    _span(members, cover.degree, len(members), within=members)
     coset_of: dict[tuple[int, ...], int] = {}
-    n_cosets = 0
+    reps: list[Permutation] = []
     for g in group.elements:
         if g.images in coset_of:
             continue
         for u in subgroup.elements:
-            coset_of[u.then(g).images] = n_cosets
-        n_cosets += 1
-    reps: list[Permutation] = [None] * n_cosets  # type: ignore[list-item]
-    for g in group.elements:
-        idx = coset_of[g.images]
-        if reps[idx] is None:
-            reps[idx] = g
-    induced = []
-    for sigma in cover.branch_monodromy:
-        images = tuple(coset_of[rep.then(sigma).images] for rep in reps)
-        perm = Permutation(images)
-        if not perm.is_identity():
-            induced.append(perm)
-    quotient = BranchedCover(n_cosets, cover.base_genus, tuple(induced))
+            coset_of[u.then(g).images] = len(reps)
+        reps.append(g)
+    action = {
+        sigma: Permutation(tuple(coset_of[rep.then(sigma).images] for rep in reps))
+        for sigma in _distinct(cover.branch_monodromy)
+    }
+    induced = tuple(action[s] for s in cover.branch_monodromy if not action[s].is_identity())
+    quotient = BranchedCover(len(reps), cover.base_genus, induced)
     return rh_genus(quotient)
 
 
@@ -373,25 +401,15 @@ def build_dihedral_cover(g: int, p: int) -> BranchedCover:
     """
     if g < 2:
         raise MonodromyDataError("base hyperelliptic genus must be at least 2")
-    if not _is_odd_prime(p):
+    if not is_odd_prime(p):
         raise MonodromyDataError(f"cover degree must be an odd prime, got {p}")
 
     def reflection(a: int) -> Permutation:
         return Permutation(tuple((a - x) % p for x in range(p)))
 
-    tup = (reflection(1), reflection(1)) + (reflection(0),) * (2 * g)
+    s_1 = reflection(1)
+    tup = (s_1, s_1) + (reflection(0),) * (2 * g)
     return BranchedCover(p, 0, tup)
-
-
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def parse_cover(text: str) -> BranchedCover:

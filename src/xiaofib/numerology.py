@@ -17,7 +17,8 @@ FINITE = "finite"
 POSITIVE_DIMENSIONAL = "positive_dimensional"
 
 
-def _is_odd_prime(p: int) -> bool:
+def is_odd_prime(p: int) -> bool:
+    """Trial division by odd numbers up to the square root."""
     if p < 3 or p % 2 == 0:
         return False
     d = 3
@@ -38,7 +39,7 @@ class CoverParams:
     def __post_init__(self):
         if self.g < 2:
             raise ValueError(f"hyperelliptic genus must be >= 2, got {self.g}")
-        if not _is_odd_prime(self.p):
+        if not is_odd_prime(self.p):
             raise ValueError(f"cover degree must be an odd prime, got {self.p}")
 
 

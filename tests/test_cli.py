@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
-from xiaofib import ledger
+from xiaofib import ledger, monodromy
 from xiaofib.cli import main
 from xiaofib.ledger import (
     ASSUMED,
@@ -133,6 +138,39 @@ def test_cli_monodromy_bad_file(tmp_path, capsys):
     path = tmp_path / "cover.txt"
     path.write_text("degree 3; base_genus 0\n(0 1)\n")
     assert main(["monodromy", "--file", str(path)]) == 2
+
+
+def test_cli_monodromy_refuses_a_huge_cover_quickly():
+    """A degree above --max-group-order is refused before any enumeration."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "xiaofib.cli", "monodromy", "--dihedral", "2", "100003"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "100003" in lines[0]
+    assert elapsed < 4.0
+
+
+def test_verify_passes_the_group_order_bound_to_every_tower(monkeypatch):
+    bounds = []
+    quotient_genus = monodromy.quotient_genus
+
+    def recording(cover, subgroup, max_order=monodromy.DEFAULT_MAX_GROUP_ORDER):
+        bounds.append(max_order)
+        return quotient_genus(cover, subgroup, max_order)
+
+    monkeypatch.setattr(monodromy, "quotient_genus", recording)
+    code, _ = verify_paper(max_group_order=4321)
+    assert code == 0
+    assert len(bounds) > 2  # the g2p5 and trigonal towers and the monodromy grid
+    assert set(bounds) == {4321}
 
 
 def test_cli_lattice(capsys):

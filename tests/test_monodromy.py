@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from xiaofib.monodromy import (
     BranchedCover,
     EnumerationLimitError,
+    GroupDescriptor,
     MonodromyDataError,
     Permutation,
     SubgroupContainmentError,
@@ -197,6 +199,9 @@ def test_symmetric_classification():
 def test_enumeration_limit():
     with pytest.raises(EnumerationLimitError):
         generated_group(trigonal_cover(), max_order=4)
+    with pytest.raises(EnumerationLimitError):
+        generated_group(trigonal_cover(), max_order=5)
+    assert generated_group(trigonal_cover(), max_order=6).order == 6
 
 
 def test_group_invariant_under_conjugation():
@@ -282,14 +287,186 @@ def test_quotient_containment_error():
 
 
 def test_quotient_rejects_non_subgroups():
-    from xiaofib.monodromy import GroupDescriptor
-
     cover = build_dihedral_cover(2, 5)
     group = generated_group(cover)
     reflections = [e for e in group.elements if e.order() == 2]
     not_closed = GroupDescriptor(len(reflections), "other", tuple(reflections))
     with pytest.raises(MonodromyDataError):
         quotient_genus(cover, not_closed)
+
+
+def test_quotient_rejects_identity_holding_non_subgroups():
+    """Sets that hold the identity reach the closure check and fail it."""
+    cover = build_dihedral_cover(2, 5)
+    group = generated_group(cover)
+    r = next(e for e in group.elements if e.order() == 5)
+    with pytest.raises(MonodromyDataError, match="not closed"):
+        quotient_genus(cover, GroupDescriptor(3, "other", (Permutation.identity(5), r, r.then(r))))
+    with pytest.raises(MonodromyDataError, match="not closed"):
+        group_from_elements([Permutation.identity(5), r, r.then(r)])
+    # {1, a, b, ab} for non-commuting involutions: ab * b and a * ab stay inside, b * a does not
+    s3_cover = trigonal_cover()
+    a, b = transposition(0, 1), transposition(1, 2)
+    lopsided = GroupDescriptor(4, "other", (Permutation.identity(3), a, b, a.then(b)))
+    with pytest.raises(MonodromyDataError, match="not closed"):
+        quotient_genus(s3_cover, lopsided)
+
+
+def test_subgroup_check_costs_far_less_than_all_pairs(monkeypatch):
+    cover = parse_cover("degree 6; base_genus 0\n" + "(0 1)\n(0 1)\n(1 2)\n(1 2)\n(2 3)\n(2 3)\n"
+                        "(3 4)\n(3 4)\n(4 5)\n(4 5)\n")
+    group = generated_group(cover)
+    alternating = even_subgroup(group)
+    assert (group.order, alternating.order) == (720, 360)
+    calls = 0
+    then = Permutation.then
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return then(self, other)
+
+    monkeypatch.setattr(Permutation, "then", counted)
+    assert quotient_genus(cover, alternating) == 4
+    assert calls < 8 * group.order  # the all-pairs check alone took 360^2
+
+
+# ---- exact routes against oracles on random transitive covers ----
+
+SMALL_ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def composition_order(perm):
+    """Order by repeated composition: the reference for the cycle-length lcm."""
+    power, k = perm, 1
+    while not power.is_identity():
+        power, k = power.then(perm), k + 1
+    return k
+
+
+def relabelled(cover, rng):
+    """The same cover with its sheets renamed by a random permutation."""
+    images = list(range(cover.degree))
+    rng.shuffle(images)
+    c = Permutation(tuple(images))
+    conjugated = tuple(c.inverse().then(s).then(c) for s in cover.branch_monodromy)
+    return BranchedCover(cover.degree, cover.base_genus, conjugated)
+
+
+def random_dihedral_cover(rng):
+    return relabelled(build_dihedral_cover(rng.randint(2, 6), rng.choice(SMALL_ODD_PRIMES)), rng)
+
+
+def random_tree_cover(rng, n):
+    """Each edge of a random labelled tree used twice: full S_n monodromy, product 1."""
+    edges = [(i, rng.randrange(i)) for i in range(1, n)]
+    rng.shuffle(edges)
+    if rng.randrange(2):
+        sequence = [e for e in edges for _ in range(2)]
+    else:
+        sequence = edges + edges[::-1]
+    return relabelled(BranchedCover(n, 0, tuple(transposition(a, b, n) for a, b in sequence)), rng)
+
+
+def random_cyclic_cover(rng):
+    """Powers of an n-cycle whose exponents sum to 0 mod n and generate Z/n."""
+    while True:
+        n = rng.randint(2, 12)
+        exponents = [rng.randrange(1, n) for _ in range(rng.randint(1, 4))]
+        last = -sum(exponents) % n
+        if last and math.gcd(n, *exponents) == 1:
+            break
+    cycle = Permutation(tuple((i + 1) % n for i in range(n)))
+
+    def power(e):
+        perm = Permutation.identity(n)
+        for _ in range(e):
+            perm = perm.then(cycle)
+        return perm
+
+    return relabelled(BranchedCover(n, 0, tuple(power(e) for e in exponents + [last])), rng)
+
+
+def random_covers(seed, count):
+    rng = random.Random(seed)
+    makers = (
+        random_dihedral_cover,
+        lambda r: random_tree_cover(r, 4),
+        lambda r: random_tree_cover(r, 5),
+        random_cyclic_cover,
+    )
+    return [makers[i % len(makers)](rng) for i in range(count)]
+
+
+def test_order_is_the_repeated_composition_count():
+    rng = random.Random(17)
+    for cover in random_covers(17, 40):
+        for sigma in cover.branch_monodromy:
+            assert sigma.order() == composition_order(sigma)
+        elements = generated_group(cover).elements
+        for element in rng.sample(elements, min(5, len(elements))):
+            assert element.order() == composition_order(element)
+
+
+def test_galois_closure_matches_the_regular_cover_oracle():
+    for cover in random_covers(23, 40):
+        assert galois_closure_genus(cover) == brute_regular_genus(cover)
+
+
+def test_quotients_by_known_subgroups():
+    """Trivial subgroup: the closure.  Sheet stabiliser: the cover.  Whole group: the base."""
+    for cover in random_covers(29, 24):
+        group = generated_group(cover)
+        trivial = group_from_elements([Permutation.identity(cover.degree)])
+        stabiliser = group_from_elements([e for e in group.elements if e(0) == 0])
+        assert quotient_genus(cover, trivial) == brute_regular_genus(cover)
+        assert quotient_genus(cover, stabiliser) == rh_genus(cover)
+        assert quotient_genus(cover, group) == cover.base_genus
+
+
+def test_closure_check_matches_the_pairwise_oracle():
+    rng = random.Random(31)
+    for cover in random_covers(31, 24):
+        elements = generated_group(cover).elements
+        identity = Permutation.identity(cover.degree)
+        for _ in range(6):
+            if rng.randrange(2):  # a cyclic subgroup: closed
+                g = rng.choice(elements)
+                subset, power = {identity}, g
+                while power != identity:
+                    subset.add(power)
+                    power = power.then(g)
+            else:  # a random set holding the identity: rarely closed
+                subset = {identity, *rng.sample(elements, rng.randint(1, min(6, len(elements))))}
+            closed = all(a.then(b) in subset for a in subset for b in subset)
+            if closed:
+                assert group_from_elements(list(subset)).order == len(subset)
+            else:
+                with pytest.raises(MonodromyDataError, match="not closed"):
+                    group_from_elements(list(subset))
+
+
+def test_memoised_group_still_enforces_the_bound():
+    for cover in random_covers(37, 8):
+        group = generated_group(cover)
+        assert generated_group(cover, max_order=group.order) is group
+        with pytest.raises(EnumerationLimitError):
+            generated_group(cover, max_order=group.order - 1)
+        with pytest.raises(EnumerationLimitError):
+            galois_closure_genus(cover, max_order=group.order - 1)
+        assert generated_group(cover) is group
+
+
+def test_degree_above_the_bound_is_refused_before_enumeration(monkeypatch):
+    from xiaofib import monodromy
+
+    def no_closure(*args):
+        raise AssertionError("enumerated a cover of degree above the bound")
+
+    monkeypatch.setattr(monodromy, "_span", no_closure)
+    cover = build_dihedral_cover(2, 101)
+    with pytest.raises(EnumerationLimitError, match="degree 101"):
+        generated_group(cover, max_order=100)
 
 
 # ---- dihedral construction ----
@@ -316,7 +493,9 @@ def test_dihedral_tower_grid():
             assert galois_closure_genus(cover) == p * (g - 1) + 1
             group = generated_group(cover)
             assert (group.order, group.classification) == (2 * p, "dihedral")
-            assert quotient_genus(cover, cyclic_rotation_subgroup(group)) == g
+            rotations = cyclic_rotation_subgroup(group)
+            assert (rotations.order, rotations.classification) == (p, "cyclic")
+            assert quotient_genus(cover, rotations) == g
 
 
 def test_ramification_profiles():
