@@ -22,7 +22,7 @@ from .lattice import (
 from .ledger import ClaimReport, verify_paper
 from .monodromy import BranchedCover, GroupDescriptor, Permutation, build_dihedral_cover, rh_genus
 from .numerology import CoverParams, FibrationProfile, cover_genera, xiao_report
-from .polynomials import UnivariatePoly, resultant
+from .polynomials import UnivariatePoly
 from .quartic import TernaryForm, flexes_all_simple, hessian, is_smooth, parse_ternary_form
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "is_smooth",
     "parse_ternary_form",
     "product_with_diagonal_lattice",
-    "resultant",
     "rh_genus",
     "symmetric_square_lattice",
     "verify_paper",

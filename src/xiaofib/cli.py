@@ -120,9 +120,9 @@ def _cmd_monodromy(args) -> int:
     try:
         if args.dihedral:
             g, p = args.dihedral
-            cover = monodromy.build_dihedral_cover(g, p)
+            cover = monodromy.build_dihedral_cover(g, p, args.max_group_order)
         else:
-            cover = monodromy.load_cover(args.file)
+            cover = monodromy.load_cover(args.file, args.max_group_order)
         return _monodromy_summary(cover, args.max_group_order)
     except (monodromy.MonodromyDataError, monodromy.EnumerationLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

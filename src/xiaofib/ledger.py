@@ -110,7 +110,7 @@ def _fmt_profile(profile: invariants.SurfaceProfile) -> str:
 
 
 def _dihedral_tower(g: int, p: int, max_group_order: int) -> str:
-    cover = monodromy.build_dihedral_cover(g, p)
+    cover = monodromy.build_dihedral_cover(g, p, max_group_order)
     group = monodromy.generated_group(cover, max_group_order)
     quotient = monodromy.quotient_genus(
         cover, monodromy.cyclic_rotation_subgroup(group), max_group_order
@@ -536,7 +536,7 @@ def build_claims(context: LedgerContext | None = None) -> list[Claim]:
         for g in range(2, 6):
             for p in (3, 5, 7):
                 total += 1
-                cover = monodromy.build_dihedral_cover(g, p)
+                cover = monodromy.build_dihedral_cover(g, p, ctx.max_group_order)
                 group = monodromy.generated_group(cover, ctx.max_group_order)
                 profile = set(monodromy.ramification_profile(cover))
                 expected_profile = {tuple(sorted([2] * ((p - 1) // 2) + [1], reverse=True))}

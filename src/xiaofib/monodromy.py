@@ -285,17 +285,21 @@ def _classify(elements: list[Permutation]) -> str:
     return OTHER
 
 
+def _refuse_degree_above(degree: int, max_order: int) -> None:
+    """A transitive group has at least as many elements as sheets, so refuse a larger degree."""
+    if degree > max_order:
+        raise EnumerationLimitError(
+            f"cover degree {degree} exceeds the configured group-order bound {max_order}"
+        )
+
+
 def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> GroupDescriptor:
     """Enumerate the monodromy group by closure under composition and classify it.
 
     The group is enumerated once per cover and kept on it; ``max_order``
-    is checked on every call.  A transitive group has at least as many
-    elements as sheets, so a cover of larger degree is refused at once.
+    is checked on every call, and a cover of larger degree is refused at once.
     """
-    if cover.degree > max_order:
-        raise EnumerationLimitError(
-            f"cover degree {cover.degree} exceeds the configured group-order bound {max_order}"
-        )
+    _refuse_degree_above(cover.degree, max_order)
     group = cover._group
     if group is None:
         span = _span(cover.branch_monodromy, cover.degree, max_order)
@@ -390,17 +394,21 @@ def quotient_genus(
     return rh_genus(quotient)
 
 
-def build_dihedral_cover(g: int, p: int) -> BranchedCover:
+def build_dihedral_cover(
+    g: int, p: int, max_group_order: int = DEFAULT_MAX_GROUP_ORDER
+) -> BranchedCover:
     """Degree-p cover of the line with 2g + 2 reflection branch points.
 
     Sheets are Z/p and each branch permutation is a reflection
     x -> a - x (mod p), so every profile is {2^((p-1)/2), 1}.  The tuple
     (s_1, s_1, s_0, ..., s_0) multiplies to the identity and generates
     the full dihedral group of order 2p because s_0 * s_1 is the unit
-    rotation.
+    rotation.  A degree above ``max_group_order`` is refused before any
+    permutation is built.
     """
     if g < 2:
         raise MonodromyDataError("base hyperelliptic genus must be at least 2")
+    _refuse_degree_above(p, max_group_order)
     if not is_odd_prime(p):
         raise MonodromyDataError(f"cover degree must be an odd prime, got {p}")
 
@@ -412,12 +420,13 @@ def build_dihedral_cover(g: int, p: int) -> BranchedCover:
     return BranchedCover(p, 0, tup)
 
 
-def parse_cover(text: str) -> BranchedCover:
+def parse_cover(text: str, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -> BranchedCover:
     """Parse the cover file format.
 
     First non-empty line: ``degree n; base_genus b``.  Each following
     non-empty line is one permutation in 0-based cycle notation, e.g.
-    ``(0 1)(2 3)``.  Whitespace-insensitive.
+    ``(0 1)(2 3)``.  Whitespace-insensitive.  A degree above
+    ``max_group_order`` is refused before any permutation is built.
     """
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
@@ -427,10 +436,11 @@ def parse_cover(text: str) -> BranchedCover:
         raise MonodromyDataError(f"bad header line {lines[0]!r}: expected 'degree n; base_genus b'")
     degree = int(header.group(1))
     base_genus = int(header.group(2))
+    _refuse_degree_above(degree, max_group_order)
     perms = tuple(Permutation.from_cycles(line, degree) for line in lines[1:])
     return BranchedCover(degree, base_genus, perms)
 
 
-def load_cover(path: str) -> BranchedCover:
+def load_cover(path: str, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -> BranchedCover:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_cover(handle.read())
+        return parse_cover(handle.read(), max_group_order)

@@ -1,47 +1,70 @@
-"""Exact rational polynomial arithmetic: gcds, resultants, subresultants.
+"""Exact polynomial arithmetic over the integers: gcds, resultants, subresultants.
 
-Univariate polynomials carry Fraction coefficients.  Bivariate
-polynomials in (x, y) treat y as the main variable with coefficients in
-Q[x]; resultants and subresultant chains with respect to y come in two
-independent flavours, a determinantal one (fraction-free Bareiss on
-Sylvester-type matrices) and a polynomial-remainder-sequence one in the
-style of the classical subresultant algorithm.  On top of these sits an
-exact decision procedure for whether a small family of bivariate
-polynomials has a common complex zero, which backs the smoothness
-certificate for plane curves.
+Coefficients are ``int`` when integral and ``Fraction`` otherwise, never
+``float``.  Gcds, contents and resultants clear denominators and run
+primitive or subresultant remainder sequences over Z, so each division
+they make is an exact integer division.  Bivariate polynomials in
+(x, y) have y as the main variable and coefficients in Z[x].  On top
+sits an exact decision for whether up to three bivariate polynomials
+share a complex zero, which backs the smoothness certificate for plane
+curves.
+
+The squarefree test tries the prime P = 2^61 - 1 first.  That is sound
+in one direction only: modulo a prime not dividing the leading
+coefficient the degree of gcd(f, f') can only rise, so a constant gcd
+modulo P proves f squarefree over Q.  Anything else takes the exact route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd, lcm
+
+MODULAR_PRIME = 2**61 - 1
 
 
 class PolynomialError(ValueError):
     """Invalid polynomial input for an exact operation."""
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def exact(value) -> int | Fraction:
+    """The value as an ``int`` when integral, else as a ``Fraction``; nothing inexact."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise PolynomialError(f"exact arithmetic needs int or Fraction coefficients, got {value!r}")
+
+
+def _quo(a, b) -> int | Fraction:
+    """a / b exactly, staying in the integers when b divides a."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return exact(Fraction(a) / b)
+
+
+def rational_content(values) -> int | Fraction:
+    """The positive rational c with values / c integers of gcd 1 (0 for all zeros)."""
+    values = list(values)
+    numerator = gcd(*(v.numerator for v in values))
+    return exact(Fraction(numerator, lcm(*(v.denominator for v in values))))
 
 
 @dataclass(frozen=True)
 class UnivariatePoly:
-    """Dense univariate polynomial, coefficients ascending, exact rationals.
+    """Dense univariate polynomial, coefficients ascending, exact and int when integral.
 
     The zero polynomial is the empty coefficient tuple; any nonzero
     polynomial has a nonzero leading coefficient.
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        cs = [_as_fraction(c) for c in self.coeffs]
+        cs = [exact(c) for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -52,15 +75,7 @@ class UnivariatePoly:
 
     @classmethod
     def one(cls) -> "UnivariatePoly":
-        return cls((Fraction(1),))
-
-    @classmethod
-    def constant(cls, c) -> "UnivariatePoly":
-        return cls((_as_fraction(c),))
-
-    @classmethod
-    def x_power(cls, k: int, c=1) -> "UnivariatePoly":
-        return cls((Fraction(0),) * k + (_as_fraction(c),))
+        return cls((1,))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -70,13 +85,13 @@ class UnivariatePoly:
         """Degree, with the convention -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def leading(self) -> Fraction:
+    def leading(self) -> int | Fraction:
         if self.is_zero():
             raise PolynomialError("the zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+    def coeff(self, k: int) -> int | Fraction:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __add__(self, other: "UnivariatePoly") -> "UnivariatePoly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -92,16 +107,15 @@ class UnivariatePoly:
     def __mul__(self, other: "UnivariatePoly") -> "UnivariatePoly":
         if self.is_zero() or other.is_zero():
             return UnivariatePoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            if a:
+                for j, b in enumerate(other.coeffs, i):
+                    out[j] += a * b
         return UnivariatePoly(tuple(out))
 
     def scale(self, c) -> "UnivariatePoly":
-        c = _as_fraction(c)
+        c = exact(c)
         return UnivariatePoly(tuple(a * c for a in self.coeffs))
 
     def __pow__(self, k: int) -> "UnivariatePoly":
@@ -116,34 +130,33 @@ class UnivariatePoly:
             k >>= 1
         return result
 
-    def __call__(self, x) -> Fraction:
-        x = _as_fraction(x)
-        acc = Fraction(0)
+    def __call__(self, x) -> int | Fraction:
+        x = exact(x)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
+        return exact(acc)
 
     def derivative(self) -> "UnivariatePoly":
         return UnivariatePoly(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
 
     def divmod(self, other: "UnivariatePoly") -> tuple["UnivariatePoly", "UnivariatePoly"]:
+        """Quotient and remainder over Q; integer steps stay integral when they divide."""
         if other.is_zero():
             raise PolynomialError("polynomial division by zero")
-        quotient = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
         rem = list(self.coeffs)
-        lead = other.leading()
-        d = other.degree
-        while len(rem) - 1 >= d and rem:
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            shift = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            quotient[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-            rem.pop()
-        return UnivariatePoly(tuple(quotient)), UnivariatePoly(tuple(rem))
+        divisor = other.coeffs
+        d = len(divisor) - 1
+        lead = divisor[-1]
+        quotient = [0] * max(len(rem) - d, 0)
+        for shift in range(len(rem) - 1 - d, -1, -1):
+            top = rem[shift + d]
+            if top:
+                factor = _quo(top, lead)
+                quotient[shift] = factor
+                for i in range(d):
+                    rem[shift + i] -= factor * divisor[i]
+        return UnivariatePoly(tuple(quotient)), UnivariatePoly(tuple(rem[:d]))
 
     def exact_div(self, other: "UnivariatePoly") -> "UnivariatePoly":
         q, r = self.divmod(other)
@@ -154,43 +167,57 @@ class UnivariatePoly:
     def monic(self) -> "UnivariatePoly":
         if self.is_zero():
             return self
-        return self.scale(1 / self.leading())
+        lead = self.leading()
+        return UnivariatePoly(tuple(_quo(c, lead) for c in self.coeffs))
 
     def primitive(self) -> "UnivariatePoly":
-        """Integer-primitive associate with positive leading coefficient."""
+        """Integer associate with coprime coefficients and positive leading coefficient."""
         if self.is_zero():
             return self
-        denominator = 1
-        for c in self.coeffs:
-            denominator = denominator * c.denominator // int_gcd(denominator, c.denominator)
-        ints = [int(c * denominator) for c in self.coeffs]
-        content = 0
-        for v in ints:
-            content = int_gcd(content, abs(v))
-        if ints[-1] < 0:
+        content = rational_content(self.coeffs)
+        if self.coeffs[-1] < 0:
             content = -content
-        return UnivariatePoly(tuple(Fraction(v, content) for v in ints))
+        if content == 1:
+            return self
+        return UnivariatePoly(tuple(_quo(c, content) for c in self.coeffs))
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
-            if c == 0:
-                continue
-            mag = str(abs(c)) if (abs(c) != 1 or i == 0) else ""
-            var = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            core = mag + ("*" if mag and var else "") + var
-            parts.append(("- " if c < 0 else ("+ " if parts else "")) + core)
-        return " ".join(parts)
+
+def _pseudo_rem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """A nonzero integer multiple of the remainder of a by b, for integer coefficients.
+
+    Each elimination step scales by the cofactors of gcd(lc(r), lc(b))
+    only, which keeps the coefficients smaller than a full
+    pseudo-remainder.
+    """
+    r = list(a)
+    d = len(b) - 1
+    lead = b[-1]
+    for shift in range(len(r) - 1 - d, -1, -1):
+        top = r.pop()
+        if not top:
+            continue
+        g = gcd(top, lead)
+        s, t = lead // g, top // g
+        if s != 1:
+            r = [s * c for c in r]
+        for i in range(d):
+            r[shift + i] -= t * b[i]
+    while r and not r[-1]:
+        r.pop()
+    return tuple(r)
 
 
 def poly_gcd(f: UnivariatePoly, g: UnivariatePoly) -> UnivariatePoly:
-    """Monic gcd over the rationals; gcd(0, 0) = 0."""
-    a, b = f, g
+    """Monic gcd over the rationals; gcd(0, 0) = 0.
+
+    A primitive remainder sequence over Z on the primitive associates of
+    f and g: every remainder is divided by its integer content.
+    """
+    a, b = f.primitive(), g.primitive()
+    if a.degree < b.degree:
+        a, b = b, a
     while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
+        a, b = b, UnivariatePoly(_pseudo_rem(a.coeffs, b.coeffs)).primitive()
     return a.monic()
 
 
@@ -198,72 +225,47 @@ def squarefree_part(f: UnivariatePoly) -> UnivariatePoly:
     """f divided by gcd(f, f'), made monic."""
     if f.is_zero():
         return f
-    return f.exact_div(poly_gcd(f, f.derivative())).monic()
+    f = f.primitive()
+    return f.exact_div(poly_gcd(f, f.derivative()).primitive()).monic()
+
+
+def _squarefree_mod_prime(f: UnivariatePoly) -> bool:
+    """True when the integer polynomial f is proved squarefree over Q modulo P.
+
+    The proof needs P not to divide lc(f) and a constant gcd of f and f'
+    over F_P.  False means only that this test is inconclusive.
+    """
+    p = MODULAR_PRIME
+    a = [c % p for c in f.coeffs]
+    if not a or not a[-1]:
+        return False
+    b = [i * c % p for i, c in enumerate(a)][1:]
+    while any(b):  # Euclid over F_P; a is kept without leading zeros
+        while not b[-1]:
+            b.pop()
+        inverse = pow(b[-1], -1, p)
+        for shift in range(len(a) - len(b), -1, -1):
+            factor = a.pop() * inverse % p
+            for i in range(len(b) - 1):
+                a[shift + i] = (a[shift + i] - factor * b[i]) % p
+        a, b = b, a
+    return len(a) == 1
 
 
 def is_squarefree(f: UnivariatePoly) -> bool:
+    """Whether f has no repeated factor over Q; the zero polynomial has one.
+
+    The modular test can only answer yes; when it is inconclusive the
+    exact gcd of f and f' decides.
+    """
     if f.is_zero():
         return False
-    return poly_gcd(f, f.derivative()).degree == 0
-
-
-def _fraction_det(matrix: list[list[Fraction]]) -> Fraction:
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    return det
-
-
-def sylvester_matrix(f: UnivariatePoly, g: UnivariatePoly) -> list[list[Fraction]]:
-    """Sylvester matrix with the rows of f first."""
-    if f.is_zero() or g.is_zero():
-        raise PolynomialError("resultant needs two nonzero polynomials")
-    m, n = f.degree, g.degree
-    size = m + n
-    rows = []
-    for shift in range(n):
-        row = [Fraction(0)] * size
-        for i, c in enumerate(reversed(f.coeffs)):
-            row[shift + i] = c
-        rows.append(row)
-    for shift in range(m):
-        row = [Fraction(0)] * size
-        for i, c in enumerate(reversed(g.coeffs)):
-            row[shift + i] = c
-        rows.append(row)
-    return rows
-
-
-def resultant(f: UnivariatePoly, g: UnivariatePoly) -> Fraction:
-    """Resultant as the Sylvester determinant (f-rows first)."""
-    if f.is_zero() or g.is_zero():
-        raise PolynomialError("resultant needs two nonzero polynomials")
-    if f.degree == 0 and g.degree == 0:
-        return Fraction(1)
-    if f.degree == 0:
-        return f.leading() ** g.degree
-    if g.degree == 0:
-        return g.leading() ** f.degree
-    return _fraction_det(sylvester_matrix(f, g))
+    f = f.primitive()
+    return _squarefree_mod_prime(f) or poly_gcd(f, f.derivative()).degree == 0
 
 
 def _poly_matrix_det(matrix: list[list[UnivariatePoly]]) -> UnivariatePoly:
-    """Fraction-free Bareiss determinant for matrices over Q[x]."""
+    """Fraction-free Bareiss determinant; every division is exact in Z[x] for integer input."""
     n = len(matrix)
     if n == 0:
         return UnivariatePoly.one()
@@ -288,18 +290,18 @@ def _poly_matrix_det(matrix: list[list[UnivariatePoly]]) -> UnivariatePoly:
 
 
 class BiPoly:
-    """Polynomial in (x, y) with y as the main variable, exact rational coefficients.
+    """Polynomial in (x, y) with y as the main variable, exact coefficients.
 
-    Stored as a map (x-exponent, y-exponent) -> Fraction with zero
-    values dropped.
+    Stored as a map (x-exponent, y-exponent) -> int or Fraction with
+    zero values dropped.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[tuple[int, int], Fraction]):
+    def __init__(self, terms: dict[tuple[int, int], int | Fraction]):
         cleaned = {}
         for (i, j), c in terms.items():
-            c = _as_fraction(c)
+            c = exact(c)
             if c != 0:
                 if i < 0 or j < 0:
                     raise PolynomialError("negative exponent in bivariate polynomial")
@@ -312,7 +314,7 @@ class BiPoly:
 
     @classmethod
     def constant(cls, c) -> "BiPoly":
-        return cls({(0, 0): _as_fraction(c)})
+        return cls({(0, 0): c})
 
     @classmethod
     def from_y_coeffs(cls, coeffs: list[UnivariatePoly]) -> "BiPoly":
@@ -342,69 +344,63 @@ class BiPoly:
     def y_coeffs(self) -> list[UnivariatePoly]:
         """Coefficients of 1, y, y^2, ... as polynomials in x."""
         d = self.deg_y()
-        buckets: list[dict[int, Fraction]] = [{} for _ in range(d + 1)]
+        buckets: list[dict[int, int | Fraction]] = [{} for _ in range(d + 1)]
         for (i, j), c in self.terms.items():
             buckets[j][i] = c
         out = []
         for bucket in buckets:
             size = max(bucket, default=-1) + 1
-            out.append(UnivariatePoly(tuple(bucket.get(k, Fraction(0)) for k in range(size))))
+            out.append(UnivariatePoly(tuple(bucket.get(k, 0) for k in range(size))))
         return out
-
-    def leading_y(self) -> UnivariatePoly:
-        coeffs = self.y_coeffs()
-        if not coeffs:
-            raise PolynomialError("zero polynomial has no leading coefficient")
-        return coeffs[-1]
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + c
+            terms[key] = terms.get(key, 0) + c
         return BiPoly(terms)
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            terms[key] = terms.get(key, Fraction(0)) - c
+            terms[key] = terms.get(key, 0) - c
         return BiPoly(terms)
 
     def __neg__(self) -> "BiPoly":
         return BiPoly({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
-        terms: dict[tuple[int, int], Fraction] = {}
+        terms: dict[tuple[int, int], int | Fraction] = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 key = (i1 + i2, j1 + j2)
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
+                terms[key] = terms.get(key, 0) + c1 * c2
         return BiPoly(terms)
 
     def scale(self, c) -> "BiPoly":
-        c = _as_fraction(c)
+        c = exact(c)
         return BiPoly({k: v * c for k, v in self.terms.items()})
 
-    def evaluate(self, x, y) -> Fraction:
-        x, y = _as_fraction(x), _as_fraction(y)
-        return sum((c * x**i * y**j for (i, j), c in self.terms.items()), Fraction(0))
+    def evaluate(self, x, y) -> int | Fraction:
+        x, y = exact(x), exact(y)
+        return exact(sum(c * x**i * y**j for (i, j), c in self.terms.items()))
 
-    def top_form_at(self, a) -> Fraction:
+    def top_form_at(self, a) -> int | Fraction:
         """The top-degree homogeneous part evaluated at (a, 1)."""
-        a = _as_fraction(a)
+        a = exact(a)
         d = self.total_degree()
-        return sum((c * a**i for (i, j), c in self.terms.items() if i + j == d), Fraction(0))
+        return exact(sum(c * a**i for (i, j), c in self.terms.items() if i + j == d))
 
     def shear(self, a: int) -> "BiPoly":
         """Substitute x -> x + a*y; common zeros correspond bijectively."""
         if a == 0:
             return self
-        terms: dict[tuple[int, int], Fraction] = {}
+        terms: dict[tuple[int, int], int | Fraction] = {}
         for (i, j), c in self.terms.items():
             # (x + a y)^i expanded by binomials
             binom = 1
             for t in range(i + 1):
                 key = (i - t, j + t)
-                terms[key] = terms.get(key, Fraction(0)) + c * binom * a**t
+                terms[key] = terms.get(key, 0) + c * binom * a**t
                 binom = binom * (i - t) // (t + 1)
         return BiPoly(terms)
 
@@ -413,7 +409,7 @@ class BiPoly:
         if other.is_zero():
             raise PolynomialError("division by the zero polynomial")
         remainder = dict(self.terms)
-        quotient: dict[tuple[int, int], Fraction] = {}
+        quotient: dict[tuple[int, int], int | Fraction] = {}
         lead_key = max(other.terms, key=lambda k: (k[1], k[0]))
         lead_c = other.terms[lead_key]
         while remainder:
@@ -421,61 +417,54 @@ class BiPoly:
             di, dj = key[0] - lead_key[0], key[1] - lead_key[1]
             if di < 0 or dj < 0:
                 raise PolynomialError("bivariate division expected to be exact failed")
-            factor = remainder[key] / lead_c
+            factor = _quo(remainder[key], lead_c)
             quotient[(di, dj)] = factor
             for (i, j), c in other.terms.items():
                 k2 = (i + di, j + dj)
-                value = remainder.get(k2, Fraction(0)) - factor * c
+                value = remainder.get(k2, 0) - factor * c
                 if value == 0:
                     remainder.pop(k2, None)
                 else:
                     remainder[k2] = value
         return BiPoly(quotient)
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.terms, key=lambda k: (-(k[0] + k[1]), -k[1])):
-            c = self.terms[(i, j)]
-            mono = "".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in (("x", i), ("y", j))
-                if e > 0
-            )
-            mag = str(abs(c)) if (abs(c) != 1 or not mono) else ""
-            core = mag + ("*" if mag and mono else "") + mono
-            parts.append(("- " if c < 0 else ("+ " if parts else "")) + core)
-        return " ".join(parts)
+    def __repr__(self) -> str:
+        return f"BiPoly({self.terms!r})"
 
 
-def _content_y(p: BiPoly) -> UnivariatePoly:
-    """Monic gcd over Q[x] of the y-coefficients."""
+def _strip(coeffs: list[UnivariatePoly]) -> list[UnivariatePoly]:
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return coeffs
+
+
+def _content_y(coeffs: list[UnivariatePoly]) -> UnivariatePoly:
+    """Content in Q[x] of the polynomial in y with these coefficients.
+
+    Dividing every coefficient by it leaves a primitive polynomial in
+    Z[x][y]: the rational content of all coefficients times the
+    primitive gcd over Z[x] of the y-coefficients.
+    """
     content = UnivariatePoly.zero()
-    for c in p.y_coeffs():
+    for c in coeffs:
         content = poly_gcd(content, c)
         if content.degree == 0:
             break
-    return content
+    scalar = rational_content(v for c in coeffs for v in c.coeffs)
+    return content.primitive().scale(scalar)
 
 
-def _primitive_y(p: BiPoly) -> BiPoly:
-    content = _content_y(p)
-    if content.is_zero() or content.degree == 0:
-        return p
-    return BiPoly.from_y_coeffs([c.exact_div(content) for c in p.y_coeffs()])
+def _primitive_y(coeffs: list[UnivariatePoly]) -> list[UnivariatePoly]:
+    content = _content_y(coeffs)
+    if content.is_zero() or content.coeffs == (1,):
+        return coeffs
+    return [c.exact_div(content) for c in coeffs]
 
 
 def _pseudo_rem_y(a: list[UnivariatePoly], b: list[UnivariatePoly]) -> list[UnivariatePoly]:
     """Pseudo-remainder in y: lc(b)^(deg a - deg b + 1) * a modulo b."""
-
-    def strip(coeffs: list[UnivariatePoly]) -> list[UnivariatePoly]:
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        return coeffs
-
-    r = strip(list(a))
-    b = strip(list(b))
+    r = _strip(list(a))
+    b = _strip(list(b))
     if not b:
         raise PolynomialError("pseudo-division by zero")
     db = len(b) - 1
@@ -487,7 +476,7 @@ def _pseudo_rem_y(a: list[UnivariatePoly], b: list[UnivariatePoly]) -> list[Univ
         r = [lb * c for c in r]
         for i, bc in enumerate(b):
             r[shift + i] = r[shift + i] - lr * bc
-        r = strip(r)
+        r = _strip(r)
         e -= 1
     if e > 0:
         factor = lb**e
@@ -496,29 +485,19 @@ def _pseudo_rem_y(a: list[UnivariatePoly], b: list[UnivariatePoly]) -> list[Univ
 
 
 def bipoly_gcd(p: BiPoly, q: BiPoly) -> BiPoly:
-    """A gcd of p and q in Q[x, y], computed by a primitive remainder sequence in y."""
+    """The primitive integer gcd of p and q in Q[x, y], by a primitive remainder sequence in y."""
     if p.is_zero():
         return q
     if q.is_zero():
         return p
-    content = poly_gcd(_content_y(p), _content_y(q))
-    a = _primitive_y(p).y_coeffs()
-    b = _primitive_y(q).y_coeffs()
-    if len(a) - 1 < len(b) - 1:
+    pc, qc = p.y_coeffs(), q.y_coeffs()
+    content = poly_gcd(_content_y(pc), _content_y(qc)).primitive()
+    a, b = _primitive_y(pc), _primitive_y(qc)
+    if len(a) < len(b):
         a, b = b, a
-    while True:
-        stripped_b = [c for c in b]
-        while stripped_b and stripped_b[-1].is_zero():
-            stripped_b.pop()
-        if not stripped_b:
-            break
-        r = _pseudo_rem_y(a, stripped_b)
-        a, b = stripped_b, r
-        if b:
-            b = _primitive_y(BiPoly.from_y_coeffs(b)).y_coeffs()
-    primitive = _primitive_y(BiPoly.from_y_coeffs(a))
-    content_part = BiPoly.from_y_coeffs([content])
-    return primitive * content_part
+    while b:
+        a, b = b, _primitive_y(_pseudo_rem_y(a, b))
+    return BiPoly.from_y_coeffs([c * content for c in a])
 
 
 def _poly_coeff(coeffs: list[UnivariatePoly], k: int) -> UnivariatePoly:
@@ -558,32 +537,12 @@ def subresultant_chain_y(p: BiPoly, q: BiPoly) -> list[BiPoly]:
     return [subresultant_y(p, q, k) for k in range(q.deg_y())]
 
 
-def res_y(p: BiPoly, q: BiPoly) -> UnivariatePoly:
-    """Resultant of p and q with respect to y, as a polynomial in x (determinantal)."""
-    if p.is_zero() or q.is_zero():
-        raise PolynomialError("resultant needs two nonzero polynomials")
-    m, n = p.deg_y(), q.deg_y()
-    if m < n:
-        r = res_y(q, p)
-        return r if (m * n) % 2 == 0 else -r
-    if n == 0:
-        return q.y_coeffs()[0] ** m if m > 0 else UnivariatePoly.one()
-    pc, qc = p.y_coeffs(), q.y_coeffs()
-    size = m + n
-    rows = []
-    for t in range(n - 1, -1, -1):
-        rows.append([_poly_coeff(pc, size - 1 - col - t) for col in range(size)])
-    for t in range(m - 1, -1, -1):
-        rows.append([_poly_coeff(qc, size - 1 - col - t) for col in range(size)])
-    return _poly_matrix_det(rows)
-
-
 def res_y_prs(p: BiPoly, q: BiPoly) -> UnivariatePoly:
     """Resultant of p and q with respect to y by a subresultant remainder sequence.
 
-    Content-normalized pseudo-remainders keep all divisions exact in
-    Q[x]; the returned value is the exact resultant, equal to the
-    determinantal one.
+    The inputs are divided by their contents, so the sequence runs in
+    Z[x][y] and every division in it is exact over Z; the returned value
+    is the exact resultant, equal to the Sylvester determinant.
     """
     if p.is_zero() or q.is_zero():
         raise PolynomialError("resultant needs two nonzero polynomials")
@@ -598,8 +557,8 @@ def res_y_prs(p: BiPoly, q: BiPoly) -> UnivariatePoly:
     if deg_b == 0:
         result = b[0] ** deg_a if deg_a > 0 else UnivariatePoly.one()
         return result if sign == 1 else -result
-    cont_a = _content_y(BiPoly.from_y_coeffs(a))
-    cont_b = _content_y(BiPoly.from_y_coeffs(b))
+    cont_a = _content_y(a)
+    cont_b = _content_y(b)
     a = [c.exact_div(cont_a) for c in a]
     b = [c.exact_div(cont_b) for c in b]
     t_factor = (cont_a**deg_b) * (cont_b**deg_a)
@@ -668,8 +627,7 @@ def _common_zero_normalized(polys: list[BiPoly]) -> bool:
             return True
         return _common_zero_normalized([p.exact_div(h), q.exact_div(h)] + rest)
     if not rest:
-        r = res_y(p, q) if p.deg_y() >= q.deg_y() else res_y(q, p)
-        return r.degree >= 1
+        return res_y_prs(p, q).degree >= 1
     return _coprime_pair_meets(p, q, rest[0])
 
 
@@ -701,7 +659,7 @@ def _coprime_pair_meets(p: BiPoly, q: BiPoly, r: BiPoly) -> bool:
         else:
             gate = None
             g_poly = q
-        t_poly = res_y(g_poly, r) if g_poly.deg_y() >= r.deg_y() else res_y(r, g_poly)
+        t_poly = res_y_prs(g_poly, r)
         u = squarefree_part(principal[0])
         for t in range(1, j):
             if principal[t].is_zero():

@@ -1,9 +1,11 @@
 """Exact certificates for plane curves: smoothness, simple flexes, classical counts.
 
 A ternary form is a homogeneous polynomial in (x, y, z) with exact
-rational coefficients.  Smoothness is decided by chart-wise elimination
-on the partial derivatives; the flex certificate eliminates one
-variable from the curve and its Hessian after a seeded random
+rational coefficients.  Both certificates first scale the form to its
+primitive integer multiple, which changes neither answer, so all their
+elimination runs over Z.  Smoothness is decided by chart-wise
+elimination on the partial derivatives; the flex certificate eliminates
+one variable from the curve and its Hessian after a seeded random
 unimodular change of coordinates and tests the degree-24 eliminant for
 repeated roots.
 """
@@ -20,7 +22,10 @@ from .polynomials import (
     PolynomialError,
     UnivariatePoly,
     common_affine_zero,
+    exact,
+    is_squarefree,
     poly_gcd,
+    rational_content,
     res_y_prs,
     squarefree_part,
     subresultant_y,
@@ -49,13 +54,14 @@ class TernaryForm:
     """Homogeneous polynomial in (x, y, z) with exact rational coefficients.
 
     Coefficients map exponent triples (i, j, k) with i + j + k = degree
-    to nonzero rationals.  Arithmetic may produce the zero form
-    internally; the public constructor and the parser reject it.
+    to nonzero rationals, stored as ``int`` when integral.  Arithmetic
+    may produce the zero form internally; the public constructor and the
+    parser reject it.
     """
 
     __slots__ = ("degree", "coefficients")
 
-    def __init__(self, degree: int, coefficients: dict[tuple[int, int, int], Fraction]):
+    def __init__(self, degree: int, coefficients: dict[tuple[int, int, int], int | Fraction]):
         cleaned = {}
         for key, value in coefficients.items():
             i, j, k = key
@@ -63,7 +69,7 @@ class TernaryForm:
                 raise DegenerateFormError(
                     f"exponents {key} do not sum to the declared degree {degree}"
                 )
-            value = Fraction(value)
+            value = exact(value)
             if value != 0:
                 cleaned[(i, j, k)] = value
         self.degree = degree
@@ -71,7 +77,7 @@ class TernaryForm:
 
     @classmethod
     def from_coefficients(
-        cls, degree: int, coefficients: dict[tuple[int, int, int], Fraction]
+        cls, degree: int, coefficients: dict[tuple[int, int, int], int | Fraction]
     ) -> "TernaryForm":
         form = cls(degree, coefficients)
         if form.is_zero():
@@ -96,23 +102,28 @@ class TernaryForm:
             raise DegenerateFormError("adding forms of different degrees")
         terms = dict(self.coefficients)
         for key, c in other.coefficients.items():
-            terms[key] = terms.get(key, Fraction(0)) + c
+            terms[key] = terms.get(key, 0) + c
         return TernaryForm(self.degree, terms)
 
     def __sub__(self, other: "TernaryForm") -> "TernaryForm":
         return self + other.scale(-1)
 
     def __mul__(self, other: "TernaryForm") -> "TernaryForm":
-        terms: dict[tuple[int, int, int], Fraction] = {}
+        terms: dict[tuple[int, int, int], int | Fraction] = {}
         for (a, b, c), u in self.coefficients.items():
             for (d, e, f), v in other.coefficients.items():
                 key = (a + d, b + e, c + f)
-                terms[key] = terms.get(key, Fraction(0)) + u * v
+                terms[key] = terms.get(key, 0) + u * v
         return TernaryForm(self.degree + other.degree, terms)
 
     def scale(self, c) -> "TernaryForm":
-        c = Fraction(c)
+        c = exact(c)
         return TernaryForm(self.degree, {k: v * c for k, v in self.coefficients.items()})
+
+    def primitive(self) -> "TernaryForm":
+        """The positive multiple with coprime integer coefficients: the same curve."""
+        content = rational_content(self.coefficients.values())
+        return self if content in (0, 1) else self.scale(Fraction(1) / content)
 
     def partial(self, var: int) -> "TernaryForm":
         """Partial derivative with respect to variable 0, 1 or 2; may be zero."""
@@ -125,12 +136,9 @@ class TernaryForm:
             terms[new_key] = c * e
         return TernaryForm(max(self.degree - 1, 0), terms)
 
-    def evaluate(self, x, y, z) -> Fraction:
-        x, y, z = Fraction(x), Fraction(y), Fraction(z)
-        return sum(
-            (c * x**i * y**j * z**k for (i, j, k), c in self.coefficients.items()),
-            Fraction(0),
-        )
+    def evaluate(self, x, y, z) -> int | Fraction:
+        x, y, z = exact(x), exact(y), exact(z)
+        return exact(sum(c * x**i * y**j * z**k for (i, j, k), c in self.coefficients.items()))
 
     def compose(self, matrix: list[list[int]]) -> "TernaryForm":
         """The form (F o M)(v) = F(M v) for an integer 3x3 matrix M."""
@@ -140,14 +148,14 @@ class TernaryForm:
                 TernaryForm(
                     1,
                     {
-                        (1, 0, 0): Fraction(row[0]),
-                        (0, 1, 0): Fraction(row[1]),
-                        (0, 0, 1): Fraction(row[2]),
+                        (1, 0, 0): row[0],
+                        (0, 1, 0): row[1],
+                        (0, 0, 1): row[2],
                     },
                 )
             )
         powers: list[dict[int, TernaryForm]] = [
-            {0: TernaryForm(0, {(0, 0, 0): Fraction(1)})} for _ in range(3)
+            {0: TernaryForm(0, {(0, 0, 0): 1})} for _ in range(3)
         ]
 
         def power(var: int, e: int) -> TernaryForm:
@@ -165,17 +173,17 @@ class TernaryForm:
     def chart(self, var: int) -> BiPoly:
         """Dehomogenize by setting one variable to 1, keeping the other two in order."""
         keep = [v for v in range(3) if v != var]
-        terms: dict[tuple[int, int], Fraction] = {}
+        terms = {}
         for key, c in self.coefficients.items():
             terms[(key[keep[0]], key[keep[1]])] = c
         return BiPoly(terms)
 
     def xz_slice_at_y1(self) -> BiPoly:
         """Collect the form as a polynomial in z over Q[x] with y set to 1."""
-        terms: dict[tuple[int, int], Fraction] = {}
+        terms: dict[tuple[int, int], int | Fraction] = {}
         for (i, j, k), c in self.coefficients.items():
             key = (i, k)
-            terms[key] = terms.get(key, Fraction(0)) + c
+            terms[key] = terms.get(key, 0) + c
         return BiPoly(terms)
 
     def __str__(self) -> str:
@@ -300,10 +308,11 @@ def is_smooth(form: TernaryForm) -> bool:
 
     True iff the three partial derivatives have no common projective
     zero, decided chart by chart with the exact bivariate common-zero
-    procedure.
+    procedure on the primitive integer multiple of the form.
     """
     if form.degree < 2:
         raise DegenerateFormError("smoothness certificate needs degree at least 2")
+    form = form.primitive()
     partials = [form.partial(v) for v in range(3)]
     for chart_var in range(3):
         charted = [p.chart(chart_var) for p in partials]
@@ -352,7 +361,8 @@ def flexes_all_simple(form: TernaryForm, seed: int) -> FlexCertificate:
     in generic position and z is eliminated by a subresultant remainder
     sequence, giving a degree-24 polynomial whose roots are the
     projected flexes.  A squarefree eliminant certifies that all flexes
-    are simple.  A repeated root is a hyperflex exactly when a single
+    are simple; this answer alone may come from the modular fast path of
+    ``is_squarefree``, which is sound in that direction.  A repeated root is a hyperflex exactly when a single
     intersection point sits above it, which is read off the first
     principal subresultant coefficient; repeated roots carrying two
     distinct points are projection collisions, so the coordinate change
@@ -361,6 +371,7 @@ def flexes_all_simple(form: TernaryForm, seed: int) -> FlexCertificate:
     """
     if form.degree != 4:
         raise DegenerateFormError("the flex certificate is for quartics")
+    form = form.primitive()
     if not is_smooth(form):
         raise DegenerateFormError("the flex certificate needs a smooth quartic")
     hess = hessian(form)
@@ -379,9 +390,9 @@ def flexes_all_simple(form: TernaryForm, seed: int) -> FlexCertificate:
             continue
         if eliminant.degree != 24:
             continue
-        repeated = poly_gcd(eliminant, eliminant.derivative())
-        if repeated.degree == 0:
+        if is_squarefree(eliminant):
             return FlexCertificate(True, 24)
+        repeated = poly_gcd(eliminant, eliminant.derivative())
         sres1 = subresultant_y(hess_slice, form_slice, 1)
         coeffs = sres1.y_coeffs()
         principal = coeffs[1] if len(coeffs) > 1 else UnivariatePoly.zero()

@@ -140,22 +140,55 @@ def test_cli_monodromy_bad_file(tmp_path, capsys):
     assert main(["monodromy", "--file", str(path)]) == 2
 
 
-def test_cli_monodromy_refuses_a_huge_cover_quickly():
-    """A degree above --max-group-order is refused before any enumeration."""
+def run_fresh_cli(*args: str, preexec_fn=None) -> tuple[subprocess.CompletedProcess, float]:
+    """Run the command line in a new interpreter; returns the result and its wall time."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     start = time.perf_counter()
     result = subprocess.run(
-        [sys.executable, "-m", "xiaofib.cli", "monodromy", "--dihedral", "2", "100003"],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-m", "xiaofib.cli", *args],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=preexec_fn,
     )
-    elapsed = time.perf_counter() - start
+    return result, time.perf_counter() - start
+
+
+def assert_refused(result: subprocess.CompletedProcess, detail: str) -> None:
+    """Exit 2, nothing on stdout and exactly one ``error:`` line naming ``detail``."""
     assert result.returncode == 2
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
-    assert "100003" in lines[0]
+    assert detail in lines[0]
+
+
+def test_cli_monodromy_refuses_a_huge_cover_quickly():
+    """A degree above --max-group-order is refused before any enumeration."""
+    result, elapsed = run_fresh_cli("monodromy", "--dihedral", "2", "100003")
+    assert_refused(result, "100003")
     assert elapsed < 4.0
+
+
+def test_cli_monodromy_refuses_a_huge_dihedral_cover_before_building_it():
+    """Many branch points of huge degree: refused before any permutation exists."""
+    result, elapsed = run_fresh_cli("monodromy", "--dihedral", "200", "100003")
+    assert_refused(result, "100003")
+    assert elapsed < 1.0
+
+
+def test_cli_monodromy_refuses_a_huge_cover_file_before_parsing_cycles(tmp_path):
+    """A header degree of two billion under a 600 MB address-space cap: no MemoryError."""
+    import resource
+
+    limit = 600 * 2**20
+    path = tmp_path / "huge.txt"
+    path.write_text("degree 2000000000; base_genus 0\n(0 1)\n(0 1)\n")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    result, elapsed = run_fresh_cli("monodromy", "--file", str(path), preexec_fn=cap_memory)
+    assert_refused(result, "2000000000")
+    assert elapsed < 1.0
 
 
 def test_verify_passes_the_group_order_bound_to_every_tower(monkeypatch):
