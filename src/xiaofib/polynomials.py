@@ -8,11 +8,6 @@ they make is an exact integer division.  Bivariate polynomials in
 sits an exact decision for whether up to three bivariate polynomials
 share a complex zero, which backs the smoothness certificate for plane
 curves.
-
-The squarefree test tries the prime P = 2^61 - 1 first.  That is sound
-in one direction only: modulo a prime not dividing the leading
-coefficient the degree of gcd(f, f') can only rise, so a constant gcd
-modulo P proves f squarefree over Q.  Anything else takes the exact route.
 """
 
 from __future__ import annotations
@@ -20,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-
-MODULAR_PRIME = 2**61 - 1
 
 
 class PolynomialError(ValueError):
@@ -229,39 +222,11 @@ def squarefree_part(f: UnivariatePoly) -> UnivariatePoly:
     return f.exact_div(poly_gcd(f, f.derivative()).primitive()).monic()
 
 
-def _squarefree_mod_prime(f: UnivariatePoly) -> bool:
-    """True when the integer polynomial f is proved squarefree over Q modulo P.
-
-    The proof needs P not to divide lc(f) and a constant gcd of f and f'
-    over F_P.  False means only that this test is inconclusive.
-    """
-    p = MODULAR_PRIME
-    a = [c % p for c in f.coeffs]
-    if not a or not a[-1]:
-        return False
-    b = [i * c % p for i, c in enumerate(a)][1:]
-    while any(b):  # Euclid over F_P; a is kept without leading zeros
-        while not b[-1]:
-            b.pop()
-        inverse = pow(b[-1], -1, p)
-        for shift in range(len(a) - len(b), -1, -1):
-            factor = a.pop() * inverse % p
-            for i in range(len(b) - 1):
-                a[shift + i] = (a[shift + i] - factor * b[i]) % p
-        a, b = b, a
-    return len(a) == 1
-
-
 def is_squarefree(f: UnivariatePoly) -> bool:
-    """Whether f has no repeated factor over Q; the zero polynomial has one.
-
-    The modular test can only answer yes; when it is inconclusive the
-    exact gcd of f and f' decides.
-    """
+    """Whether f has no repeated factor over Q; the zero polynomial has one."""
     if f.is_zero():
         return False
-    f = f.primitive()
-    return _squarefree_mod_prime(f) or poly_gcd(f, f.derivative()).degree == 0
+    return poly_gcd(f, f.derivative()).degree == 0
 
 
 def _poly_matrix_det(matrix: list[list[UnivariatePoly]]) -> UnivariatePoly:

@@ -23,7 +23,6 @@ from .polynomials import (
     UnivariatePoly,
     common_affine_zero,
     exact,
-    is_squarefree,
     poly_gcd,
     rational_content,
     res_y_prs,
@@ -361,8 +360,7 @@ def flexes_all_simple(form: TernaryForm, seed: int) -> FlexCertificate:
     in generic position and z is eliminated by a subresultant remainder
     sequence, giving a degree-24 polynomial whose roots are the
     projected flexes.  A squarefree eliminant certifies that all flexes
-    are simple; this answer alone may come from the modular fast path of
-    ``is_squarefree``, which is sound in that direction.  A repeated root is a hyperflex exactly when a single
+    are simple.  A repeated root is a hyperflex exactly when a single
     intersection point sits above it, which is read off the first
     principal subresultant coefficient; repeated roots carrying two
     distinct points are projection collisions, so the coordinate change
@@ -390,9 +388,9 @@ def flexes_all_simple(form: TernaryForm, seed: int) -> FlexCertificate:
             continue
         if eliminant.degree != 24:
             continue
-        if is_squarefree(eliminant):
-            return FlexCertificate(True, 24)
         repeated = poly_gcd(eliminant, eliminant.derivative())
+        if repeated.degree == 0:
+            return FlexCertificate(True, 24)
         sres1 = subresultant_y(hess_slice, form_slice, 1)
         coeffs = sres1.y_coeffs()
         principal = coeffs[1] if len(coeffs) > 1 else UnivariatePoly.zero()

@@ -16,7 +16,6 @@ from oracles import coprime_bipolys, poly_gcd_euclid, res_y, squarefree_part_euc
 from xiaofib.polynomials import (  # noqa: E402
     BiPoly,
     UnivariatePoly,
-    _squarefree_mod_prime,
     bipoly_gcd,
     is_squarefree,
     poly_gcd,
@@ -68,8 +67,6 @@ def test_squarefree_part_and_test_match_the_oracle(f, square):
 def test_planted_square_is_never_squarefree(h, k):
     e = h * h * k
     assert not is_squarefree(e)
-    if not e.is_zero():
-        assert not _squarefree_mod_prime(e.primitive())
 
 
 @PROPERTY

@@ -5,7 +5,6 @@ import pytest
 
 from oracles import res_y, resultant, sylvester_matrix
 from xiaofib.polynomials import (
-    MODULAR_PRIME,
     BiPoly,
     PolynomialError,
     UnivariatePoly,
@@ -14,7 +13,6 @@ from xiaofib.polynomials import (
     is_squarefree,
     poly_gcd,
     res_y_prs,
-    _squarefree_mod_prime,
     squarefree_part,
     subresultant_chain_y,
 )
@@ -97,19 +95,6 @@ def test_squarefree_detection():
     assert not is_squarefree(double)
     assert squarefree_part(double) == (U((1, 1)) * U((3, 1))).monic()
     assert is_squarefree(U((-1, 0, 1)))
-
-
-def test_modular_path_is_inconclusive_when_the_prime_divides_the_leading_coefficient():
-    P = MODULAR_PRIME
-    squarefree = U((-1, 0, P))  # P x^2 - 1
-    square = U((1, P)) * U((1, P))  # (P x + 1)^2
-    for f, expected in ((squarefree, True), (square, False)):
-        assert not _squarefree_mod_prime(f)
-        assert is_squarefree(f) is expected
-    # a double root modulo P only: x^2 - P is squarefree over Q
-    assert not _squarefree_mod_prime(U((-P, 0, 1)))
-    assert is_squarefree(U((-P, 0, 1)))
-    assert is_squarefree(U((Fraction(-1, P), 0, 1)))
 
 
 def test_evaluation_and_derivative():

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from xiaofib import polynomials, quartic
 from xiaofib.quartic import (
     FERMAT_QUARTIC,
     KLEIN_QUARTIC,
@@ -215,50 +214,3 @@ def test_compose_is_substitution():
         x, y, z = (Fraction(rng.randint(-3, 3)) for _ in range(3))
         image = [sum(matrix[i][j] * v for j, v in enumerate((x, y, z))) for i in range(3)]
         assert form.compose(matrix).evaluate(x, y, z) == form.evaluate(*image)
-
-
-# ---- modular fast path against the exact route ----
-
-
-def integer_quartic(rng, bound):
-    terms = {(i, j, 4 - i - j): rng.randint(-bound, bound) for i in range(5) for j in range(5 - i)}
-    return TernaryForm(4, terms)
-
-
-def certify(form, seed, monkeypatch, exact_only):
-    """The certificate (or its error type), its res_y_prs calls and the fast path's answers."""
-    calls, fast = [], []
-    res_y_prs, modular = polynomials.res_y_prs, polynomials._squarefree_mod_prime
-
-    def counting_res_y_prs(p, q):
-        calls.append(1)
-        return res_y_prs(p, q)
-
-    def recording_modular(f):
-        fast.append(False if exact_only else modular(f))
-        return fast[-1]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(polynomials, "res_y_prs", counting_res_y_prs)
-        patch.setattr(quartic, "res_y_prs", counting_res_y_prs)
-        patch.setattr(polynomials, "_squarefree_mod_prime", recording_modular)
-        try:
-            outcome = tuple(flexes_all_simple(form, seed))
-        except (DegenerateFormError, quartic.RetryBudgetError) as exc:
-            outcome = type(exc).__name__
-    return outcome, len(calls), fast
-
-
-def test_fast_and_exact_routes_give_the_same_certificates(monkeypatch):
-    rng = random.Random(5150)
-    forms = [integer_quartic(rng, bound) for bound in (3, 30, 300) for _ in range(2)]
-    for text in (KLEIN_QUARTIC, FERMAT_QUARTIC):
-        for _ in range(2):
-            forms.append(parse_ternary_form(text).compose(random_unimodular(rng, 4)))
-    for form in forms:
-        seed = rng.randrange(1, 2**31)
-        fast = certify(form, seed, monkeypatch, exact_only=False)
-        exact = certify(form, seed, monkeypatch, exact_only=True)
-        assert fast[:2] == exact[:2]
-        # here the modular test decides every all-simple answer and no other
-        assert fast[2][-1] is (fast[0] == (True, 24))
