@@ -66,11 +66,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_numerology(args) -> int:
-    try:
-        params = numerology.CoverParams(args.genus, args.degree)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params = numerology.CoverParams(args.genus, args.degree)
     g_c, g_d = numerology.cover_genera(params)
     gamma = numerology.gamma_self_intersection(params)
     fiber = numerology.psi_fiber_class(params)
@@ -88,7 +84,7 @@ def _cmd_numerology(args) -> int:
     else:
         print(f"fiber class: positive-dimensional of dimension {fiber.dimension}")
     print(f"moduli dimensions: source {dim_h}, target {dim_m}")
-    print(f"chevalley-weil dims: {list(cw.dims)} (prym {cw.prym_dim}, sym2-invariants {cw.sym2_invariant_dim})")
+    print(f"chevalley-weil dims: {cw.dims} (prym {cw.prym_dim}, sym2-invariants {cw.sym2_invariant_dim})")
     print(f"xiao bound: {report.bound}")
     print(f"q_rel = {q_rel}: xiao {str(report.is_xiao).lower()}, "
           f"meets ceiling {str(report.meets_ceiling).lower()}, "
@@ -117,16 +113,12 @@ def _monodromy_summary(cover: monodromy.BranchedCover, max_group_order: int) -> 
 
 
 def _cmd_monodromy(args) -> int:
-    try:
-        if args.dihedral:
-            g, p = args.dihedral
-            cover = monodromy.build_dihedral_cover(g, p, args.max_group_order)
-        else:
-            cover = monodromy.load_cover(args.file, args.max_group_order)
-        return _monodromy_summary(cover, args.max_group_order)
-    except (monodromy.MonodromyDataError, monodromy.EnumerationLimitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.dihedral:
+        g, p = args.dihedral
+        cover = monodromy.build_dihedral_cover(g, p, args.max_group_order)
+    else:
+        cover = monodromy.load_cover(args.file, args.max_group_order)
+    return _monodromy_summary(cover, args.max_group_order)
 
 
 def _cmd_lattice(args) -> int:
@@ -160,29 +152,29 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_quartic(args) -> int:
-    try:
-        form = quartic.parse_ternary_form(args.poly)
-    except quartic.FormParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    form = quartic.parse_ternary_form(args.poly)
     if args.check == "smooth":
-        try:
-            smooth = quartic.is_smooth(form)
-        except quartic.DegenerateFormError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        smooth = quartic.is_smooth(form)
         print(f"form: {form}")
         print(f"smooth: {str(smooth).lower()}")
         return 0
-    try:
-        certificate = quartic.flexes_all_simple(form, args.seed)
-    except (quartic.DegenerateFormError, quartic.RetryBudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    certificate = quartic.flexes_all_simple(form, args.seed)
     print(f"form: {form}")
     print(f"flex polynomial degree: {certificate.flex_degree}")
     print(f"all flexes simple: {str(certificate.all_simple).lower()}")
     return 0
+
+
+# What each subcommand raises for input it refuses; any other exception is a bug.
+INPUT_ERRORS = (
+    numerology.NumerologyError,
+    monodromy.MonodromyDataError,
+    monodromy.EnumerationLimitError,
+    quartic.FormParseError,
+    quartic.DegenerateFormError,
+    quartic.RetryBudgetError,
+    OSError,
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -195,7 +187,12 @@ def main(argv: list[str] | None = None) -> int:
         "lattice": _cmd_lattice,
         "quartic": _cmd_quartic,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except INPUT_ERRORS as exc:
+        prefix = "parse error" if isinstance(exc, quartic.FormParseError) else "error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -146,28 +146,12 @@ def _trigonal_tower(max_group_order: int) -> str:
     )
 
 
+@dataclass(frozen=True)
 class LedgerContext:
-    """Shared constructors for the claim thunks, with an optional corruption hook.
+    """Run-wide settings the claim thunks read."""
 
-    ``corrupt_gram`` poisons one entry of the genus-3 product Gram
-    matrix; it exists so the harness can verify that a corrupted engine
-    fails loudly (it must never be set in real runs).
-    """
-
-    def __init__(self, seed: int = 1, max_group_order: int = monodromy.DEFAULT_MAX_GROUP_ORDER,
-                 corrupt_gram: bool = False):
-        self.seed = seed
-        self.max_group_order = max_group_order
-        self.corrupt_gram = corrupt_gram
-
-    def product_lattice(self, g: int) -> lattice.IntersectionLattice:
-        built = lattice.product_with_diagonal_lattice(g)
-        if self.corrupt_gram and g == 3:
-            gram = [list(row) for row in built.gram]
-            gram[2][2] += 1
-            gram = tuple(tuple(row) for row in gram)
-            return lattice.IntersectionLattice(built.basis_labels, gram, built.canonical)
-        return built
+    seed: int = 1
+    max_group_order: int = monodromy.DEFAULT_MAX_GROUP_ORDER
 
 
 def build_claims(context: LedgerContext | None = None) -> list[Claim]:
@@ -208,7 +192,7 @@ def build_claims(context: LedgerContext | None = None) -> list[Claim]:
         "S4: h^0 splits as 2+1+1+1+1; Prym dimension 4; dim A'_4(5) = 2",
         "dims (2, 1, 1, 1, 1), prym 4, sym2-invariants 2",
         lambda: (
-            lambda cw: f"dims {fmt(cw.dims)}, prym {cw.prym_dim}, sym2-invariants {cw.sym2_invariant_dim}"
+            lambda cw: f"dims {fmt(tuple(cw.dims))}, prym {cw.prym_dim}, sym2-invariants {cw.sym2_invariant_dim}"
         )(numerology.chevalley_weil(p25)),
     )
     add(
@@ -255,7 +239,7 @@ def build_claims(context: LedgerContext | None = None) -> list[Claim]:
         "g3p3/nodal-class", "g3p3",
         "S6: the fiber curve in the genus-2 product has pairings (2, 2, 8)",
         "(3, 3, -1)",
-        lambda: fmt(ctx.product_lattice(2).class_from_intersections((2, 2, 8))),
+        lambda: fmt(lattice.product_with_diagonal_lattice(2).class_from_intersections((2, 2, 8))),
     )
     add(
         "g3p3/nodal-genus", "g3p3",
@@ -263,7 +247,7 @@ def build_claims(context: LedgerContext | None = None) -> list[Claim]:
         "7",
         lambda: (
             lambda lat: fmt(lat.adjunction_genus(lat.class_from_intersections((2, 2, 8))))
-        )(ctx.product_lattice(2)),
+        )(lattice.product_with_diagonal_lattice(2)),
     )
     add(
         "g3p3/geometric-genus", "g3p3",
@@ -307,7 +291,7 @@ def build_claims(context: LedgerContext | None = None) -> list[Claim]:
     )
 
     def xp_lattice():
-        return ctx.product_lattice(3)
+        return lattice.product_with_diagonal_lattice(3)
 
     add(
         "g4p3/fiber-class", "g4p3",
@@ -386,7 +370,7 @@ def build_claims(context: LedgerContext | None = None) -> list[Claim]:
         "g4p3/branch-genus-adjunction", "g4p3",
         "S5: p_a(B) = 1 + (B^2 + B.K)/2 = 33",
         "33",
-        lambda: fmt(ctx.product_lattice(3).adjunction_genus(branch_chain().branch)),
+        lambda: fmt(lattice.product_with_diagonal_lattice(3).adjunction_genus(branch_chain().branch)),
     )
     add(
         "g4p3/branch-genus-riemann-hurwitz", "g4p3",
@@ -398,7 +382,7 @@ def build_claims(context: LedgerContext | None = None) -> list[Claim]:
     )
 
     def k2_inputs() -> tuple[int, int, int]:
-        lat = ctx.product_lattice(3)
+        lat = lattice.product_with_diagonal_lattice(3)
         half = branch_chain().half
         k = lat.canonical_class()
         return (lat.intersect(k, k), lat.intersect(half, k), lat.intersect(half, half))
@@ -595,10 +579,9 @@ def verify_paper(
     only: str | None = None,
     seed: int = 1,
     max_group_order: int = monodromy.DEFAULT_MAX_GROUP_ORDER,
-    corrupt_gram: bool = False,
 ) -> tuple[int, list[ClaimReport]]:
     """Run the full ledger and return (exit code, reports)."""
-    context = LedgerContext(seed=seed, max_group_order=max_group_order, corrupt_gram=corrupt_gram)
+    context = LedgerContext(seed=seed, max_group_order=max_group_order)
     reports = run_claims(build_claims(context), only=only)
     return exit_code(reports), reports
 

@@ -9,12 +9,17 @@ dimension bookkeeping of the cover's canonical system.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 FINITE = "finite"
 POSITIVE_DIMENSIONAL = "positive_dimensional"
+
+
+class NumerologyError(ValueError):
+    """Parameters outside the range of a closed formula."""
 
 
 def is_odd_prime(p: int) -> bool:
@@ -38,9 +43,9 @@ class CoverParams:
 
     def __post_init__(self):
         if self.g < 2:
-            raise ValueError(f"hyperelliptic genus must be >= 2, got {self.g}")
+            raise NumerologyError(f"hyperelliptic genus must be >= 2, got {self.g}")
         if not is_odd_prime(self.p):
-            raise ValueError(f"cover degree must be an odd prime, got {self.p}")
+            raise NumerologyError(f"cover degree must be an odd prime, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -54,11 +59,11 @@ class FibrationProfile:
 
     def __post_init__(self):
         if self.q_total != self.q_rel + self.g_base:
-            raise ValueError("q_total must equal q_rel + g_base")
+            raise NumerologyError("q_total must equal q_rel + g_base")
         if self.q_rel < 0:
-            raise ValueError("relative irregularity must be non-negative")
+            raise NumerologyError("relative irregularity must be non-negative")
         if self.g_fiber < 2:
-            raise ValueError("fiber genus must be at least 2")
+            raise NumerologyError("fiber genus must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -84,12 +89,38 @@ class XiaoReport:
 
 
 @dataclass(frozen=True)
-class ChevalleyWeil:
-    """Character-space dimensions of the pushed-forward canonical bundle."""
+class Runs:
+    """A sequence of integers stored as (value, count) runs, never expanded in memory."""
 
-    dims: tuple[int, ...]
+    runs: tuple[tuple[int, int], ...]
+
+    def __len__(self) -> int:
+        return sum(count for _, count in self.runs)
+
+    def __iter__(self):
+        for value, count in self.runs:
+            yield from itertools.repeat(value, count)
+
+    def __str__(self) -> str:
+        return " + ".join(f"[{v}]" if count == 1 else f"[{v}]*{count}" for v, count in self.runs)
+
+
+@dataclass(frozen=True)
+class ChevalleyWeil:
+    """Character-space dimensions of the pushed-forward canonical bundle.
+
+    ``dims`` holds one dimension per character, run-length encoded; a
+    plain sequence given here is encoded the same way.
+    """
+
+    dims: Runs
     prym_dim: int
     sym2_invariant_dim: int
+
+    def __post_init__(self):
+        if not isinstance(self.dims, Runs):
+            runs = tuple((v, len(list(group))) for v, group in itertools.groupby(self.dims))
+            object.__setattr__(self, "dims", Runs(runs))
 
 
 def cover_genera(params: CoverParams) -> tuple[int, int]:
@@ -141,18 +172,18 @@ def bgn_bound(g_fiber: int, clifford_index: int | None = None) -> int:
     bound becomes ceil((g + 1)/2).
     """
     if g_fiber < 2:
-        raise ValueError("fiber genus must be at least 2")
+        raise NumerologyError("fiber genus must be at least 2")
     if clifford_index is None:
         clifford_index = (g_fiber - 1) // 2
     if clifford_index < 0:
-        raise ValueError("Clifford index must be non-negative")
+        raise NumerologyError("Clifford index must be non-negative")
     return g_fiber - clifford_index
 
 
 def xiao_report(g_fiber: int, q_rel: int) -> XiaoReport:
     """Compare q_rel against the bound (g_fiber + 1)/2 and its ceiling."""
     if g_fiber < 2:
-        raise ValueError("fiber genus must be at least 2")
+        raise NumerologyError("fiber genus must be at least 2")
     bound = Fraction(g_fiber + 1, 2)
     return XiaoReport(
         bound=bound,
@@ -165,7 +196,7 @@ def xiao_report(g_fiber: int, q_rel: int) -> XiaoReport:
 def brill_noether_range(q: int, g_a: int) -> bool:
     """True iff q < g_a < 2q - 1."""
     if q < 0 or g_a < 0:
-        raise ValueError("irregularity and arithmetic genus must be non-negative")
+        raise NumerologyError("irregularity and arithmetic genus must be non-negative")
     return q < g_a < 2 * q - 1
 
 
@@ -180,7 +211,7 @@ def chevalley_weil(params: CoverParams) -> ChevalleyWeil:
     (g - 1)^2.
     """
     g, p = params.g, params.p
-    dims = (g,) + (g - 1,) * (p - 1)
+    dims = Runs(((g, 1), (g - 1, p - 1)))
     prym_dim = (p - 1) * (g - 1)
     sym2_invariant_dim = (p - 1) // 2 * (g - 1) ** 2
     return ChevalleyWeil(dims, prym_dim, sym2_invariant_dim)
@@ -189,7 +220,7 @@ def chevalley_weil(params: CoverParams) -> ChevalleyWeil:
 def geometric_genus(p_a: int, nodes: int) -> int:
     """Geometric genus of an irreducible curve with the given number of simple nodes."""
     if nodes < 0:
-        raise ValueError("node count must be non-negative")
+        raise NumerologyError("node count must be non-negative")
     if nodes > p_a:
-        raise ValueError(f"invalid curve: {nodes} nodes exceed arithmetic genus {p_a}")
+        raise NumerologyError(f"invalid curve: {nodes} nodes exceed arithmetic genus {p_a}")
     return p_a - nodes

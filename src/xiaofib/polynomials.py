@@ -4,10 +4,12 @@ Coefficients are ``int`` when integral and ``Fraction`` otherwise, never
 ``float``.  Gcds, contents and resultants clear denominators and run
 primitive or subresultant remainder sequences over Z, so each division
 they make is an exact integer division.  Bivariate polynomials in
-(x, y) have y as the main variable and coefficients in Z[x].  On top
-sits an exact decision for whether up to three bivariate polynomials
-share a complex zero, which backs the smoothness certificate for plane
-curves.
+(x, y) have y as the main variable and coefficients in Z[x].  One
+subresultant remainder sequence in y gives the whole determinantal
+subresultant chain of two such polynomials; the resultant is its entry
+S_0.  On top sits an exact decision for whether up to three bivariate
+polynomials share a complex zero, which backs the smoothness
+certificate for plane curves.
 """
 
 from __future__ import annotations
@@ -229,31 +231,6 @@ def is_squarefree(f: UnivariatePoly) -> bool:
     return poly_gcd(f, f.derivative()).degree == 0
 
 
-def _poly_matrix_det(matrix: list[list[UnivariatePoly]]) -> UnivariatePoly:
-    """Fraction-free Bareiss determinant; every division is exact in Z[x] for integer input."""
-    n = len(matrix)
-    if n == 0:
-        return UnivariatePoly.one()
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = UnivariatePoly.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
-            if pivot is None:
-                return UnivariatePoly.zero()
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                numerator = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = numerator.exact_div(prev)
-            m[i][k] = UnivariatePoly.zero()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 class BiPoly:
     """Polynomial in (x, y) with y as the main variable, exact coefficients.
 
@@ -305,6 +282,11 @@ class BiPoly:
 
     def deg_y(self) -> int:
         return max((j for _, j in self.terms), default=-1)
+
+    def y_coeff(self, k: int) -> UnivariatePoly:
+        """The coefficient of y^k as a polynomial in x."""
+        size = max((i + 1 for i, j in self.terms if j == k), default=0)
+        return UnivariatePoly(tuple(self.terms.get((i, k), 0) for i in range(size)))
 
     def y_coeffs(self) -> list[UnivariatePoly]:
         """Coefficients of 1, y, y^2, ... as polynomials in x."""
@@ -465,89 +447,77 @@ def bipoly_gcd(p: BiPoly, q: BiPoly) -> BiPoly:
     return BiPoly.from_y_coeffs([c * content for c in a])
 
 
-def _poly_coeff(coeffs: list[UnivariatePoly], k: int) -> UnivariatePoly:
-    return coeffs[k] if 0 <= k < len(coeffs) else UnivariatePoly.zero()
+def subresultant_chain_y(p: BiPoly, q: BiPoly) -> list[BiPoly]:
+    """The determinantal subresultants S_k(p, q) in y for k = 0, ..., deg_y(q) - 1.
+
+    S_k has y-degree at most k, its y^k coefficient is the k-th principal
+    subresultant coefficient, and S_0 is the resultant.  Requires
+    deg_y(p) >= deg_y(q) >= 1.
+
+    One subresultant remainder sequence gives the whole chain (Brown &
+    Traub 1971): the remainder after a divisor of degree d is S_(d-1),
+    its degree e < d - 1 makes the entries strictly between vanish, and
+    the regular S_e is S_(d-1) scaled by (lc S_(d-1) / s_d)^(d-1-e)
+    (Lazard; Ducos 2000), s_d being the y^d coefficient of S_d.  The
+    inputs are divided by their contents first, so the sequence runs in
+    Z[x][y] with exact divisions, and S_k(u p, v q) = u^(n-k) v^(m-k) S_k(p, q)
+    scales the entries back.
+    """
+    a, b = p.y_coeffs(), q.y_coeffs()
+    m, n = len(a) - 1, len(b) - 1
+    if m < n or n < 1:
+        raise PolynomialError("subresultants need deg_y(p) >= deg_y(q) >= 1")
+    cont_a, cont_b = _content_y(a), _content_y(b)
+    a = [c.exact_div(cont_a) for c in a]
+    b = [c.exact_div(cont_b) for c in b]
+    chain: list[list[UnivariatePoly]] = [[] for _ in range(n)]
+    s = b[-1] ** (m - n)  # y^n coefficient of S_n = lc(q)^(m-n-1) q
+    r = _pseudo_rem_y(a, b)
+    if (m - n) % 2 == 0:
+        r = [-c for c in r]  # S_(n-1) = (-1)^(m-n+1) prem(p, q)
+    d = n
+    while r:
+        e = len(r) - 1
+        chain[d - 1] = r
+        if e < d - 1:
+            lift, drop = r[-1] ** (d - 1 - e), s ** (d - 1 - e)
+            chain[e] = [(c * lift).exact_div(drop) for c in r]
+        if e == 0:
+            break
+        beta = -(b[-1] * (-s) ** (d - e))
+        b, r = r, [c.exact_div(beta) for c in _pseudo_rem_y(b, r)]
+        s, d = chain[e][-1], e
+    scaled = []
+    for k, entry in enumerate(chain):
+        factor = cont_a ** (n - k) * cont_b ** (m - k)
+        scaled.append(BiPoly.from_y_coeffs([c * factor for c in entry]))
+    return scaled
 
 
 def subresultant_y(p: BiPoly, q: BiPoly, k: int) -> BiPoly:
-    """The k-th determinantal subresultant of p and q in y, 0 <= k < deg_y(q).
-
-    A polynomial of y-degree at most k; its y^k coefficient is the k-th
-    principal subresultant coefficient.  Requires deg_y(p) >= deg_y(q) >= 1.
-    """
-    pc = p.y_coeffs()
-    qc = q.y_coeffs()
-    m, n = len(pc) - 1, len(qc) - 1
-    if m < n or n < 1:
-        raise PolynomialError("subresultants need deg_y(p) >= deg_y(q) >= 1")
-    if not 0 <= k < n:
-        raise PolynomialError(f"subresultant index {k} out of range 0..{n - 1}")
-    r = m + n - 2 * k
-    c = m + n - k
-    rows = []
-    for t in range(n - k - 1, -1, -1):  # rows y^t * p
-        rows.append([_poly_coeff(pc, c - 1 - col - t) for col in range(c)])
-    for t in range(m - k - 1, -1, -1):  # rows y^t * q
-        rows.append([_poly_coeff(qc, c - 1 - col - t) for col in range(c)])
-    result = BiPoly.zero()
-    for l in range(k + 1):
-        cols = list(range(r - 1)) + [r - 1 + l]
-        minor = _poly_matrix_det([[row[col] for col in cols] for row in rows])
-        result = result + BiPoly.from_y_coeffs([UnivariatePoly.zero()] * (k - l) + [minor])
-    return result
-
-
-def subresultant_chain_y(p: BiPoly, q: BiPoly) -> list[BiPoly]:
-    """All determinantal subresultants sRes_k(p, q) for k = 0, ..., deg_y(q) - 1."""
-    return [subresultant_y(p, q, k) for k in range(q.deg_y())]
+    """The k-th entry of ``subresultant_chain_y(p, q)``, 0 <= k < deg_y(q)."""
+    chain = subresultant_chain_y(p, q)
+    if not 0 <= k < len(chain):
+        raise PolynomialError(f"subresultant index {k} out of range 0..{len(chain) - 1}")
+    return chain[k]
 
 
 def res_y_prs(p: BiPoly, q: BiPoly) -> UnivariatePoly:
-    """Resultant of p and q with respect to y by a subresultant remainder sequence.
+    """Resultant of p and q with respect to y, equal to the Sylvester determinant.
 
-    The inputs are divided by their contents, so the sequence runs in
-    Z[x][y] and every division in it is exact over Z; the returned value
-    is the exact resultant, equal to the Sylvester determinant.
+    S_0 of the subresultant chain once the larger y-degree comes first;
+    a constant in y is raised to the other polynomial's y-degree.
     """
     if p.is_zero() or q.is_zero():
         raise PolynomialError("resultant needs two nonzero polynomials")
-    a = p.y_coeffs()
-    b = q.y_coeffs()
     sign = 1
-    if len(a) < len(b):
-        if ((len(a) - 1) * (len(b) - 1)) % 2 == 1:
-            sign = -sign
-        a, b = b, a
-    deg_a, deg_b = len(a) - 1, len(b) - 1
-    if deg_b == 0:
-        result = b[0] ** deg_a if deg_a > 0 else UnivariatePoly.one()
-        return result if sign == 1 else -result
-    cont_a = _content_y(a)
-    cont_b = _content_y(b)
-    a = [c.exact_div(cont_a) for c in a]
-    b = [c.exact_div(cont_b) for c in b]
-    t_factor = (cont_a**deg_b) * (cont_b**deg_a)
-    g = UnivariatePoly.one()
-    h = UnivariatePoly.one()
-    while True:
-        deg_a, deg_b = len(a) - 1, len(b) - 1
-        delta = deg_a - deg_b
-        if deg_a % 2 == 1 and deg_b % 2 == 1:
-            sign = -sign
-        r = _pseudo_rem_y(a, b)
-        a = b
-        if not r:
-            return UnivariatePoly.zero()
-        divisor = g * h**delta
-        b = [c.exact_div(divisor) for c in r]
-        g = a[-1]
-        if delta >= 1:
-            h = (g**delta).exact_div(h ** (delta - 1))
-        if len(b) - 1 == 0:
-            break
-    deg_a = len(a) - 1
-    final = (b[0] ** deg_a).exact_div(h ** (deg_a - 1))
-    result = t_factor * final
+    if p.deg_y() < q.deg_y():
+        sign = -1 if p.deg_y() * q.deg_y() % 2 else 1
+        p, q = q, p
+    if q.deg_y() == 0:
+        result = q.y_coeff(0) ** p.deg_y()
+    else:
+        result = subresultant_chain_y(p, q)[0].y_coeff(0)
     return result if sign == 1 else -result
 
 
@@ -611,10 +581,7 @@ def _coprime_pair_meets(p: BiPoly, q: BiPoly, r: BiPoly) -> bool:
     chain = subresultant_chain_y(p, q)
     if chain[0].is_zero():
         raise PolynomialError("subresultant branch analysis needs coprime inputs")
-    principal = []
-    for k, entry in enumerate(chain):
-        coeffs = entry.y_coeffs()
-        principal.append(coeffs[k] if len(coeffs) > k else UnivariatePoly.zero())
+    principal = [entry.y_coeff(k) for k, entry in enumerate(chain)]
     for j in range(1, n + 1):
         if j < n:
             gate = principal[j]

@@ -6,8 +6,8 @@ primitive integer multiple, which changes neither answer, so all their
 elimination runs over Z.  Smoothness is decided by chart-wise
 elimination on the partial derivatives; the flex certificate eliminates
 one variable from the curve and its Hessian after a seeded random
-unimodular change of coordinates and tests the degree-24 eliminant for
-repeated roots.
+unimodular change of coordinates and tests the degree-24 eliminant, the
+entry S_0 of one subresultant chain, for repeated roots.
 """
 
 from __future__ import annotations
@@ -19,15 +19,12 @@ from typing import NamedTuple
 
 from .polynomials import (
     BiPoly,
-    PolynomialError,
-    UnivariatePoly,
     common_affine_zero,
     exact,
     poly_gcd,
     rational_content,
-    res_y_prs,
     squarefree_part,
-    subresultant_y,
+    subresultant_chain_y,
 )
 
 FLEX_RETRY_BUDGET = 32
@@ -357,15 +354,17 @@ def flexes_all_simple(form: TernaryForm, seed: int) -> FlexCertificate:
     """Decide whether all flexes of a smooth quartic are simple.
 
     A seeded unimodular coordinate change puts the curve and its Hessian
-    in generic position and z is eliminated by a subresultant remainder
-    sequence, giving a degree-24 polynomial whose roots are the
-    projected flexes.  A squarefree eliminant certifies that all flexes
-    are simple.  A repeated root is a hyperflex exactly when a single
-    intersection point sits above it, which is read off the first
-    principal subresultant coefficient; repeated roots carrying two
-    distinct points are projection collisions, so the coordinate change
-    is rejected and retried, as are changes with extraneous or deficient
-    eliminant degree.
+    in generic position, where both have full degree in z.  One
+    subresultant chain in z of the two, computed once per coordinate
+    change, gives both the eliminant S_0, a degree-24 polynomial whose
+    roots are the projected flexes, and the first principal subresultant
+    coefficient, the z coefficient of S_1.  A squarefree eliminant
+    certifies that all flexes are simple.  A repeated root is a hyperflex
+    exactly when a single intersection point sits above it, that is when
+    the first principal coefficient does not vanish there; repeated
+    roots carrying two distinct points are projection collisions, so the
+    coordinate change is rejected and retried, as are changes with
+    extraneous or deficient eliminant degree.
     """
     if form.degree != 4:
         raise DegenerateFormError("the flex certificate is for quartics")
@@ -380,22 +379,15 @@ def flexes_all_simple(form: TernaryForm, seed: int) -> FlexCertificate:
         moved_hess = hess.compose(matrix)
         if moved_form.evaluate(0, 0, 1) == 0 or moved_hess.evaluate(0, 0, 1) == 0:
             continue
-        hess_slice = moved_hess.xz_slice_at_y1()
-        form_slice = moved_form.xz_slice_at_y1()
-        try:
-            eliminant = res_y_prs(hess_slice, form_slice)
-        except PolynomialError:
-            continue
+        chain = subresultant_chain_y(moved_hess.xz_slice_at_y1(), moved_form.xz_slice_at_y1())
+        eliminant = chain[0].y_coeff(0)
         if eliminant.degree != 24:
             continue
         repeated = poly_gcd(eliminant, eliminant.derivative())
         if repeated.degree == 0:
             return FlexCertificate(True, 24)
-        sres1 = subresultant_y(hess_slice, form_slice, 1)
-        coeffs = sres1.y_coeffs()
-        principal = coeffs[1] if len(coeffs) > 1 else UnivariatePoly.zero()
         lonely = squarefree_part(repeated)
-        lonely = lonely.exact_div(poly_gcd(lonely, principal))
+        lonely = lonely.exact_div(poly_gcd(lonely, chain[1].y_coeff(1)))
         if lonely.degree >= 1:
             return FlexCertificate(False, 24)
         # every repeated root carries two distinct points: projection artifact

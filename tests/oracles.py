@@ -1,20 +1,14 @@
 """Independent reference implementations, for tests only.
 
 Each one computes a value the program also computes, by a different
-route: Sylvester determinants instead of remainder sequences, and
-Euclid over Fraction coefficients instead of integer remainder
-sequences.
+route: Sylvester determinants and their fraction-free Bareiss
+elimination instead of remainder sequences, and Euclid over Fraction
+coefficients instead of integer remainder sequences.
 """
 
 from fractions import Fraction
 
-from xiaofib.polynomials import (
-    BiPoly,
-    PolynomialError,
-    UnivariatePoly,
-    _poly_coeff,
-    _poly_matrix_det,
-)
+from xiaofib.polynomials import BiPoly, PolynomialError, UnivariatePoly
 
 
 def _fraction_det(matrix: list[list[Fraction]]) -> Fraction:
@@ -70,6 +64,60 @@ def resultant(f: UnivariatePoly, g: UnivariatePoly) -> Fraction:
     if g.degree == 0:
         return g.leading() ** f.degree
     return _fraction_det(sylvester_matrix(f, g))
+
+
+def _poly_matrix_det(matrix: list[list[UnivariatePoly]]) -> UnivariatePoly:
+    """Fraction-free Bareiss determinant; every division is exact in Z[x] for integer input."""
+    n = len(matrix)
+    if n == 0:
+        return UnivariatePoly.one()
+    m = [row[:] for row in matrix]
+    sign = 1
+    prev = UnivariatePoly.one()
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            pivot = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
+            if pivot is None:
+                return UnivariatePoly.zero()
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                numerator = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                m[i][j] = numerator.exact_div(prev)
+            m[i][k] = UnivariatePoly.zero()
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return det if sign == 1 else -det
+
+
+def _poly_coeff(coeffs: list[UnivariatePoly], k: int) -> UnivariatePoly:
+    return coeffs[k] if 0 <= k < len(coeffs) else UnivariatePoly.zero()
+
+
+def subresultant_det(p: BiPoly, q: BiPoly, k: int) -> BiPoly:
+    """The k-th determinantal subresultant of p and q in y, 0 <= k < deg_y(q) <= deg_y(p).
+
+    The rows y^(n-k-1) p, ..., p, y^(m-k-1) q, ..., q of the Sylvester
+    matrix; the y^(k-l) coefficient is the Bareiss determinant of its
+    first m + n - 2k - 1 columns and the column of y^(k-l).
+    """
+    pc = p.y_coeffs()
+    qc = q.y_coeffs()
+    m, n = len(pc) - 1, len(qc) - 1
+    r = m + n - 2 * k
+    c = m + n - k
+    rows = []
+    for t in range(n - k - 1, -1, -1):  # rows y^t * p
+        rows.append([_poly_coeff(pc, c - 1 - col - t) for col in range(c)])
+    for t in range(m - k - 1, -1, -1):  # rows y^t * q
+        rows.append([_poly_coeff(qc, c - 1 - col - t) for col in range(c)])
+    result = BiPoly.zero()
+    for l in range(k + 1):
+        cols = list(range(r - 1)) + [r - 1 + l]
+        minor = _poly_matrix_det([[row[col] for col in cols] for row in rows])
+        result = result + BiPoly.from_y_coeffs([UnivariatePoly.zero()] * (k - l) + [minor])
+    return result
 
 
 def res_y(p: BiPoly, q: BiPoly) -> UnivariatePoly:

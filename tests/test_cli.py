@@ -5,7 +5,9 @@ import sys
 import time
 from pathlib import Path
 
-from xiaofib import ledger, monodromy
+import pytest
+
+from xiaofib import lattice, ledger, monodromy, numerology
 from xiaofib.cli import main
 from xiaofib.ledger import (
     ASSUMED,
@@ -49,8 +51,20 @@ def test_only_filter():
     assert nothing == []
 
 
-def test_corrupted_gram_fails_loudly():
-    code, reports = verify_paper(corrupt_gram=True)
+def test_corrupted_gram_fails_loudly(monkeypatch):
+    """One poisoned entry of the genus-3 product Gram matrix must fail the run."""
+    build = lattice.product_with_diagonal_lattice
+
+    def poisoned(g):
+        built = build(g)
+        if g != 3:
+            return built
+        gram = [list(row) for row in built.gram]
+        gram[2][2] += 1
+        return lattice.IntersectionLattice(built.basis_labels, tuple(map(tuple, gram)), built.canonical)
+
+    monkeypatch.setattr(lattice, "product_with_diagonal_lattice", poisoned)
+    code, reports = verify_paper()
     assert code == 1
     failing = [r for r in reports if r.status == "fail"]
     assert failing
@@ -175,20 +189,45 @@ def test_cli_monodromy_refuses_a_huge_dihedral_cover_before_building_it():
     assert elapsed < 1.0
 
 
-def test_cli_monodromy_refuses_a_huge_cover_file_before_parsing_cycles(tmp_path):
-    """A header degree of two billion under a 600 MB address-space cap: no MemoryError."""
+def cap_memory():
+    """Limit the child's address space to 600 MB, so a huge allocation raises MemoryError."""
     import resource
 
     limit = 600 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_cli_monodromy_refuses_a_huge_cover_file_before_parsing_cycles(tmp_path):
+    """A header degree of two billion under a 600 MB address-space cap: no MemoryError."""
     path = tmp_path / "huge.txt"
     path.write_text("degree 2000000000; base_genus 0\n(0 1)\n(0 1)\n")
-
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     result, elapsed = run_fresh_cli("monodromy", "--file", str(path), preexec_fn=cap_memory)
     assert_refused(result, "2000000000")
     assert elapsed < 1.0
+
+
+def test_cli_numerology_answers_a_huge_degree_at_once():
+    """A degree of a billion under a 600 MB address-space cap: run-length dimensions, exit 0."""
+    result, elapsed = run_fresh_cli(
+        "numerology", "--genus", "100000000000", "--degree", "1000000007", preexec_fn=cap_memory
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert "chevalley-weil dims: [100000000000] + [99999999999]*1000000006 (" in result.stdout
+    assert elapsed < 1.0
+
+
+def test_cli_input_errors_exit_2_but_bugs_propagate(monkeypatch, capsys):
+    assert main(["quartic", "--poly", "x^3 + y^3 + z^3", "--check", "flexes"]) == 2
+    assert capsys.readouterr().err.startswith("error: the flex certificate is for quartics")
+
+    def broken(params):
+        raise MemoryError
+
+    monkeypatch.setattr(numerology, "cover_genera", broken)
+    with pytest.raises(MemoryError):
+        main(["numerology", "--genus", "2", "--degree", "5"])
 
 
 def test_verify_passes_the_group_order_bound_to_every_tower(monkeypatch):

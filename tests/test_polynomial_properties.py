@@ -10,9 +10,15 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from oracles import coprime_bipolys, poly_gcd_euclid, res_y, squarefree_part_euclid  # noqa: E402
+from oracles import (  # noqa: E402
+    coprime_bipolys,
+    poly_gcd_euclid,
+    res_y,
+    squarefree_part_euclid,
+    subresultant_det,
+)
 from xiaofib.polynomials import (  # noqa: E402
     BiPoly,
     UnivariatePoly,
@@ -21,6 +27,7 @@ from xiaofib.polynomials import (  # noqa: E402
     poly_gcd,
     res_y_prs,
     squarefree_part,
+    subresultant_chain_y,
 )
 
 U = UnivariatePoly
@@ -36,6 +43,30 @@ bivariate = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 3)), coefficients, max_size=6
 ).map(BiPoly)
 nonzero_bivariate = bivariate.filter(lambda p: not p.is_zero())
+small_bivariate = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), coefficients, max_size=5
+).map(BiPoly)
+
+
+def in_powers_of_y(poly: BiPoly, step: int) -> BiPoly:
+    """poly with y replaced by y^step."""
+    return BiPoly({(i, j * step): c for (i, j), c in poly.terms.items()})
+
+
+# Generic pairs have a regular chain.  A planted common factor of positive
+# y-degree makes the low entries vanish.  Polynomials in y^2 or y^3 have
+# remainders whose y-degrees skip, so the chain has defective entries.
+chain_inputs = st.one_of(
+    st.tuples(st.just("generic"), nonzero_bivariate, nonzero_bivariate),
+    st.builds(
+        lambda h, u, v: ("common factor", h * u, h * v),
+        nonzero_bivariate.filter(lambda h: h.deg_y() >= 1), small_bivariate, small_bivariate,
+    ),
+    st.builds(
+        lambda step, u, v: ("gapped", in_powers_of_y(u, step), in_powers_of_y(v, step)),
+        st.integers(2, 3), small_bivariate, small_bivariate,
+    ),
+)
 
 
 def assert_exact(values) -> None:
@@ -75,6 +106,23 @@ def test_res_y_prs_matches_the_sylvester_determinant(p, q):
     got = res_y_prs(p, q)
     assert got == res_y(p, q)
     assert_exact(got.coeffs)
+
+
+@PROPERTY
+@given(chain_inputs)
+def test_subresultant_chain_matches_the_determinants(case):
+    kind, p, q = case
+    if p.deg_y() < q.deg_y():
+        p, q = q, p
+    assume(q.deg_y() >= 1)
+    chain = subresultant_chain_y(p, q)
+    assert chain == [subresultant_det(p, q, k) for k in range(q.deg_y())]
+    for entry in chain:
+        assert_exact(entry.terms.values())
+    if kind == "common factor":
+        assert chain[0].is_zero()
+    if kind == "gapped":  # S_(n-1) is a polynomial in y^2 or y^3 of degree below n
+        assert chain[-1].is_zero() or chain[-1].deg_y() < len(chain) - 1
 
 
 @PROPERTY

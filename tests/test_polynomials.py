@@ -15,6 +15,7 @@ from xiaofib.polynomials import (
     res_y_prs,
     squarefree_part,
     subresultant_chain_y,
+    subresultant_y,
 )
 
 U = UnivariatePoly
@@ -236,6 +237,20 @@ def test_subresultant_specialization_gcd_degree():
                 q.deg_y(),
             )
             assert gcd_degree == least
+
+
+def test_subresultant_y_reads_the_chain_and_checks_its_range():
+    p = Y * Y * Y + X * Y + ONE
+    q = Y * Y - X
+    chain = subresultant_chain_y(p, q)
+    assert [subresultant_y(p, q, k) for k in range(2)] == chain
+    for k in (-1, 2):  # the chain holds S_0 and S_1 only
+        with pytest.raises(PolynomialError):
+            subresultant_y(p, q, k)
+    with pytest.raises(PolynomialError):
+        subresultant_y(q, p, 0)  # deg_y(p) < deg_y(q)
+    with pytest.raises(PolynomialError):
+        subresultant_y(p, X + ONE, 0)  # deg_y(q) = 0 leaves no subresultant
 
 
 # ---- the common-zero decision ----
