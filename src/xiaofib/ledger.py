@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Callable
 
@@ -333,6 +334,7 @@ def build_claims(context: LedgerContext | None = None) -> list[Claim]:
         hodge_forced,
     )
 
+    @cache  # ten claims read it; built once per claim list, on first use
     def branch_chain() -> lattice.BranchClassResult:
         return lattice.branch_class(3)
 

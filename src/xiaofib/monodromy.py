@@ -6,6 +6,15 @@ Throughout the package tuples act left to right: sigma_1 is applied
 first, and the product sigma_1 * sigma_2 * ... * sigma_k must be the
 identity.  All genus computations reduce to Riemann-Hurwitz on cycle
 types, so branch points are abstract labels and carry no coordinates.
+
+A permutation is checked to be a bijection once, where it enters
+(``Permutation(...)``, ``from_cycles``); products and inverses of
+checked permutations are bijections by construction and are not checked
+again.  Group closure and coset tables work on bare image tuples and
+compose them with one kernel, ``_then``; a group's elements are wrapped
+as ``Permutation`` objects once, at the end.  Each permutation finds its
+cycle lengths in one pass and keeps them for ``order``, ``sign`` and
+``cycle_type``.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import re
 from dataclasses import dataclass, field
 from functools import reduce
 from math import factorial, lcm
+from operator import itemgetter
 
 from .numerology import is_odd_prime
 
@@ -37,17 +47,37 @@ class SubgroupContainmentError(ValueError):
     """Claimed subgroup is not contained in the ambient group."""
 
 
+def _numeral(text: str) -> int:
+    """A decimal numeral of cover input as an ``int``."""
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise MonodromyDataError(f"number has too many digits: {text[:12]}...") from None
+
+
 @dataclass(frozen=True)
 class Permutation:
     """Bijection of {0, ..., n-1}, stored as the tuple of images."""
 
     images: tuple[int, ...]
+    # cycle lengths sorted decreasingly, set by the first ``cycle_type`` call
+    _cycle_type: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         images = tuple(self.images)
         object.__setattr__(self, "images", images)
+        if not all(type(i) is int for i in images):
+            raise MonodromyDataError(f"permutation images must be integers: {images!r}")
         if sorted(images) != list(range(len(images))):
             raise MonodromyDataError(f"not a bijection of 0..{len(images) - 1}: {images!r}")
+
+    @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap images already known to form a bijection, skipping the check."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        object.__setattr__(perm, "_cycle_type", None)
+        return perm
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -63,7 +93,7 @@ class Permutation:
         seen: set[int] = set()
         for body in re.findall(r"\(([^()]*)\)", text):
             entries = [e for e in re.split(r"[,\s]+", body.strip()) if e]
-            cycle = [int(e) for e in entries]
+            cycle = [_numeral(e) for e in entries]
             if any(i < 0 or i >= degree for i in cycle):
                 raise MonodromyDataError(f"sheet index out of range 0..{degree - 1}: {text!r}")
             if seen.intersection(cycle) or len(set(cycle)) != len(cycle):
@@ -84,7 +114,7 @@ class Permutation:
         """Composite applying ``self`` first, then ``other``."""
         if other.degree != self.degree:
             raise MonodromyDataError("composing permutations of different degrees")
-        return Permutation(tuple(map(other.images.__getitem__, self.images)))
+        return Permutation._unchecked(_then(self.images)(other.images))
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         return self.then(other)
@@ -93,7 +123,7 @@ class Permutation:
         inv = [0] * self.degree
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(tuple(inv))
+        return Permutation._unchecked(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -116,15 +146,33 @@ class Permutation:
         return out
 
     def cycle_type(self) -> tuple[int, ...]:
-        """Cycle lengths sorted decreasingly; sums to the degree."""
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
+        """Cycle lengths sorted decreasingly; sums to the degree.  Computed once."""
+        lengths = self._cycle_type
+        if lengths is None:
+            images = self.images
+            seen = [False] * len(images)
+            found = []
+            for start in range(len(images)):
+                if seen[start]:
+                    continue
+                seen[start] = True
+                j = images[start]
+                length = 1
+                while j != start:
+                    seen[j] = True
+                    j = images[j]
+                    length += 1
+                found.append(length)
+            lengths = tuple(sorted(found, reverse=True))
+            object.__setattr__(self, "_cycle_type", lengths)
+        return lengths
 
     def order(self) -> int:
         """Least common multiple of the cycle lengths."""
-        return lcm(*(len(c) for c in self.cycles()))
+        return lcm(*self.cycle_type())
 
     def sign(self) -> int:
-        return -1 if (self.degree - len(self.cycles())) % 2 else 1
+        return -1 if (self.degree - len(self.cycle_type())) % 2 else 1
 
     def moved_points(self) -> frozenset[int]:
         return frozenset(i for i, j in enumerate(self.images) if i != j)
@@ -132,6 +180,31 @@ class Permutation:
     def cycle_string(self) -> str:
         parts = ["(" + " ".join(map(str, c)) + ")" for c in self.cycles() if len(c) > 1]
         return "".join(parts) if parts else "()"
+
+
+def _same(images: tuple[int, ...]) -> tuple[int, ...]:
+    return images
+
+
+def _then(first: tuple[int, ...]):
+    """The map ``second -> first then second`` on image tuples: the one composition kernel.
+
+    ``itemgetter`` with a single index returns a bare item, not a
+    1-tuple; the only permutation of one sheet is the identity, so at
+    degree 1 the map is the identity.
+    """
+    return itemgetter(*first) if len(first) > 1 else _same
+
+
+def _powers(images: tuple[int, ...], count: int) -> list[tuple[int, ...]]:
+    """The first ``count`` powers of a permutation as image tuples, the identity first."""
+    step = _then(images)  # r then r^k is r^(k+1)
+    power = tuple(range(len(images)))
+    out = []
+    for _ in range(count):
+        out.append(power)
+        power = step(power)
+    return out
 
 
 def _distinct(perms) -> list[Permutation]:
@@ -200,7 +273,7 @@ class GroupDescriptor:
 def rh_genus(cover: BranchedCover) -> int:
     """Genus from Riemann-Hurwitz: 2g - 2 = n(2b - 2) + sum over cycles of (len - 1)."""
     n = cover.degree
-    ramification = sum(n - len(sigma.cycles()) for sigma in cover.branch_monodromy)
+    ramification = sum(n - len(sigma.cycle_type()) for sigma in cover.branch_monodromy)
     return _rh_solve(n, cover.base_genus, ramification)
 
 
@@ -221,24 +294,25 @@ def ramification_profile(cover: BranchedCover) -> list[tuple[int, ...]]:
 
 
 def _span(
-    candidates, degree: int, max_order: int, within: set[Permutation] | None = None
-) -> set[Permutation]:
+    candidates, degree: int, max_order: int, within: set[tuple[int, ...]] | None = None
+) -> set[tuple[int, ...]]:
     """The group generated by ``candidates``, grown one generator at a time.
 
-    A candidate already in the span is skipped, and each one taken at
-    least doubles the span, so this costs O(|G| log |G|) compositions.
-    Raises ``EnumerationLimitError`` before the span exceeds ``max_order``
+    Candidates, ``within`` and the result are image tuples.  A candidate
+    already in the span is skipped, and each one taken at least doubles
+    the span, so this costs O(|G| log |G|) compositions.  Raises
+    ``EnumerationLimitError`` before the span exceeds ``max_order``
     elements and, when ``within`` is given, ``MonodromyDataError`` as soon
     as the span leaves it.
     """
-    span = {Permutation.identity(degree)}
-    generators: list[Permutation] = []
+    span = {tuple(range(degree))}
+    generators: list[tuple[int, ...]] = []
     for u in candidates:
         if u in span:
             continue
         generators.append(u)
         # the old span is closed under the old generators; new elements meet all of them
-        frontier = [g.then(u) for g in span]
+        frontier = [_then(g)(u) for g in span]
         while frontier:
             fresh = []
             for h in frontier:
@@ -252,7 +326,9 @@ def _span(
                     )
                 span.add(h)
                 fresh.append(h)
-            frontier = [h.then(s) for h in fresh for s in generators]
+            frontier = []
+            for h in fresh:
+                frontier.extend(map(_then(h), generators))
     return span
 
 
@@ -263,18 +339,15 @@ def _classify(elements: list[Permutation]) -> str:
         return CYCLIC
     if n % 2 == 0 and n >= 6:
         m = n // 2
-        element_set = set(elements)
         for r, order in zip(elements, orders):
             if order != m:
                 continue
-            rotations = set()
-            power = Permutation.identity(r.degree)
-            for _ in range(m):
-                rotations.add(power)
-                power = power.then(r)
-            r_inv = r.inverse()
-            for s in element_set - rotations:
-                if s.then(s).is_identity() and s.then(r).then(s) == r_inv:
+            rotations = set(_powers(r.images, m))
+            identity = tuple(range(r.degree))
+            r_inv = r.inverse().images
+            for s in {e.images for e in elements} - rotations:
+                then_s = _then(s)
+                if then_s(s) == identity and _then(then_s(r.images))(s) == r_inv:
                     return DIHEDRAL
             break
     moved: set[int] = set()
@@ -302,8 +375,9 @@ def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORD
     _refuse_degree_above(cover.degree, max_order)
     group = cover._group
     if group is None:
-        span = _span(cover.branch_monodromy, cover.degree, max_order)
-        elements = sorted(span, key=lambda p: p.images)
+        branch_images = (sigma.images for sigma in cover.branch_monodromy)
+        span = _span(branch_images, cover.degree, max_order)
+        elements = [Permutation._unchecked(images) for images in sorted(span)]
         group = GroupDescriptor(len(elements), _classify(elements), tuple(elements))
         object.__setattr__(cover, "_group", group)
     elif group.order > max_order:
@@ -313,14 +387,17 @@ def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORD
 
 def group_from_elements(perms: list[Permutation]) -> GroupDescriptor:
     """Descriptor for an explicitly listed group; closure and identity are verified."""
-    elements = set(perms)
-    if not elements:
+    by_images = {p.images: p for p in perms}
+    if not by_images:
         raise MonodromyDataError("a group needs at least the identity")
-    degree = next(iter(elements)).degree
-    if Permutation.identity(degree) not in elements:
+    degree = len(next(iter(by_images)))
+    if any(len(images) != degree for images in by_images):
+        raise MonodromyDataError("group elements of different degrees")
+    if tuple(range(degree)) not in by_images:
         raise MonodromyDataError("element list is missing the identity")
-    _span(elements, degree, len(elements), within=elements)
-    ordered = sorted(elements, key=lambda p: p.images)
+    members = set(by_images)
+    _span(members, degree, len(members), within=members)
+    ordered = [by_images[images] for images in sorted(members)]
     return GroupDescriptor(len(ordered), _classify(ordered), tuple(ordered))
 
 
@@ -332,12 +409,8 @@ def cyclic_rotation_subgroup(group: GroupDescriptor) -> GroupDescriptor:
     for r in group.elements:
         if r.order() != m:
             continue
-        rotations = []
-        power = Permutation.identity(r.degree)
-        for _ in range(m):
-            rotations.append(power)
-            power = power.then(r)
-        return GroupDescriptor(m, CYCLIC, tuple(sorted(rotations, key=lambda p: p.images)))
+        rotations = sorted(_powers(r.images, m))
+        return GroupDescriptor(m, CYCLIC, tuple(map(Permutation._unchecked, rotations)))
     raise MonodromyDataError("dihedral descriptor has no rotation of half order")
 
 
@@ -369,24 +442,25 @@ def quotient_genus(
     group; branch points whose induced action is trivial are dropped.
     """
     group = generated_group(cover, max_order)
-    ambient = set(group.elements)
-    members = set(subgroup.elements)
-    for u in subgroup.elements:
-        if u not in ambient:
-            raise SubgroupContainmentError("subgroup element is not in the monodromy group")
-    if Permutation.identity(cover.degree) not in members:
+    members = {u.images for u in subgroup.elements}
+    if not members <= {g.images for g in group.elements}:
+        raise SubgroupContainmentError("subgroup element is not in the monodromy group")
+    if tuple(range(cover.degree)) not in members:
         raise MonodromyDataError("subgroup is missing the identity")
     _span(members, cover.degree, len(members), within=members)
+    # the right coset of g is {u then g : u in the subgroup}
+    member_maps = [_then(u) for u in members]
     coset_of: dict[tuple[int, ...], int] = {}
-    reps: list[Permutation] = []
+    reps: list[tuple[int, ...]] = []
     for g in group.elements:
-        if g.images in coset_of:
+        g = g.images
+        if g in coset_of:
             continue
-        for u in subgroup.elements:
-            coset_of[u.then(g).images] = len(reps)
+        for u_then in member_maps:
+            coset_of[u_then(g)] = len(reps)
         reps.append(g)
     action = {
-        sigma: Permutation(tuple(coset_of[rep.then(sigma).images] for rep in reps))
+        sigma: Permutation(tuple(coset_of[_then(rep)(sigma.images)] for rep in reps))
         for sigma in _distinct(cover.branch_monodromy)
     }
     induced = tuple(action[s] for s in cover.branch_monodromy if not action[s].is_identity())
@@ -434,8 +508,8 @@ def parse_cover(text: str, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -> Br
     header = re.fullmatch(r"degree\s*(\d+)\s*;\s*base_genus\s*(\d+)", lines[0].strip())
     if not header:
         raise MonodromyDataError(f"bad header line {lines[0]!r}: expected 'degree n; base_genus b'")
-    degree = int(header.group(1))
-    base_genus = int(header.group(2))
+    degree = _numeral(header.group(1))
+    base_genus = _numeral(header.group(2))
     _refuse_degree_above(degree, max_group_order)
     perms = tuple(Permutation.from_cycles(line, degree) for line in lines[1:])
     return BranchedCover(degree, base_genus, perms)

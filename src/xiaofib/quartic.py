@@ -29,6 +29,13 @@ from .polynomials import (
 
 FLEX_RETRY_BUDGET = 32
 
+# Highest form degree the parser and ``is_smooth`` accept.  Smoothness
+# elimination grows steeply with the degree: a dense form with
+# coefficients up to +-3 takes about 0.05 s at degree 5, 0.25-0.4 s at
+# degree 6, 2.4 s at degree 7 and 20 s at degree 8 (Python 3.11 on a
+# shared 2-core Linux machine).
+MAX_FORM_DEGREE = 6
+
 
 class FormParseError(ValueError):
     """Polynomial text that does not match the input grammar."""
@@ -39,7 +46,10 @@ class FormParseError(ValueError):
 
 
 class DegenerateFormError(ValueError):
-    """A form whose requested certificate is undefined (zero Hessian, singular input)."""
+    """A form whose requested certificate is undefined or out of budget.
+
+    Zero Hessian, singular input, or a degree above ``MAX_FORM_DEGREE``.
+    """
 
 
 class RetryBudgetError(RuntimeError):
@@ -205,12 +215,22 @@ _TOKEN_RE = re.compile(
 )
 
 
+def _numeral(text: str, position: int) -> Fraction:
+    """Exact value of a ``num`` token."""
+    try:
+        return Fraction(text.replace(" ", ""))
+    except ZeroDivisionError:
+        raise FormParseError("zero denominator", position) from None
+    except ValueError:  # more digits than the interpreter converts
+        raise FormParseError("number has too many digits", position) from None
+
+
 def parse_ternary_form(text: str) -> TernaryForm:
     """Parse the input grammar: terms ``c*x^i*y^j*z^k`` joined by ``+``/``-``.
 
     Rational or integer coefficients, ``*`` and ``^1`` optional,
-    variables fixed as x, y, z.  The result must be homogeneous and
-    nonzero.
+    variables fixed as x, y, z.  The result must be homogeneous,
+    nonzero and of degree at most ``MAX_FORM_DEGREE``.
     """
     tokens = []
     pos = 0
@@ -253,7 +273,7 @@ def parse_ternary_form(text: str) -> TernaryForm:
                     raise FormParseError("'*' with nothing to its right", token_pos)
                 continue
             if kind == "num":
-                coeff *= Fraction(value.replace(" ", ""))
+                coeff *= _numeral(value, token_pos)
                 idx += 1
             else:
                 var = var_index[value]
@@ -264,7 +284,7 @@ def parse_ternary_form(text: str) -> TernaryForm:
                     idx += 1
                     if idx >= len(tokens) or tokens[idx][0] != "num" or "/" in tokens[idx][1]:
                         raise FormParseError("'^' must be followed by an integer", caret_pos)
-                    exponent = int(tokens[idx][1])
+                    exponent = int(_numeral(tokens[idx][1], tokens[idx][2]))
                     idx += 1
                 exponents[var] += exponent
             saw_factor = True
@@ -281,6 +301,8 @@ def parse_ternary_form(text: str) -> TernaryForm:
     degree = degrees.pop()
     if degree < 1:
         raise FormParseError("a positive-degree form is required", 0)
+    if degree > MAX_FORM_DEGREE:
+        raise FormParseError(f"form degree {degree} exceeds the limit {MAX_FORM_DEGREE}", 0)
     return TernaryForm.from_coefficients(degree, terms)
 
 
@@ -308,6 +330,10 @@ def is_smooth(form: TernaryForm) -> bool:
     """
     if form.degree < 2:
         raise DegenerateFormError("smoothness certificate needs degree at least 2")
+    if form.degree > MAX_FORM_DEGREE:
+        raise DegenerateFormError(
+            f"form degree {form.degree} exceeds the smoothness limit {MAX_FORM_DEGREE}"
+        )
     form = form.primitive()
     partials = [form.partial(v) for v in range(3)]
     for chart_var in range(3):

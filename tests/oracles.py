@@ -2,8 +2,10 @@
 
 Each one computes a value the program also computes, by a different
 route: Sylvester determinants and their fraction-free Bareiss
-elimination instead of remainder sequences, and Euclid over Fraction
-coefficients instead of integer remainder sequences.
+elimination instead of remainder sequences, Euclid over Fraction
+coefficients instead of integer remainder sequences, and for
+permutations, breadth-first closure over all generators and orders by
+repeated composition instead of the greedy span and cycle lengths.
 """
 
 from fractions import Fraction
@@ -194,3 +196,31 @@ def coprime_bipolys(p: BiPoly, q: BiPoly) -> bool:
     if p.deg_y() == 0 or q.deg_y() == 0:
         return True
     return not res_y(p, q).is_zero()
+
+
+def brute_closure(generators: list[tuple[int, ...]], degree: int) -> set[tuple[int, ...]]:
+    """The group generated by image tuples, every element composed with every generator."""
+
+    def compose(a, b):
+        return tuple(b[i] for i in a)
+
+    elements = {tuple(range(degree))}
+    frontier = list(elements)
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for s in generators:
+                h = compose(g, s)
+                if h not in elements:
+                    elements.add(h)
+                    fresh.append(h)
+        frontier = fresh
+    return elements
+
+
+def composition_order(perm) -> int:
+    """Order by repeated composition: the reference for the cycle-length lcm."""
+    power, k = perm, 1
+    while not power.is_identity():
+        power, k = power.then(perm), k + 1
+    return k

@@ -69,6 +69,24 @@ def test_corrupted_gram_fails_loudly(monkeypatch):
     failing = [r for r in reports if r.status == "fail"]
     assert failing
     assert any(r.claim_id == "g4p3/fiber-class" for r in failing)
+    # the branch-class chain reads the poisoned lattice: its five claims fail with the rest
+    assert len(failing) == 13
+    assert {"g4p3/branch-class", "g4p3/branch-half"} <= {r.claim_id for r in failing}
+
+
+def test_branch_class_is_built_once_per_run(monkeypatch):
+    build = lattice.branch_class
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return build(g)
+
+    monkeypatch.setattr(lattice, "branch_class", counted)
+    assert verify_paper()[0] == 0
+    assert calls == [3]
+    assert verify_paper(only="g4p3")[0] == 0
+    assert calls == [3, 3]
 
 
 def test_json_roundtrip():
@@ -215,6 +233,18 @@ def test_cli_numerology_answers_a_huge_degree_at_once():
     assert result.returncode == 0
     assert result.stderr == ""
     assert "chevalley-weil dims: [100000000000] + [99999999999]*1000000006 (" in result.stdout
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("poly", ["x^200*y^200-z^400", "x^40*y^40-z^80"])
+def test_cli_quartic_refuses_a_form_above_the_degree_limit_at_once(poly):
+    """The parser refuses these before smoothness elimination, which would run for seconds."""
+    result, elapsed = run_fresh_cli("quartic", "--poly", poly, "--check", "smooth")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("parse error:")
+    assert "exceeds the limit" in lines[0]
     assert elapsed < 1.0
 
 

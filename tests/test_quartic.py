@@ -6,6 +6,7 @@ import pytest
 from xiaofib.quartic import (
     FERMAT_QUARTIC,
     KLEIN_QUARTIC,
+    MAX_FORM_DEGREE,
     DegenerateFormError,
     FormParseError,
     TernaryForm,
@@ -80,6 +81,23 @@ def test_parse_errors_have_positions():
         parse_ternary_form("* x^4")
     with pytest.raises(FormParseError):
         parse_ternary_form("x^1/2")
+    with pytest.raises(FormParseError, match="zero denominator") as info:
+        parse_ternary_form("x^4 + 3/0*y^4")
+    assert info.value.position == 6
+    # longer than the interpreter converts to int: a parse error, not a ValueError
+    for text in ("x^" + "9" * 5000, "9" * 5000 + "*x^4"):
+        with pytest.raises(FormParseError, match="too many digits"):
+            parse_ternary_form(text)
+
+
+def test_form_degree_limit():
+    assert MAX_FORM_DEGREE == 6
+    assert is_smooth(parse_ternary_form("x^6 + y^6 + z^6")) is True
+    for text in ("x^7 + y^7 + z^7", "x^40*y^40 - z^80", "x^200*y^200 - z^400"):
+        with pytest.raises(FormParseError, match="exceeds the limit 6"):
+            parse_ternary_form(text)
+    with pytest.raises(DegenerateFormError, match="exceeds the smoothness limit 6"):
+        is_smooth(TernaryForm(7, {(7, 0, 0): 1, (0, 7, 0): 1, (0, 0, 7): 1}))
 
 
 # ---- hessian ----
