@@ -9,10 +9,36 @@ Exit codes: 0 success, 1 claim failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import json
+import importlib.util
 import sys
 
-from . import lattice, ledger, monodromy, numerology, quartic
+from . import errors
+
+
+def _lazy(name: str):
+    """The engine module ``xiaofib.<name>``, executed on first attribute access.
+
+    A subcommand then executes only the engines it uses.  The module is
+    registered in ``sys.modules`` and on the package at once, so every
+    import of it gets this object.
+    """
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+lattice = _lazy("lattice")
+ledger = _lazy("ledger")
+monodromy = _lazy("monodromy")
+numerology = _lazy("numerology")
+quartic = _lazy("quartic")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -26,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--format", choices=("json", "markdown"), default="markdown")
     verify.add_argument("--only", metavar="CASE", help="restrict to one case id (e.g. g4p3)")
     verify.add_argument("--seed", type=int, default=1)
-    verify.add_argument("--max-group-order", type=int, default=monodromy.DEFAULT_MAX_GROUP_ORDER)
+    verify.add_argument("--max-group-order", type=int, default=errors.DEFAULT_MAX_GROUP_ORDER)
 
     num = sub.add_parser("numerology", help="closed-form arithmetic for one (g, p)")
     num.add_argument("--genus", type=int, required=True, metavar="G")
@@ -36,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source = mon.add_mutually_exclusive_group(required=True)
     source.add_argument("--dihedral", nargs=2, type=int, metavar=("G", "P"))
     source.add_argument("--file", metavar="PATH", help="cover description file")
-    mon.add_argument("--max-group-order", type=int, default=monodromy.DEFAULT_MAX_GROUP_ORDER)
+    mon.add_argument("--max-group-order", type=int, default=errors.DEFAULT_MAX_GROUP_ORDER)
 
     lat = sub.add_parser("lattice", help="print an intersection lattice and its named classes")
     lat.add_argument("--case", choices=("g3-product", "g3-sym2", "g2-product"), required=True)
@@ -56,8 +82,7 @@ def _cmd_verify(args) -> int:
         max_group_order=args.max_group_order,
     )
     if args.only and not reports:
-        print(f"no claims for case {args.only!r}", file=sys.stderr)
-        return 2
+        raise errors.InputError(f"no claims for case {args.only!r}")
     if args.format == "json":
         print(ledger.render_json(reports))
     else:
@@ -122,6 +147,8 @@ def _cmd_monodromy(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    import json
+
     if args.case == "g3-product":
         lat = lattice.product_with_diagonal_lattice(3)
         chain = lattice.branch_class(3)
@@ -165,18 +192,6 @@ def _cmd_quartic(args) -> int:
     return 0
 
 
-# What each subcommand raises for input it refuses; any other exception is a bug.
-INPUT_ERRORS = (
-    numerology.NumerologyError,
-    monodromy.MonodromyDataError,
-    monodromy.EnumerationLimitError,
-    quartic.FormParseError,
-    quartic.DegenerateFormError,
-    quartic.RetryBudgetError,
-    OSError,
-)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -187,10 +202,11 @@ def main(argv: list[str] | None = None) -> int:
         "lattice": _cmd_lattice,
         "quartic": _cmd_quartic,
     }
+    # a subcommand raises InputError or OSError for input it refuses; anything else is a bug
     try:
         return handlers[args.command](args)
-    except INPUT_ERRORS as exc:
-        prefix = "parse error" if isinstance(exc, quartic.FormParseError) else "error"
+    except (errors.InputError, OSError) as exc:
+        prefix = getattr(exc, "prefix", "error")
         print(f"{prefix}: {exc}", file=sys.stderr)
         return 2
 

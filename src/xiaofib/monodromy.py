@@ -25,9 +25,8 @@ from functools import reduce
 from math import factorial, lcm
 from operator import itemgetter
 
+from .errors import DEFAULT_MAX_GROUP_ORDER, InputError
 from .numerology import is_odd_prime
-
-DEFAULT_MAX_GROUP_ORDER = 5000
 
 CYCLIC = "cyclic"
 DIHEDRAL = "dihedral"
@@ -35,11 +34,11 @@ SYMMETRIC = "symmetric"
 OTHER = "other"
 
 
-class MonodromyDataError(ValueError):
+class MonodromyDataError(InputError, ValueError):
     """Monodromy data violates a structural invariant."""
 
 
-class EnumerationLimitError(RuntimeError):
+class EnumerationLimitError(InputError, RuntimeError):
     """Group closure exceeded the configured element bound."""
 
 

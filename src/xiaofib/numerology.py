@@ -14,23 +14,51 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InputError
+
 FINITE = "finite"
 POSITIVE_DIMENSIONAL = "positive_dimensional"
 
 
-class NumerologyError(ValueError):
+class NumerologyError(InputError, ValueError):
     """Parameters outside the range of a closed formula."""
 
 
+# Miller-Rabin with the thirteen prime bases up to 41 is exact for every
+# n below PRIMALITY_LIMIT, the least strong pseudoprime to all of them
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017).
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_LIMIT = 3317044064679887385961981
+
+
 def is_odd_prime(p: int) -> bool:
-    """Trial division by odd numbers up to the square root."""
+    """Deterministic Miller-Rabin on ``PRIME_BASES``.
+
+    Raises ``NumerologyError`` for an odd ``p >= PRIMALITY_LIMIT``,
+    where the bases no longer decide primality.
+    """
     if p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p <= PRIME_BASES[-1]:
+        return p in PRIME_BASES
+    if p >= PRIMALITY_LIMIT:
+        raise NumerologyError(
+            f"cannot decide whether {p} is prime: the test is exact below {PRIMALITY_LIMIT}"
+        )
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

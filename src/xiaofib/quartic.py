@@ -17,6 +17,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
+from .errors import InputError
 from .polynomials import (
     BiPoly,
     common_affine_zero,
@@ -37,22 +38,24 @@ FLEX_RETRY_BUDGET = 32
 MAX_FORM_DEGREE = 6
 
 
-class FormParseError(ValueError):
+class FormParseError(InputError, ValueError):
     """Polynomial text that does not match the input grammar."""
+
+    prefix = "parse error"
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
 
-class DegenerateFormError(ValueError):
+class DegenerateFormError(InputError, ValueError):
     """A form whose requested certificate is undefined or out of budget.
 
     Zero Hessian, singular input, or a degree above ``MAX_FORM_DEGREE``.
     """
 
 
-class RetryBudgetError(RuntimeError):
+class RetryBudgetError(InputError, RuntimeError):
     """No usable coordinate change found within the retry budget."""
 
 

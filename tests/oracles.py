@@ -5,7 +5,8 @@ route: Sylvester determinants and their fraction-free Bareiss
 elimination instead of remainder sequences, Euclid over Fraction
 coefficients instead of integer remainder sequences, and for
 permutations, breadth-first closure over all generators and orders by
-repeated composition instead of the greedy span and cycle lengths.
+repeated composition instead of the greedy span and cycle lengths, and
+trial division instead of Miller-Rabin for primality.
 """
 
 from fractions import Fraction
@@ -224,3 +225,15 @@ def composition_order(perm) -> int:
     while not power.is_identity():
         power, k = power.then(perm), k + 1
     return k
+
+
+def trial_division_is_odd_prime(p: int) -> bool:
+    """Odd primality by trial division by odd numbers up to the square root."""
+    if p < 3 or p % 2 == 0:
+        return False
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True

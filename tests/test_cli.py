@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from xiaofib import lattice, ledger, monodromy, numerology
+from xiaofib import errors, lattice, ledger, monodromy, numerology, quartic
 from xiaofib.cli import main
 from xiaofib.ledger import (
     ASSUMED,
@@ -134,6 +134,11 @@ def test_cli_verify_json(capsys):
 
 def test_cli_verify_unknown_case(capsys):
     assert main(["verify", "--only", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "'nope'" in lines[0]
 
 
 def test_cli_numerology(capsys):
@@ -172,10 +177,16 @@ def test_cli_monodromy_bad_file(tmp_path, capsys):
     assert main(["monodromy", "--file", str(path)]) == 2
 
 
+def fresh_env(*paths: str, **variables: str) -> dict:
+    """The environment of a new interpreter that imports ``src/`` first, then ``paths``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, *paths, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **variables)
+
+
 def run_fresh_cli(*args: str, preexec_fn=None) -> tuple[subprocess.CompletedProcess, float]:
     """Run the command line in a new interpreter; returns the result and its wall time."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = fresh_env()
     start = time.perf_counter()
     result = subprocess.run(
         [sys.executable, "-m", "xiaofib.cli", *args],
@@ -223,6 +234,21 @@ def test_cli_monodromy_refuses_a_huge_cover_file_before_parsing_cycles(tmp_path)
     result, elapsed = run_fresh_cli("monodromy", "--file", str(path), preexec_fn=cap_memory)
     assert_refused(result, "2000000000")
     assert elapsed < 1.0
+
+
+def test_cli_numerology_answers_a_19_digit_prime_degree_at_once():
+    """Miller-Rabin decides the degree; trial division took over a minute."""
+    result, elapsed = run_fresh_cli("numerology", "--genus", "2", "--degree", "1000000000000000003")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert "g_C = 1000000000000000004" in result.stdout
+    assert elapsed < 2.0
+
+
+def test_cli_numerology_refuses_a_degree_at_the_primality_limit():
+    """A strong pseudoprime to all thirteen bases: refused, not answered."""
+    result, _ = run_fresh_cli("numerology", "--genus", "2", "--degree", "3317044064679887385961981")
+    assert_refused(result, "cannot decide whether 3317044064679887385961981 is prime")
 
 
 def test_cli_numerology_answers_a_huge_degree_at_once():
@@ -310,3 +336,88 @@ def test_cli_quartic_parse_error(capsys):
 def test_build_claims_stable_ids():
     ids = [c.claim_id for c in build_claims()]
     assert len(ids) == len(set(ids))
+
+
+# ---- which engine modules a subcommand executes ----
+
+# Installed as ``sitecustomize`` in a fresh interpreter: at exit it writes the
+# names of the executed ``xiaofib.*`` modules.  A module bound lazily but never
+# used is in ``sys.modules`` with a subclass of ``types.ModuleType``.
+RECORD_EXECUTED = """
+import atexit, os, sys, types
+
+def _record():
+    with open(os.environ["XIAOFIB_EXECUTED"], "w") as out:
+        out.write(" ".join(name for name, module in sys.modules.items()
+                           if name.startswith("xiaofib.") and type(module) is types.ModuleType))
+
+atexit.register(_record)
+"""
+
+LAUNCHERS = {
+    "python -m": ["-m", "xiaofib.cli"],
+    "console script": ["-c", "import sys; from xiaofib.cli import main; sys.exit(main())"],
+}
+
+
+@pytest.mark.parametrize("launcher", sorted(LAUNCHERS))
+@pytest.mark.parametrize("args, code, executed", [
+    pytest.param(("numerology", "--genus", "2", "--degree", "5"), 0, {"numerology"},
+                 id="numerology"),
+    pytest.param(("numerology", "--genus", "1", "--degree", "5"), 2, {"numerology"},
+                 id="numerology-refused"),
+    pytest.param(("monodromy", "--dihedral", "4", "3"), 0, {"monodromy", "numerology"},
+                 id="monodromy"),
+    pytest.param(("monodromy", "--dihedral", "4", "9"), 2, {"monodromy", "numerology"},
+                 id="monodromy-refused"),
+    pytest.param(("lattice", "--case", "g3-product"), 0, {"lattice"}, id="lattice"),
+    pytest.param(("lattice", "--case", "g5-product"), 2, set(), id="lattice-refused"),
+    pytest.param(("quartic", "--poly", "x^4 + y^4 + z^4", "--check", "smooth"), 0,
+                 {"quartic", "polynomials"}, id="quartic"),
+    pytest.param(("quartic", "--poly", "x^4 + q", "--check", "smooth"), 2,
+                 {"quartic", "polynomials"}, id="quartic-refused"),
+])
+def test_a_subcommand_executes_only_the_engines_it_uses(tmp_path, launcher, args, code, executed):
+    (tmp_path / "sitecustomize.py").write_text(RECORD_EXECUTED)
+    record = tmp_path / "executed.txt"
+    result = subprocess.run(
+        [sys.executable, *LAUNCHERS[launcher], *args], capture_output=True, text=True,
+        env=fresh_env(str(tmp_path), XIAOFIB_EXECUTED=str(record)), timeout=60,
+    )
+    assert result.returncode == code, result.stderr
+    names = set(record.read_text().split()) - {"xiaofib.cli"}
+    assert names == {f"xiaofib.{name}" for name in executed | {"errors"}}
+
+
+def test_importing_the_cli_binds_every_engine_without_executing_it():
+    """The benchmark tracer reads every layer from ``sys.modules`` after ``import xiaofib.cli``."""
+    script = """
+import sys, types
+import xiaofib.numerology as eager
+import xiaofib, xiaofib.cli
+assert xiaofib.cli.numerology is eager
+for name in ("lattice", "ledger", "monodromy", "quartic"):
+    module = sys.modules["xiaofib." + name]
+    assert getattr(xiaofib, name) is module and getattr(xiaofib.cli, name) is module, name
+    assert type(module) is not types.ModuleType, name
+from xiaofib import ledger
+print(ledger.verify_paper.__name__, type(ledger) is types.ModuleType)
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=fresh_env(), timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "verify_paper True\n"
+
+
+@pytest.mark.parametrize("error, base", [
+    (numerology.NumerologyError, ValueError),
+    (monodromy.MonodromyDataError, ValueError),
+    (monodromy.EnumerationLimitError, RuntimeError),
+    (quartic.FormParseError, ValueError),
+    (quartic.DegenerateFormError, ValueError),
+    (quartic.RetryBudgetError, RuntimeError),
+])
+def test_input_errors_keep_their_old_base(error, base):
+    assert issubclass(error, errors.InputError)
+    assert issubclass(error, base)
+    assert error.prefix == ("parse error" if error is quartic.FormParseError else "error")

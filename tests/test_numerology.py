@@ -2,18 +2,22 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import trial_division_is_odd_prime
 from xiaofib.monodromy import build_dihedral_cover, galois_closure_genus, rh_genus
 from xiaofib.numerology import (
     ChevalleyWeil,
     CoverParams,
     FiberClass,
     FibrationProfile,
+    NumerologyError,
+    PRIMALITY_LIMIT,
     bgn_bound,
     brill_noether_range,
     chevalley_weil,
     cover_genera,
     gamma_self_intersection,
     geometric_genus,
+    is_odd_prime,
     moduli_dims,
     psi_fiber_class,
     xiao_report,
@@ -28,6 +32,30 @@ def test_cover_params_validation():
         CoverParams(2, 4)
     with pytest.raises(ValueError):
         CoverParams(2, 9)
+
+
+def test_primality_matches_trial_division_below_20000():
+    assert [n for n in range(-3, 20000) if is_odd_prime(n) != trial_division_is_odd_prime(n)] == []
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+    3825123056546413051,  # to every prime base up to 23
+    318665857834031151167461,  # to every prime base up to 37: only 41 catches it
+])
+def test_strong_pseudoprimes_are_composite(n):
+    assert not is_odd_prime(n)
+
+
+def test_primality_is_refused_at_the_limit():
+    assert is_odd_prime(10**18 + 3)
+    assert is_odd_prime(2**61 - 1)
+    assert is_odd_prime(PRIMALITY_LIMIT - 1) is False  # even
+    # a strong pseudoprime to all thirteen bases
+    with pytest.raises(NumerologyError, match="cannot decide"):
+        is_odd_prime(3317044064679887385961981)
+    with pytest.raises(NumerologyError, match="cannot decide"):
+        CoverParams(2, 2**89 - 1)
 
 
 def test_cover_genera_examples():
