@@ -3,13 +3,15 @@
 Subcommands: ``verify`` runs the full claim ledger, ``numerology``,
 ``monodromy``, ``lattice`` and ``quartic`` expose the individual
 engines.  All values are printed exactly (integers and rationals).
-Exit codes: 0 success, 1 claim failure, 2 usage or input error.
+Exit codes: 0 success, 1 claim failure, 2 usage or input error, 141
+when the reader of standard output has gone (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import os
 import sys
 
 from . import errors
@@ -204,7 +206,15 @@ def main(argv: list[str] | None = None) -> int:
     }
     # a subcommand raises InputError or OSError for input it refuses; anything else is a bug
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe then raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Send what is still buffered to the null device, so the flush at exit stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (errors.InputError, OSError) as exc:
         prefix = getattr(exc, "prefix", "error")
         print(f"{prefix}: {exc}", file=sys.stderr)

@@ -8,28 +8,29 @@ routes must agree on any consistent input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
+
+from .record import Record
 
 
 class InvariantError(ValueError):
     """Input fails an integrality or parity requirement."""
 
 
-@dataclass(frozen=True)
-class SurfaceProfile:
+class SurfaceProfile(Record):
     """Collected numerical invariants of a surface.
 
     Enforces Noether's identity 12 chi = K^2 + c2 and chi = 1 - q + p_g.
     """
 
-    q: int
-    chi_O: int
-    K2: int
-    c2: int
-    p_g: int
+    __slots__ = ("q", "chi_O", "K2", "c2", "p_g")
 
-    def __post_init__(self):
+    def __init__(self, q: int, chi_O: int, K2: int, c2: int, p_g: int):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "chi_O", chi_O)
+        object.__setattr__(self, "K2", K2)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "p_g", p_g)
         if 12 * self.chi_O != self.K2 + self.c2:
             raise InvariantError(
                 f"Noether violated: 12*{self.chi_O} != {self.K2} + {self.c2}"

@@ -11,10 +11,10 @@ certificates rather than approximations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import numerology
+from .record import Record
 
 
 class LatticeError(ValueError):
@@ -49,14 +49,21 @@ class HodgeIndexViolationError(ArithmeticError):
     """A null class orthogonal to a positive class was nonzero: lattice inconsistent."""
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Record):
     """Integer coefficient vector in a fixed lattice basis."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if len(self.coeffs) != len(other.coeffs):
@@ -84,18 +91,20 @@ class DivisorClass:
         return DivisorClass(tuple(c // 2 for c in self.coeffs))
 
 
-@dataclass(frozen=True)
-class IntersectionLattice:
+class IntersectionLattice(Record):
     """Named basis, symmetric integer Gram matrix, and canonical class vector."""
 
-    basis_labels: tuple[str, ...]
-    gram: tuple[tuple[int, ...], ...]
-    canonical: tuple[int, ...]
+    __slots__ = ("basis_labels", "gram", "canonical")
 
-    def __post_init__(self):
-        object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
-        object.__setattr__(self, "gram", tuple(tuple(row) for row in self.gram))
-        object.__setattr__(self, "canonical", tuple(self.canonical))
+    def __init__(
+        self,
+        basis_labels: tuple[str, ...],
+        gram: tuple[tuple[int, ...], ...],
+        canonical: tuple[int, ...],
+    ):
+        object.__setattr__(self, "basis_labels", tuple(basis_labels))
+        object.__setattr__(self, "gram", tuple(tuple(row) for row in gram))
+        object.__setattr__(self, "canonical", tuple(canonical))
         n = len(self.basis_labels)
         if len(self.gram) != n or any(len(row) != n for row in self.gram):
             raise LatticeError("gram matrix shape does not match the basis")
@@ -382,21 +391,30 @@ def _is_isometry(lattice: IntersectionLattice, m) -> bool:
     return _mat_mul(_mat_mul(mt, g), m) == g
 
 
-@dataclass(frozen=True)
-class LatticeMorphism:
+class LatticeMorphism(Record):
     """Push/pull pair between lattices for a finite quotient map.
 
-    The projection formula (push x).y = x.(pull y) is verified on all
-    basis pairs, as is push o pull = degree x identity.
+    ``pushforward`` is a target rank x source rank matrix, ``pullback``
+    a source rank x target rank one.  The projection formula
+    (push x).y = x.(pull y) is verified on all basis pairs, as is
+    push o pull = degree x identity.
     """
 
-    source: IntersectionLattice
-    target: IntersectionLattice
-    pushforward: tuple[tuple[int, ...], ...]  # target rank x source rank
-    pullback: tuple[tuple[int, ...], ...]  # source rank x target rank
-    degree: int
+    __slots__ = ("source", "target", "pushforward", "pullback", "degree")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        source: IntersectionLattice,
+        target: IntersectionLattice,
+        pushforward: tuple[tuple[int, ...], ...],
+        pullback: tuple[tuple[int, ...], ...],
+        degree: int,
+    ):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "pushforward", pushforward)
+        object.__setattr__(self, "pullback", pullback)
+        object.__setattr__(self, "degree", degree)
         ns, nt = self.source.rank, self.target.rank
         if len(self.pushforward) != nt or any(len(r) != ns for r in self.pushforward):
             raise LatticeError("pushforward matrix has the wrong shape")
@@ -460,13 +478,17 @@ def phi_morphism(g: int) -> LatticeMorphism:
     return LatticeMorphism(source, target, pushforward, pullback, 2)
 
 
-@dataclass(frozen=True)
-class BranchClassResult:
+class BranchClassResult(Record):
     """Branch class of the double cover of the genus-3 product, with its half."""
 
-    branch: DivisorClass
-    half: DivisorClass
-    involution: tuple[tuple[int, ...], ...]
+    __slots__ = ("branch", "half", "involution")
+
+    def __init__(
+        self, branch: DivisorClass, half: DivisorClass, involution: tuple[tuple[int, ...], ...]
+    ):
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "half", half)
+        object.__setattr__(self, "involution", involution)
 
 
 def branch_class(g: int) -> BranchClassResult:

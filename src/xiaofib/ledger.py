@@ -10,28 +10,29 @@ inputs) are reported with status ``assumed``.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from typing import Callable
 
 from . import invariants, lattice, monodromy, numerology, quartic
+from .record import Record
 
 PASS = "pass"
 FAIL = "fail"
 ASSUMED = "assumed"
 
 
-@dataclass(frozen=True)
-class ClaimReport:
+class ClaimReport(Record):
     """Outcome of one recomputed claim."""
 
-    claim_id: str
-    paper_anchor: str
-    expected: str
-    computed: str
-    status: str
+    __slots__ = ("claim_id", "paper_anchor", "expected", "computed", "status")
+
+    def __init__(self, claim_id: str, paper_anchor: str, expected: str, computed: str, status: str):
+        object.__setattr__(self, "claim_id", claim_id)
+        object.__setattr__(self, "paper_anchor", paper_anchor)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "computed", computed)
+        object.__setattr__(self, "status", status)
 
     def to_dict(self) -> dict:
         return {
@@ -53,14 +54,24 @@ class ClaimReport:
         )
 
 
-@dataclass(frozen=True)
-class Claim:
-    claim_id: str
-    case: str
-    paper_anchor: str
-    expected: str
-    compute: Callable[[], str]
-    assumed: bool = False
+class Claim(Record):
+    __slots__ = ("claim_id", "case", "paper_anchor", "expected", "compute", "assumed")
+
+    def __init__(
+        self,
+        claim_id: str,
+        case: str,
+        paper_anchor: str,
+        expected: str,
+        compute: Callable[[], str],
+        assumed: bool = False,
+    ):
+        object.__setattr__(self, "claim_id", claim_id)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "paper_anchor", paper_anchor)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "compute", compute)
+        object.__setattr__(self, "assumed", assumed)
 
     def run(self) -> ClaimReport:
         if self.assumed:
@@ -147,12 +158,14 @@ def _trigonal_tower(max_group_order: int) -> str:
     )
 
 
-@dataclass(frozen=True)
-class LedgerContext:
+class LedgerContext(Record):
     """Run-wide settings the claim thunks read."""
 
-    seed: int = 1
-    max_group_order: int = monodromy.DEFAULT_MAX_GROUP_ORDER
+    __slots__ = ("seed", "max_group_order")
+
+    def __init__(self, seed: int = 1, max_group_order: int = monodromy.DEFAULT_MAX_GROUP_ORDER):
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "max_group_order", max_group_order)
 
 
 def build_claims(context: LedgerContext | None = None) -> list[Claim]:
@@ -589,10 +602,14 @@ def verify_paper(
 
 
 def render_json(reports: list[ClaimReport]) -> str:
+    import json  # here, not at the top: the markdown format never needs it
+
     return json.dumps([r.to_dict() for r in reports], indent=2)
 
 
 def parse_reports(text: str) -> list[ClaimReport]:
+    import json
+
     return [ClaimReport.from_dict(entry) for entry in json.loads(text)]
 
 

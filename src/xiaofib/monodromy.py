@@ -20,13 +20,13 @@ cycle lengths in one pass and keeps them for ``order``, ``sign`` and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import reduce
 from math import factorial, lcm
 from operator import itemgetter
 
 from .errors import DEFAULT_MAX_GROUP_ORDER, InputError
 from .numerology import is_odd_prime
+from .record import Record
 
 CYCLIC = "cyclic"
 DIHEDRAL = "dihedral"
@@ -54,21 +54,28 @@ def _numeral(text: str) -> int:
         raise MonodromyDataError(f"number has too many digits: {text[:12]}...") from None
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """Bijection of {0, ..., n-1}, stored as the tuple of images."""
 
-    images: tuple[int, ...]
-    # cycle lengths sorted decreasingly, set by the first ``cycle_type`` call
-    _cycle_type: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    # ``_cycle_type``: cycle lengths sorted decreasingly, set by the first ``cycle_type`` call
+    __slots__ = ("images", "_cycle_type")
 
-    def __post_init__(self):
-        images = tuple(self.images)
+    def __init__(self, images: tuple[int, ...]):
+        images = tuple(images)
         object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_cycle_type", None)
         if not all(type(i) is int for i in images):
             raise MonodromyDataError(f"permutation images must be integers: {images!r}")
         if sorted(images) != list(range(len(images))):
             raise MonodromyDataError(f"not a bijection of 0..{len(images) - 1}: {images!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self):
+        return hash(self.images)
 
     @classmethod
     def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
@@ -211,18 +218,17 @@ def _distinct(perms) -> list[Permutation]:
     return list(dict.fromkeys(perms))
 
 
-@dataclass(frozen=True)
-class BranchedCover:
+class BranchedCover(Record):
     """Degree-n cover of a genus-b curve, branch monodromy acting left to right."""
 
-    degree: int
-    base_genus: int
-    branch_monodromy: tuple[Permutation, ...]
-    # the monodromy group, set by the first ``generated_group`` call that enumerates it
-    _group: GroupDescriptor | None = field(default=None, init=False, repr=False, compare=False)
+    # ``_group``: the monodromy group, set by the first ``generated_group`` call that enumerates it
+    __slots__ = ("degree", "base_genus", "branch_monodromy", "_group")
 
-    def __post_init__(self):
-        object.__setattr__(self, "branch_monodromy", tuple(self.branch_monodromy))
+    def __init__(self, degree: int, base_genus: int, branch_monodromy: tuple[Permutation, ...]):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "base_genus", base_genus)
+        object.__setattr__(self, "branch_monodromy", tuple(branch_monodromy))
+        object.__setattr__(self, "_group", None)
         if self.degree < 1:
             raise MonodromyDataError("cover degree must be positive")
         if self.base_genus < 0:
@@ -238,6 +244,18 @@ class BranchedCover:
                 raise MonodromyDataError("branch monodromy product is not the identity")
         if not self._is_transitive():
             raise MonodromyDataError("monodromy group is not transitive: cover is disconnected")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.degree == other.degree
+            and self.base_genus == other.base_genus
+            and self.branch_monodromy == other.branch_monodromy
+        )
+
+    def __hash__(self):
+        return hash((self.degree, self.base_genus, self.branch_monodromy))
 
     def _is_transitive(self) -> bool:
         # Forward images suffice: a permutation that maps a finite set into
@@ -255,18 +273,29 @@ class BranchedCover:
         return len(reached) == self.degree
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(Record):
     """A concrete permutation group: order, coarse classification, full element list."""
 
-    order: int
-    classification: str
-    elements: tuple[Permutation, ...]
+    __slots__ = ("order", "classification", "elements")
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
+    def __init__(self, order: int, classification: str, elements: tuple[Permutation, ...]):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "classification", classification)
+        object.__setattr__(self, "elements", tuple(elements))
         if self.order != len(self.elements):
             raise MonodromyDataError("group order does not match element count")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.order == other.order
+            and self.classification == other.classification
+            and self.elements == other.elements
+        )
+
+    def __hash__(self):
+        return hash((self.order, self.classification, self.elements))
 
 
 def rh_genus(cover: BranchedCover) -> int:

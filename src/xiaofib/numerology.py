@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
+from .record import Record
 
 FINITE = "finite"
 POSITIVE_DIMENSIONAL = "positive_dimensional"
@@ -62,30 +62,30 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CoverParams:
+class CoverParams(Record):
     """Genus g >= 2 of the hyperelliptic curve and odd prime degree p of the etale cover."""
 
-    g: int
-    p: int
+    __slots__ = ("g", "p")
 
-    def __post_init__(self):
+    def __init__(self, g: int, p: int):
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "p", p)
         if self.g < 2:
             raise NumerologyError(f"hyperelliptic genus must be >= 2, got {self.g}")
         if not is_odd_prime(self.p):
             raise NumerologyError(f"cover degree must be an odd prime, got {self.p}")
 
 
-@dataclass(frozen=True)
-class FibrationProfile:
+class FibrationProfile(Record):
     """Fiber genus, relative irregularity, base genus and total irregularity."""
 
-    g_fiber: int
-    q_rel: int
-    g_base: int
-    q_total: int
+    __slots__ = ("g_fiber", "q_rel", "g_base", "q_total")
 
-    def __post_init__(self):
+    def __init__(self, g_fiber: int, q_rel: int, g_base: int, q_total: int):
+        object.__setattr__(self, "g_fiber", g_fiber)
+        object.__setattr__(self, "q_rel", q_rel)
+        object.__setattr__(self, "g_base", g_base)
+        object.__setattr__(self, "q_total", q_total)
         if self.q_total != self.q_rel + self.g_base:
             raise NumerologyError("q_total must equal q_rel + g_base")
         if self.q_rel < 0:
@@ -94,33 +94,49 @@ class FibrationProfile:
             raise NumerologyError("fiber genus must be at least 2")
 
 
-@dataclass(frozen=True)
-class FiberClass:
-    """Fiber classification of the cover-to-curve moduli map."""
+class FiberClass(Record):
+    """Fiber classification of the cover-to-curve moduli map.
 
-    kind: str  # FINITE or POSITIVE_DIMENSIONAL
-    dimension: int | None  # 0 for finite; None when positive but not pinned down
+    ``kind`` is FINITE or POSITIVE_DIMENSIONAL; ``dimension`` is 0 for
+    finite fibers and None when positive but not pinned down.
+    """
+
+    __slots__ = ("kind", "dimension")
+
+    def __init__(self, kind: str, dimension: int | None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "dimension", dimension)
 
     @property
     def finite(self) -> bool:
         return self.kind == FINITE
 
 
-@dataclass(frozen=True)
-class XiaoReport:
+class XiaoReport(Record):
     """Bound comparison for one fibration: q_rel against (g_fiber + 1)/2."""
 
-    bound: Fraction
-    is_xiao: bool
-    meets_ceiling: bool
-    bgn_bound_at_generic_clifford: int
+    __slots__ = ("bound", "is_xiao", "meets_ceiling", "bgn_bound_at_generic_clifford")
+
+    def __init__(
+        self,
+        bound: Fraction,
+        is_xiao: bool,
+        meets_ceiling: bool,
+        bgn_bound_at_generic_clifford: int,
+    ):
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "is_xiao", is_xiao)
+        object.__setattr__(self, "meets_ceiling", meets_ceiling)
+        object.__setattr__(self, "bgn_bound_at_generic_clifford", bgn_bound_at_generic_clifford)
 
 
-@dataclass(frozen=True)
-class Runs:
+class Runs(Record):
     """A sequence of integers stored as (value, count) runs, never expanded in memory."""
 
-    runs: tuple[tuple[int, int], ...]
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "runs", runs)
 
     def __len__(self) -> int:
         return sum(count for _, count in self.runs)
@@ -133,22 +149,22 @@ class Runs:
         return " + ".join(f"[{v}]" if count == 1 else f"[{v}]*{count}" for v, count in self.runs)
 
 
-@dataclass(frozen=True)
-class ChevalleyWeil:
+class ChevalleyWeil(Record):
     """Character-space dimensions of the pushed-forward canonical bundle.
 
     ``dims`` holds one dimension per character, run-length encoded; a
     plain sequence given here is encoded the same way.
     """
 
-    dims: Runs
-    prym_dim: int
-    sym2_invariant_dim: int
+    __slots__ = ("dims", "prym_dim", "sym2_invariant_dim")
 
-    def __post_init__(self):
-        if not isinstance(self.dims, Runs):
-            runs = tuple((v, len(list(group))) for v, group in itertools.groupby(self.dims))
-            object.__setattr__(self, "dims", Runs(runs))
+    def __init__(self, dims: Runs, prym_dim: int, sym2_invariant_dim: int):
+        if not isinstance(dims, Runs):
+            runs = tuple((v, len(list(group))) for v, group in itertools.groupby(dims))
+            dims = Runs(runs)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "prym_dim", prym_dim)
+        object.__setattr__(self, "sym2_invariant_dim", sym2_invariant_dim)
 
 
 def cover_genera(params: CoverParams) -> tuple[int, int]:

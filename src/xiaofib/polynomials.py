@@ -14,9 +14,10 @@ certificate for plane curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+
+from .record import Record
 
 
 class PolynomialError(ValueError):
@@ -48,21 +49,28 @@ def rational_content(values) -> int | Fraction:
     return exact(Fraction(numerator, lcm(*(v.denominator for v in values))))
 
 
-@dataclass(frozen=True)
-class UnivariatePoly:
+class UnivariatePoly(Record):
     """Dense univariate polynomial, coefficients ascending, exact and int when integral.
 
     The zero polynomial is the empty coefficient tuple; any nonzero
     polynomial has a nonzero leading coefficient.
     """
 
-    coeffs: tuple[int | Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        cs = [exact(c) for c in self.coeffs]
+    def __init__(self, coeffs: tuple[int | Fraction, ...]):
+        cs = [exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     @classmethod
     def zero(cls) -> "UnivariatePoly":

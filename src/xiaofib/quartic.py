@@ -3,8 +3,9 @@
 A ternary form is a homogeneous polynomial in (x, y, z) with exact
 rational coefficients.  Both certificates first scale the form to its
 primitive integer multiple, which changes neither answer, so all their
-elimination runs over Z.  Smoothness is decided by chart-wise
-elimination on the partial derivatives; the flex certificate eliminates
+elimination runs over Z.  Smoothness is decided on the partial
+derivatives by bivariate elimination on the chart z = 1 and by a
+univariate gcd on the line at infinity; the flex certificate eliminates
 one variable from the curve and its Hessian after a seeded random
 unimodular change of coordinates and tests the degree-24 eliminant, the
 entry S_0 of one subresultant chain, for repeated roots.
@@ -20,6 +21,7 @@ from typing import NamedTuple
 from .errors import InputError
 from .polynomials import (
     BiPoly,
+    UnivariatePoly,
     common_affine_zero,
     exact,
     poly_gcd,
@@ -296,7 +298,8 @@ def parse_ternary_form(text: str) -> TernaryForm:
         key = tuple(exponents)
         terms[key] = terms.get(key, Fraction(0)) + coeff
 
-    degrees = {sum(key) for key, c in terms.items() if c != 0}
+    terms = {key: c for key, c in terms.items() if c != 0}  # "0*z^5 + z^6" has degree 6
+    degrees = {sum(key) for key in terms}
     if len(degrees) > 1:
         raise FormParseError(f"non-homogeneous input: term degrees {sorted(degrees)}", 0)
     if not degrees:
@@ -328,8 +331,13 @@ def is_smooth(form: TernaryForm) -> bool:
     """Whether the projective plane curve cut out by the form is smooth.
 
     True iff the three partial derivatives have no common projective
-    zero, decided chart by chart with the exact bivariate common-zero
-    procedure on the primitive integer multiple of the form.
+    zero, decided on the primitive integer multiple of the form: on the
+    chart z = 1 by the exact bivariate common-zero procedure, and on the
+    line at infinity z = 0, whose points are (x : 1 : 0) and (1 : 0 : 0),
+    by the partials restricted to it.  They meet at some (x : 1 : 0)
+    exactly when the polynomials F_i(x, 1, 0) all vanish or have a
+    nonconstant gcd, and at (1 : 0 : 0) exactly when each partial's
+    x^(d-1) coefficient is zero.
     """
     if form.degree < 2:
         raise DegenerateFormError("smoothness certificate needs degree at least 2")
@@ -339,11 +347,16 @@ def is_smooth(form: TernaryForm) -> bool:
         )
     form = form.primitive()
     partials = [form.partial(v) for v in range(3)]
-    for chart_var in range(3):
-        charted = [p.chart(chart_var) for p in partials]
-        if common_affine_zero(charted):
-            return False
-    return True
+    top = form.degree - 1
+    if all((top, 0, 0) not in p.coefficients for p in partials):
+        return False  # singular at (1 : 0 : 0)
+    on_line = UnivariatePoly.zero()  # the gcd of the F_i(x, 1, 0)
+    for p in partials:
+        restricted = [p.coefficients.get((i, top - i, 0), 0) for i in range(top + 1)]
+        on_line = poly_gcd(on_line, UnivariatePoly(tuple(restricted)))
+    if on_line.degree != 0:
+        return False  # singular at some (x : 1 : 0), or along the whole line
+    return not common_affine_zero([p.chart(2) for p in partials])
 
 
 class PluckerCounts(NamedTuple):

@@ -5,13 +5,15 @@ route: Sylvester determinants and their fraction-free Bareiss
 elimination instead of remainder sequences, Euclid over Fraction
 coefficients instead of integer remainder sequences, and for
 permutations, breadth-first closure over all generators and orders by
-repeated composition instead of the greedy span and cycle lengths, and
-trial division instead of Miller-Rabin for primality.
+repeated composition instead of the greedy span and cycle lengths,
+trial division instead of Miller-Rabin for primality, and smoothness
+by bivariate elimination on all three affine charts instead of one
+chart and the line at infinity.
 """
 
 from fractions import Fraction
 
-from xiaofib.polynomials import BiPoly, PolynomialError, UnivariatePoly
+from xiaofib.polynomials import BiPoly, PolynomialError, UnivariatePoly, common_affine_zero
 
 
 def _fraction_det(matrix: list[list[Fraction]]) -> Fraction:
@@ -236,4 +238,18 @@ def trial_division_is_odd_prime(p: int) -> bool:
         if p % d == 0:
             return False
         d += 2
+    return True
+
+
+def is_smooth_three_charts(form) -> bool:
+    """Smoothness of a plane curve: no common zero of the partials on the charts x, y, z = 1.
+
+    The three charts overlap and together cover the projective plane.
+    """
+    form = form.primitive()
+    partials = [form.partial(v) for v in range(3)]
+    for chart_var in range(3):
+        charted = [p.chart(chart_var) for p in partials]
+        if common_affine_zero(charted):
+            return False
     return True

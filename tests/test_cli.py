@@ -274,6 +274,31 @@ def test_cli_quartic_refuses_a_form_above_the_degree_limit_at_once(poly):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("buffering", ["default", "unbuffered"])
+@pytest.mark.parametrize("args", [
+    ("lattice", "--case", "g3-product"),
+    ("numerology", "--genus", "2", "--degree", "5"),
+    ("verify", "--only", "g2p5"),
+], ids=lambda args: args[0])
+def test_cli_exits_141_in_silence_when_stdout_is_a_closed_pipe(args, buffering):
+    """Like a writer ended by SIGPIPE: exit 128 + 13, no error line, no traceback."""
+    env = fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "xiaofib.cli", *args],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.stderr == ""
+    assert result.returncode == 141
+
+
 def test_cli_input_errors_exit_2_but_bugs_propagate(monkeypatch, capsys):
     assert main(["quartic", "--poly", "x^3 + y^3 + z^3", "--check", "flexes"]) == 2
     assert capsys.readouterr().err.startswith("error: the flex certificate is for quartics")
@@ -341,15 +366,18 @@ def test_build_claims_stable_ids():
 # ---- which engine modules a subcommand executes ----
 
 # Installed as ``sitecustomize`` in a fresh interpreter: at exit it writes the
-# names of the executed ``xiaofib.*`` modules.  A module bound lazily but never
-# used is in ``sys.modules`` with a subclass of ``types.ModuleType``.
-RECORD_EXECUTED = """
+# names of the executed ``xiaofib.*`` modules on one line and, on a second, those
+# of ``CODE_GENERATION`` that were imported.  A module bound lazily but never used
+# is in ``sys.modules`` with a subclass of ``types.ModuleType``.
+CODE_GENERATION = ("dataclasses", "inspect")
+RECORD_EXECUTED = f"""
 import atexit, os, sys, types
 
 def _record():
     with open(os.environ["XIAOFIB_EXECUTED"], "w") as out:
         out.write(" ".join(name for name, module in sys.modules.items()
                            if name.startswith("xiaofib.") and type(module) is types.ModuleType))
+        out.write("\\n" + " ".join(name for name in {CODE_GENERATION!r} if name in sys.modules))
 
 atexit.register(_record)
 """
@@ -362,22 +390,26 @@ LAUNCHERS = {
 
 @pytest.mark.parametrize("launcher", sorted(LAUNCHERS))
 @pytest.mark.parametrize("args, code, executed", [
-    pytest.param(("numerology", "--genus", "2", "--degree", "5"), 0, {"numerology"},
+    pytest.param(("numerology", "--genus", "2", "--degree", "5"), 0, {"numerology", "record"},
                  id="numerology"),
-    pytest.param(("numerology", "--genus", "1", "--degree", "5"), 2, {"numerology"},
+    pytest.param(("numerology", "--genus", "1", "--degree", "5"), 2, {"numerology", "record"},
                  id="numerology-refused"),
-    pytest.param(("monodromy", "--dihedral", "4", "3"), 0, {"monodromy", "numerology"},
+    pytest.param(("monodromy", "--dihedral", "4", "3"), 0, {"monodromy", "numerology", "record"},
                  id="monodromy"),
-    pytest.param(("monodromy", "--dihedral", "4", "9"), 2, {"monodromy", "numerology"},
+    pytest.param(("monodromy", "--dihedral", "4", "9"), 2, {"monodromy", "numerology", "record"},
                  id="monodromy-refused"),
-    pytest.param(("lattice", "--case", "g3-product"), 0, {"lattice"}, id="lattice"),
+    pytest.param(("lattice", "--case", "g3-product"), 0, {"lattice", "record"}, id="lattice"),
     pytest.param(("lattice", "--case", "g5-product"), 2, set(), id="lattice-refused"),
     pytest.param(("quartic", "--poly", "x^4 + y^4 + z^4", "--check", "smooth"), 0,
-                 {"quartic", "polynomials"}, id="quartic"),
+                 {"quartic", "polynomials", "record"}, id="quartic"),
     pytest.param(("quartic", "--poly", "x^4 + q", "--check", "smooth"), 2,
-                 {"quartic", "polynomials"}, id="quartic-refused"),
+                 {"quartic", "polynomials", "record"}, id="quartic-refused"),
+    pytest.param(("verify",), 0,
+                 {"invariants", "lattice", "ledger", "monodromy", "numerology", "polynomials",
+                  "quartic", "record"}, id="verify"),
 ])
 def test_a_subcommand_executes_only_the_engines_it_uses(tmp_path, launcher, args, code, executed):
+    """Only the engines a subcommand uses execute, and none imports ``CODE_GENERATION``."""
     (tmp_path / "sitecustomize.py").write_text(RECORD_EXECUTED)
     record = tmp_path / "executed.txt"
     result = subprocess.run(
@@ -385,8 +417,10 @@ def test_a_subcommand_executes_only_the_engines_it_uses(tmp_path, launcher, args
         env=fresh_env(str(tmp_path), XIAOFIB_EXECUTED=str(record)), timeout=60,
     )
     assert result.returncode == code, result.stderr
-    names = set(record.read_text().split()) - {"xiaofib.cli"}
+    executed_line, generation_line = record.read_text().split("\n")
+    names = set(executed_line.split()) - {"xiaofib.cli"}
     assert names == {f"xiaofib.{name}" for name in executed | {"errors"}}
+    assert generation_line.split() == []
 
 
 def test_importing_the_cli_binds_every_engine_without_executing_it():

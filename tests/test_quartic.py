@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from xiaofib.polynomials import common_affine_zero
 from xiaofib.quartic import (
     FERMAT_QUARTIC,
     KLEIN_QUARTIC,
@@ -59,6 +60,8 @@ def test_parse_grammar_flexibility():
     assert parse_ternary_form("2 x y z^2").coefficients == {(1, 1, 2): Fraction(2)}
     assert parse_ternary_form("x^1*y^1*z^2") == parse_ternary_form("x y z^2")
     assert parse_ternary_form("-x^4 + 2*x^4").coefficients == {(4, 0, 0): Fraction(1)}
+    # a term with coefficient zero does not count towards homogeneity
+    assert parse_ternary_form("0*z^5 + z^6").coefficients == {(0, 0, 6): Fraction(1)}
     # repeated variables multiply
     assert parse_ternary_form("x*x*y*y").coefficients == {(2, 2, 0): Fraction(1)}
 
@@ -165,6 +168,18 @@ def test_is_smooth_irrational_singularities():
     # double conic: singular along a whole curve
     double_conic = "x^4 + y^4 + z^4 + 2*x^2*y^2 + 2*y^2*z^2 + 2*x^2*z^2"
     assert is_smooth(parse_ternary_form(double_conic)) is False
+
+
+@pytest.mark.parametrize("text", [
+    "x*y^2 + z^3",  # only at (1 : 0 : 0)
+    "x^4 - 4*x^2*y^2 + 4*y^4 + x*z^3",  # (x^2 - 2y^2)^2 + x z^3: only at (+-sqrt 2 : 1 : 0)
+    "x^2*z^2 + y^2*z^2 + z^4",  # along the whole line z = 0
+])
+def test_is_smooth_finds_singularities_the_chart_z1_misses(text):
+    form = parse_ternary_form(text)
+    partials = [form.partial(v) for v in range(3)]
+    assert common_affine_zero([p.chart(2) for p in partials]) is False
+    assert is_smooth(form) is False
 
 
 def random_conic(rng):
