@@ -1,11 +1,16 @@
-"""Branched covers of the line given by permutation monodromy.
+"""Branched covers of a curve of genus b given by permutation monodromy.
 
 A cover of degree n with k branch points is encoded by a tuple of
 permutations (sigma_1, ..., sigma_k) of the sheet set {0, ..., n-1}.
 Throughout the package tuples act left to right: sigma_1 is applied
 first, and the product sigma_1 * sigma_2 * ... * sigma_k must be the
-identity.  All genus computations reduce to Riemann-Hurwitz on cycle
-types, so branch points are abstract labels and carry no coordinates.
+identity.  The base is the line when b = 0.  For b > 0 the monodromy
+around the handles is taken as trivial: the group is generated by the
+branch permutations alone, so a cover of more than one sheet with no
+branch points (``degree 3; base_genus 1`` and nothing else) is refused
+as disconnected.  All genus computations reduce to Riemann-Hurwitz on
+cycle types, so branch points are abstract labels and carry no
+coordinates.
 
 A permutation is checked to be a bijection once, where it enters
 (``Permutation(...)``, ``from_cycles``); products and inverses of
@@ -14,7 +19,8 @@ again.  Group closure and coset tables work on bare image tuples and
 compose them with one kernel, ``_then``; a group's elements are wrapped
 as ``Permutation`` objects once, at the end.  Each permutation finds its
 cycle lengths in one pass and keeps them for ``order``, ``sign`` and
-``cycle_type``.
+``cycle_type``.  Classification reads element orders only as far as the
+label needs (see ``_classify``).
 """
 
 from __future__ import annotations
@@ -32,6 +38,11 @@ CYCLIC = "cyclic"
 DIHEDRAL = "dihedral"
 SYMMETRIC = "symmetric"
 OTHER = "other"
+
+# ``build_dihedral_cover`` refuses a base genus g whose 2g + 2 branch
+# permutations exceed this, before building them; at the bound a
+# ``monodromy --dihedral`` run takes about a second.
+MAX_BRANCH_POINTS = 100_000
 
 
 class MonodromyDataError(InputError, ValueError):
@@ -132,7 +143,7 @@ class Permutation(Record):
         return Permutation._unchecked(tuple(inv))
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """All cycles, fixed points included."""
@@ -361,28 +372,45 @@ def _span(
 
 
 def _classify(elements: list[Permutation]) -> str:
+    """Coarse label of the group listed by ``elements``, from the few facts it needs.
+
+    Symmetric is tested first, and only when |G| = k! with k >= 4: a
+    group of that order moving exactly k points is all of Sym of them,
+    which is neither cyclic nor dihedral (S_3 is D_3 and is left to the
+    dihedral test).  One scan then reads element orders until the label
+    is settled.  An element of order |G| makes G cyclic.  The first element
+    r of order |G|/2, when |G| >= 6, makes G dihedral exactly when an
+    involution outside <r> inverts r; in D_m with m >= 3 every element of
+    order m is a rotation, so trying only the first r loses nothing, and a
+    dihedral group is not abelian, so no cyclic label hides behind it.
+    Each element's order is read at most once.
+    """
     n = len(elements)
-    orders = [e.order() for e in elements]
-    if n in orders:
-        return CYCLIC
-    if n % 2 == 0 and n >= 6:
-        m = n // 2
-        for r, order in zip(elements, orders):
-            if order != m:
-                continue
-            rotations = set(_powers(r.images, m))
+    k = 4
+    while factorial(k) < n:
+        k += 1
+    if factorial(k) == n:
+        # a point is moved by the group when its column of images is not constant
+        columns = zip(*(e.images for e in elements))
+        if sum(column.count(i) != n for i, column in enumerate(columns)) == k:
+            return SYMMETRIC
+    half = n // 2 if n % 2 == 0 and n >= 6 else None
+    for r in elements:
+        order = r.order()
+        if order == n:
+            return CYCLIC
+        if order == half:
+            half = None  # only the first element of order |G|/2 is tried
+            rotations = set(_powers(r.images, order))
             identity = tuple(range(r.degree))
             r_inv = r.inverse().images
-            for s in {e.images for e in elements} - rotations:
+            for s in elements:
+                s = s.images
+                if s in rotations:
+                    continue
                 then_s = _then(s)
                 if then_s(s) == identity and _then(then_s(r.images))(s) == r_inv:
                     return DIHEDRAL
-            break
-    moved: set[int] = set()
-    for e in elements:
-        moved.update(e.moved_points())
-    if len(moved) >= 3 and n == factorial(len(moved)):
-        return SYMMETRIC
     return OTHER
 
 
@@ -505,11 +533,17 @@ def build_dihedral_cover(
     x -> a - x (mod p), so every profile is {2^((p-1)/2), 1}.  The tuple
     (s_1, s_1, s_0, ..., s_0) multiplies to the identity and generates
     the full dihedral group of order 2p because s_0 * s_1 is the unit
-    rotation.  A degree above ``max_group_order`` is refused before any
-    permutation is built.
+    rotation.  A degree above ``max_group_order``, or more than
+    ``MAX_BRANCH_POINTS`` branch points, is refused before any permutation
+    is built.
     """
     if g < 2:
         raise MonodromyDataError("base hyperelliptic genus must be at least 2")
+    if 2 * g + 2 > MAX_BRANCH_POINTS:
+        raise MonodromyDataError(
+            f"2g + 2 branch points exceed the limit {MAX_BRANCH_POINTS}: g must be at most "
+            f"{MAX_BRANCH_POINTS // 2 - 1}"
+        )
     _refuse_degree_above(p, max_group_order)
     if not is_odd_prime(p):
         raise MonodromyDataError(f"cover degree must be an odd prime, got {p}")

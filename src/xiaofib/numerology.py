@@ -31,6 +31,11 @@ class NumerologyError(InputError, ValueError):
 PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIMALITY_LIMIT = 3317044064679887385961981
 
+# Below this genus every number derived from (g, p) prints in decimal within
+# the interpreter's 4300-digit limit for converting an int to text: the
+# largest, (p - 1)/2 * (g - 1)^2, then has at most 2 * 2000 + 25 digits.
+GENUS_LIMIT = 10**2000
+
 
 def is_odd_prime(p: int) -> bool:
     """Deterministic Miller-Rabin on ``PRIME_BASES``.
@@ -72,6 +77,8 @@ class CoverParams(Record):
         object.__setattr__(self, "p", p)
         if self.g < 2:
             raise NumerologyError(f"hyperelliptic genus must be >= 2, got {self.g}")
+        if self.g >= GENUS_LIMIT:
+            raise NumerologyError("hyperelliptic genus must be below 10^2000")
         if not is_odd_prime(self.p):
             raise NumerologyError(f"cover degree must be an odd prime, got {self.p}")
 

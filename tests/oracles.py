@@ -5,13 +5,15 @@ route: Sylvester determinants and their fraction-free Bareiss
 elimination instead of remainder sequences, Euclid over Fraction
 coefficients instead of integer remainder sequences, and for
 permutations, breadth-first closure over all generators and orders by
-repeated composition instead of the greedy span and cycle lengths,
-trial division instead of Miller-Rabin for primality, and smoothness
-by bivariate elimination on all three affine charts instead of one
-chart and the line at infinity.
+repeated composition instead of the greedy span and cycle lengths, a
+group label read from every element's order up front instead of from
+the few orders the label needs, trial division instead of Miller-Rabin
+for primality, and smoothness by bivariate elimination on all three
+affine charts instead of one chart and the line at infinity.
 """
 
 from fractions import Fraction
+from math import factorial
 
 from xiaofib.polynomials import BiPoly, PolynomialError, UnivariatePoly, common_affine_zero
 
@@ -227,6 +229,40 @@ def composition_order(perm) -> int:
     while not power.is_identity():
         power, k = power.then(perm), k + 1
     return k
+
+
+def classify_by_orders(elements) -> str:
+    """The coarse group label from the orders of all elements, computed first.
+
+    Cyclic when an element has order |G|.  Dihedral when |G| >= 6 and the
+    first element r of order |G|/2 is inverted by an involution outside
+    <r>.  Symmetric when the group moves k >= 3 points and |G| = k!.
+    Otherwise other.
+    """
+    n = len(elements)
+    orders = [e.order() for e in elements]
+    if n in orders:
+        return "cyclic"
+    if n % 2 == 0 and n >= 6:
+        m = n // 2
+        for r, order in zip(elements, orders):
+            if order != m:
+                continue
+            rotations, power = set(), r
+            while power not in rotations:
+                rotations.add(power)
+                power = power.then(r)
+            r_inv = r.inverse()
+            for s in set(elements) - rotations:
+                if s.then(s).is_identity() and s.then(r).then(s) == r_inv:
+                    return "dihedral"
+            break
+    moved = set()
+    for e in elements:
+        moved.update(e.moved_points())
+    if len(moved) >= 3 and n == factorial(len(moved)):
+        return "symmetric"
+    return "other"
 
 
 def trial_division_is_odd_prime(p: int) -> bool:

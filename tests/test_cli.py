@@ -326,6 +326,15 @@ def test_verify_passes_the_group_order_bound_to_every_tower(monkeypatch):
     assert set(bounds) == {4321}
 
 
+def test_cli_verify_fails_the_towers_above_the_group_order_bound(capsys):
+    """verify does not refuse the run: each tower claim fails with the refusal as its value."""
+    assert main(["verify", "--max-group-order", "3", "--format", "json"]) == 1
+    failing = {r["claim_id"]: r["computed"] for r in json.loads(capsys.readouterr().out)
+               if r["status"] == "fail"}
+    assert sorted(failing) == ["g2p5/monodromy-tower", "g4p3/monodromy-tower", "general/monodromy-grid"]
+    assert all(value.startswith("error: ") and value.endswith("bound 3") for value in failing.values())
+
+
 def test_cli_lattice(capsys):
     assert main(["lattice", "--case", "g3-product"]) == 0
     data = json.loads(capsys.readouterr().out)

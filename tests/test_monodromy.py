@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import brute_closure, composition_order
+from oracles import brute_closure, classify_by_orders, composition_order
 from xiaofib.monodromy import (
     BranchedCover,
     EnumerationLimitError,
@@ -451,6 +451,95 @@ def test_degree_above_the_bound_is_refused_before_enumeration(monkeypatch):
         generated_group(cover, max_order=100)
 
 
+# ---- classification against the eager oracle ----
+
+
+def closure_group(generators, degree):
+    """Descriptor of the group that image tuples generate, closed by the breadth-first oracle."""
+    return group_from_elements([Permutation(t) for t in brute_closure(list(generators), degree)])
+
+
+def pair_group(m, inverting, square):
+    """Regular action of the order-2m group of the a^k x^e, k mod m and e mod 2.
+
+    a^k x^e is the point 2k + e; x a x^-1 is a^-1 when ``inverting`` and a
+    otherwise, and x^2 = a^square.  D_m, C_m x C_2 and the dicyclic groups
+    are of this form.
+    """
+
+    def multiply(h, g):
+        (k, e), (l, f) = divmod(h, 2), divmod(g, 2)
+        k += -l if inverting and e else l
+        if e and f:
+            k += square
+        return 2 * (k % m) + (e ^ f)
+
+    right_by = [tuple(multiply(h, g) for h in range(2 * m)) for g in (2, 1)]  # a and x
+    return closure_group(right_by, 2 * m)
+
+
+def classified_families():
+    """(name, group, label) for families whose label is known."""
+    for n in range(1, 25):
+        yield f"C{n}", closure_group([tuple((i + 1) % n for i in range(n))], n), "cyclic"
+    for m in range(3, 25):
+        natural = [tuple((i + 1) % m for i in range(m)), tuple(-i % m for i in range(m))]
+        yield f"D{m}-natural", closure_group(natural, m), "dihedral"
+        yield f"D{m}-regular", pair_group(m, inverting=True, square=0), "dihedral"
+    for m in range(2, 13):
+        yield f"C{m}xC2", pair_group(m, inverting=False, square=0), "cyclic" if m % 2 else "other"
+        yield f"Dic{m}", pair_group(2 * m, inverting=True, square=m), "other"
+    for n in range(3, 7):
+        full = closure_group([tuple((i + 1) % n for i in range(n)), (1, 0, *range(2, n))], n)
+        yield f"S{n}", full, "dihedral" if n == 3 else "symmetric"  # S_3 is D_3
+        yield f"A{n}", even_subgroup(full), "cyclic" if n == 3 else "other"
+
+
+@pytest.mark.parametrize(
+    "group, label", [pytest.param(group, label, id=name) for name, group, label in classified_families()]
+)
+def test_classification_matches_the_eager_oracle_on_known_families(group, label):
+    assert group.classification == classify_by_orders(list(group.elements)) == label
+
+
+def test_classification_matches_the_eager_oracle_on_random_subgroups():
+    rng = random.Random(43)
+    labels = set()
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        generators = []
+        for _ in range(rng.randint(1, 3)):
+            images = list(range(n))
+            if rng.randrange(2):
+                rng.shuffle(images)
+            else:  # a product of a few transpositions: small subgroups come up too
+                for _ in range(rng.randint(1, 3)):
+                    a, b = rng.randrange(n), rng.randrange(n)
+                    images[a], images[b] = images[b], images[a]
+            generators.append(tuple(images))
+        group = closure_group(generators, n)
+        label = classify_by_orders(list(group.elements))
+        assert group.classification == label
+        labels.add(label)
+    assert labels == {"cyclic", "dihedral", "symmetric", "other"}
+
+
+def test_classification_reads_few_orders(monkeypatch):
+    calls = 0
+    order = Permutation.order
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return order(self)
+
+    cover = build_dihedral_cover(2, 151)
+    monkeypatch.setattr(Permutation, "order", counted)
+    group = generated_group(cover)
+    assert (group.order, group.classification) == (302, "dihedral")
+    assert 0 < calls < 16  # reading every element's order took 302
+
+
 # ---- dihedral construction ----
 
 
@@ -464,6 +553,8 @@ def test_build_dihedral_cover_examples():
         build_dihedral_cover(1, 3)
     with pytest.raises(MonodromyDataError):
         build_dihedral_cover(2, 9)
+    with pytest.raises(MonodromyDataError, match="at most 49999"):
+        build_dihedral_cover(50_000, 3)
 
 
 def test_dihedral_tower_grid():

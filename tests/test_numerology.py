@@ -9,6 +9,7 @@ from xiaofib.numerology import (
     CoverParams,
     FiberClass,
     FibrationProfile,
+    GENUS_LIMIT,
     NumerologyError,
     PRIMALITY_LIMIT,
     bgn_bound,
@@ -32,6 +33,13 @@ def test_cover_params_validation():
         CoverParams(2, 4)
     with pytest.raises(ValueError):
         CoverParams(2, 9)
+
+
+def test_every_number_of_the_largest_genus_prints():
+    params = CoverParams(GENUS_LIMIT - 1, 3317044064679887385961813)  # the largest prime below PRIMALITY_LIMIT
+    assert len(str(chevalley_weil(params).sym2_invariant_dim)) <= 4300
+    with pytest.raises(NumerologyError, match="below 10"):
+        CoverParams(GENUS_LIMIT, 3)
 
 
 def test_primality_matches_trial_division_below_20000():
