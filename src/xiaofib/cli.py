@@ -196,6 +196,10 @@ def _cmd_quartic(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--poly" in argv[:-1]:  # argparse reads text starting with "-", as in -x^4 + y^4, as an option
+        at = argv.index("--poly")
+        argv[at : at + 2] = [f"--poly={argv[at + 1]}"]
     args = parser.parse_args(argv)
     handlers = {
         "verify": _cmd_verify,

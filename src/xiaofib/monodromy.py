@@ -16,11 +16,12 @@ A permutation is checked to be a bijection once, where it enters
 (``Permutation(...)``, ``from_cycles``); products and inverses of
 checked permutations are bijections by construction and are not checked
 again.  Group closure and coset tables work on bare image tuples and
-compose them with one kernel, ``_then``; a group's elements are wrapped
-as ``Permutation`` objects once, at the end.  Each permutation finds its
-cycle lengths in one pass and keeps them for ``order``, ``sign`` and
-``cycle_type``.  Classification reads element orders only as far as the
-label needs (see ``_classify``).
+compose them with one kernel, ``_then``; the closure records parities as
+it goes.  A group descriptor wraps its image tuples as ``Permutation``
+objects, and classifies itself, only when a caller reads them; the label
+reads element orders only as far as it needs (see ``_classify``).  Only a
+quotient by a subgroup of index above 2 builds a coset table.  Each
+permutation keeps its cycle lengths for ``order``, ``sign`` and ``cycle_type``.
 """
 
 from __future__ import annotations
@@ -145,42 +146,11 @@ class Permutation(Record):
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        """All cycles, fixed points included."""
-        out = []
-        seen = [False] * self.degree
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            j = self.images[start]
-            while j != start:
-                cycle.append(j)
-                seen[j] = True
-                j = self.images[j]
-            out.append(tuple(cycle))
-        return out
-
     def cycle_type(self) -> tuple[int, ...]:
         """Cycle lengths sorted decreasingly; sums to the degree.  Computed once."""
         lengths = self._cycle_type
         if lengths is None:
-            images = self.images
-            seen = [False] * len(images)
-            found = []
-            for start in range(len(images)):
-                if seen[start]:
-                    continue
-                seen[start] = True
-                j = images[start]
-                length = 1
-                while j != start:
-                    seen[j] = True
-                    j = images[j]
-                    length += 1
-                found.append(length)
-            lengths = tuple(sorted(found, reverse=True))
+            lengths = tuple(sorted(_cycle_lengths(self.images), reverse=True))
             object.__setattr__(self, "_cycle_type", lengths)
         return lengths
 
@@ -191,12 +161,32 @@ class Permutation(Record):
     def sign(self) -> int:
         return -1 if (self.degree - len(self.cycle_type())) % 2 else 1
 
-    def moved_points(self) -> frozenset[int]:
-        return frozenset(i for i, j in enumerate(self.images) if i != j)
 
-    def cycle_string(self) -> str:
-        parts = ["(" + " ".join(map(str, c)) + ")" for c in self.cycles() if len(c) > 1]
-        return "".join(parts) if parts else "()"
+def _cycle_lengths(images: tuple[int, ...]) -> list[int]:
+    """The length of each cycle of the permutation with these images, fixed points included."""
+    seen = [False] * len(images)
+    found = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        j = images[start]
+        length = 1
+        while j != start:
+            seen[j] = True
+            j = images[j]
+            length += 1
+        found.append(length)
+    return found
+
+
+def _order(images: tuple[int, ...]) -> int:
+    return lcm(*_cycle_lengths(images))
+
+
+def _parity(images: tuple[int, ...]) -> int:
+    """1 for an odd permutation, 0 for an even one."""
+    return (len(images) - len(_cycle_lengths(images))) % 2
 
 
 def _same(images: tuple[int, ...]) -> tuple[int, ...]:
@@ -287,26 +277,46 @@ class BranchedCover(Record):
 class GroupDescriptor(Record):
     """A concrete permutation group: order, coarse classification, full element list."""
 
-    __slots__ = ("order", "classification", "elements")
+    # ``_images``: element image tuples, in element order; ``_odd``: image tuple -> parity, or None
+    __slots__ = ("order", "classification", "elements", "_images", "_odd")
 
     def __init__(self, order: int, classification: str, elements: tuple[Permutation, ...]):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "classification", classification)
         object.__setattr__(self, "elements", tuple(elements))
+        object.__setattr__(self, "_images", tuple(e.images for e in self.elements))
+        object.__setattr__(self, "_odd", None)
         if self.order != len(self.elements):
             raise MonodromyDataError("group order does not match element count")
+
+    @classmethod
+    def _of_images(cls, images: tuple[tuple[int, ...], ...], odd=None) -> "GroupDescriptor":
+        group = object.__new__(cls)
+        for name, value in (("order", len(images)), ("_images", images), ("_odd", odd)):
+            object.__setattr__(group, name, value)
+        return group
+
+    def __getattr__(self, name):  # ``_of_images`` leaves these two slots to the first read
+        if name == "classification":
+            value = _classify(self._images)
+        elif name == "elements":
+            value = tuple(map(Permutation._unchecked, self._images))
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (
             self.order == other.order
+            and self._images == other._images
             and self.classification == other.classification
-            and self.elements == other.elements
         )
 
-    def __hash__(self):
-        return hash((self.order, self.classification, self.elements))
+    def __hash__(self):  # a tuple of permutations hashes as the tuple of their images
+        return hash((self.order, self.classification, self._images))
 
 
 def rh_genus(cover: BranchedCover) -> int:
@@ -334,45 +344,49 @@ def ramification_profile(cover: BranchedCover) -> list[tuple[int, ...]]:
 
 def _span(
     candidates, degree: int, max_order: int, within: set[tuple[int, ...]] | None = None
-) -> set[tuple[int, ...]]:
-    """The group generated by ``candidates``, grown one generator at a time.
+) -> dict[tuple[int, ...], int]:
+    """The group generated by ``candidates``, grown one generator at a time, with parities.
 
-    Candidates, ``within`` and the result are image tuples.  A candidate
-    already in the span is skipped, and each one taken at least doubles
-    the span, so this costs O(|G| log |G|) compositions.  Raises
-    ``EnumerationLimitError`` before the span exceeds ``max_order``
-    elements and, when ``within`` is given, ``MonodromyDataError`` as soon
-    as the span leaves it.
+    Candidates, ``within`` and the result's keys are image tuples; each
+    element maps to its parity, 1 when odd, since s then h is odd exactly
+    when one of s and h is.  A candidate already in the span is skipped,
+    and each one taken at least doubles the span, so this costs
+    O(|G| log |G|) compositions, all through one map ``_then(s)`` per
+    generator s.  Raises ``EnumerationLimitError`` before the span exceeds
+    ``max_order`` elements and, when ``within`` is given,
+    ``MonodromyDataError`` as soon as the span leaves it.
     """
-    span = {tuple(range(degree))}
-    generators: list[tuple[int, ...]] = []
+    span = {tuple(range(degree)): 0}
+    by_parity = ([*span], [])  # the span's even elements, then its odd ones
+    steps = []  # (s then -, parity of s) for each generator s taken
     for u in candidates:
         if u in span:
             continue
-        generators.append(u)
+        steps.append((_then(u), _parity(u)))
         # the old span is closed under the old generators; new elements meet all of them
-        frontier = [_then(g)(u) for g in span]
-        while frontier:
-            fresh = []
-            for h in frontier:
-                if h in span:
-                    continue
-                if within is not None and h not in within:
-                    raise MonodromyDataError("element set is not closed under composition")
-                if len(span) >= max_order:
-                    raise EnumerationLimitError(
-                        f"group closure exceeds the configured bound {max_order}"
-                    )
-                span.add(h)
-                fresh.append(h)
-            frontier = []
-            for h in fresh:
-                frontier.extend(map(_then(h), generators))
+        fresh, maps = by_parity, steps[-1:]
+        while fresh[0] or fresh[1]:
+            frontier = [(odd ^ s_odd, map(then_s, fresh[odd])) for then_s, s_odd in maps for odd in (0, 1)]
+            fresh, maps = ([], []), steps
+            for odd, products in frontier:
+                for h in products:
+                    if h in span:
+                        continue
+                    if within is not None and h not in within:
+                        raise MonodromyDataError("element set is not closed under composition")
+                    if len(span) >= max_order:
+                        raise EnumerationLimitError(
+                            f"group closure exceeds the configured bound {max_order}"
+                        )
+                    span[h] = odd
+                    fresh[odd].append(h)
+            by_parity[0].extend(fresh[0])
+            by_parity[1].extend(fresh[1])
     return span
 
 
-def _classify(elements: list[Permutation]) -> str:
-    """Coarse label of the group listed by ``elements``, from the few facts it needs.
+def _classify(elements: tuple[tuple[int, ...], ...]) -> str:
+    """Coarse label of the group whose image tuples are ``elements``, from the few facts it needs.
 
     Symmetric is tested first, and only when |G| = k! with k >= 4: a
     group of that order moving exactly k points is all of Sym of them,
@@ -391,25 +405,24 @@ def _classify(elements: list[Permutation]) -> str:
         k += 1
     if factorial(k) == n:
         # a point is moved by the group when its column of images is not constant
-        columns = zip(*(e.images for e in elements))
+        columns = zip(*elements)
         if sum(column.count(i) != n for i, column in enumerate(columns)) == k:
             return SYMMETRIC
     half = n // 2 if n % 2 == 0 and n >= 6 else None
     for r in elements:
-        order = r.order()
+        order = _order(r)
         if order == n:
             return CYCLIC
         if order == half:
             half = None  # only the first element of order |G|/2 is tried
-            rotations = set(_powers(r.images, order))
-            identity = tuple(range(r.degree))
-            r_inv = r.inverse().images
+            powers = _powers(r, order)
+            rotations = set(powers)
+            identity, r_inv = powers[0], powers[-1]
             for s in elements:
-                s = s.images
                 if s in rotations:
                     continue
                 then_s = _then(s)
-                if then_s(s) == identity and _then(then_s(r.images))(s) == r_inv:
+                if then_s(s) == identity and _then(then_s(r))(s) == r_inv:
                     return DIHEDRAL
     return OTHER
 
@@ -423,7 +436,7 @@ def _refuse_degree_above(degree: int, max_order: int) -> None:
 
 
 def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> GroupDescriptor:
-    """Enumerate the monodromy group by closure under composition and classify it.
+    """Enumerate the monodromy group by closure under composition, with each element's parity.
 
     The group is enumerated once per cover and kept on it; ``max_order``
     is checked on every call, and a cover of larger degree is refused at once.
@@ -433,8 +446,7 @@ def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORD
     if group is None:
         branch_images = (sigma.images for sigma in cover.branch_monodromy)
         span = _span(branch_images, cover.degree, max_order)
-        elements = [Permutation._unchecked(images) for images in sorted(span)]
-        group = GroupDescriptor(len(elements), _classify(elements), tuple(elements))
+        group = GroupDescriptor._of_images(tuple(sorted(span)), span)
         object.__setattr__(cover, "_group", group)
     elif group.order > max_order:
         raise EnumerationLimitError(f"group closure exceeds the configured bound {max_order}")
@@ -452,9 +464,8 @@ def group_from_elements(perms: list[Permutation]) -> GroupDescriptor:
     if tuple(range(degree)) not in by_images:
         raise MonodromyDataError("element list is missing the identity")
     members = set(by_images)
-    _span(members, degree, len(members), within=members)
-    ordered = [by_images[images] for images in sorted(members)]
-    return GroupDescriptor(len(ordered), _classify(ordered), tuple(ordered))
+    span = _span(members, degree, len(members), within=members)
+    return GroupDescriptor._of_images(tuple(sorted(span)), span)
 
 
 def cyclic_rotation_subgroup(group: GroupDescriptor) -> GroupDescriptor:
@@ -462,18 +473,16 @@ def cyclic_rotation_subgroup(group: GroupDescriptor) -> GroupDescriptor:
     if group.classification != DIHEDRAL:
         raise MonodromyDataError("rotation subgroup is defined for dihedral groups only")
     m = group.order // 2
-    for r in group.elements:
-        if r.order() != m:
-            continue
-        rotations = sorted(_powers(r.images, m))
-        return GroupDescriptor(m, CYCLIC, tuple(map(Permutation._unchecked, rotations)))
+    for r in group._images:
+        if _order(r) == m:
+            return GroupDescriptor._of_images(tuple(sorted(_powers(r, m))))
     raise MonodromyDataError("dihedral descriptor has no rotation of half order")
 
 
 def even_subgroup(group: GroupDescriptor) -> GroupDescriptor:
-    """The subgroup of even permutations (alternating part)."""
-    evens = sorted((e for e in group.elements if e.sign() == 1), key=lambda p: p.images)
-    return GroupDescriptor(len(evens), _classify(evens), tuple(evens))
+    """The subgroup of even permutations (alternating part), by the parities the closure recorded."""
+    odd = group._odd or {g: _parity(g) for g in group._images}
+    return GroupDescriptor._of_images(tuple(g for g in group._images if not odd[g]))
 
 
 def galois_closure_genus(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> int:
@@ -495,21 +504,25 @@ def quotient_genus(
     """Genus of the quotient of the Galois closure by ``subgroup``.
 
     The monodromy acts on cosets of the subgroup inside the full monodromy
-    group; branch points whose induced action is trivial are dropped.
+    group; branch points whose induced action is trivial are dropped.  A
+    subgroup of index 2 is normal, so a branch permutation outside it swaps
+    the two cosets and one inside it fixes both: no coset table is needed.
     """
     group = generated_group(cover, max_order)
-    members = {u.images for u in subgroup.elements}
-    if not members <= {g.images for g in group.elements}:
+    members = set(subgroup._images)
+    if not group._odd.keys() >= members:
         raise SubgroupContainmentError("subgroup element is not in the monodromy group")
     if tuple(range(cover.degree)) not in members:
         raise MonodromyDataError("subgroup is missing the identity")
     _span(members, cover.degree, len(members), within=members)
+    if 2 * len(members) >= group.order:  # index 1 or 2
+        moved = sum(sigma.images not in members for sigma in cover.branch_monodromy)
+        return _rh_solve(group.order // len(members), cover.base_genus, moved)
     # the right coset of g is {u then g : u in the subgroup}
     member_maps = [_then(u) for u in members]
     coset_of: dict[tuple[int, ...], int] = {}
     reps: list[tuple[int, ...]] = []
-    for g in group.elements:
-        g = g.images
+    for g in group._images:
         if g in coset_of:
             continue
         for u_then in member_maps:
@@ -520,8 +533,7 @@ def quotient_genus(
         for sigma in _distinct(cover.branch_monodromy)
     }
     induced = tuple(action[s] for s in cover.branch_monodromy if not action[s].is_identity())
-    quotient = BranchedCover(len(reps), cover.base_genus, induced)
-    return rh_genus(quotient)
+    return rh_genus(BranchedCover(len(reps), cover.base_genus, induced))
 
 
 def build_dihedral_cover(

@@ -7,7 +7,9 @@ coefficients instead of integer remainder sequences, and for
 permutations, breadth-first closure over all generators and orders by
 repeated composition instead of the greedy span and cycle lengths, a
 group label read from every element's order up front instead of from
-the few orders the label needs, trial division instead of Miller-Rabin
+the few orders the label needs, quotient genera from the full coset
+table instead of the index-2 reading, parities from each element's
+cycle type instead of from the closure, trial division instead of Miller-Rabin
 for primality, and smoothness by bivariate elimination on all three
 affine charts instead of one chart and the line at infinity.
 """
@@ -223,6 +225,26 @@ def brute_closure(generators: list[tuple[int, ...]], degree: int) -> set[tuple[i
     return elements
 
 
+def cycles(perm) -> list[tuple[int, ...]]:
+    """All cycles of a permutation, fixed points included, each listed from its least point."""
+    out, seen = [], set()
+    for start in range(perm.degree):
+        if start not in seen:
+            cycle = [start]
+            seen.add(start)
+            while perm.images[cycle[-1]] != start:
+                cycle.append(perm.images[cycle[-1]])
+                seen.add(cycle[-1])
+            out.append(tuple(cycle))
+    return out
+
+
+def cycle_string(perm) -> str:
+    """Cycle notation, fixed points omitted, ``()`` for the identity: the input ``from_cycles`` reads."""
+    parts = ["(" + " ".join(map(str, c)) + ")" for c in cycles(perm) if len(c) > 1]
+    return "".join(parts) if parts else "()"
+
+
 def composition_order(perm) -> int:
     """Order by repeated composition: the reference for the cycle-length lcm."""
     power, k = perm, 1
@@ -257,12 +279,46 @@ def classify_by_orders(elements) -> str:
                 if s.then(s).is_identity() and s.then(r).then(s) == r_inv:
                     return "dihedral"
             break
-    moved = set()
-    for e in elements:
-        moved.update(e.moved_points())
+    moved = {i for e in elements for i, j in enumerate(e.images) if i != j}
     if len(moved) >= 3 and n == factorial(len(moved)):
         return "symmetric"
     return "other"
+
+
+def coset_quotient_genus(cover, subgroup) -> int:
+    """Genus of the quotient of the Galois closure by ``subgroup``, from the full coset table.
+
+    ``subgroup`` is a set of image tuples.  Each branch permutation sigma
+    acts on the right cosets Hg by Hg -> Hg sigma, whatever the index;
+    Riemann-Hurwitz on the induced permutations gives the genus.
+    """
+
+    def compose(a, b):
+        return tuple(b[i] for i in a)
+
+    coset_of, reps = {}, []
+    for g in sorted(brute_closure([s.images for s in cover.branch_monodromy], cover.degree)):
+        if g not in coset_of:
+            for u in subgroup:
+                coset_of[compose(u, g)] = len(reps)
+            reps.append(g)
+    ramification = 0
+    for sigma in cover.branch_monodromy:
+        action = [coset_of[compose(rep, sigma.images)] for rep in reps]
+        seen, cycles = set(), 0
+        for start in range(len(reps)):
+            if start not in seen:
+                cycles += 1
+                while start not in seen:
+                    seen.add(start)
+                    start = action[start]
+        ramification += len(reps) - cycles
+    return (len(reps) * (2 * cover.base_genus - 2) + ramification) // 2 + 1
+
+
+def even_by_sign(elements) -> tuple:
+    """The elements of sign +1, each sign read from its own cycle type."""
+    return tuple(e for e in elements if e.sign() == 1)
 
 
 def trial_division_is_odd_prime(p: int) -> bool:

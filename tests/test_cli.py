@@ -361,6 +361,28 @@ def test_cli_quartic_checks(capsys):
     assert "smooth: false" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["quartic", "--poly", "-x^4+y^4+z^4", "--check", "smooth"],
+    ["quartic", "--check", "smooth", "--poly", "-x^4 + y^4 + z^4"],
+    ["quartic", "--poly=-x^4+y^4+z^4", "--check", "smooth"],
+])
+def test_cli_quartic_takes_a_form_that_starts_with_a_minus(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == ["form: - x^4 + y^4 + z^4", "smooth: true"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["quartic", "--check", "smooth", "--poly"],
+    ["quartic", "--poly"],
+])
+def test_cli_quartic_without_a_form_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    errors_printed = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors_printed == ["xiaofib quartic: error: argument --poly: expected one argument"]
+
+
 def test_cli_quartic_parse_error(capsys):
     assert main(["quartic", "--poly", "x^4 + q", "--check", "smooth"]) == 2
     err = capsys.readouterr().err

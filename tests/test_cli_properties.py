@@ -2,9 +2,10 @@
 
 ``cli.main`` runs in this process on numerals around the interpreter's
 4300-digit conversion limit, on forms of degree 5 to 8 around the form
-degree limit, and on the hostile inputs of the benchmark's probe.  Each
-run returns 0, 1 or 2, or ends in argparse's ``SystemExit(2)``; a
-refusal (return code 2) prints exactly one stderr line.
+degree limit, and on the hostile inputs of the benchmark's probe; forms
+come as ``--poly TEXT`` and as ``--poly=TEXT``.  Each run returns 0, 1
+or 2, or ends in argparse's ``SystemExit(2)``, which no quartic form
+reaches; a refusal (return code 2) prints exactly one stderr line.
 """
 
 import contextlib
@@ -57,9 +58,13 @@ argvs = st.one_of(
     st.builds(lambda g, p: ["monodromy", "--dihedral", g, p], numerals, numerals),
     st.builds(lambda seed: ["verify", "--format", "json", "--seed", seed], huge_numerals),
     st.builds(
-        lambda form, check: ["quartic", f"--poly={form}", "--check", check],
+        lambda form, check, joined: (
+            ["quartic", f"--poly={form}", "--check", check] if joined
+            else ["quartic", "--poly", form, "--check", check]
+        ),
         form_texts(),
         st.sampled_from(["smooth", "flexes"]),
+        st.booleans(),
     ),
     st.sampled_from(HOSTILE_ARGV),
 )
@@ -94,5 +99,7 @@ def test_cli_answers_or_refuses_within_two_seconds(argv):
     if code == 2:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(("error:", "parse error:"))
+    if argv[0] == "quartic":
+        assert code != -2  # argparse takes every form, also one that starts with "-"
     if argv == HOSTILE_ARGV[0]:
         assert code == 0  # a huge degree is answered at once

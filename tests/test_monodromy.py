@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from oracles import brute_closure, classify_by_orders, composition_order
+from oracles import (
+    brute_closure,
+    classify_by_orders,
+    composition_order,
+    coset_quotient_genus,
+    cycle_string,
+    cycles,
+    even_by_sign,
+)
 from xiaofib.monodromy import (
     BranchedCover,
     EnumerationLimitError,
@@ -61,7 +69,7 @@ def test_inverse_order_sign():
         p = Permutation(tuple(images))
         assert p.then(p.inverse()).is_identity()
         assert p.inverse().then(p).is_identity()
-        assert sum(len(c) for c in p.cycles()) == n
+        assert sorted(map(len, cycles(p)), reverse=True) == list(p.cycle_type())
         assert sum(p.cycle_type()) == n
         q = p
         for _ in range(p.order() - 1):
@@ -74,7 +82,7 @@ def test_cycle_notation_roundtrip():
     p = Permutation.from_cycles("(0 1)(2 3)", 5)
     assert p.images == (1, 0, 3, 2, 4)
     assert Permutation.from_cycles(" ( 0 1 ) ( 2 3 ) ", 5) == p
-    assert Permutation.from_cycles(p.cycle_string(), 5) == p
+    assert Permutation.from_cycles(cycle_string(p), 5) == p
     assert Permutation.from_cycles("()", 3).is_identity()
     with pytest.raises(MonodromyDataError):
         Permutation.from_cycles("(0 1)(1 2)", 3)  # repeated index
@@ -118,7 +126,7 @@ def test_rh_total_is_always_even_for_valid_covers():
         for p in (3, 5, 7, 11):
             cover = build_dihedral_cover(g, p)
             n = cover.degree
-            total = sum(n - len(s.cycles()) for s in cover.branch_monodromy)
+            total = sum(n - len(cycles(s)) for s in cover.branch_monodromy)
             assert total % 2 == 0
     for _ in range(20):
         # random tuples closed up by the inverse of their product
@@ -140,7 +148,7 @@ def test_rh_total_is_always_even_for_valid_covers():
             cover = BranchedCover(n, 0, tuple(perms))
         except MonodromyDataError:
             continue  # disconnected sample
-        total = sum(n - len(s.cycles()) for s in cover.branch_monodromy)
+        total = sum(n - len(cycles(s)) for s in cover.branch_monodromy)
         assert total % 2 == 0
         assert rh_genus(cover) >= 0
 
@@ -451,6 +459,160 @@ def test_degree_above_the_bound_is_refused_before_enumeration(monkeypatch):
         generated_group(cover, max_order=100)
 
 
+# ---- index-2 quotients and recorded parities against the coset-table and sign oracles ----
+
+
+def random_small_cover(rng):
+    """A random cover of degree at most 6 (S_7 exceeds the default group-order bound)."""
+    while True:
+        n = rng.randint(2, 6)
+        perms = []
+        for _ in range(rng.randint(1, 3)):
+            images = list(range(n))
+            rng.shuffle(images)
+            perms.append(Permutation(tuple(images)))
+        product = perms[0]
+        for q in perms[1:]:
+            product = product.then(q)
+        perms = [q for q in perms + [product.inverse()] if not q.is_identity()]
+        try:
+            return BranchedCover(n, rng.randint(0, 2), tuple(perms))
+        except MonodromyDataError:
+            continue  # disconnected or no branch points
+
+
+def small_covers(seed, count):
+    """Random, tree, dihedral and cyclic covers of degree at most 7."""
+    rng = random.Random(seed)
+    makers = (
+        random_small_cover,
+        lambda r: random_tree_cover(r, r.randint(3, 6)),
+        lambda r: relabelled(build_dihedral_cover(r.randint(2, 4), r.choice((3, 5, 7))), r),
+        random_cyclic_cover,
+    )
+    covers = [makers[i % len(makers)](rng) for i in range(count)]
+    return [cover for cover in covers if cover.degree <= 7]
+
+
+def images_of(elements):
+    return {e.images for e in elements}
+
+
+def test_even_subgroup_matches_the_sign_filter():
+    parities = set()
+    for cover in small_covers(61, 40):
+        group = generated_group(cover)
+        evens = even_subgroup(group)
+        assert evens.elements == even_by_sign(group.elements)
+        assert evens == group_from_elements(list(evens.elements))
+        parities.add(group.order // evens.order)
+    assert parities == {1, 2}
+
+
+def test_index_one_and_two_quotients_match_the_coset_table():
+    indices = []
+    for cover in small_covers(67, 40):
+        group = generated_group(cover)
+        for subgroup in (group, even_subgroup(group)):
+            expected = coset_quotient_genus(cover, images_of(subgroup.elements))
+            assert quotient_genus(cover, subgroup) == expected
+            indices.append(group.order // subgroup.order)
+    assert set(indices) == {1, 2} and indices.count(2) >= 10
+
+
+@pytest.mark.parametrize("p", SMALL_ODD_PRIMES)
+def test_rotation_quotients_match_the_coset_table(p):
+    rng = random.Random(p)
+    cover = relabelled(build_dihedral_cover(rng.randint(2, 6), p), rng)
+    rotations = cyclic_rotation_subgroup(generated_group(cover))
+    assert rotations.order == p
+    assert quotient_genus(cover, rotations) == coset_quotient_genus(cover, images_of(rotations.elements))
+
+
+def test_larger_index_quotients_match_the_coset_table():
+    rng = random.Random(71)
+    indices = set()
+    for cover in small_covers(71, 24):
+        group = generated_group(cover)
+        identity = Permutation.identity(cover.degree)
+        g = rng.choice(group.elements)
+        powers, power = [identity], g
+        while power != identity:
+            powers.append(power)
+            power = power.then(g)
+        subgroups = (
+            group_from_elements([identity]),
+            group_from_elements([e for e in group.elements if e(0) == 0]),
+            group_from_elements(powers),
+        )
+        for subgroup in subgroups:
+            expected = coset_quotient_genus(cover, images_of(subgroup.elements))
+            assert quotient_genus(cover, subgroup) == expected
+            indices.add(group.order // subgroup.order)
+    assert max(indices) >= 3
+
+
+def test_a_set_of_half_the_group_must_still_be_closed():
+    """A set of |G|/2 elements holding the identity reaches the closure check first."""
+    refused = 0
+    for cover in small_covers(73, 24) + [build_dihedral_cover(2, 31)]:
+        group = generated_group(cover)
+        identity = Permutation.identity(cover.degree)
+        evens = images_of(even_subgroup(group).elements)
+        # the identity and odd elements, or for a group with no odd element any others
+        odd = [e for e in group.elements if e.images not in evens] or list(group.elements[1:])
+        half = (identity, *odd[: group.order // 2 - 1])
+        if len(half) < 2:
+            continue  # a group of order 2 has only the trivial half
+        if all(a.then(b) in half for a in half for b in half):
+            expected = coset_quotient_genus(cover, images_of(half))
+            assert quotient_genus(cover, GroupDescriptor(len(half), "other", half)) == expected
+            continue
+        refused += 1
+        with pytest.raises(MonodromyDataError, match="not closed"):
+            quotient_genus(cover, GroupDescriptor(len(half), "other", half))
+    assert refused >= 15
+
+
+def counting(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` through a patched wrapper; returns the counter."""
+    calls = {"n": 0}
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls["n"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_even_subgroup_of_s6_walks_no_cycles(monkeypatch):
+    from xiaofib import monodromy
+
+    cover = random_tree_cover(random.Random(79), 6)
+    group = generated_group(cover)
+    walks = counting(monkeypatch, monodromy, "_cycle_lengths")
+    alternating = even_subgroup(group)
+    assert (group.order, alternating.order, walks["n"]) == (720, 360, 0)
+
+
+@pytest.mark.parametrize("make, quotient", [
+    # ten transpositions: the quotient by A_6 is a double line branched at ten points
+    pytest.param(lambda: random_tree_cover(random.Random(83), 6), 4, id="S6"),
+    pytest.param(lambda: build_dihedral_cover(3, 151), 3, id="D151"),
+])
+def test_a_tower_wraps_no_permutation_per_group_element(monkeypatch, make, quotient):
+    cover = make()
+    made = counting(monkeypatch, Permutation, "_unchecked")
+    checked = counting(monkeypatch, Permutation, "__init__")
+    group = generated_group(cover)
+    subgroup = cyclic_rotation_subgroup(group) if group.classification == "dihedral" else even_subgroup(group)
+    galois_closure_genus(cover)
+    assert quotient_genus(cover, subgroup) == quotient
+    assert made["n"] == checked["n"] == 0
+
+
 # ---- classification against the eager oracle ----
 
 
@@ -525,19 +687,13 @@ def test_classification_matches_the_eager_oracle_on_random_subgroups():
 
 
 def test_classification_reads_few_orders(monkeypatch):
-    calls = 0
-    order = Permutation.order
-
-    def counted(self):
-        nonlocal calls
-        calls += 1
-        return order(self)
+    from xiaofib import monodromy
 
     cover = build_dihedral_cover(2, 151)
-    monkeypatch.setattr(Permutation, "order", counted)
+    orders = counting(monkeypatch, monodromy, "_order")  # classification reads orders of image tuples
     group = generated_group(cover)
     assert (group.order, group.classification) == (302, "dihedral")
-    assert 0 < calls < 16  # reading every element's order took 302
+    assert 0 < orders["n"] < 16  # reading every element's order took 302
 
 
 # ---- dihedral construction ----
