@@ -43,6 +43,17 @@ numerology = _lazy("numerology")
 quartic = _lazy("quartic")
 
 
+def _group_order_bound(text: str) -> int:
+    """A ``--max-group-order`` value: no group has fewer than one element."""
+    try:
+        bound = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if bound < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {bound}")
+    return bound
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xiaofib",
@@ -54,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--format", choices=("json", "markdown"), default="markdown")
     verify.add_argument("--only", metavar="CASE", help="restrict to one case id (e.g. g4p3)")
     verify.add_argument("--seed", type=int, default=1)
-    verify.add_argument("--max-group-order", type=int, default=errors.DEFAULT_MAX_GROUP_ORDER)
+    verify.add_argument("--max-group-order", type=_group_order_bound, default=errors.DEFAULT_MAX_GROUP_ORDER)
 
     num = sub.add_parser("numerology", help="closed-form arithmetic for one (g, p)")
     num.add_argument("--genus", type=int, required=True, metavar="G")
@@ -64,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source = mon.add_mutually_exclusive_group(required=True)
     source.add_argument("--dihedral", nargs=2, type=int, metavar=("G", "P"))
     source.add_argument("--file", metavar="PATH", help="cover description file")
-    mon.add_argument("--max-group-order", type=int, default=errors.DEFAULT_MAX_GROUP_ORDER)
+    mon.add_argument("--max-group-order", type=_group_order_bound, default=errors.DEFAULT_MAX_GROUP_ORDER)
 
     lat = sub.add_parser("lattice", help="print an intersection lattice and its named classes")
     lat.add_argument("--case", choices=("g3-product", "g3-sym2", "g2-product"), required=True)

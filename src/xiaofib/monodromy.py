@@ -13,15 +13,23 @@ cycle types, so branch points are abstract labels and carry no
 coordinates.
 
 A permutation is checked to be a bijection once, where it enters
-(``Permutation(...)``, ``from_cycles``); products and inverses of
-checked permutations are bijections by construction and are not checked
-again.  Group closure and coset tables work on bare image tuples and
-compose them with one kernel, ``_then``; the closure records parities as
-it goes.  A group descriptor wraps its image tuples as ``Permutation``
-objects, and classifies itself, only when a caller reads them; the label
-reads element orders only as far as it needs (see ``_classify``).  Only a
-quotient by a subgroup of index above 2 builds a coset table.  Each
-permutation keeps its cycle lengths for ``order``, ``sign`` and ``cycle_type``.
+(``Permutation(...)``, ``from_cycles``); products of checked
+permutations are bijections by construction and are not checked again.
+Inside the module a group element is the byte string of its images when
+the cover has at most 256 sheets, and the image tuple above that, where
+no byte can name a sheet.  Group closure, powers, classification and
+coset tables compose these with one kernel, ``_right(s)``, the map
+``h -> h then s``: one ``bytes.translate`` through s padded to a
+256-byte table, or one ``itemgetter`` above 256 sheets.  A byte string
+caches its hash, so each element is hashed once, and byte strings sort
+as their image tuples do.  The closure records parities as it goes.  A
+group descriptor wraps its elements as ``Permutation`` objects, and
+classifies itself, only when a caller reads them; the label reads
+element orders only as far as it needs (see ``_classify``), and a
+dihedral label keeps the rotations it found for
+``cyclic_rotation_subgroup``.  Only a quotient by a subgroup of index
+above 2 builds a coset table.  Each permutation keeps its cycle lengths
+for ``order`` and ``cycle_type``.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from __future__ import annotations
 import re
 from functools import reduce
 from math import factorial, lcm
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 
 from .errors import DEFAULT_MAX_GROUP_ORDER, InputError
 from .numerology import is_odd_prime
@@ -98,10 +106,6 @@ class Permutation(Record):
         return perm
 
     @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(tuple(range(degree)))
-
-    @classmethod
     def from_cycles(cls, text: str, degree: int) -> "Permutation":
         """Parse cycle notation such as ``(0 1)(2 3)``, 0-based, whitespace-insensitive."""
         stripped = re.sub(r"\s+", "", text)
@@ -125,23 +129,13 @@ class Permutation(Record):
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
     def then(self, other: "Permutation") -> "Permutation":
         """Composite applying ``self`` first, then ``other``."""
         if other.degree != self.degree:
             raise MonodromyDataError("composing permutations of different degrees")
-        return Permutation._unchecked(_then(self.images)(other.images))
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return self.then(other)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation._unchecked(tuple(inv))
+        # a one-index itemgetter returns a bare item; the only permutation of one sheet is the identity
+        images = itemgetter(*self.images)(other.images) if self.degree > 1 else other.images
+        return Permutation._unchecked(images)
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))
@@ -158,11 +152,8 @@ class Permutation(Record):
         """Least common multiple of the cycle lengths."""
         return lcm(*self.cycle_type())
 
-    def sign(self) -> int:
-        return -1 if (self.degree - len(self.cycle_type())) % 2 else 1
 
-
-def _cycle_lengths(images: tuple[int, ...]) -> list[int]:
+def _cycle_lengths(images) -> list[int]:
     """The length of each cycle of the permutation with these images, fixed points included."""
     seen = [False] * len(images)
     found = []
@@ -180,33 +171,39 @@ def _cycle_lengths(images: tuple[int, ...]) -> list[int]:
     return found
 
 
-def _order(images: tuple[int, ...]) -> int:
+def _order(images) -> int:
     return lcm(*_cycle_lengths(images))
 
 
-def _parity(images: tuple[int, ...]) -> int:
+def _parity(images) -> int:
     """1 for an odd permutation, 0 for an even one."""
     return (len(images) - len(_cycle_lengths(images))) % 2
 
 
-def _same(images: tuple[int, ...]) -> tuple[int, ...]:
-    return images
+_BYTE_VALUES = bytes(range(256))
 
 
-def _then(first: tuple[int, ...]):
-    """The map ``second -> first then second`` on image tuples: the one composition kernel.
+def _element(images) -> bytes | tuple[int, ...]:
+    """The internal form of the group element with these images: bytes up to 256 sheets."""
+    return bytes(images) if len(images) <= 256 else tuple(images)
 
-    ``itemgetter`` with a single index returns a bare item, not a
-    1-tuple; the only permutation of one sheet is the identity, so at
-    degree 1 the map is the identity.
+
+def _right(s):
+    """The map ``h -> h then s`` on internal elements: the one composition kernel.
+
+    ``h.translate(table)`` reads table[h[i]] for each i, which is s[h[i]]
+    when the table is s padded to 256 bytes.  Tuples have more than 256
+    entries, so ``itemgetter(*h)`` always returns a tuple.
     """
-    return itemgetter(*first) if len(first) > 1 else _same
+    if type(s) is bytes:
+        return methodcaller("translate", s + _BYTE_VALUES[len(s):])
+    return lambda h: itemgetter(*h)(s)
 
 
-def _powers(images: tuple[int, ...], count: int) -> list[tuple[int, ...]]:
-    """The first ``count`` powers of a permutation as image tuples, the identity first."""
-    step = _then(images)  # r then r^k is r^(k+1)
-    power = tuple(range(len(images)))
+def _powers(r, count: int) -> list:
+    """The first ``count`` powers of an internal element, the identity first."""
+    step = _right(r)  # r^k then r is r^(k+1)
+    power = _element(range(len(r)))
     out = []
     for _ in range(count):
         out.append(power)
@@ -277,30 +274,33 @@ class BranchedCover(Record):
 class GroupDescriptor(Record):
     """A concrete permutation group: order, coarse classification, full element list."""
 
-    # ``_images``: element image tuples, in element order; ``_odd``: image tuple -> parity, or None
-    __slots__ = ("order", "classification", "elements", "_images", "_odd")
+    # ``_images``: internal elements, in element order; ``_odd``: element -> parity, or None;
+    # ``_rotations``: the powers of a rotation of half order when the label is dihedral, else None
+    __slots__ = ("order", "classification", "elements", "_images", "_odd", "_rotations")
 
     def __init__(self, order: int, classification: str, elements: tuple[Permutation, ...]):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "classification", classification)
         object.__setattr__(self, "elements", tuple(elements))
-        object.__setattr__(self, "_images", tuple(e.images for e in self.elements))
+        object.__setattr__(self, "_images", tuple(_element(e.images) for e in self.elements))
         object.__setattr__(self, "_odd", None)
         if self.order != len(self.elements):
             raise MonodromyDataError("group order does not match element count")
 
     @classmethod
-    def _of_images(cls, images: tuple[tuple[int, ...], ...], odd=None) -> "GroupDescriptor":
+    def _of_images(cls, images: tuple, odd=None) -> "GroupDescriptor":
         group = object.__new__(cls)
         for name, value in (("order", len(images)), ("_images", images), ("_odd", odd)):
             object.__setattr__(group, name, value)
         return group
 
-    def __getattr__(self, name):  # ``_of_images`` leaves these two slots to the first read
-        if name == "classification":
-            value = _classify(self._images)
+    def __getattr__(self, name):  # slots left unset until their first read
+        if name in ("classification", "_rotations"):
+            label, rotations = _classify(self._images)
+            object.__setattr__(self, "_rotations", rotations)
+            value = label if name == "classification" else rotations
         elif name == "elements":
-            value = tuple(map(Permutation._unchecked, self._images))
+            value = tuple(Permutation._unchecked(tuple(g)) for g in self._images)
         else:
             raise AttributeError(name)
         object.__setattr__(self, name, value)
@@ -315,7 +315,7 @@ class GroupDescriptor(Record):
             and self.classification == other.classification
         )
 
-    def __hash__(self):  # a tuple of permutations hashes as the tuple of their images
+    def __hash__(self):
         return hash((self.order, self.classification, self._images))
 
 
@@ -343,26 +343,26 @@ def ramification_profile(cover: BranchedCover) -> list[tuple[int, ...]]:
 
 
 def _span(
-    candidates, degree: int, max_order: int, within: set[tuple[int, ...]] | None = None
-) -> dict[tuple[int, ...], int]:
+    candidates, degree: int, max_order: int, within: set | None = None
+) -> dict:
     """The group generated by ``candidates``, grown one generator at a time, with parities.
 
-    Candidates, ``within`` and the result's keys are image tuples; each
-    element maps to its parity, 1 when odd, since s then h is odd exactly
-    when one of s and h is.  A candidate already in the span is skipped,
-    and each one taken at least doubles the span, so this costs
-    O(|G| log |G|) compositions, all through one map ``_then(s)`` per
+    Candidates, ``within`` and the result's keys are internal elements;
+    each element maps to its parity, 1 when odd, since h then s is odd
+    exactly when one of h and s is.  A candidate already in the span is
+    skipped, and each one taken at least doubles the span, so this costs
+    O(|G| log |G|) compositions, all through one map ``_right(s)`` per
     generator s.  Raises ``EnumerationLimitError`` before the span exceeds
     ``max_order`` elements and, when ``within`` is given,
     ``MonodromyDataError`` as soon as the span leaves it.
     """
-    span = {tuple(range(degree)): 0}
+    span = {_element(range(degree)): 0}
     by_parity = ([*span], [])  # the span's even elements, then its odd ones
-    steps = []  # (s then -, parity of s) for each generator s taken
+    steps = []  # (- then s, parity of s) for each generator s taken
     for u in candidates:
         if u in span:
             continue
-        steps.append((_then(u), _parity(u)))
+        steps.append((_right(u), _parity(u)))
         # the old span is closed under the old generators; new elements meet all of them
         fresh, maps = by_parity, steps[-1:]
         while fresh[0] or fresh[1]:
@@ -385,8 +385,8 @@ def _span(
     return span
 
 
-def _classify(elements: tuple[tuple[int, ...], ...]) -> str:
-    """Coarse label of the group whose image tuples are ``elements``, from the few facts it needs.
+def _classify(elements: tuple) -> tuple[str, list | None]:
+    """Coarse label of the group of these internal elements, from the few facts it needs.
 
     Symmetric is tested first, and only when |G| = k! with k >= 4: a
     group of that order moving exactly k points is all of Sym of them,
@@ -397,7 +397,8 @@ def _classify(elements: tuple[tuple[int, ...], ...]) -> str:
     involution outside <r> inverts r; in D_m with m >= 3 every element of
     order m is a rotation, so trying only the first r loses nothing, and a
     dihedral group is not abelian, so no cyclic label hides behind it.
-    Each element's order is read at most once.
+    Each element's order is read at most once.  A dihedral label comes
+    with the powers of r, which are the rotations; any other with None.
     """
     n = len(elements)
     k = 4
@@ -407,24 +408,24 @@ def _classify(elements: tuple[tuple[int, ...], ...]) -> str:
         # a point is moved by the group when its column of images is not constant
         columns = zip(*elements)
         if sum(column.count(i) != n for i, column in enumerate(columns)) == k:
-            return SYMMETRIC
+            return SYMMETRIC, None
     half = n // 2 if n % 2 == 0 and n >= 6 else None
     for r in elements:
         order = _order(r)
         if order == n:
-            return CYCLIC
+            return CYCLIC, None
         if order == half:
             half = None  # only the first element of order |G|/2 is tried
             powers = _powers(r, order)
             rotations = set(powers)
-            identity, r_inv = powers[0], powers[-1]
+            identity, r_inv, then_r = powers[0], powers[-1], _right(r)
             for s in elements:
                 if s in rotations:
                     continue
-                then_s = _then(s)
-                if then_s(s) == identity and _then(then_s(r))(s) == r_inv:
-                    return DIHEDRAL
-    return OTHER
+                then_s = _right(s)
+                if then_s(s) == identity and then_s(then_r(s)) == r_inv:
+                    return DIHEDRAL, powers
+    return OTHER, None
 
 
 def _refuse_degree_above(degree: int, max_order: int) -> None:
@@ -444,7 +445,7 @@ def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORD
     _refuse_degree_above(cover.degree, max_order)
     group = cover._group
     if group is None:
-        branch_images = (sigma.images for sigma in cover.branch_monodromy)
+        branch_images = (_element(sigma.images) for sigma in cover.branch_monodromy)
         span = _span(branch_images, cover.degree, max_order)
         group = GroupDescriptor._of_images(tuple(sorted(span)), span)
         object.__setattr__(cover, "_group", group)
@@ -453,30 +454,13 @@ def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORD
     return group
 
 
-def group_from_elements(perms: list[Permutation]) -> GroupDescriptor:
-    """Descriptor for an explicitly listed group; closure and identity are verified."""
-    by_images = {p.images: p for p in perms}
-    if not by_images:
-        raise MonodromyDataError("a group needs at least the identity")
-    degree = len(next(iter(by_images)))
-    if any(len(images) != degree for images in by_images):
-        raise MonodromyDataError("group elements of different degrees")
-    if tuple(range(degree)) not in by_images:
-        raise MonodromyDataError("element list is missing the identity")
-    members = set(by_images)
-    span = _span(members, degree, len(members), within=members)
-    return GroupDescriptor._of_images(tuple(sorted(span)), span)
-
-
 def cyclic_rotation_subgroup(group: GroupDescriptor) -> GroupDescriptor:
     """The cyclic index-2 subgroup of a dihedral group descriptor."""
     if group.classification != DIHEDRAL:
         raise MonodromyDataError("rotation subgroup is defined for dihedral groups only")
-    m = group.order // 2
-    for r in group._images:
-        if _order(r) == m:
-            return GroupDescriptor._of_images(tuple(sorted(_powers(r, m))))
-    raise MonodromyDataError("dihedral descriptor has no rotation of half order")
+    if group._rotations is None:  # a descriptor built with a dihedral label the scan does not find
+        raise MonodromyDataError("dihedral descriptor has no rotation of half order")
+    return GroupDescriptor._of_images(tuple(sorted(group._rotations)))
 
 
 def even_subgroup(group: GroupDescriptor) -> GroupDescriptor:
@@ -512,24 +496,21 @@ def quotient_genus(
     members = set(subgroup._images)
     if not group._odd.keys() >= members:
         raise SubgroupContainmentError("subgroup element is not in the monodromy group")
-    if tuple(range(cover.degree)) not in members:
+    if _element(range(cover.degree)) not in members:
         raise MonodromyDataError("subgroup is missing the identity")
     _span(members, cover.degree, len(members), within=members)
     if 2 * len(members) >= group.order:  # index 1 or 2
-        moved = sum(sigma.images not in members for sigma in cover.branch_monodromy)
+        moved = sum(_element(sigma.images) not in members for sigma in cover.branch_monodromy)
         return _rh_solve(group.order // len(members), cover.base_genus, moved)
     # the right coset of g is {u then g : u in the subgroup}
-    member_maps = [_then(u) for u in members]
-    coset_of: dict[tuple[int, ...], int] = {}
-    reps: list[tuple[int, ...]] = []
+    coset_of = {}
+    reps = []
     for g in group._images:
-        if g in coset_of:
-            continue
-        for u_then in member_maps:
-            coset_of[u_then(g)] = len(reps)
-        reps.append(g)
+        if g not in coset_of:
+            coset_of.update(dict.fromkeys(map(_right(g), members), len(reps)))
+            reps.append(g)
     action = {
-        sigma: Permutation(tuple(coset_of[_then(rep)(sigma.images)] for rep in reps))
+        sigma: Permutation(tuple(coset_of[h] for h in map(_right(_element(sigma.images)), reps)))
         for sigma in _distinct(cover.branch_monodromy)
     }
     induced = tuple(action[s] for s in cover.branch_monodromy if not action[s].is_identity())

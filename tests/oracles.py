@@ -12,11 +12,17 @@ table instead of the index-2 reading, parities from each element's
 cycle type instead of from the closure, trial division instead of Miller-Rabin
 for primality, and smoothness by bivariate elimination on all three
 affine charts instead of one chart and the line at infinity.
+
+The permutation helpers ``identity``, ``inverse`` and ``sign`` and the
+``group_from_elements`` wrapper serve tests only; the program never
+needs them.
 """
 
 from fractions import Fraction
 from math import factorial
 
+from xiaofib import monodromy
+from xiaofib.monodromy import GroupDescriptor, Permutation
 from xiaofib.polynomials import BiPoly, PolynomialError, UnivariatePoly, common_affine_zero
 
 
@@ -205,6 +211,33 @@ def coprime_bipolys(p: BiPoly, q: BiPoly) -> bool:
     return not res_y(p, q).is_zero()
 
 
+def identity(degree: int) -> Permutation:
+    return Permutation(tuple(range(degree)))
+
+
+def inverse(perm: Permutation) -> Permutation:
+    images = [0] * perm.degree
+    for i, j in enumerate(perm.images):
+        images[j] = i
+    return Permutation(tuple(images))
+
+
+def sign(perm: Permutation) -> int:
+    """+1 or -1, from the number of cycles: an r-cycle is a product of r - 1 transpositions."""
+    return -1 if (perm.degree - len(perm.cycle_type())) % 2 else 1
+
+
+def group_from_elements(perms) -> GroupDescriptor:
+    """Descriptor of a group listed as permutations, labelled by the program on first read.
+
+    Not a reference: it wraps the elements as ``generated_group`` wraps
+    the ones it enumerates, so that the classifier can be tested on
+    groups no transitive cover generates.  The caller passes a group;
+    nothing here checks closure.
+    """
+    return GroupDescriptor._of_images(tuple(sorted({monodromy._element(p.images) for p in perms})))
+
+
 def brute_closure(generators: list[tuple[int, ...]], degree: int) -> set[tuple[int, ...]]:
     """The group generated by image tuples, every element composed with every generator."""
 
@@ -274,7 +307,7 @@ def classify_by_orders(elements) -> str:
             while power not in rotations:
                 rotations.add(power)
                 power = power.then(r)
-            r_inv = r.inverse()
+            r_inv = inverse(r)
             for s in set(elements) - rotations:
                 if s.then(s).is_identity() and s.then(r).then(s) == r_inv:
                     return "dihedral"
@@ -318,7 +351,7 @@ def coset_quotient_genus(cover, subgroup) -> int:
 
 def even_by_sign(elements) -> tuple:
     """The elements of sign +1, each sign read from its own cycle type."""
-    return tuple(e for e in elements if e.sign() == 1)
+    return tuple(e for e in elements if sign(e) == 1)
 
 
 def trial_division_is_odd_prime(p: int) -> bool:

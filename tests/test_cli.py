@@ -335,6 +335,20 @@ def test_cli_verify_fails_the_towers_above_the_group_order_bound(capsys):
     assert all(value.startswith("error: ") and value.endswith("bound 3") for value in failing.values())
 
 
+@pytest.mark.parametrize("command", [["verify"], ["monodromy", "--dihedral", "2", "5"]])
+@pytest.mark.parametrize("bound", ["-5", "0"])
+def test_cli_refuses_a_group_order_bound_below_one(command, bound, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main([*command, "--max-group-order", bound])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    errors_printed = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors_printed == [
+        f"xiaofib {command[0]}: error: argument --max-group-order: must be at least 1, got {bound}"
+    ]
+    assert captured.out == ""
+
+
 def test_cli_lattice(capsys):
     assert main(["lattice", "--case", "g3-product"]) == 0
     data = json.loads(capsys.readouterr().out)

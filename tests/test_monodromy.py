@@ -11,6 +11,10 @@ from oracles import (
     cycle_string,
     cycles,
     even_by_sign,
+    group_from_elements,
+    identity,
+    inverse,
+    sign,
 )
 from xiaofib.monodromy import (
     BranchedCover,
@@ -24,7 +28,7 @@ from xiaofib.monodromy import (
     even_subgroup,
     galois_closure_genus,
     generated_group,
-    group_from_elements,
+    load_cover,
     parse_cover,
     quotient_genus,
     ramification_profile,
@@ -56,8 +60,8 @@ def test_permutation_rejects_non_bijection():
 def test_composition_is_left_to_right():
     a = Permutation((1, 0, 2))  # (0 1)
     b = Permutation((0, 2, 1))  # (1 2)
-    assert (a * b).images == (2, 0, 1)  # 0 -> 1 -> 2
-    assert (b * a).images == (1, 2, 0)
+    assert a.then(b).images == (2, 0, 1)  # 0 -> 1 -> 2
+    assert b.then(a).images == (1, 2, 0)
 
 
 def test_inverse_order_sign():
@@ -67,15 +71,15 @@ def test_inverse_order_sign():
         images = list(range(n))
         rng.shuffle(images)
         p = Permutation(tuple(images))
-        assert p.then(p.inverse()).is_identity()
-        assert p.inverse().then(p).is_identity()
+        assert p.then(inverse(p)).is_identity()
+        assert inverse(p).then(p).is_identity()
         assert sorted(map(len, cycles(p)), reverse=True) == list(p.cycle_type())
         assert sum(p.cycle_type()) == n
         q = p
         for _ in range(p.order() - 1):
             q = q.then(p)
         assert q.is_identity()
-        assert p.sign() in (-1, 1)
+        assert sign(p) in (-1, 1)
 
 
 def test_cycle_notation_roundtrip():
@@ -100,7 +104,7 @@ def test_cover_rejects_bad_data():
     with pytest.raises(MonodromyDataError):
         BranchedCover(3, 0, (t,))  # product not identity
     with pytest.raises(MonodromyDataError):
-        BranchedCover(3, 0, (t, t, Permutation.identity(3)))  # identity branch
+        BranchedCover(3, 0, (t, t, identity(3)))  # identity branch
     far = transposition(0, 1, 4)
     with pytest.raises(MonodromyDataError):
         BranchedCover(4, 0, (far, far))  # sheet 2, 3 unreachable: disconnected
@@ -143,7 +147,7 @@ def test_rh_total_is_always_even_for_valid_covers():
         for q in perms[1:]:
             product = product.then(q)
         if not product.is_identity():
-            perms.append(product.inverse())
+            perms.append(inverse(product))
         try:
             cover = BranchedCover(n, 0, tuple(perms))
         except MonodromyDataError:
@@ -202,7 +206,7 @@ def test_group_invariant_under_conjugation():
         images = list(range(cover.degree))
         rng.shuffle(images)
         c = Permutation(tuple(images))
-        conjugated = tuple(c.inverse().then(s).then(c) for s in cover.branch_monodromy)
+        conjugated = tuple(inverse(c).then(s).then(c) for s in cover.branch_monodromy)
         moved = generated_group(BranchedCover(cover.degree, 0, conjugated))
         assert (moved.order, moved.classification) == (base.order, base.classification)
 
@@ -269,9 +273,7 @@ def test_quotient_examples():
 
 def test_quotient_containment_error():
     cover = build_dihedral_cover(2, 5)
-    outsider = group_from_elements(
-        [Permutation.identity(5), Permutation((1, 0, 2, 3, 4)), Permutation((1, 0, 2, 3, 4))]
-    )
+    outsider = GroupDescriptor(2, "other", (identity(5), Permutation((1, 0, 2, 3, 4))))
     with pytest.raises(SubgroupContainmentError):
         quotient_genus(cover, outsider)
 
@@ -291,13 +293,11 @@ def test_quotient_rejects_identity_holding_non_subgroups():
     group = generated_group(cover)
     r = next(e for e in group.elements if e.order() == 5)
     with pytest.raises(MonodromyDataError, match="not closed"):
-        quotient_genus(cover, GroupDescriptor(3, "other", (Permutation.identity(5), r, r.then(r))))
-    with pytest.raises(MonodromyDataError, match="not closed"):
-        group_from_elements([Permutation.identity(5), r, r.then(r)])
+        quotient_genus(cover, GroupDescriptor(3, "other", (identity(5), r, r.then(r))))
     # {1, a, b, ab} for non-commuting involutions: ab * b and a * ab stay inside, b * a does not
     s3_cover = trigonal_cover()
     a, b = transposition(0, 1), transposition(1, 2)
-    lopsided = GroupDescriptor(4, "other", (Permutation.identity(3), a, b, a.then(b)))
+    lopsided = GroupDescriptor(4, "other", (identity(3), a, b, a.then(b)))
     with pytest.raises(MonodromyDataError, match="not closed"):
         quotient_genus(s3_cover, lopsided)
 
@@ -311,20 +311,20 @@ def test_subgroup_check_costs_far_less_than_all_pairs(monkeypatch):
     from xiaofib import monodromy
 
     calls = 0
-    kernel = monodromy._then
+    kernel = monodromy._right
 
-    def counted(first):
-        compose = kernel(first)
+    def counted(second):
+        compose = kernel(second)
 
-        def composition(second):
+        def composition(first):
             nonlocal calls
             calls += 1
-            return compose(second)
+            return compose(first)
 
         return composition
 
-    # every composition, in ``then`` or on bare image tuples, is a call of a map ``_then`` made
-    monkeypatch.setattr(monodromy, "_then", counted)
+    # every composition of group elements is a call of a map that ``_right`` made
+    monkeypatch.setattr(monodromy, "_right", counted)
     assert quotient_genus(cover, alternating) == 4
     assert 0 < calls < 8 * group.order  # the all-pairs check alone took 360^2
 
@@ -339,7 +339,7 @@ def relabelled(cover, rng):
     images = list(range(cover.degree))
     rng.shuffle(images)
     c = Permutation(tuple(images))
-    conjugated = tuple(c.inverse().then(s).then(c) for s in cover.branch_monodromy)
+    conjugated = tuple(inverse(c).then(s).then(c) for s in cover.branch_monodromy)
     return BranchedCover(cover.degree, cover.base_genus, conjugated)
 
 
@@ -369,7 +369,7 @@ def random_cyclic_cover(rng):
     cycle = Permutation(tuple((i + 1) % n for i in range(n)))
 
     def power(e):
-        perm = Permutation.identity(n)
+        perm = identity(n)
         for _ in range(e):
             perm = perm.then(cycle)
         return perm
@@ -407,8 +407,9 @@ def test_quotients_by_known_subgroups():
     """Trivial subgroup: the closure.  Sheet stabiliser: the cover.  Whole group: the base."""
     for cover in random_covers(29, 24):
         group = generated_group(cover)
-        trivial = group_from_elements([Permutation.identity(cover.degree)])
-        stabiliser = group_from_elements([e for e in group.elements if e(0) == 0])
+        trivial = GroupDescriptor(1, "cyclic", (identity(cover.degree),))
+        fixing_0 = tuple(e for e in group.elements if e.images[0] == 0)
+        stabiliser = GroupDescriptor(len(fixing_0), "other", fixing_0)
         assert quotient_genus(cover, trivial) == brute_regular_genus(cover)
         assert quotient_genus(cover, stabiliser) == rh_genus(cover)
         assert quotient_genus(cover, group) == cover.base_genus
@@ -418,22 +419,23 @@ def test_closure_check_matches_the_pairwise_oracle():
     rng = random.Random(31)
     for cover in random_covers(31, 24):
         elements = generated_group(cover).elements
-        identity = Permutation.identity(cover.degree)
+        one = identity(cover.degree)
         for _ in range(6):
             if rng.randrange(2):  # a cyclic subgroup: closed
                 g = rng.choice(elements)
-                subset, power = {identity}, g
-                while power != identity:
+                subset, power = {one}, g
+                while power != one:
                     subset.add(power)
                     power = power.then(g)
             else:  # a random set holding the identity: rarely closed
-                subset = {identity, *rng.sample(elements, rng.randint(1, min(6, len(elements))))}
+                subset = {one, *rng.sample(elements, rng.randint(1, min(6, len(elements))))}
             closed = all(a.then(b) in subset for a in subset for b in subset)
+            subgroup = GroupDescriptor(len(subset), "other", tuple(subset))
             if closed:
-                assert group_from_elements(list(subset)).order == len(subset)
+                assert quotient_genus(cover, subgroup) == coset_quotient_genus(cover, images_of(subset))
             else:
                 with pytest.raises(MonodromyDataError, match="not closed"):
-                    group_from_elements(list(subset))
+                    quotient_genus(cover, subgroup)
 
 
 def test_memoised_group_still_enforces_the_bound():
@@ -474,7 +476,7 @@ def random_small_cover(rng):
         product = perms[0]
         for q in perms[1:]:
             product = product.then(q)
-        perms = [q for q in perms + [product.inverse()] if not q.is_identity()]
+        perms = [q for q in perms + [inverse(product)] if not q.is_identity()]
         try:
             return BranchedCover(n, rng.randint(0, 2), tuple(perms))
         except MonodromyDataError:
@@ -504,7 +506,7 @@ def test_even_subgroup_matches_the_sign_filter():
         group = generated_group(cover)
         evens = even_subgroup(group)
         assert evens.elements == even_by_sign(group.elements)
-        assert evens == group_from_elements(list(evens.elements))
+        assert evens == GroupDescriptor(evens.order, evens.classification, evens.elements)
         parities.add(group.order // evens.order)
     assert parities == {1, 2}
 
@@ -534,16 +536,17 @@ def test_larger_index_quotients_match_the_coset_table():
     indices = set()
     for cover in small_covers(71, 24):
         group = generated_group(cover)
-        identity = Permutation.identity(cover.degree)
+        one = identity(cover.degree)
         g = rng.choice(group.elements)
-        powers, power = [identity], g
-        while power != identity:
+        powers, power = [one], g
+        while power != one:
             powers.append(power)
             power = power.then(g)
+        fixing_0 = tuple(e for e in group.elements if e.images[0] == 0)
         subgroups = (
-            group_from_elements([identity]),
-            group_from_elements([e for e in group.elements if e(0) == 0]),
-            group_from_elements(powers),
+            GroupDescriptor(1, "cyclic", (one,)),
+            GroupDescriptor(len(fixing_0), "other", fixing_0),
+            GroupDescriptor(len(powers), "cyclic", tuple(powers)),
         )
         for subgroup in subgroups:
             expected = coset_quotient_genus(cover, images_of(subgroup.elements))
@@ -557,11 +560,11 @@ def test_a_set_of_half_the_group_must_still_be_closed():
     refused = 0
     for cover in small_covers(73, 24) + [build_dihedral_cover(2, 31)]:
         group = generated_group(cover)
-        identity = Permutation.identity(cover.degree)
+        one = identity(cover.degree)
         evens = images_of(even_subgroup(group).elements)
         # the identity and odd elements, or for a group with no odd element any others
         odd = [e for e in group.elements if e.images not in evens] or list(group.elements[1:])
-        half = (identity, *odd[: group.order // 2 - 1])
+        half = (one, *odd[: group.order // 2 - 1])
         if len(half) < 2:
             continue  # a group of order 2 has only the trivial half
         if all(a.then(b) in half for a in half for b in half):
@@ -725,6 +728,50 @@ def test_dihedral_tower_grid():
             rotations = cyclic_rotation_subgroup(group)
             assert (rotations.order, rotations.classification) == (p, "cyclic")
             assert quotient_genus(cover, rotations) == g
+
+
+@pytest.mark.parametrize("p", [251, 257])  # elements are byte strings up to 256 sheets, tuples above
+def test_dihedral_towers_on_both_sides_of_256_sheets(p):
+    cover = build_dihedral_cover(2, p)
+    group = generated_group(cover)
+    assert (group.order, group.classification) == (2 * p, "dihedral")
+    rotations = cyclic_rotation_subgroup(group)
+    assert (rotations.order, rotations.classification) == (p, "cyclic")
+    assert rh_genus(cover) == (p - 1) // 2
+    assert galois_closure_genus(cover) == p + 1
+    assert quotient_genus(cover, rotations) == 2
+    public = GroupDescriptor(group.order, group.classification, group.elements)
+    assert public == group and hash(public) == hash(group)
+    assert [e.images for e in group.elements] == sorted(e.images for e in group.elements)
+
+
+def test_a_cover_of_256_sheets_matches_the_breadth_first_closure(tmp_path):
+    """Reflections x -> -x and x -> 1 - x of Z/256: sheet 255 is the largest byte."""
+    lines = ["degree 256; base_genus 0"]
+    for a in (1, 1, 0, 0):
+        pairs = {tuple(sorted((x, (a - x) % 256))) for x in range(256)}
+        lines.append("".join(f"({x} {y})" for x, y in sorted(pairs) if x != y))
+    path = tmp_path / "d256.txt"
+    path.write_text("\n".join(lines) + "\n")
+    cover = load_cover(str(path))
+    group = generated_group(cover)
+    expected = brute_closure([sigma.images for sigma in cover.branch_monodromy], 256)
+    assert [e.images for e in group.elements] == sorted(expected)
+    assert (group.order, group.classification) == (512, "dihedral")
+    rotations = cyclic_rotation_subgroup(group)
+    assert quotient_genus(cover, rotations) == coset_quotient_genus(cover, images_of(rotations.elements))
+    assert galois_closure_genus(cover) == brute_regular_genus(cover)
+
+
+def test_the_rotations_are_computed_once_per_tower(monkeypatch):
+    from xiaofib import monodromy
+
+    powers = counting(monkeypatch, monodromy, "_powers")
+    for g in range(2, 52):
+        cover = build_dihedral_cover(g, 151)
+        rotations = cyclic_rotation_subgroup(generated_group(cover))
+        assert quotient_genus(cover, rotations) == g
+    assert powers["n"] == 50  # the label's rotations, not a second scan and power walk
 
 
 def test_ramification_profiles():

@@ -1,7 +1,9 @@
 """Property tests: the permutation kernel against independent references.
 
-Products and inverses skip the bijection check, so each one must still
-pass it when rebuilt through ``Permutation(...)``.  Orders, signs and
+Products skip the bijection check, so each one must still pass it when
+rebuilt through ``Permutation(...)``.  The composition kernel on group
+elements is compared with the map reference on both of its forms,
+byte strings up to 256 sheets and tuples above.  Orders, signs and
 groups are compared with references that use neither the cycle-length
 memo nor the greedy span.
 """
@@ -13,7 +15,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from oracles import brute_closure, composition_order  # noqa: E402
+from oracles import brute_closure, composition_order, inverse, sign  # noqa: E402
+from xiaofib import monodromy  # noqa: E402
 from xiaofib.monodromy import (  # noqa: E402
     BranchedCover,
     EnumerationLimitError,
@@ -40,16 +43,29 @@ pairs = degrees.flatmap(lambda n: st.tuples(permutations_of(n), permutations_of(
 def test_then_matches_the_map_reference(pair):
     a, b = pair
     assert a.then(b).images == tuple(map(b.images.__getitem__, a.images))
-    assert (a * b).images == tuple(b(a(i)) for i in range(a.degree))
+
+
+@PROPERTY
+@given(st.one_of(st.integers(1, 3), st.integers(250, 262)).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+@example(((0,), (0,)))
+@example((tuple(range(255, -1, -1)), tuple(range(1, 256)) + (0,)))
+@example((tuple(range(256, -1, -1)), tuple(range(1, 257)) + (0,)))
+def test_kernel_matches_the_map_reference_on_both_sides_of_256_sheets(pair):
+    a, b = map(tuple, pair)
+    first, second = monodromy._element(a), monodromy._element(b)
+    assert type(first) is (bytes if len(a) <= 256 else tuple)
+    product = monodromy._right(second)(first)
+    assert type(product) is type(first) and tuple(product) == tuple(map(b.__getitem__, a))
 
 
 @PROPERTY
 @given(pairs)
 def test_products_and_inverses_pass_the_boundary_check(pair):
     a, b = pair
-    for result in (a.then(b), b.then(a), a.inverse(), a.then(b).inverse()):
+    for result in (a.then(b), b.then(a), a.then(inverse(b))):
         assert Permutation(result.images) == result
-    assert a.then(a.inverse()).is_identity() and a.inverse().then(a).is_identity()
+    assert a.then(inverse(a)).is_identity() and inverse(a).then(a).is_identity()
 
 
 @PROPERTY
@@ -63,7 +79,7 @@ def test_order_is_the_repeated_composition_count(p):
 def test_sign_is_the_parity_of_the_inversion_count(p):
     images = p.images
     inversions = sum(images[i] > images[j] for i in range(p.degree) for j in range(i + 1, p.degree))
-    assert p.sign() == (-1) ** inversions
+    assert sign(p) == (-1) ** inversions
 
 
 @PROPERTY
@@ -94,7 +110,7 @@ def covers(draw):
         for q in perms[1:]:
             product = product.then(q)
         if not product.is_identity():
-            perms.append(product.inverse())
+            perms.append(inverse(product))
     try:
         return BranchedCover(n, 0, tuple(perms))
     except MonodromyDataError:
