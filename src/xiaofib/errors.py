@@ -7,6 +7,11 @@ build its argument parser without executing an engine module.
 # The largest monodromy group enumerated unless --max-group-order says otherwise.
 DEFAULT_MAX_GROUP_ORDER = 5000
 
+# The most cells (elements x sheets) a group closure may hold, whatever --max-group-order
+# says.  Every group the default bound admits fits; held as image tuples (above 256
+# sheets), that many cells take about 200 MB of references.
+MAX_GROUP_CELLS = DEFAULT_MAX_GROUP_ORDER**2
+
 
 class InputError(Exception):
     """Input a subcommand refuses; the command line prints ``prefix: message`` and exits 2."""

@@ -22,7 +22,12 @@ coset tables compose these with one kernel, ``_right(s)``, the map
 ``h -> h then s``: one ``bytes.translate`` through s padded to a
 256-byte table, or one ``itemgetter`` above 256 sheets.  A byte string
 caches its hash, so each element is hashed once, and byte strings sort
-as their image tuples do.  The closure records parities as it goes.  A
+as their image tuples do.  The closure (Dimino's algorithm, after
+Butler 1991) builds the group a whole right coset at a time, starting
+from the powers of the product of the first two branch permutations (a
+rotation for the paper's reflections), and records parities as it goes;
+it refuses before a batch would pass ``max_order`` elements or
+``errors.MAX_GROUP_CELLS`` cells (elements x degree).  A
 group descriptor wraps its elements as ``Permutation`` objects, and
 classifies itself, only when a caller reads them; the label reads
 element orders only as far as it needs (see ``_classify``), and a
@@ -39,7 +44,7 @@ from functools import reduce
 from math import factorial, lcm
 from operator import itemgetter, methodcaller
 
-from .errors import DEFAULT_MAX_GROUP_ORDER, InputError
+from .errors import DEFAULT_MAX_GROUP_ORDER, MAX_GROUP_CELLS, InputError
 from .numerology import is_odd_prime
 from .record import Record
 
@@ -345,43 +350,67 @@ def ramification_profile(cover: BranchedCover) -> list[tuple[int, ...]]:
 def _span(
     candidates, degree: int, max_order: int, within: set | None = None
 ) -> dict:
-    """The group generated by ``candidates``, grown one generator at a time, with parities.
+    """The group generated by ``candidates``, a whole right coset at a time, with parities.
 
-    Candidates, ``within`` and the result's keys are internal elements;
-    each element maps to its parity, 1 when odd, since h then s is odd
-    exactly when one of h and s is.  A candidate already in the span is
-    skipped, and each one taken at least doubles the span, so this costs
-    O(|G| log |G|) compositions, all through one map ``_right(s)`` per
-    generator s.  Raises ``EnumerationLimitError`` before the span exceeds
-    ``max_order`` elements and, when ``within`` is given,
-    ``MonodromyDataError`` as soon as the span leaves it.
+    Dimino's algorithm (G. Butler, *Fundamental Algorithms for Permutation
+    Groups*, LNCS 559, 1991).  Candidates, ``within`` and the result's keys
+    are internal elements; each element maps to its parity, 1 when odd.
+    The product of the first two distinct candidates is taken first (for
+    two reflections, a rotation), and its powers are walked.  A later
+    candidate outside the span H joins it as right cosets of H: for each
+    coset H r and each generator s taken, H r then s is the coset H (r s)
+    when r s is outside the span, built in one pass in H's order, so its
+    parities are H's, flipped or not.  Each element so costs one
+    composition and one dict insert.  The size of each batch (an order, or
+    |H|) is known before it is built, so ``EnumerationLimitError`` is
+    raised before the span would pass ``max_order`` elements or
+    ``MAX_GROUP_CELLS`` cells (elements x degree).  With ``within`` given
+    (at most ``max_order`` elements), leaving it or overflowing raises
+    ``MonodromyDataError``: the set is not closed.
     """
-    span = {_element(range(degree)): 0}
-    by_parity = ([*span], [])  # the span's even elements, then its odd ones
+    identity = _element(range(degree))
+    span = {identity: 0}
+    bound = min(max_order, MAX_GROUP_CELLS // degree)
+
+    def admit(size: int, fresh=()) -> None:
+        """Refuse ``size`` more elements past the bound, and ``fresh`` elements outside ``within``."""
+        total = len(span) + size
+        if within is not None and (total > bound or not within.issuperset(fresh)):
+            raise MonodromyDataError("element set is not closed under composition")
+        if total > bound:
+            if total > max_order:
+                raise EnumerationLimitError(f"group closure exceeds the configured bound {max_order}")
+            raise EnumerationLimitError(f"group closure of degree {degree} exceeds {MAX_GROUP_CELLS} cells")
+
+    gens = list(dict.fromkeys(candidates))
+    if len(gens) > 1:  # the product lies in the group
+        gens.insert(0, _right(gens[1])(gens[0]))
     steps = []  # (- then s, parity of s) for each generator s taken
-    for u in candidates:
+    for u in gens:
         if u in span:
             continue
-        steps.append((_right(u), _parity(u)))
-        # the old span is closed under the old generators; new elements meet all of them
-        fresh, maps = by_parity, steps[-1:]
-        while fresh[0] or fresh[1]:
-            frontier = [(odd ^ s_odd, map(then_s, fresh[odd])) for then_s, s_odd in maps for odd in (0, 1)]
-            fresh, maps = ([], []), steps
-            for odd, products in frontier:
-                for h in products:
-                    if h in span:
-                        continue
-                    if within is not None and h not in within:
-                        raise MonodromyDataError("element set is not closed under composition")
-                    if len(span) >= max_order:
-                        raise EnumerationLimitError(
-                            f"group closure exceeds the configured bound {max_order}"
-                        )
-                    span[h] = odd
-                    fresh[odd].append(h)
-            by_parity[0].extend(fresh[0])
-            by_parity[1].extend(fresh[1])
+        then_u, u_odd = _right(u), _parity(u)
+        steps.append((then_u, u_odd))
+        if len(steps) == 1:  # u, u^2, ... up to the identity, of alternating parity when u is odd
+            admit(_order(u) - 1)
+            power, powers = u, []
+            while power != identity:
+                powers.append(power)
+                power = then_u(power)
+            admit(0, powers)
+            span.update(zip(powers, [u_odd, 0] * len(powers)))
+            continue
+        cosets = [list(span)]  # the identity first, so each coset's first element is its representative
+        flips = (list(span.values()), [odd ^ 1 for odd in span.values()])
+        for coset in cosets:  # grows as the loop runs
+            r_odd = span[coset[0]]
+            for then_s, s_odd in steps:
+                if then_s(coset[0]) not in span:
+                    admit(len(coset))
+                    fresh = list(map(then_s, coset))
+                    admit(0, fresh)
+                    span.update(zip(fresh, flips[r_odd ^ s_odd]))
+                    cosets.append(fresh)
     return span
 
 
@@ -498,7 +527,7 @@ def quotient_genus(
         raise SubgroupContainmentError("subgroup element is not in the monodromy group")
     if _element(range(cover.degree)) not in members:
         raise MonodromyDataError("subgroup is missing the identity")
-    _span(members, cover.degree, len(members), within=members)
+    _span(subgroup._images, cover.degree, len(members), within=members)
     if 2 * len(members) >= group.order:  # index 1 or 2
         moved = sum(_element(sigma.images) not in members for sigma in cover.branch_monodromy)
         return _rh_solve(group.order // len(members), cover.base_genus, moved)

@@ -4,8 +4,9 @@ Each one computes a value the program also computes, by a different
 route: Sylvester determinants and their fraction-free Bareiss
 elimination instead of remainder sequences, Euclid over Fraction
 coefficients instead of integer remainder sequences, and for
-permutations, breadth-first closure over all generators and orders by
-repeated composition instead of the greedy span and cycle lengths, a
+permutations, breadth-first closure over all generators instead of
+closure a coset at a time, orders by repeated composition instead of
+cycle lengths, a
 group label read from every element's order up front instead of from
 the few orders the label needs, quotient genera from the full coset
 table instead of the index-2 reading, parities from each element's
@@ -236,6 +237,43 @@ def group_from_elements(perms) -> GroupDescriptor:
     nothing here checks closure.
     """
     return GroupDescriptor._of_images(tuple(sorted({monodromy._element(p.images) for p in perms})))
+
+
+def bfs_span(candidates, degree: int, max_order: int, within: set | None = None) -> dict:
+    """The group generated by internal elements, breadth first, with parities: ``_span``'s reference.
+
+    Each candidate outside the span is taken as a generator, and every
+    new element is composed with every generator taken.  Raises ``EnumerationLimitError`` before the span exceeds
+    ``max_order`` elements and, when ``within`` is given,
+    ``MonodromyDataError`` as soon as the span leaves it.
+    """
+    span = {monodromy._element(range(degree)): 0}
+    by_parity = ([*span], [])  # the span's even elements, then its odd ones
+    steps = []  # (- then s, parity of s) for each generator s taken
+    for u in candidates:
+        if u in span:
+            continue
+        steps.append((monodromy._right(u), monodromy._parity(u)))
+        # the old span is closed under the old generators; new elements meet all of them
+        fresh, maps = by_parity, steps[-1:]
+        while fresh[0] or fresh[1]:
+            frontier = [(odd ^ s_odd, map(then_s, fresh[odd])) for then_s, s_odd in maps for odd in (0, 1)]
+            fresh, maps = ([], []), steps
+            for odd, products in frontier:
+                for h in products:
+                    if h in span:
+                        continue
+                    if within is not None and h not in within:
+                        raise monodromy.MonodromyDataError("element set is not closed under composition")
+                    if len(span) >= max_order:
+                        raise monodromy.EnumerationLimitError(
+                            f"group closure exceeds the configured bound {max_order}"
+                        )
+                    span[h] = odd
+                    fresh[odd].append(h)
+            by_parity[0].extend(fresh[0])
+            by_parity[1].extend(fresh[1])
+    return span
 
 
 def brute_closure(generators: list[tuple[int, ...]], degree: int) -> set[tuple[int, ...]]:

@@ -236,6 +236,21 @@ def test_cli_monodromy_refuses_a_huge_cover_file_before_parsing_cycles(tmp_path)
     assert elapsed < 1.0
 
 
+def test_cli_monodromy_refuses_a_group_past_the_cell_budget_before_building_it():
+    """D_9973 under a bound of a million elements: 2 x 10^8 cells, refused from the rotation's order."""
+
+    def cap_memory_at_1_gb():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    result, elapsed = run_fresh_cli(
+        "monodromy", "--dihedral", "2", "9973", "--max-group-order", "1000000", preexec_fn=cap_memory_at_1_gb
+    )
+    assert_refused(result, "25000000 cells")
+    assert elapsed < 2.0
+
+
 def test_cli_numerology_answers_a_19_digit_prime_degree_at_once():
     """Miller-Rabin decides the degree; trial division took over a minute."""
     result, elapsed = run_fresh_cli("numerology", "--genus", "2", "--degree", "1000000000000000003")

@@ -329,6 +329,29 @@ def test_subgroup_check_costs_far_less_than_all_pairs(monkeypatch):
     assert 0 < calls < 8 * group.order  # the all-pairs check alone took 360^2
 
 
+def test_closure_composes_each_element_about_once(monkeypatch):
+    """Whole cosets at a time: one composition per element, plus one per coset and generator."""
+    from xiaofib import monodromy
+
+    calls = 0
+    kernel = monodromy._right
+
+    def counted(second):
+        compose = kernel(second)
+
+        def composition(first):
+            nonlocal calls
+            calls += 1
+            return compose(first)
+
+        return composition
+
+    monkeypatch.setattr(monodromy, "_right", counted)
+    cover = parse_cover("degree 6; base_genus 0\n" + "".join(f"({i} {i + 1})\n" * 2 for i in range(5)))
+    assert generated_group(cover).order == 720
+    assert 0 < calls < 2 * 720  # breadth first, every element met every generator: about 720 x 5
+
+
 # ---- exact routes against oracles on random transitive covers ----
 
 SMALL_ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)

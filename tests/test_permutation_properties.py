@@ -5,23 +5,26 @@ rebuilt through ``Permutation(...)``.  The composition kernel on group
 elements is compared with the map reference on both of its forms,
 byte strings up to 256 sheets and tuples above.  Orders, signs and
 groups are compared with references that use neither the cycle-length
-memo nor the greedy span.
+memo nor the coset-at-a-time closure; that closure is compared, dict for
+dict or refusal for refusal, with the breadth-first one it replaced.
 """
 
 import time
+from itertools import combinations
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from oracles import brute_closure, composition_order, inverse, sign  # noqa: E402
+from oracles import bfs_span, brute_closure, composition_order, inverse, sign  # noqa: E402
 from xiaofib import monodromy  # noqa: E402
 from xiaofib.monodromy import (  # noqa: E402
     BranchedCover,
     EnumerationLimitError,
     MonodromyDataError,
     Permutation,
+    build_dihedral_cover,
     generated_group,
     parse_cover,
 )
@@ -129,6 +132,72 @@ def test_generated_group_matches_the_breadth_first_closure(cover):
     assert group.order == len(expected)
     for element in group.elements:
         assert Permutation(element.images) == element
+
+
+def span_outcome(span, candidates, degree, max_order, within=None):
+    """The span's dict, or the class of the refusal it raised."""
+    try:
+        return span(list(candidates), degree, max_order, within)
+    except (EnumerationLimitError, MonodromyDataError) as error:
+        return type(error)
+
+
+def assert_spans_agree(candidates, degree, drop):
+    """Dimino's closure and the breadth-first one agree at |G|, |G| - 1 and on an unclosed set."""
+    group = bfs_span(candidates, degree, 10**6)
+    assert span_outcome(monodromy._span, candidates, degree, len(group)) == group
+    for max_order in (len(group) - 1, len(group)):
+        assert span_outcome(monodromy._span, candidates, degree, max_order) == span_outcome(
+            bfs_span, candidates, degree, max_order
+        )
+    missing = sorted(group)[drop % len(group)]  # dropping the identity leaves the set closed
+    within = set(group) - {missing}
+    if missing == monodromy._element(range(degree)):
+        within = set(group)
+    args = (candidates, degree, len(within), within)
+    assert span_outcome(monodromy._span, *args) == span_outcome(bfs_span, *args)
+    # padded with a transposition outside the group, the set is as large as the group but still lacks it
+    for i, j in combinations(range(degree), 2):
+        images = list(range(degree))
+        images[i], images[j] = j, i
+        if monodromy._element(images) not in group:
+            within = within | {monodromy._element(images)}
+            args = (candidates, degree, len(within), within)
+            assert span_outcome(monodromy._span, *args) == span_outcome(bfs_span, *args)
+            break
+
+
+@st.composite
+def generator_lists(draw):
+    """Internal elements of S_1 .. S_7, with the identity, repeats or an inverse pair mixed in."""
+    n = draw(st.integers(1, 7))
+    perms = draw(st.lists(permutations_of(n), max_size=4))
+    for extra in draw(st.lists(st.sampled_from(["identity", "repeat", "inverse"]), max_size=3)):
+        if extra == "identity":
+            perms.append(Permutation(tuple(range(n))))
+        elif perms:
+            chosen = draw(st.sampled_from(perms))
+            perms.append(chosen if extra == "repeat" else inverse(chosen))
+    perms = draw(st.permutations(perms))
+    return n, [monodromy._element(p.images) for p in perms]
+
+
+@PROPERTY
+@given(generator_lists(), st.integers(0, 5039))
+@example((3, [bytes((1, 2, 0)), bytes((2, 0, 1))]), 1)  # an inverse pair: the product is the identity
+@example((1, [bytes((0,))]), 0)
+def test_span_matches_the_breadth_first_closure(case, drop):
+    degree, candidates = case
+    assert_spans_agree(candidates, degree, drop)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([251, 257]), st.randoms(use_true_random=False), st.integers(0, 513))
+def test_span_matches_the_breadth_first_closure_on_dihedral_covers(p, rng, drop):
+    """Reflections of Z/p: byte strings at 251 sheets, image tuples at 257."""
+    candidates = [monodromy._element(s.images) for s in build_dihedral_cover(2, p).branch_monodromy]
+    rng.shuffle(candidates)
+    assert_spans_agree(candidates, p, drop)
 
 
 # ---- parse_cover fuzz: a cover or a documented error, within a second ----
