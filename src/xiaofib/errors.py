@@ -7,10 +7,15 @@ build its argument parser without executing an engine module.
 # The largest monodromy group enumerated unless --max-group-order says otherwise.
 DEFAULT_MAX_GROUP_ORDER = 5000
 
-# The most cells (elements x sheets) a group closure may hold, whatever --max-group-order
-# says.  Every group the default bound admits fits; held as image tuples (above 256
-# sheets), that many cells take about 200 MB of references.
-MAX_GROUP_CELLS = DEFAULT_MAX_GROUP_ORDER**2
+# Cells a group element costs beyond its images: a byte string's header, a dict slot and a
+# list slot in the closure come to about this many bytes.
+ELEMENT_OVERHEAD = 100
+
+# The most cells (elements x (sheets + ELEMENT_OVERHEAD)) a group closure may hold, whatever
+# --max-group-order says.  Every group the default bound admits fits, since none has more
+# sheets than elements; held as image tuples (above 256 sheets), that many cells take about
+# 200 MB of references.
+MAX_GROUP_CELLS = DEFAULT_MAX_GROUP_ORDER * (DEFAULT_MAX_GROUP_ORDER + ELEMENT_OVERHEAD)
 
 
 class InputError(Exception):

@@ -13,38 +13,50 @@ cycle types, so branch points are abstract labels and carry no
 coordinates.
 
 A permutation is checked to be a bijection once, where it enters
-(``Permutation(...)``, ``from_cycles``); products of checked
-permutations are bijections by construction and are not checked again.
-Inside the module a group element is the byte string of its images when
-the cover has at most 256 sheets, and the image tuple above that, where
-no byte can name a sheet.  Group closure, powers, classification and
-coset tables compose these with one kernel, ``_right(s)``, the map
-``h -> h then s``: one ``bytes.translate`` through s padded to a
-256-byte table, or one ``itemgetter`` above 256 sheets.  A byte string
-caches its hash, so each element is hashed once, and byte strings sort
-as their image tuples do.  The closure (Dimino's algorithm, after
-Butler 1991) builds the group a whole right coset at a time, starting
-from the powers of the product of the first two branch permutations (a
-rotation for the paper's reflections), and records parities as it goes;
-it refuses before a batch would pass ``max_order`` elements or
-``errors.MAX_GROUP_CELLS`` cells (elements x degree).  A
-group descriptor wraps its elements as ``Permutation`` objects, and
-classifies itself, only when a caller reads them; the label reads
-element orders only as far as it needs (see ``_classify``), and a
-dihedral label keeps the rotations it found for
-``cyclic_rotation_subgroup``.  Only a quotient by a subgroup of index
-above 2 builds a coset table.  Each permutation keeps its cycle lengths
-for ``order`` and ``cycle_type``.
+(``Permutation(...)``, ``from_cycles``); products of checked permutations
+and the reflections ``build_dihedral_cover`` makes are bijections by
+construction and are not checked again.  A cover converts each distinct
+branch permutation object to a group element once and checks the product
+and transitivity on those.  Inside the module a group element is the
+byte string of its images when the cover has at most 256 sheets, and
+the image tuple above that, where no byte can name a sheet.  Group
+closure, powers, classification and coset tables compose these with one
+kernel, ``_right(s)``, the map ``h -> h then s``: one ``bytes.translate``
+through s padded to a 256-byte table, or one ``itemgetter`` above 256
+sheets.  A byte string caches its hash, so each element is hashed once,
+and byte strings sort as their image tuples do.  The closure (Dimino's
+algorithm, after Butler 1991) builds the group a whole right coset at a
+time, starting from the powers of the product of the first two branch
+permutations (a rotation for the paper's reflections), and records
+parities as it goes; it refuses before a batch would pass ``max_order``
+elements or ``errors.MAX_GROUP_CELLS`` cells, each element costing its
+degree plus ``errors.ELEMENT_OVERHEAD`` cells (a byte string's header, a
+dict slot and a list slot).  A group descriptor wraps its elements as
+``Permutation`` objects, and classifies itself, only when a caller reads
+them.  The closure's descriptor keeps its generators and its span: the
+label counts moved points on the generators and tries the first
+generator taken before any other element, reading its powers off the
+span (see ``_classify``), and a dihedral label keeps those rotations for
+``cyclic_rotation_subgroup``.  That function and ``even_subgroup``
+record the descriptor they cut from, and ``quotient_genus`` skips its
+containment, identity and closure checks only for a subgroup cut from
+the very descriptor ``generated_group`` keeps on the cover: a parity
+kernel and the powers of one element are subgroups by construction.
+Every other descriptor (built by the constructor, copied, unpickled, or
+cut from another cover's group) is checked.  Only a quotient by a
+subgroup of index above 2 builds a coset table.  Each permutation keeps
+its cycle lengths for ``order`` and ``cycle_type``.
 """
 
 from __future__ import annotations
 
 import re
 from functools import reduce
+from itertools import chain, filterfalse
 from math import factorial, lcm
 from operator import itemgetter, methodcaller
 
-from .errors import DEFAULT_MAX_GROUP_ORDER, MAX_GROUP_CELLS, InputError
+from .errors import DEFAULT_MAX_GROUP_ORDER, ELEMENT_OVERHEAD, MAX_GROUP_CELLS, InputError
 from .numerology import is_odd_prime
 from .record import Record
 
@@ -216,16 +228,12 @@ def _powers(r, count: int) -> list:
     return out
 
 
-def _distinct(perms) -> list[Permutation]:
-    """``perms`` without repeats, in first-seen order."""
-    return list(dict.fromkeys(perms))
-
-
 class BranchedCover(Record):
     """Degree-n cover of a genus-b curve, branch monodromy acting left to right."""
 
-    # ``_group``: the monodromy group, set by the first ``generated_group`` call that enumerates it
-    __slots__ = ("degree", "base_genus", "branch_monodromy", "_group")
+    # ``_elements``: the internal element of each branch permutation, one object per distinct
+    # permutation object; ``_group``: the monodromy group, set by the first ``generated_group`` call
+    __slots__ = ("degree", "base_genus", "branch_monodromy", "_elements", "_group")
 
     def __init__(self, degree: int, base_genus: int, branch_monodromy: tuple[Permutation, ...]):
         object.__setattr__(self, "degree", degree)
@@ -236,16 +244,18 @@ class BranchedCover(Record):
             raise MonodromyDataError("cover degree must be positive")
         if self.base_genus < 0:
             raise MonodromyDataError("base genus must be non-negative")
-        for sigma in self.branch_monodromy:
+        identity = tuple(range(self.degree))
+        distinct = {id(sigma): sigma for sigma in self.branch_monodromy}  # by object: no image tuple is hashed
+        for sigma in distinct.values():
             if sigma.degree != self.degree:
                 raise MonodromyDataError("permutation degree does not match cover degree")
-            if sigma.is_identity():
+            if sigma.images == identity:
                 raise MonodromyDataError("branch permutations must be non-identity")
-        if self.branch_monodromy:
-            product = reduce(Permutation.then, self.branch_monodromy)
-            if not product.is_identity():
-                raise MonodromyDataError("branch monodromy product is not the identity")
-        if not self._is_transitive():
+        converted = {key: _element(sigma.images) for key, sigma in distinct.items()}
+        object.__setattr__(self, "_elements", tuple(converted[id(sigma)] for sigma in self.branch_monodromy))
+        if self.branch_monodromy and reduce(Permutation.then, self.branch_monodromy).images != identity:
+            raise MonodromyDataError("branch monodromy product is not the identity")
+        if not self._is_transitive(converted.values()):
             raise MonodromyDataError("monodromy group is not transitive: cover is disconnected")
 
     def __eq__(self, other):
@@ -260,10 +270,9 @@ class BranchedCover(Record):
     def __hash__(self):
         return hash((self.degree, self.base_genus, self.branch_monodromy))
 
-    def _is_transitive(self) -> bool:
+    def _is_transitive(self, maps) -> bool:
         # Forward images suffice: a permutation that maps a finite set into
         # itself maps it onto itself, so the set is closed under its inverse too.
-        maps = [sigma.images for sigma in _distinct(self.branch_monodromy)]
         reached = {0}
         frontier = [0]
         while frontier:
@@ -279,33 +288,36 @@ class BranchedCover(Record):
 class GroupDescriptor(Record):
     """A concrete permutation group: order, coarse classification, full element list."""
 
-    # ``_images``: internal elements, in element order; ``_odd``: element -> parity, or None;
-    # ``_rotations``: the powers of a rotation of half order when the label is dihedral, else None
-    __slots__ = ("order", "classification", "elements", "_images", "_odd", "_rotations")
+    # ``_images``: internal elements, in element order; ``_rotations``: the powers of a rotation
+    # of half order when the label is dihedral, else None.  Set by the closure only: ``_odd``,
+    # its span (element -> parity, in the span's order) and ``_gens``, its distinct generators.
+    # ``_parent``: the descriptor a subgroup was cut from.  Unset memos read as None.
+    __slots__ = ("order", "classification", "elements", "_images", "_rotations", "_odd", "_gens", "_parent")
 
     def __init__(self, order: int, classification: str, elements: tuple[Permutation, ...]):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "classification", classification)
         object.__setattr__(self, "elements", tuple(elements))
         object.__setattr__(self, "_images", tuple(_element(e.images) for e in self.elements))
-        object.__setattr__(self, "_odd", None)
         if self.order != len(self.elements):
             raise MonodromyDataError("group order does not match element count")
 
     @classmethod
-    def _of_images(cls, images: tuple, odd=None) -> "GroupDescriptor":
+    def _of_images(cls, images: tuple, **memos) -> "GroupDescriptor":
         group = object.__new__(cls)
-        for name, value in (("order", len(images)), ("_images", images), ("_odd", odd)):
+        for name, value in {"order": len(images), "_images": images, **memos}.items():
             object.__setattr__(group, name, value)
         return group
 
     def __getattr__(self, name):  # slots left unset until their first read
         if name in ("classification", "_rotations"):
-            label, rotations = _classify(self._images)
+            label, rotations = _classify(self)
             object.__setattr__(self, "_rotations", rotations)
             value = label if name == "classification" else rotations
         elif name == "elements":
             value = tuple(Permutation._unchecked(tuple(g)) for g in self._images)
+        elif name in ("_odd", "_gens", "_parent"):
+            value = None
         else:
             raise AttributeError(name)
         object.__setattr__(self, name, value)
@@ -361,16 +373,21 @@ def _span(
     coset H r and each generator s taken, H r then s is the coset H (r s)
     when r s is outside the span, built in one pass in H's order, so its
     parities are H's, flipped or not.  Each element so costs one
-    composition and one dict insert.  The size of each batch (an order, or
-    |H|) is known before it is built, so ``EnumerationLimitError`` is
-    raised before the span would pass ``max_order`` elements or
-    ``MAX_GROUP_CELLS`` cells (elements x degree).  With ``within`` given
-    (at most ``max_order`` elements), leaving it or overflowing raises
-    ``MonodromyDataError``: the set is not closed.
+    composition and one dict insert.  The keys keep that order: the
+    identity, the powers r, r^2, ... of the first generator taken (the
+    product, unless it is the identity) up to its order, then the second
+    generator taken and the rest of its coset; ``_classify`` reads the
+    rotations of a dihedral group there.  The size of each batch (an
+    order, or |H|) is known before it is built, so ``EnumerationLimitError``
+    is raised before the span would pass ``max_order`` elements or
+    ``MAX_GROUP_CELLS`` cells, each element costing its degree plus
+    ``ELEMENT_OVERHEAD``.  With ``within`` given (at most ``max_order``
+    elements), leaving it or overflowing raises ``MonodromyDataError``:
+    the set is not closed.
     """
     identity = _element(range(degree))
     span = {identity: 0}
-    bound = min(max_order, MAX_GROUP_CELLS // degree)
+    bound = min(max_order, MAX_GROUP_CELLS // (degree + ELEMENT_OVERHEAD))
 
     def admit(size: int, fresh=()) -> None:
         """Refuse ``size`` more elements past the bound, and ``fresh`` elements outside ``within``."""
@@ -414,46 +431,49 @@ def _span(
     return span
 
 
-def _classify(elements: tuple) -> tuple[str, list | None]:
-    """Coarse label of the group of these internal elements, from the few facts it needs.
+def _classify(group: GroupDescriptor) -> tuple[str, list | None]:
+    """Coarse label of a group descriptor, from the few facts it needs.
 
     Symmetric is tested first, and only when |G| = k! with k >= 4: a
     group of that order moving exactly k points is all of Sym of them,
     which is neither cyclic nor dihedral (S_3 is D_3 and is left to the
-    dihedral test).  One scan then reads element orders until the label
-    is settled.  An element of order |G| makes G cyclic.  The first element
-    r of order |G|/2, when |G| >= 6, makes G dihedral exactly when an
-    involution outside <r> inverts r; in D_m with m >= 3 every element of
-    order m is a rotation, so trying only the first r loses nothing, and a
-    dihedral group is not abelian, so no cyclic label hides behind it.
-    Each element's order is read at most once.  A dihedral label comes
-    with the powers of r, which are the rotations; any other with None.
+    dihedral test).  A point every generator fixes is fixed by the group,
+    so moved points are counted on the closure's generators, or on every
+    element when the descriptor has none.  One scan then reads element
+    orders until the label is settled, starting with the closure's first
+    generator taken, whose powers are the span's first keys.  An element
+    of order |G| makes G cyclic.  The first element r of order |G|/2, when
+    |G| >= 6, settles the dihedral question with the first element s
+    outside <r>: G is dihedral exactly when s is an involution inverting
+    r.  In D_m with m >= 3 every element of order m is a rotation and
+    every other element a reflection; conversely such r and s generate
+    D_m.  A dihedral group is not abelian, so no cyclic label hides
+    behind it.  A dihedral label comes with the powers of r, which are
+    the rotations; any other with None.
     """
+    elements, gens = group._images, group._gens
     n = len(elements)
     k = 4
     while factorial(k) < n:
         k += 1
-    if factorial(k) == n:
-        # a point is moved by the group when its column of images is not constant
-        columns = zip(*elements)
-        if sum(column.count(i) != n for i, column in enumerate(columns)) == k:
-            return SYMMETRIC, None
+    pool = gens or elements
+    # a point is moved when its column of images is not constant
+    if factorial(k) == n and sum(column.count(i) != len(pool) for i, column in enumerate(zip(*pool))) == k:
+        return SYMMETRIC, None
     half = n // 2 if n % 2 == 0 and n >= 6 else None
-    for r in elements:
+    keys = list(group._odd) if gens else []
+    for r in chain(keys[1:2], elements):
         order = _order(r)
         if order == n:
             return CYCLIC, None
         if order == half:
             half = None  # only the first element of order |G|/2 is tried
-            powers = _powers(r, order)
+            powers = keys[:order] if keys[1:2] == [r] else _powers(r, order)
             rotations = set(powers)
-            identity, r_inv, then_r = powers[0], powers[-1], _right(r)
-            for s in elements:
-                if s in rotations:
-                    continue
-                then_s = _right(s)
-                if then_s(s) == identity and then_s(then_r(s)) == r_inv:
-                    return DIHEDRAL, powers
+            s = next(s for s in elements if s not in rotations)
+            then_s = _right(s)
+            if then_s(s) == powers[0] and then_s(_right(r)(s)) == powers[-1]:
+                return DIHEDRAL, powers
     return OTHER, None
 
 
@@ -474,9 +494,9 @@ def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORD
     _refuse_degree_above(cover.degree, max_order)
     group = cover._group
     if group is None:
-        branch_images = (_element(sigma.images) for sigma in cover.branch_monodromy)
-        span = _span(branch_images, cover.degree, max_order)
-        group = GroupDescriptor._of_images(tuple(sorted(span)), span)
+        gens = tuple(dict.fromkeys(cover._elements))
+        span = _span(gens, cover.degree, max_order)
+        group = GroupDescriptor._of_images(tuple(sorted(span)), _odd=span, _gens=gens)
         object.__setattr__(cover, "_group", group)
     elif group.order > max_order:
         raise EnumerationLimitError(f"group closure exceeds the configured bound {max_order}")
@@ -489,13 +509,13 @@ def cyclic_rotation_subgroup(group: GroupDescriptor) -> GroupDescriptor:
         raise MonodromyDataError("rotation subgroup is defined for dihedral groups only")
     if group._rotations is None:  # a descriptor built with a dihedral label the scan does not find
         raise MonodromyDataError("dihedral descriptor has no rotation of half order")
-    return GroupDescriptor._of_images(tuple(sorted(group._rotations)))
+    return GroupDescriptor._of_images(tuple(sorted(group._rotations)), _parent=group)
 
 
 def even_subgroup(group: GroupDescriptor) -> GroupDescriptor:
     """The subgroup of even permutations (alternating part), by the parities the closure recorded."""
     odd = group._odd or {g: _parity(g) for g in group._images}
-    return GroupDescriptor._of_images(tuple(g for g in group._images if not odd[g]))
+    return GroupDescriptor._of_images(tuple(filterfalse(odd.__getitem__, group._images)), _parent=group)
 
 
 def galois_closure_genus(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> int:
@@ -520,16 +540,21 @@ def quotient_genus(
     group; branch points whose induced action is trivial are dropped.  A
     subgroup of index 2 is normal, so a branch permutation outside it swaps
     the two cosets and one inside it fixes both: no coset table is needed.
+    Containment, the identity and closure are checked unless ``subgroup``
+    was cut from this cover's group by ``even_subgroup`` or
+    ``cyclic_rotation_subgroup``: a parity kernel and the powers of one
+    element are subgroups by construction.
     """
     group = generated_group(cover, max_order)
     members = set(subgroup._images)
-    if not group._odd.keys() >= members:
-        raise SubgroupContainmentError("subgroup element is not in the monodromy group")
-    if _element(range(cover.degree)) not in members:
-        raise MonodromyDataError("subgroup is missing the identity")
-    _span(subgroup._images, cover.degree, len(members), within=members)
+    if subgroup._parent is not group:
+        if not group._odd.keys() >= members:
+            raise SubgroupContainmentError("subgroup element is not in the monodromy group")
+        if _element(range(cover.degree)) not in members:
+            raise MonodromyDataError("subgroup is missing the identity")
+        _span(subgroup._images, cover.degree, len(members), within=members)
     if 2 * len(members) >= group.order:  # index 1 or 2
-        moved = sum(_element(sigma.images) not in members for sigma in cover.branch_monodromy)
+        moved = sum(h not in members for h in cover._elements)
         return _rh_solve(group.order // len(members), cover.base_genus, moved)
     # the right coset of g is {u then g : u in the subgroup}
     coset_of = {}
@@ -538,11 +563,8 @@ def quotient_genus(
         if g not in coset_of:
             coset_of.update(dict.fromkeys(map(_right(g), members), len(reps)))
             reps.append(g)
-    action = {
-        sigma: Permutation(tuple(coset_of[h] for h in map(_right(_element(sigma.images)), reps)))
-        for sigma in _distinct(cover.branch_monodromy)
-    }
-    induced = tuple(action[s] for s in cover.branch_monodromy if not action[s].is_identity())
+    action = {id(s): Permutation(tuple(coset_of[h] for h in map(_right(s), reps))) for s in cover._elements}
+    induced = tuple(action[id(s)] for s in cover._elements if not action[id(s)].is_identity())
     return rh_genus(BranchedCover(len(reps), cover.base_genus, induced))
 
 
@@ -571,7 +593,7 @@ def build_dihedral_cover(
         raise MonodromyDataError(f"cover degree must be an odd prime, got {p}")
 
     def reflection(a: int) -> Permutation:
-        return Permutation(tuple((a - x) % p for x in range(p)))
+        return Permutation._unchecked(tuple((a - x) % p for x in range(p)))
 
     s_1 = reflection(1)
     tup = (s_1, s_1) + (reflection(0),) * (2 * g)

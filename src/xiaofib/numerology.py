@@ -83,24 +83,6 @@ class CoverParams(Record):
             raise NumerologyError(f"cover degree must be an odd prime, got {self.p}")
 
 
-class FibrationProfile(Record):
-    """Fiber genus, relative irregularity, base genus and total irregularity."""
-
-    __slots__ = ("g_fiber", "q_rel", "g_base", "q_total")
-
-    def __init__(self, g_fiber: int, q_rel: int, g_base: int, q_total: int):
-        object.__setattr__(self, "g_fiber", g_fiber)
-        object.__setattr__(self, "q_rel", q_rel)
-        object.__setattr__(self, "g_base", g_base)
-        object.__setattr__(self, "q_total", q_total)
-        if self.q_total != self.q_rel + self.g_base:
-            raise NumerologyError("q_total must equal q_rel + g_base")
-        if self.q_rel < 0:
-            raise NumerologyError("relative irregularity must be non-negative")
-        if self.g_fiber < 2:
-            raise NumerologyError("fiber genus must be at least 2")
-
-
 class FiberClass(Record):
     """Fiber classification of the cover-to-curve moduli map.
 

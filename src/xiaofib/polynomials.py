@@ -232,13 +232,6 @@ def squarefree_part(f: UnivariatePoly) -> UnivariatePoly:
     return f.exact_div(poly_gcd(f, f.derivative()).primitive()).monic()
 
 
-def is_squarefree(f: UnivariatePoly) -> bool:
-    """Whether f has no repeated factor over Q; the zero polynomial has one."""
-    if f.is_zero():
-        return False
-    return poly_gcd(f, f.derivative()).degree == 0
-
-
 class BiPoly:
     """Polynomial in (x, y) with y as the main variable, exact coefficients.
 

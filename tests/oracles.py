@@ -14,9 +14,10 @@ cycle type instead of from the closure, trial division instead of Miller-Rabin
 for primality, and smoothness by bivariate elimination on all three
 affine charts instead of one chart and the line at infinity.
 
-The permutation helpers ``identity``, ``inverse`` and ``sign`` and the
-``group_from_elements`` wrapper serve tests only; the program never
-needs them.
+The permutation helpers ``identity``, ``inverse`` and ``sign``, the
+``group_from_elements`` wrapper, ``is_squarefree`` and the
+``FibrationProfile`` record serve tests only; the program never needs
+them.
 """
 
 from fractions import Fraction
@@ -24,7 +25,9 @@ from math import factorial
 
 from xiaofib import monodromy
 from xiaofib.monodromy import GroupDescriptor, Permutation
-from xiaofib.polynomials import BiPoly, PolynomialError, UnivariatePoly, common_affine_zero
+from xiaofib.numerology import NumerologyError
+from xiaofib.polynomials import BiPoly, PolynomialError, UnivariatePoly, common_affine_zero, poly_gcd
+from xiaofib.record import Record
 
 
 def _fraction_det(matrix: list[list[Fraction]]) -> Fraction:
@@ -416,3 +419,28 @@ def is_smooth_three_charts(form) -> bool:
         if common_affine_zero(charted):
             return False
     return True
+
+
+def is_squarefree(f: UnivariatePoly) -> bool:
+    """Whether f has no repeated factor over Q; the zero polynomial has one."""
+    if f.is_zero():
+        return False
+    return poly_gcd(f, f.derivative()).degree == 0
+
+
+class FibrationProfile(Record):
+    """Fiber genus, relative irregularity, base genus and total irregularity."""
+
+    __slots__ = ("g_fiber", "q_rel", "g_base", "q_total")
+
+    def __init__(self, g_fiber: int, q_rel: int, g_base: int, q_total: int):
+        object.__setattr__(self, "g_fiber", g_fiber)
+        object.__setattr__(self, "q_rel", q_rel)
+        object.__setattr__(self, "g_base", g_base)
+        object.__setattr__(self, "q_total", q_total)
+        if self.q_total != self.q_rel + self.g_base:
+            raise NumerologyError("q_total must equal q_rel + g_base")
+        if self.q_rel < 0:
+            raise NumerologyError("relative irregularity must be non-negative")
+        if self.g_fiber < 2:
+            raise NumerologyError("fiber genus must be at least 2")

@@ -236,19 +236,38 @@ def test_cli_monodromy_refuses_a_huge_cover_file_before_parsing_cycles(tmp_path)
     assert elapsed < 1.0
 
 
+def cap_memory_at_1_gb():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
 def test_cli_monodromy_refuses_a_group_past_the_cell_budget_before_building_it():
     """D_9973 under a bound of a million elements: 2 x 10^8 cells, refused from the rotation's order."""
-
-    def cap_memory_at_1_gb():
-        import resource
-
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
     result, elapsed = run_fresh_cli(
         "monodromy", "--dihedral", "2", "9973", "--max-group-order", "1000000", preexec_fn=cap_memory_at_1_gb
     )
-    assert_refused(result, "25000000 cells")
+    assert_refused(result, f"{errors.MAX_GROUP_CELLS} cells")
     assert elapsed < 2.0
+
+
+def test_cli_monodromy_budget_charges_each_elements_overhead(tmp_path):
+    """S_10 on ten sheets: 3.6 million small elements, refused at about 230,000 by their overhead."""
+    path = tmp_path / "s10.txt"
+    path.write_text("degree 10; base_genus 0\n" + "".join(f"({i} {i + 1})\n" * 2 for i in range(9)))
+    result, elapsed = run_fresh_cli(
+        "monodromy", "--file", str(path), "--max-group-order", "100000000", preexec_fn=cap_memory_at_1_gb
+    )
+    assert_refused(result, f"degree 10 exceeds {errors.MAX_GROUP_CELLS} cells")
+    assert elapsed < 1.0
+
+
+def test_cli_monodromy_answers_the_largest_dihedral_group_the_default_bound_admits():
+    """D_2477 has 4954 elements of 2477 sheets: inside the cell budget, overhead included."""
+    assert 2 * 2477 <= errors.DEFAULT_MAX_GROUP_ORDER < 2 * 2503
+    result, _ = run_fresh_cli("monodromy", "--dihedral", "2", "2477", preexec_fn=cap_memory_at_1_gb)
+    assert result.returncode == 0 and result.stderr == ""
+    assert "monodromy group: dihedral of order 4954" in result.stdout.splitlines()
 
 
 def test_cli_numerology_answers_a_19_digit_prime_degree_at_once():

@@ -302,54 +302,77 @@ def test_quotient_rejects_identity_holding_non_subgroups():
         quotient_genus(s3_cover, lopsided)
 
 
-def test_subgroup_check_costs_far_less_than_all_pairs(monkeypatch):
-    cover = parse_cover("degree 6; base_genus 0\n" + "(0 1)\n(0 1)\n(1 2)\n(1 2)\n(2 3)\n(2 3)\n"
-                        "(3 4)\n(3 4)\n(4 5)\n(4 5)\n")
-    group = generated_group(cover)
-    alternating = even_subgroup(group)
-    assert (group.order, alternating.order) == (720, 360)
+def counting_compositions(monkeypatch):
+    """Count compositions of group elements, each a call of a map that ``_right`` made."""
     from xiaofib import monodromy
 
-    calls = 0
+    calls = {"n": 0}
     kernel = monodromy._right
 
     def counted(second):
         compose = kernel(second)
 
         def composition(first):
-            nonlocal calls
-            calls += 1
+            calls["n"] += 1
             return compose(first)
 
         return composition
 
-    # every composition of group elements is a call of a map that ``_right`` made
     monkeypatch.setattr(monodromy, "_right", counted)
+    return calls
+
+
+S6_CHAIN = "degree 6; base_genus 0\n" + "".join(f"({i} {i + 1})\n" * 2 for i in range(5))
+
+
+def public_copy(group):
+    """The same elements through the public constructor: a descriptor the module did not cut."""
+    return GroupDescriptor(group.order, group.classification, group.elements)
+
+
+def test_subgroup_check_costs_far_less_than_all_pairs(monkeypatch):
+    cover = parse_cover(S6_CHAIN)
+    group = generated_group(cover)
+    alternating = public_copy(even_subgroup(group))  # so the exact check runs
+    assert (group.order, alternating.order) == (720, 360)
+    calls = counting_compositions(monkeypatch)
     assert quotient_genus(cover, alternating) == 4
-    assert 0 < calls < 8 * group.order  # the all-pairs check alone took 360^2
+    assert 0 < calls["n"] < 8 * group.order  # the all-pairs check alone took 360^2
 
 
 def test_closure_composes_each_element_about_once(monkeypatch):
     """Whole cosets at a time: one composition per element, plus one per coset and generator."""
-    from xiaofib import monodromy
-
-    calls = 0
-    kernel = monodromy._right
-
-    def counted(second):
-        compose = kernel(second)
-
-        def composition(first):
-            nonlocal calls
-            calls += 1
-            return compose(first)
-
-        return composition
-
-    monkeypatch.setattr(monodromy, "_right", counted)
-    cover = parse_cover("degree 6; base_genus 0\n" + "".join(f"({i} {i + 1})\n" * 2 for i in range(5)))
+    calls = counting_compositions(monkeypatch)
+    cover = parse_cover(S6_CHAIN)
     assert generated_group(cover).order == 720
-    assert 0 < calls < 2 * 720  # breadth first, every element met every generator: about 720 x 5
+    assert 0 < calls["n"] < 2 * 720  # breadth first, every element met every generator: about 720 x 5
+
+
+@pytest.mark.parametrize("make, cut, quotient", [
+    pytest.param(lambda: parse_cover(S6_CHAIN), even_subgroup, 4, id="S6-even"),
+    pytest.param(lambda: build_dihedral_cover(3, 151), cyclic_rotation_subgroup, 3, id="D151-rotations"),
+])
+def test_only_subgroups_cut_from_the_covers_own_group_skip_the_checks(monkeypatch, make, cut, quotient):
+    """A parity kernel or a power set cut from ``generated_group(cover)`` is a subgroup by construction."""
+    import copy
+    import pickle
+
+    cover = make()
+    subgroup = cut(generated_group(cover))
+    twin = make()  # an equal cover with a group of its own
+    others = [
+        public_copy(subgroup), copy.copy(subgroup), copy.deepcopy(subgroup),
+        pickle.loads(pickle.dumps(subgroup)), cut(generated_group(twin)),
+    ]
+    calls = counting_compositions(monkeypatch)
+    assert quotient_genus(cover, subgroup) == quotient
+    assert calls["n"] == 0
+    for other in others:
+        assert other == subgroup and other._parent is not generated_group(cover)
+        calls["n"] = 0
+        assert quotient_genus(cover, other) == quotient
+        assert calls["n"] > 0  # the closure check ran
+    assert quotient_genus(twin, cut(generated_group(twin))) == quotient
 
 
 # ---- exact routes against oracles on random transitive covers ----
@@ -794,7 +817,7 @@ def test_the_rotations_are_computed_once_per_tower(monkeypatch):
         cover = build_dihedral_cover(g, 151)
         rotations = cyclic_rotation_subgroup(generated_group(cover))
         assert quotient_genus(cover, rotations) == g
-    assert powers["n"] == 50  # the label's rotations, not a second scan and power walk
+    assert powers["n"] == 0  # the label reads the rotations off the closure, and nothing walks them again
 
 
 def test_ramification_profiles():

@@ -2,13 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import trial_division_is_odd_prime
+from oracles import FibrationProfile, trial_division_is_odd_prime
 from xiaofib.monodromy import build_dihedral_cover, galois_closure_genus, rh_genus
 from xiaofib.numerology import (
     ChevalleyWeil,
     CoverParams,
     FiberClass,
-    FibrationProfile,
     GENUS_LIMIT,
     NumerologyError,
     PRIMALITY_LIMIT,

@@ -17,14 +17,16 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from oracles import bfs_span, brute_closure, composition_order, inverse, sign  # noqa: E402
+from oracles import bfs_span, brute_closure, classify_by_orders, composition_order, inverse, sign  # noqa: E402
 from xiaofib import monodromy  # noqa: E402
 from xiaofib.monodromy import (  # noqa: E402
     BranchedCover,
     EnumerationLimitError,
+    GroupDescriptor,
     MonodromyDataError,
     Permutation,
     build_dihedral_cover,
+    cyclic_rotation_subgroup,
     generated_group,
     parse_cover,
 )
@@ -132,6 +134,70 @@ def test_generated_group_matches_the_breadth_first_closure(cover):
     assert group.order == len(expected)
     for element in group.elements:
         assert Permutation(element.images) == element
+
+
+def relabel(images, sheets):
+    """The permutation with these images, its sheets renamed i -> sheets[i]."""
+    renamed = [0] * len(images)
+    for i, j in enumerate(images):
+        renamed[sheets[i]] = sheets[j]
+    return Permutation(tuple(renamed))
+
+
+@st.composite
+def labelled_covers(draw):
+    """A transitive cover of 2 to 7 sheets whose group may be cyclic, dihedral, symmetric or other.
+
+    Branch permutations are drawn from all of S_n, or from the powers of an
+    n-cycle, or from the dihedral group of the n-gon, on relabelled
+    sheets.  Half the time the first two are mutually inverse: their
+    product is the identity, so the closure takes the first of them first.
+    """
+    n = draw(st.integers(2, 7))
+    sheets = draw(st.permutations(range(n)))
+    pool = draw(st.sampled_from(["symmetric", "cyclic", "dihedral"]))
+    if pool == "symmetric":
+        perms = draw(st.lists(permutations_of(n), min_size=1, max_size=3))
+    else:
+        words = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, pool == "dihedral")),
+                              min_size=1, max_size=3))
+        # x -> k +- x (mod n): a rotation, or a reflection of the n-gon
+        perms = [relabel([(k + (-x if e else x)) % n for x in range(n)], sheets) for k, e in words]
+    perms = [p for p in perms if not p.is_identity()]
+    assume(perms)
+    if draw(st.booleans()):
+        perms.insert(1, inverse(perms[0]))
+    product = perms[0]
+    for q in perms[1:]:
+        product = product.then(q)
+    if not product.is_identity():
+        perms.append(inverse(product))
+    try:
+        return BranchedCover(n, 0, tuple(perms))
+    except MonodromyDataError:
+        assume(False)
+
+
+def reflections_of(n, ks):
+    return [Permutation(tuple((k - x) % n for x in range(n))) for k in ks]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(labelled_covers())
+# D_5 from a rotation and its inverse, then two equal reflections: the closure takes the rotation first
+@example(BranchedCover(5, 0, (Permutation((1, 2, 3, 4, 0)), Permutation((4, 0, 1, 2, 3)),
+                              *reflections_of(5, (0, 0)))))
+@example(BranchedCover(6, 0, (Permutation((1, 2, 3, 4, 5, 0)), Permutation((5, 0, 1, 2, 3, 4)))))  # C_6
+@example(parse_cover("degree 4; base_genus 0\n(0 1)\n(0 1)\n(1 2 3)\n(1 3 2)\n"))  # S_4, inverse pair second
+def test_the_label_from_the_closures_generators_matches_the_eager_oracle(cover):
+    group = generated_group(cover, max_order=5040)  # S_7 passes the default bound
+    label = classify_by_orders(list(group.elements))
+    assert group.classification == label
+    assert GroupDescriptor._of_images(group._images).classification == label  # the scan, without generators
+    if label == "dihedral":
+        rotations = cyclic_rotation_subgroup(group)
+        assert 2 * rotations.order == group.order
+        assert classify_by_orders(list(rotations.elements)) == "cyclic"
 
 
 def span_outcome(span, candidates, degree, max_order, within=None):

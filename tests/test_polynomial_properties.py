@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from oracles import (  # noqa: E402
     coprime_bipolys,
+    is_squarefree,
     poly_gcd_euclid,
     res_y,
     squarefree_part_euclid,
@@ -23,7 +24,6 @@ from xiaofib.polynomials import (  # noqa: E402
     BiPoly,
     UnivariatePoly,
     bipoly_gcd,
-    is_squarefree,
     poly_gcd,
     res_y_prs,
     squarefree_part,

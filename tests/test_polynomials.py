@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import res_y, resultant, sylvester_matrix
+from oracles import is_squarefree, res_y, resultant, sylvester_matrix
 from xiaofib.polynomials import (
     BiPoly,
     PolynomialError,
     UnivariatePoly,
     bipoly_gcd,
     common_affine_zero,
-    is_squarefree,
     poly_gcd,
     res_y_prs,
     squarefree_part,
