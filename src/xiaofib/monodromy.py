@@ -13,46 +13,55 @@ cycle types, so branch points are abstract labels and carry no
 coordinates.
 
 A permutation is checked to be a bijection once, where it enters
-(``Permutation(...)``, ``from_cycles``); products of checked permutations
-and the reflections ``build_dihedral_cover`` makes are bijections by
-construction and are not checked again.  A cover converts each distinct
-branch permutation object to a group element once and checks the product
-and transitivity on those.  Inside the module a group element is the
+(``Permutation(...)``); products of checked permutations, disjoint
+cycles of sheets in range (``from_cycles``) and the reflections
+``build_dihedral_cover`` makes are bijections by construction and are not
+checked again.  ``parse_cover`` parses each distinct line once, so
+repeated lines share one ``Permutation`` object; a cover file that is not
+UTF-8 raises ``MonodromyDataError``.  A cover converts each distinct
+branch permutation object to a group element once, and walks the cycles
+of each distinct permutation once (``cycle_type``, which also keeps its
+order) and of r, the product of its first two distinct elements, once.
+That walk of r gives transitivity when r is an n-cycle (otherwise the
+cover follows forward images), and the order and parity with which the
+closure and the label start.  Inside the module a group element is the
 byte string of its images when the cover has at most 256 sheets, and
 the image tuple above that, where no byte can name a sheet.  Group
-closure, powers, classification and coset tables compose these with one
-kernel, ``_right(s)``, the map ``h -> h then s``: one ``bytes.translate``
+closure, classification and coset tables compose these with one kernel,
+``_right(s)``, the map ``h -> h then s``: one ``bytes.translate``
 through s padded to a 256-byte table, or one ``itemgetter`` above 256
-sheets.  A byte string caches its hash, so each element is hashed once,
-and byte strings sort as their image tuples do.  The closure (Dimino's
-algorithm, after Butler 1991) builds the group a whole right coset at a
-time, starting from the powers of the product of the first two branch
-permutations (a rotation for the paper's reflections), and records
-parities as it goes; it refuses before a batch would pass ``max_order``
-elements or ``errors.MAX_GROUP_CELLS`` cells, each element costing its
-degree plus ``errors.ELEMENT_OVERHEAD`` cells (a byte string's header, a
-dict slot and a list slot).  A group descriptor wraps its elements as
-``Permutation`` objects, and classifies itself, only when a caller reads
-them.  The closure's descriptor keeps its generators and its span: the
-label counts moved points on the generators and tries the first
-generator taken before any other element, reading its powers off the
-span (see ``_classify``), and a dihedral label keeps those rotations for
-``cyclic_rotation_subgroup``.  That function and ``even_subgroup``
+sheets; the powers of one element are one C loop of ``bytes.translate``
+(``_powers``).  A byte string caches its hash, so each element is hashed
+once.  The closure (Dimino's algorithm, after Butler 1991) builds the
+group a whole right coset at a time, starting from the powers of r (a
+rotation for the paper's reflections), and records parities as it goes;
+it refuses before a batch would pass ``max_order`` elements or
+``errors.MAX_GROUP_CELLS`` cells, each element costing its degree plus
+``errors.ELEMENT_OVERHEAD`` cells (a byte string's header, a dict slot
+and a list slot).  A group descriptor keeps its elements in the order
+they were found; it sorts them (byte strings sort as their image tuples
+do), wraps them as ``Permutation`` objects, and classifies itself, only
+when a caller reads them or compares or hashes the descriptor, and no
+tower number needs any of that.  The closure's descriptor keeps its span
+and the cycle lengths of its generators and of r: the label counts
+moved points on the generators and tries the first generator taken (r,
+unless r is the identity) first, reading its powers off the span (see
+``_classify``), and a dihedral label keeps those rotations
+for ``cyclic_rotation_subgroup``.  That function and ``even_subgroup``
 record the descriptor they cut from, and ``quotient_genus`` skips its
 containment, identity and closure checks only for a subgroup cut from
 the very descriptor ``generated_group`` keeps on the cover: a parity
 kernel and the powers of one element are subgroups by construction.
 Every other descriptor (built by the constructor, copied, unpickled, or
 cut from another cover's group) is checked.  Only a quotient by a
-subgroup of index above 2 builds a coset table.  Each permutation keeps
-its cycle lengths for ``order`` and ``cycle_type``.
+subgroup of index above 2 builds a coset table.
 """
 
 from __future__ import annotations
 
 import re
 from functools import reduce
-from itertools import chain, filterfalse
+from itertools import accumulate, chain, filterfalse, repeat
 from math import factorial, lcm
 from operator import itemgetter, methodcaller
 
@@ -91,16 +100,21 @@ def _numeral(text: str) -> int:
         raise MonodromyDataError(f"number has too many digits: {text[:12]}...") from None
 
 
+# Cycle notation with its whitespace removed; ``(`` and ``,`` read as blanks between entries.
+_CYCLE_NOTATION = re.compile(r"(?:\([0-9,]*\))*")
+_SEPARATORS = str.maketrans("(,", "  ")
+
+
 class Permutation(Record):
     """Bijection of {0, ..., n-1}, stored as the tuple of images."""
 
-    # ``_cycle_type``: cycle lengths sorted decreasingly, set by the first ``cycle_type`` call
-    __slots__ = ("images", "_cycle_type")
+    # ``_cycle_type``: cycle lengths sorted decreasingly, and ``_order``: their lcm, both set by
+    # the first ``cycle_type`` or ``order`` call
+    __slots__ = ("images", "_cycle_type", "_order")
 
     def __init__(self, images: tuple[int, ...]):
         images = tuple(images)
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_cycle_type", None)
+        self._set(images=images, _cycle_type=None, _order=None)
         if not all(type(i) is int for i in images):
             raise MonodromyDataError(f"permutation images must be integers: {images!r}")
         if sorted(images) != list(range(len(images))):
@@ -117,30 +131,33 @@ class Permutation(Record):
     @classmethod
     def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
         """Wrap images already known to form a bijection, skipping the check."""
-        perm = object.__new__(cls)
+        perm = object.__new__(cls)  # set directly: every product of ``then`` comes through here
         object.__setattr__(perm, "images", images)
         object.__setattr__(perm, "_cycle_type", None)
+        object.__setattr__(perm, "_order", None)
         return perm
 
     @classmethod
     def from_cycles(cls, text: str, degree: int) -> "Permutation":
-        """Parse cycle notation such as ``(0 1)(2 3)``, 0-based, whitespace-insensitive."""
-        stripped = re.sub(r"\s+", "", text)
-        if re.sub(r"\([0-9,]*\)", "", stripped):
+        """Parse cycle notation such as ``(0 1)(2 3)``, 0-based, whitespace-insensitive.
+
+        Disjoint cycles of sheets in range form a bijection, so the images
+        are not checked again.
+        """
+        if not _CYCLE_NOTATION.fullmatch("".join(text.split())):
             raise MonodromyDataError(f"unparseable cycle notation: {text!r}")
         images = list(range(degree))
         seen: set[int] = set()
-        for body in re.findall(r"\(([^()]*)\)", text):
-            entries = [e for e in re.split(r"[,\s]+", body.strip()) if e]
-            cycle = [_numeral(e) for e in entries]
-            if any(i < 0 or i >= degree for i in cycle):
+        for body in text.translate(_SEPARATORS).split(")")[:-1]:
+            cycle = [_numeral(e) for e in body.split()]
+            if any(i >= degree for i in cycle):
                 raise MonodromyDataError(f"sheet index out of range 0..{degree - 1}: {text!r}")
             if seen.intersection(cycle) or len(set(cycle)) != len(cycle):
                 raise MonodromyDataError(f"repeated sheet index in cycles: {text!r}")
             seen.update(cycle)
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 images[a] = b
-        return cls(tuple(images))
+        return cls._unchecked(tuple(images))
 
     @property
     def degree(self) -> int:
@@ -148,26 +165,26 @@ class Permutation(Record):
 
     def then(self, other: "Permutation") -> "Permutation":
         """Composite applying ``self`` first, then ``other``."""
-        if other.degree != self.degree:
+        first, second = self.images, other.images
+        if len(first) != len(second):
             raise MonodromyDataError("composing permutations of different degrees")
         # a one-index itemgetter returns a bare item; the only permutation of one sheet is the identity
-        images = itemgetter(*self.images)(other.images) if self.degree > 1 else other.images
-        return Permutation._unchecked(images)
+        return Permutation._unchecked(itemgetter(*first)(second) if len(first) > 1 else second)
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))
 
     def cycle_type(self) -> tuple[int, ...]:
-        """Cycle lengths sorted decreasingly; sums to the degree.  Computed once."""
-        lengths = self._cycle_type
-        if lengths is None:
-            lengths = tuple(sorted(_cycle_lengths(self.images), reverse=True))
-            object.__setattr__(self, "_cycle_type", lengths)
-        return lengths
+        """Cycle lengths sorted decreasingly; sums to the degree.  Computed once, with the order."""
+        if self._cycle_type is None:
+            lengths = _cycle_lengths(self.images)
+            self._set(_cycle_type=tuple(sorted(lengths, reverse=True)), _order=lcm(*lengths))
+        return self._cycle_type
 
     def order(self) -> int:
         """Least common multiple of the cycle lengths."""
-        return lcm(*self.cycle_type())
+        self.cycle_type()
+        return self._order
 
 
 def _cycle_lengths(images) -> list[int]:
@@ -186,10 +203,6 @@ def _cycle_lengths(images) -> list[int]:
             length += 1
         found.append(length)
     return found
-
-
-def _order(images) -> int:
-    return lcm(*_cycle_lengths(images))
 
 
 def _parity(images) -> int:
@@ -218,28 +231,27 @@ def _right(s):
 
 
 def _powers(r, count: int) -> list:
-    """The first ``count`` powers of an internal element, the identity first."""
-    step = _right(r)  # r^k then r is r^(k+1)
-    power = _element(range(len(r)))
-    out = []
-    for _ in range(count):
-        out.append(power)
-        power = step(power)
-    return out
+    """The first ``count`` powers of an internal element, the identity first.
+
+    Up to 256 sheets the whole walk is one C loop of ``bytes.translate``.
+    """
+    identity = _element(range(len(r)))
+    if type(r) is bytes:
+        return list(accumulate(repeat(r + _BYTE_VALUES[len(r):], count - 1), bytes.translate, initial=identity))
+    step = _right(r)
+    return list(accumulate(repeat(None, count - 1), lambda h, _: step(h), initial=identity))
 
 
 class BranchedCover(Record):
     """Degree-n cover of a genus-b curve, branch monodromy acting left to right."""
 
     # ``_elements``: the internal element of each branch permutation, one object per distinct
-    # permutation object; ``_group``: the monodromy group, set by the first ``generated_group`` call
-    __slots__ = ("degree", "base_genus", "branch_monodromy", "_elements", "_group")
+    # permutation object; ``_lengths``: the cycle lengths of r, the product of the first two
+    # distinct elements, keyed by r; ``_group``: set by the first ``generated_group`` call
+    __slots__ = ("degree", "base_genus", "branch_monodromy", "_elements", "_lengths", "_group")
 
     def __init__(self, degree: int, base_genus: int, branch_monodromy: tuple[Permutation, ...]):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "base_genus", base_genus)
-        object.__setattr__(self, "branch_monodromy", tuple(branch_monodromy))
-        object.__setattr__(self, "_group", None)
+        self._set(degree=degree, base_genus=base_genus, branch_monodromy=tuple(branch_monodromy), _group=None)
         if self.degree < 1:
             raise MonodromyDataError("cover degree must be positive")
         if self.base_genus < 0:
@@ -251,24 +263,18 @@ class BranchedCover(Record):
                 raise MonodromyDataError("permutation degree does not match cover degree")
             if sigma.images == identity:
                 raise MonodromyDataError("branch permutations must be non-identity")
-        converted = {key: _element(sigma.images) for key, sigma in distinct.items()}
-        object.__setattr__(self, "_elements", tuple(converted[id(sigma)] for sigma in self.branch_monodromy))
         if self.branch_monodromy and reduce(Permutation.then, self.branch_monodromy).images != identity:
             raise MonodromyDataError("branch monodromy product is not the identity")
-        if not self._is_transitive(converted.values()):
-            raise MonodromyDataError("monodromy group is not transitive: cover is disconnected")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.degree == other.degree
-            and self.base_genus == other.base_genus
-            and self.branch_monodromy == other.branch_monodromy
+        converted = {key: _element(sigma.images) for key, sigma in distinct.items()}
+        gens = list(dict.fromkeys(converted.values()))
+        r = _right(gens[1])(gens[0]) if len(gens) > 1 else None
+        self._set(
+            _elements=tuple(converted[id(sigma)] for sigma in self.branch_monodromy),
+            _lengths={r: _cycle_lengths(r)} if r else {},
         )
-
-    def __hash__(self):
-        return hash((self.degree, self.base_genus, self.branch_monodromy))
+        # an n-cycle in the group proves it transitive; otherwise follow forward images
+        if [self.degree] not in self._lengths.values() and not self._is_transitive(gens):
+            raise MonodromyDataError("monodromy group is not transitive: cover is disconnected")
 
     def _is_transitive(self, maps) -> bool:
         # Forward images suffice: a permutation that maps a finite set into
@@ -288,35 +294,36 @@ class BranchedCover(Record):
 class GroupDescriptor(Record):
     """A concrete permutation group: order, coarse classification, full element list."""
 
-    # ``_images``: internal elements, in element order; ``_rotations``: the powers of a rotation
-    # of half order when the label is dihedral, else None.  Set by the closure only: ``_odd``,
-    # its span (element -> parity, in the span's order) and ``_gens``, its distinct generators.
-    # ``_parent``: the descriptor a subgroup was cut from.  Unset memos read as None.
-    __slots__ = ("order", "classification", "elements", "_images", "_rotations", "_odd", "_gens", "_parent")
+    # ``_members``: internal elements in any order; ``_images``: the same, in element order.
+    # ``_rotations``: the powers of a rotation of half order when the label is dihedral, else
+    # None.  Set by the closure only: ``_odd``, its span (element -> parity, in the span's
+    # order), and ``_lengths``, the cycle lengths of its distinct generators and of their
+    # product.  ``_parent``: the descriptor a subgroup was cut from.  Unset memos read as None.
+    __slots__ = (
+        "order", "classification", "elements", "_members", "_images", "_rotations", "_odd", "_lengths", "_parent"
+    )
 
     def __init__(self, order: int, classification: str, elements: tuple[Permutation, ...]):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "classification", classification)
-        object.__setattr__(self, "elements", tuple(elements))
-        object.__setattr__(self, "_images", tuple(_element(e.images) for e in self.elements))
+        elements = tuple(elements)
+        images = tuple(_element(e.images) for e in elements)
+        self._set(order=order, classification=classification, elements=elements, _images=images, _members=images)
         if self.order != len(self.elements):
             raise MonodromyDataError("group order does not match element count")
 
     @classmethod
-    def _of_images(cls, images: tuple, **memos) -> "GroupDescriptor":
-        group = object.__new__(cls)
-        for name, value in {"order": len(images), "_images": images, **memos}.items():
-            object.__setattr__(group, name, value)
-        return group
+    def _of_images(cls, members, **memos) -> "GroupDescriptor":
+        return object.__new__(cls)._set(order=len(members), _members=members, **memos)
 
     def __getattr__(self, name):  # slots left unset until their first read
         if name in ("classification", "_rotations"):
             label, rotations = _classify(self)
             object.__setattr__(self, "_rotations", rotations)
             value = label if name == "classification" else rotations
+        elif name == "_images":
+            value = tuple(sorted(self._members))
         elif name == "elements":
             value = tuple(Permutation._unchecked(tuple(g)) for g in self._images)
-        elif name in ("_odd", "_gens", "_parent"):
+        elif name in ("_odd", "_lengths", "_parent"):
             value = None
         else:
             raise AttributeError(name)
@@ -360,7 +367,7 @@ def ramification_profile(cover: BranchedCover) -> list[tuple[int, ...]]:
 
 
 def _span(
-    candidates, degree: int, max_order: int, within: set | None = None
+    candidates, degree: int, max_order: int, within: set | None = None, lengths: dict | None = None
 ) -> dict:
     """The group generated by ``candidates``, a whole right coset at a time, with parities.
 
@@ -377,17 +384,19 @@ def _span(
     identity, the powers r, r^2, ... of the first generator taken (the
     product, unless it is the identity) up to its order, then the second
     generator taken and the rest of its coset; ``_classify`` reads the
-    rotations of a dihedral group there.  The size of each batch (an
-    order, or |H|) is known before it is built, so ``EnumerationLimitError``
-    is raised before the span would pass ``max_order`` elements or
-    ``MAX_GROUP_CELLS`` cells, each element costing its degree plus
-    ``ELEMENT_OVERHEAD``.  With ``within`` given (at most ``max_order``
-    elements), leaving it or overflowing raises ``MonodromyDataError``:
-    the set is not closed.
+    rotations of a dihedral group there.  A generator's order and parity
+    come from its cycle lengths, read from ``lengths`` when it is a key.
+    The size of each batch (an order, or |H|) is known before it is
+    built, so ``EnumerationLimitError`` is raised before the span would
+    pass ``max_order`` elements or ``MAX_GROUP_CELLS`` cells, each element
+    costing its degree plus ``ELEMENT_OVERHEAD``.  With ``within`` given
+    (holding the identity, at most ``max_order`` elements), leaving it or
+    overflowing raises ``MonodromyDataError``: the set is not closed.
     """
     identity = _element(range(degree))
     span = {identity: 0}
     bound = min(max_order, MAX_GROUP_CELLS // (degree + ELEMENT_OVERHEAD))
+    known = lengths or {}
 
     def admit(size: int, fresh=()) -> None:
         """Refuse ``size`` more elements past the bound, and ``fresh`` elements outside ``within``."""
@@ -406,16 +415,15 @@ def _span(
     for u in gens:
         if u in span:
             continue
-        then_u, u_odd = _right(u), _parity(u)
-        steps.append((then_u, u_odd))
-        if len(steps) == 1:  # u, u^2, ... up to the identity, of alternating parity when u is odd
-            admit(_order(u) - 1)
-            power, powers = u, []
-            while power != identity:
-                powers.append(power)
-                power = then_u(power)
+        cycles = known.get(u) or _cycle_lengths(u)
+        u_odd = (degree - len(cycles)) % 2
+        steps.append((_right(u), u_odd))
+        if len(steps) == 1:  # 1, u, u^2, ... up to its order, of alternating parity when u is odd
+            order = lcm(*cycles)
+            admit(order - 1)
+            powers = _powers(u, order)
             admit(0, powers)
-            span.update(zip(powers, [u_odd, 0] * len(powers)))
+            span.update(zip(powers, [0, u_odd] * order))
             continue
         cosets = [list(span)]  # the identity first, so each coset's first element is its representative
         flips = (list(span.values()), [odd ^ 1 for odd in span.values()])
@@ -441,36 +449,41 @@ def _classify(group: GroupDescriptor) -> tuple[str, list | None]:
     so moved points are counted on the closure's generators, or on every
     element when the descriptor has none.  One scan then reads element
     orders until the label is settled, starting with the closure's first
-    generator taken, whose powers are the span's first keys.  An element
-    of order |G| makes G cyclic.  The first element r of order |G|/2, when
-    |G| >= 6, settles the dihedral question with the first element s
-    outside <r>: G is dihedral exactly when s is an involution inverting
-    r.  In D_m with m >= 3 every element of order m is a rotation and
-    every other element a reflection; conversely such r and s generate
-    D_m.  A dihedral group is not abelian, so no cyclic label hides
-    behind it.  A dihedral label comes with the powers of r, which are
-    the rotations; any other with None.
+    generator taken, whose powers are the span's first keys and whose
+    order the closure already knows.  An element of order |G| makes G
+    cyclic.  The first element r of order |G|/2, when |G| >= 6, settles
+    the dihedral question with any element s outside <r>, on the closure
+    the span key right after r's powers: G is dihedral exactly when s is
+    an involution inverting r.  In D_m with m >= 3 every element of order
+    m is a rotation and every other element a reflection; conversely such
+    r and s generate D_m.  So the label does not depend on the order of
+    the elements.  A dihedral group is not abelian, so no cyclic label
+    hides behind it.  A dihedral label comes with the powers of r, which
+    are the rotations; any other with None.
     """
-    elements, gens = group._images, group._gens
-    n = len(elements)
+    members, known = group._members, group._lengths or {}
+    n = len(members)
     k = 4
     while factorial(k) < n:
         k += 1
-    pool = gens or elements
+    pool = list(known) or members  # the generators and their product, or every element
     # a point is moved when its column of images is not constant
     if factorial(k) == n and sum(column.count(i) != len(pool) for i, column in enumerate(zip(*pool))) == k:
         return SYMMETRIC, None
     half = n // 2 if n % 2 == 0 and n >= 6 else None
-    keys = list(group._odd) if gens else []
-    for r in chain(keys[1:2], elements):
-        order = _order(r)
+    keys = list(members) if known else []
+    for r in chain(keys[1:2], members):
+        order = lcm(*known.get(r) or _cycle_lengths(r))
         if order == n:
             return CYCLIC, None
         if order == half:
             half = None  # only the first element of order |G|/2 is tried
-            powers = keys[:order] if keys[1:2] == [r] else _powers(r, order)
-            rotations = set(powers)
-            s = next(s for s in elements if s not in rotations)
+            if keys[1:2] == [r]:
+                powers, s = keys[:order], keys[order]
+            else:
+                powers = _powers(r, order)
+                rotations = set(powers)
+                s = next(s for s in members if s not in rotations)
             then_s = _right(s)
             if then_s(s) == powers[0] and then_s(_right(r)(s)) == powers[-1]:
                 return DIHEDRAL, powers
@@ -494,10 +507,11 @@ def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORD
     _refuse_degree_above(cover.degree, max_order)
     group = cover._group
     if group is None:
-        gens = tuple(dict.fromkeys(cover._elements))
-        span = _span(gens, cover.degree, max_order)
-        group = GroupDescriptor._of_images(tuple(sorted(span)), _odd=span, _gens=gens)
-        object.__setattr__(cover, "_group", group)
+        lengths = dict(zip(cover._elements, map(Permutation.cycle_type, cover.branch_monodromy)))
+        lengths.update(cover._lengths)
+        span = _span(cover._elements, cover.degree, max_order, None, lengths)
+        group = GroupDescriptor._of_images(span, _odd=span, _lengths=lengths)
+        cover._set(_group=group)
     elif group.order > max_order:
         raise EnumerationLimitError(f"group closure exceeds the configured bound {max_order}")
     return group
@@ -509,13 +523,13 @@ def cyclic_rotation_subgroup(group: GroupDescriptor) -> GroupDescriptor:
         raise MonodromyDataError("rotation subgroup is defined for dihedral groups only")
     if group._rotations is None:  # a descriptor built with a dihedral label the scan does not find
         raise MonodromyDataError("dihedral descriptor has no rotation of half order")
-    return GroupDescriptor._of_images(tuple(sorted(group._rotations)), _parent=group)
+    return GroupDescriptor._of_images(group._rotations, _parent=group)
 
 
 def even_subgroup(group: GroupDescriptor) -> GroupDescriptor:
     """The subgroup of even permutations (alternating part), by the parities the closure recorded."""
-    odd = group._odd or {g: _parity(g) for g in group._images}
-    return GroupDescriptor._of_images(tuple(filterfalse(odd.__getitem__, group._images)), _parent=group)
+    odd = group._odd or {g: _parity(g) for g in group._members}
+    return GroupDescriptor._of_images(list(filterfalse(odd.__getitem__, group._members)), _parent=group)
 
 
 def galois_closure_genus(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> int:
@@ -546,20 +560,20 @@ def quotient_genus(
     element are subgroups by construction.
     """
     group = generated_group(cover, max_order)
-    members = set(subgroup._images)
+    members = set(subgroup._members)
     if subgroup._parent is not group:
         if not group._odd.keys() >= members:
             raise SubgroupContainmentError("subgroup element is not in the monodromy group")
         if _element(range(cover.degree)) not in members:
             raise MonodromyDataError("subgroup is missing the identity")
-        _span(subgroup._images, cover.degree, len(members), within=members)
+        _span(subgroup._members, cover.degree, len(members), members)
     if 2 * len(members) >= group.order:  # index 1 or 2
         moved = sum(h not in members for h in cover._elements)
         return _rh_solve(group.order // len(members), cover.base_genus, moved)
     # the right coset of g is {u then g : u in the subgroup}
     coset_of = {}
     reps = []
-    for g in group._images:
+    for g in group._members:
         if g not in coset_of:
             coset_of.update(dict.fromkeys(map(_right(g), members), len(reps)))
             reps.append(g)
@@ -592,12 +606,9 @@ def build_dihedral_cover(
     if not is_odd_prime(p):
         raise MonodromyDataError(f"cover degree must be an odd prime, got {p}")
 
-    def reflection(a: int) -> Permutation:
-        return Permutation._unchecked(tuple((a - x) % p for x in range(p)))
-
-    s_1 = reflection(1)
-    tup = (s_1, s_1) + (reflection(0),) * (2 * g)
-    return BranchedCover(p, 0, tup)
+    s_1 = Permutation._unchecked((1, 0, *range(p - 1, 1, -1)))  # x -> 1 - x
+    s_0 = Permutation._unchecked((0, *range(p - 1, 0, -1)))  # x -> -x
+    return BranchedCover(p, 0, (s_1, s_1) + (s_0,) * (2 * g))
 
 
 def parse_cover(text: str, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -> BranchedCover:
@@ -606,21 +617,26 @@ def parse_cover(text: str, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -> Br
     First non-empty line: ``degree n; base_genus b``.  Each following
     non-empty line is one permutation in 0-based cycle notation, e.g.
     ``(0 1)(2 3)``.  Whitespace-insensitive.  A degree above
-    ``max_group_order`` is refused before any permutation is built.
+    ``max_group_order`` is refused before any permutation is built.  Each
+    distinct line is parsed once, and its repeats share the one
+    ``Permutation`` object.
     """
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise MonodromyDataError("empty cover description")
-    header = re.fullmatch(r"degree\s*(\d+)\s*;\s*base_genus\s*(\d+)", lines[0].strip())
+    header = re.fullmatch(r"degree\s*(\d+)\s*;\s*base_genus\s*(\d+)", lines[0])
     if not header:
         raise MonodromyDataError(f"bad header line {lines[0]!r}: expected 'degree n; base_genus b'")
-    degree = _numeral(header.group(1))
-    base_genus = _numeral(header.group(2))
+    degree, base_genus = map(_numeral, header.groups())
     _refuse_degree_above(degree, max_group_order)
-    perms = tuple(Permutation.from_cycles(line, degree) for line in lines[1:])
-    return BranchedCover(degree, base_genus, perms)
+    parsed = {line: Permutation.from_cycles(line, degree) for line in dict.fromkeys(lines[1:])}
+    return BranchedCover(degree, base_genus, tuple(map(parsed.__getitem__, lines[1:])))
 
 
 def load_cover(path: str, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -> BranchedCover:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_cover(handle.read(), max_group_order)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as error:  # read() decodes the whole file at once, so its position is the file's
+        raise MonodromyDataError(f"cover file is not UTF-8 text: {error}") from None
+    return parse_cover(text, max_group_order)

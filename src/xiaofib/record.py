@@ -1,7 +1,7 @@
 """Base of the package's immutable value classes.
 
 A value class names its fields in ``__slots__`` and sets them in its own
-``__init__`` through ``object.__setattr__``.  Slots whose names start
+``__init__`` through ``object.__setattr__`` or ``_set``.  Slots whose names start
 with an underscore hold memos: they stay out of equality, hashing and
 ``repr``.  Instances compare and hash by their field values, assigning
 or deleting an attribute raises ``AttributeError``, and ``copy`` and
@@ -40,6 +40,12 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
+
+    def _set(self, **fields):
+        """Set fields and memos by name, from ``__init__`` or a constructor that skips it; returns self."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

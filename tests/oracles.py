@@ -10,7 +10,9 @@ cycle lengths, a
 group label read from every element's order up front instead of from
 the few orders the label needs, quotient genera from the full coset
 table instead of the index-2 reading, parities from each element's
-cycle type instead of from the closure, trial division instead of Miller-Rabin
+cycle type instead of from the closure, cycle notation read by regular
+expressions instead of string methods, transitivity by a search over
+every permutation instead of the n-cycle test, trial division instead of Miller-Rabin
 for primality, and smoothness by bivariate elimination on all three
 affine charts instead of one chart and the line at infinity.
 
@@ -20,6 +22,7 @@ The permutation helpers ``identity``, ``inverse`` and ``sign``, the
 them.
 """
 
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -317,6 +320,35 @@ def cycle_string(perm) -> str:
     """Cycle notation, fixed points omitted, ``()`` for the identity: the input ``from_cycles`` reads."""
     parts = ["(" + " ".join(map(str, c)) + ")" for c in cycles(perm) if len(c) > 1]
     return "".join(parts) if parts else "()"
+
+
+def permutation_from_cycles(text: str, degree: int) -> Permutation:
+    """Cycle notation read by regular expressions, every image checked: ``from_cycles``'s reference."""
+    stripped = re.sub(r"\s+", "", text)
+    if re.sub(r"\([0-9,]*\)", "", stripped):
+        raise monodromy.MonodromyDataError(f"unparseable cycle notation: {text!r}")
+    images = list(range(degree))
+    seen: set[int] = set()
+    for body in re.findall(r"\(([^()]*)\)", text):
+        entries = [e for e in re.split(r"[,\s]+", body.strip()) if e]
+        cycle = [monodromy._numeral(e) for e in entries]
+        if any(i < 0 or i >= degree for i in cycle):
+            raise monodromy.MonodromyDataError(f"sheet index out of range 0..{degree - 1}: {text!r}")
+        if seen.intersection(cycle) or len(set(cycle)) != len(cycle):
+            raise monodromy.MonodromyDataError(f"repeated sheet index in cycles: {text!r}")
+        seen.update(cycle)
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
+    return Permutation(tuple(images))
+
+
+def is_transitive(perms, degree: int) -> bool:
+    """Whether the sheets form one orbit, by a breadth-first search over every permutation."""
+    reached, frontier = {0}, [0]
+    while frontier:
+        frontier = [p.images[i] for i in frontier for p in perms if p.images[i] not in reached]
+        reached.update(frontier)
+    return len(reached) == degree
 
 
 def composition_order(perm) -> int:

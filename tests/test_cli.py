@@ -177,6 +177,19 @@ def test_cli_monodromy_bad_file(tmp_path, capsys):
     assert main(["monodromy", "--file", str(path)]) == 2
 
 
+def test_cli_monodromy_refuses_a_cover_file_that_is_not_utf8(tmp_path):
+    """A byte that is not UTF-8 is an input error, exit 2 with one line: not a traceback and exit 1."""
+    path = tmp_path / "cover.txt"
+    path.write_bytes(b"degree 3; base_genus 0\n(0 1)\xff\n")
+    result, _ = run_fresh_cli("monodromy", "--file", str(path))
+    assert_refused(result, "cover file is not UTF-8 text")
+    # past the first 8 KB read the offset is still the byte's offset in the file
+    prefix = b"degree 3; base_genus 0\n" + b"(0 1)\n" * 2000
+    path.write_bytes(prefix + b"(1 2)\xff\n")
+    result, _ = run_fresh_cli("monodromy", "--file", str(path))
+    assert_refused(result, f"byte 0xff in position {len(prefix) + 5}:")
+
+
 def fresh_env(*paths: str, **variables: str) -> dict:
     """The environment of a new interpreter that imports ``src/`` first, then ``paths``."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -735,14 +735,47 @@ def test_classification_matches_the_eager_oracle_on_random_subgroups():
     assert labels == {"cyclic", "dihedral", "symmetric", "other"}
 
 
-def test_classification_reads_few_orders(monkeypatch):
+def tower(cover):
+    """The numbers of a tower, in the order a tower op asks for them."""
+    genus = rh_genus(cover)
+    group = generated_group(cover)
+    subgroup = cyclic_rotation_subgroup(group) if group.classification == "dihedral" else even_subgroup(group)
+    return genus, galois_closure_genus(cover), quotient_genus(cover, subgroup), group.classification, group.order
+
+
+@pytest.mark.parametrize("make, walks, answer", [
+    # two distinct reflections and r: 6 walks before each permutation kept its walk for the closure
+    pytest.param(lambda: build_dihedral_cover(10, 151), 3, (675, 1360, 10, "dihedral", 302), id="D151"),
+    # five distinct transpositions, each on two lines, and r: 16 walks before each line was parsed once
+    pytest.param(lambda: parse_cover(S6_CHAIN), 6, (0, 1081, 4, "symmetric", 720), id="S6"),
+])
+def test_a_tower_walks_each_permutation_once(monkeypatch, make, walks, answer):
+    """One cycle walk per distinct branch permutation and one for r, the product of the first two."""
     from xiaofib import monodromy
 
-    cover = build_dihedral_cover(2, 151)
-    orders = counting(monkeypatch, monodromy, "_order")  # classification reads orders of image tuples
+    counted = counting(monkeypatch, monodromy, "_cycle_lengths")
+    assert tower(make()) == answer
+    assert counted["n"] == walks
+
+
+@pytest.mark.parametrize("make, cut", [
+    pytest.param(lambda: parse_cover(S6_CHAIN), even_subgroup, id="S6"),
+    pytest.param(lambda: build_dihedral_cover(3, 151), cyclic_rotation_subgroup, id="D151"),
+])
+def test_a_tower_sorts_nothing_and_descriptors_sort_when_compared(make, cut):
+    cover = make()
+    tower(cover)
     group = generated_group(cover)
-    assert (group.order, group.classification) == (302, "dihedral")
-    assert 0 < orders["n"] < 16  # reading every element's order took 302
+    descriptors = (group, cut(group))
+    unsorted = [descriptor for descriptor in descriptors if list(descriptor._members) != sorted(descriptor._members)]
+    assert unsorted  # the span's order is not the sorted one, so a sort would show
+    for descriptor in descriptors:
+        with pytest.raises(AttributeError):  # the slot itself, not the lazy read: nothing sorted yet
+            GroupDescriptor.__dict__["_images"].__get__(descriptor)
+    for descriptor in descriptors:
+        copy = public_copy(descriptor)
+        assert copy == descriptor and descriptor == copy and hash(copy) == hash(descriptor)
+        assert [e.images for e in descriptor.elements] == sorted(e.images for e in descriptor.elements)
 
 
 # ---- dihedral construction ----
@@ -817,7 +850,8 @@ def test_the_rotations_are_computed_once_per_tower(monkeypatch):
         cover = build_dihedral_cover(g, 151)
         rotations = cyclic_rotation_subgroup(generated_group(cover))
         assert quotient_genus(cover, rotations) == g
-    assert powers["n"] == 0  # the label reads the rotations off the closure, and nothing walks them again
+    # the closure walks the rotations once per tower; the label reads them off the span
+    assert powers["n"] == 50
 
 
 def test_ramification_profiles():

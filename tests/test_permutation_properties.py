@@ -7,6 +7,9 @@ byte strings up to 256 sheets and tuples above.  Orders, signs and
 groups are compared with references that use neither the cycle-length
 memo nor the coset-at-a-time closure; that closure is compared, dict for
 dict or refusal for refusal, with the breadth-first one it replaced.
+Cycle notation is compared with the regular-expression reader it
+replaced, and the n-cycle transitivity test with a search over every
+permutation.
 """
 
 import time
@@ -17,7 +20,16 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from oracles import bfs_span, brute_closure, classify_by_orders, composition_order, inverse, sign  # noqa: E402
+from oracles import (  # noqa: E402
+    bfs_span,
+    brute_closure,
+    classify_by_orders,
+    composition_order,
+    inverse,
+    is_transitive,
+    permutation_from_cycles,
+    sign,
+)
 from xiaofib import monodromy  # noqa: E402
 from xiaofib.monodromy import (  # noqa: E402
     BranchedCover,
@@ -303,3 +315,136 @@ def test_parse_cover_returns_a_cover_or_a_documented_error(text):
     else:
         assert isinstance(cover, BranchedCover)
     assert time.perf_counter() - start < 1.0
+
+
+# ---- cycle notation and transitivity against the readers and searches they replaced ----
+
+
+def parsed_or_refused(parse, text, degree):
+    """The images a parser reads, or the class of the exception it raised."""
+    try:
+        return parse(text, degree).images
+    except Exception as error:  # noqa: BLE001 - the class is the outcome compared
+        return type(error)
+
+
+separators = st.sampled_from(["", " ", ",", ", ", " , ", "\t", "\x0b", "\x1c", ",,", " \t "])
+between_cycles = st.sampled_from(["", "", "", " ", "\t", "\x0b", "\x1c", ","])  # a comma there is refused
+
+
+@st.composite
+def cycle_texts(draw):
+    """(text, degree) over the characters of cycle notation and some whitespace.
+
+    Half are any text over that alphabet, nearly all refused; half are
+    disjoint cycles, now and then reaching one sheet past the range or
+    repeating a sheet, with drawn separators after every parenthesis
+    and entry, so most parse.
+    """
+    degree = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        return draw(st.text(alphabet="()0123456789, \t\x0b\x1c", max_size=30)), degree
+    sheets = draw(st.permutations(range(degree + (draw(st.integers(0, 3)) == 0))))
+    cycles = []
+    for size in draw(st.lists(st.integers(0, 5), min_size=1, max_size=4)):
+        cycles.append(sheets[:size])
+        sheets = sheets[size:]
+    if cycles and cycles[0] and draw(st.integers(0, 3)) == 0:
+        cycles.append(cycles[0][-1:])
+    text = "".join(
+        "(" + draw(separators) + "".join(f"{i}{draw(separators.filter(bool))}" for i in c) + ")" + draw(between_cycles)
+        for c in cycles
+    )
+    return text, degree
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(cycle_texts())
+@example(("( 0 , 1 )(2\t3)", 4))
+@example(("(0 1)(1 2)", 3))
+@example(("(0\x1c1)\x0b", 2))
+@example(("(" + "9" * 4400 + ")", 3))
+@example(("", 0))
+def test_from_cycles_matches_the_regular_expression_reader(case):
+    text, degree = case
+    assert parsed_or_refused(Permutation.from_cycles, text, degree) == parsed_or_refused(
+        permutation_from_cycles, text, degree
+    )
+
+
+line_variants = st.sampled_from(["({} {})", "( {} , {} )", "({},{})", "(\t{}  {})", " ({} {}) "])
+
+
+@st.composite
+def tree_cover_texts(draw):
+    """A cover file of a random labelled tree on 2-6 sheets: each edge on two adjacent lines, each spelled as drawn."""
+    n = draw(st.integers(2, 6))
+    edges = draw(st.permutations([(draw(st.integers(0, i - 1)), i) for i in range(1, n)]))
+    lines = [draw(line_variants).format(a, b) for a, b in edges for _ in range(2)]
+    return n, lines
+
+
+@PROPERTY
+@given(tree_cover_texts())
+@example((3, ["(0 1)", "( 0 , 1 )", "(1 2)", "(1 2)"]))
+def test_a_cover_file_parses_each_distinct_line_once(case):
+    """Repeated and whitespace-variant lines: the cover equals the one parsed line by line."""
+    n, lines = case
+    cover = parse_cover(f"degree {n}; base_genus 0\n" + "\n".join(lines) + "\n")
+    expected = BranchedCover(n, 0, tuple(permutation_from_cycles(line, n) for line in lines))
+    assert cover == expected and hash(cover) == hash(expected)
+    shared = {}
+    for line, sigma in zip(lines, cover.branch_monodromy):
+        assert shared.setdefault(line.strip(), sigma) is sigma  # one object per distinct line
+
+
+def cycle_of(order) -> Permutation:
+    """The n-cycle visiting the sheets in this order."""
+    images = [0] * len(order)
+    for i, j in zip(order, order[1:] + order[:1]):
+        images[i] = j
+    return Permutation(tuple(images))
+
+
+@st.composite
+def branch_lists(draw):
+    """Branch permutations of 1-8 sheets multiplying to the identity, connected or not.
+
+    ``ncycle``: the first two multiply to an n-cycle; ``split``: every
+    permutation keeps the sheets below k together, so the cover is
+    disconnected; ``any``: permutations drawn from all of S_n.
+    """
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["ncycle", "split", "any"] if n > 1 else ["any"]))
+    if kind == "split":
+        k = draw(st.integers(1, n - 1))
+        halves = st.tuples(st.permutations(range(k)), st.permutations(range(k, n)))
+        perms = [Permutation((*low, *high)) for low, high in draw(st.lists(halves, max_size=3))]
+    else:
+        perms = draw(st.lists(permutations_of(n), max_size=3))
+    if kind == "ncycle":
+        a = draw(permutations_of(n))
+        perms[:0] = [a, inverse(a).then(cycle_of(draw(st.permutations(range(n)))))]
+    product = Permutation(tuple(range(n)))
+    for q in perms:
+        product = product.then(q)
+    perms = [q for q in perms + [inverse(product)] if not q.is_identity()]
+    return n, perms
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(branch_lists())
+@example((5, [cycle_of([0, 1, 2, 3, 4]), inverse(cycle_of([0, 1, 2, 3, 4]))]))  # r is the identity
+@example((5, list(build_dihedral_cover(2, 5).branch_monodromy)))  # r is a 5-cycle
+@example((4, [Permutation((1, 0, 2, 3))] * 2 + [Permutation((0, 2, 1, 3))] * 2 + [Permutation((0, 1, 3, 2))] * 2))
+@example((4, [Permutation((1, 0, 2, 3))] * 2 + [Permutation((0, 1, 3, 2))] * 2))  # disconnected
+def test_transitivity_matches_the_forward_image_search(case):
+    """The n-cycle test on r, or else the forward-image walk, decides as a search over every permutation does."""
+    n, perms = case
+    try:
+        BranchedCover(n, 0, tuple(perms))
+    except MonodromyDataError as error:
+        assert "not transitive" in str(error)
+        assert not is_transitive(perms, n)
+    else:
+        assert is_transitive(perms, n)
