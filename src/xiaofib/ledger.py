@@ -28,11 +28,7 @@ class ClaimReport(Record):
     __slots__ = ("claim_id", "paper_anchor", "expected", "computed", "status")
 
     def __init__(self, claim_id: str, paper_anchor: str, expected: str, computed: str, status: str):
-        object.__setattr__(self, "claim_id", claim_id)
-        object.__setattr__(self, "paper_anchor", paper_anchor)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "computed", computed)
-        object.__setattr__(self, "status", status)
+        self._set(claim_id=claim_id, paper_anchor=paper_anchor, expected=expected, computed=computed, status=status)
 
     def to_dict(self) -> dict:
         return {
@@ -66,12 +62,9 @@ class Claim(Record):
         compute: Callable[[], str],
         assumed: bool = False,
     ):
-        object.__setattr__(self, "claim_id", claim_id)
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "paper_anchor", paper_anchor)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "compute", compute)
-        object.__setattr__(self, "assumed", assumed)
+        self._set(
+            claim_id=claim_id, case=case, paper_anchor=paper_anchor, expected=expected, compute=compute, assumed=assumed
+        )
 
     def run(self) -> ClaimReport:
         if self.assumed:
@@ -164,8 +157,7 @@ class LedgerContext(Record):
     __slots__ = ("seed", "max_group_order")
 
     def __init__(self, seed: int = 1, max_group_order: int = monodromy.DEFAULT_MAX_GROUP_ORDER):
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "max_group_order", max_group_order)
+        self._set(seed=seed, max_group_order=max_group_order)
 
 
 def build_claims(context: LedgerContext | None = None) -> list[Claim]:

@@ -294,7 +294,7 @@ class BranchedCover(Record):
 class GroupDescriptor(Record):
     """A concrete permutation group: order, coarse classification, full element list."""
 
-    # ``_members``: internal elements in any order; ``_images``: the same, in element order.
+    # ``_members``: internal elements in any order; ``_images``: the same, sorted on first read.
     # ``_rotations``: the powers of a rotation of half order when the label is dihedral, else
     # None.  Set by the closure only: ``_odd``, its span (element -> parity, in the span's
     # order), and ``_lengths``, the cycle lengths of its distinct generators and of their
@@ -305,8 +305,8 @@ class GroupDescriptor(Record):
 
     def __init__(self, order: int, classification: str, elements: tuple[Permutation, ...]):
         elements = tuple(elements)
-        images = tuple(_element(e.images) for e in elements)
-        self._set(order=order, classification=classification, elements=elements, _images=images, _members=images)
+        members = tuple(_element(e.images) for e in elements)
+        self._set(order=order, classification=classification, elements=elements, _members=members)
         if self.order != len(self.elements):
             raise MonodromyDataError("group order does not match element count")
 

@@ -1,21 +1,22 @@
 """Exact polynomial arithmetic over the integers: gcds, resultants, subresultants.
 
-Coefficients are ``int`` when integral and ``Fraction`` otherwise, never
-``float``.  Gcds, contents and resultants clear denominators and run
-primitive or subresultant remainder sequences over Z, so each division
-they make is an exact integer division.  Bivariate polynomials in
-(x, y) have y as the main variable and coefficients in Z[x].  One
-subresultant remainder sequence in y gives the whole determinantal
-subresultant chain of two such polynomials; the resultant is its entry
-S_0.  On top sits an exact decision for whether up to three bivariate
-polynomials share a complex zero, which backs the smoothness
-certificate for plane curves.
+Every coefficient is an ``int``: the constructors refuse anything else,
+``bool``, ``float`` and ``Fraction`` included, so a rational input is
+scaled to an integer one before it gets here.  Gcds are primitive
+integer polynomials with positive leading coefficient, computed by
+primitive or subresultant remainder sequences over Z; by Gauss's lemma a
+primitive divisor leaves an integer quotient, so each division they make
+is an exact integer division.  Bivariate polynomials in (x, y) have y as
+the main variable and coefficients in Z[x].  One subresultant remainder
+sequence in y gives the whole determinantal subresultant chain of two
+such polynomials; the resultant is its entry S_0.  On top sits an exact
+decision for whether up to three bivariate polynomials share a complex
+zero, which backs the smoothness certificate for plane curves.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .record import Record
 
@@ -24,33 +25,12 @@ class PolynomialError(ValueError):
     """Invalid polynomial input for an exact operation."""
 
 
-def exact(value) -> int | Fraction:
-    """The value as an ``int`` when integral, else as a ``Fraction``; nothing inexact."""
-    if isinstance(value, int):
-        return int(value)
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    raise PolynomialError(f"exact arithmetic needs int or Fraction coefficients, got {value!r}")
-
-
-def _quo(a, b) -> int | Fraction:
-    """a / b exactly, staying in the integers when b divides a."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return exact(Fraction(a) / b)
-
-
-def rational_content(values) -> int | Fraction:
-    """The positive rational c with values / c integers of gcd 1 (0 for all zeros)."""
-    values = list(values)
-    numerator = gcd(*(v.numerator for v in values))
-    return exact(Fraction(numerator, lcm(*(v.denominator for v in values))))
+def _not_int(value) -> PolynomialError:
+    return PolynomialError(f"polynomial coefficients must be int, got {value!r}")
 
 
 class UnivariatePoly(Record):
-    """Dense univariate polynomial, coefficients ascending, exact and int when integral.
+    """Dense univariate polynomial over Z, coefficients ascending.
 
     The zero polynomial is the empty coefficient tuple; any nonzero
     polynomial has a nonzero leading coefficient.
@@ -58,8 +38,11 @@ class UnivariatePoly(Record):
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[int | Fraction, ...]):
-        cs = [exact(c) for c in coeffs]
+    def __init__(self, coeffs: tuple[int, ...]):
+        cs = list(coeffs)
+        for c in cs:
+            if type(c) is not int:
+                raise _not_int(c)
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -88,12 +71,12 @@ class UnivariatePoly(Record):
         """Degree, with the convention -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def leading(self) -> int | Fraction:
+    def leading(self) -> int:
         if self.is_zero():
             raise PolynomialError("the zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, k: int) -> int | Fraction:
+    def coeff(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __add__(self, other: "UnivariatePoly") -> "UnivariatePoly":
@@ -117,8 +100,7 @@ class UnivariatePoly(Record):
                     out[j] += a * b
         return UnivariatePoly(tuple(out))
 
-    def scale(self, c) -> "UnivariatePoly":
-        c = exact(c)
+    def scale(self, c: int) -> "UnivariatePoly":
         return UnivariatePoly(tuple(a * c for a in self.coeffs))
 
     def __pow__(self, k: int) -> "UnivariatePoly":
@@ -133,18 +115,17 @@ class UnivariatePoly(Record):
             k >>= 1
         return result
 
-    def __call__(self, x) -> int | Fraction:
-        x = exact(x)
+    def __call__(self, x):
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return exact(acc)
+        return acc
 
     def derivative(self) -> "UnivariatePoly":
         return UnivariatePoly(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
 
-    def divmod(self, other: "UnivariatePoly") -> tuple["UnivariatePoly", "UnivariatePoly"]:
-        """Quotient and remainder over Q; integer steps stay integral when they divide."""
+    def exact_div(self, other: "UnivariatePoly") -> "UnivariatePoly":
+        """The quotient in Z[x]; raises unless other divides self there."""
         if other.is_zero():
             raise PolynomialError("polynomial division by zero")
         rem = list(self.coeffs)
@@ -153,36 +134,27 @@ class UnivariatePoly(Record):
         lead = divisor[-1]
         quotient = [0] * max(len(rem) - d, 0)
         for shift in range(len(rem) - 1 - d, -1, -1):
-            top = rem[shift + d]
-            if top:
-                factor = _quo(top, lead)
+            factor, left = divmod(rem[shift + d], lead)
+            if left:
+                raise PolynomialError("division expected to be exact left a fraction")
+            if factor:
                 quotient[shift] = factor
                 for i in range(d):
                     rem[shift + i] -= factor * divisor[i]
-        return UnivariatePoly(tuple(quotient)), UnivariatePoly(tuple(rem[:d]))
-
-    def exact_div(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
+        if any(rem[:d]):
             raise PolynomialError("division expected to be exact left a remainder")
-        return q
-
-    def monic(self) -> "UnivariatePoly":
-        if self.is_zero():
-            return self
-        lead = self.leading()
-        return UnivariatePoly(tuple(_quo(c, lead) for c in self.coeffs))
+        return UnivariatePoly(tuple(quotient))
 
     def primitive(self) -> "UnivariatePoly":
-        """Integer associate with coprime coefficients and positive leading coefficient."""
+        """The associate with coprime coefficients and positive leading coefficient."""
         if self.is_zero():
             return self
-        content = rational_content(self.coeffs)
+        content = gcd(*self.coeffs)
         if self.coeffs[-1] < 0:
             content = -content
         if content == 1:
             return self
-        return UnivariatePoly(tuple(_quo(c, content) for c in self.coeffs))
+        return UnivariatePoly(tuple(c // content for c in self.coeffs))
 
 
 def _pseudo_rem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -211,7 +183,7 @@ def _pseudo_rem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def poly_gcd(f: UnivariatePoly, g: UnivariatePoly) -> UnivariatePoly:
-    """Monic gcd over the rationals; gcd(0, 0) = 0.
+    """The primitive gcd with positive leading coefficient; gcd(0, 0) = 0.
 
     A primitive remainder sequence over Z on the primitive associates of
     f and g: every remainder is divided by its integer content.
@@ -221,31 +193,32 @@ def poly_gcd(f: UnivariatePoly, g: UnivariatePoly) -> UnivariatePoly:
         a, b = b, a
     while not b.is_zero():
         a, b = b, UnivariatePoly(_pseudo_rem(a.coeffs, b.coeffs)).primitive()
-    return a.monic()
+    return a
 
 
 def squarefree_part(f: UnivariatePoly) -> UnivariatePoly:
-    """f divided by gcd(f, f'), made monic."""
+    """f divided by gcd(f, f'): primitive, with positive leading coefficient."""
     if f.is_zero():
         return f
     f = f.primitive()
-    return f.exact_div(poly_gcd(f, f.derivative()).primitive()).monic()
+    return f.exact_div(poly_gcd(f, f.derivative()))
 
 
 class BiPoly:
-    """Polynomial in (x, y) with y as the main variable, exact coefficients.
+    """Polynomial in (x, y) over Z with y as the main variable.
 
-    Stored as a map (x-exponent, y-exponent) -> int or Fraction with
-    zero values dropped.
+    Stored as a map (x-exponent, y-exponent) -> int with zero values
+    dropped.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[tuple[int, int], int | Fraction]):
+    def __init__(self, terms: dict[tuple[int, int], int]):
         cleaned = {}
         for (i, j), c in terms.items():
-            c = exact(c)
-            if c != 0:
+            if type(c) is not int:
+                raise _not_int(c)
+            if c:
                 if i < 0 or j < 0:
                     raise PolynomialError("negative exponent in bivariate polynomial")
                 cleaned[(int(i), int(j))] = c
@@ -292,7 +265,7 @@ class BiPoly:
     def y_coeffs(self) -> list[UnivariatePoly]:
         """Coefficients of 1, y, y^2, ... as polynomials in x."""
         d = self.deg_y()
-        buckets: list[dict[int, int | Fraction]] = [{} for _ in range(d + 1)]
+        buckets: list[dict[int, int]] = [{} for _ in range(d + 1)]
         for (i, j), c in self.terms.items():
             buckets[j][i] = c
         out = []
@@ -317,32 +290,29 @@ class BiPoly:
         return BiPoly({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
-        terms: dict[tuple[int, int], int | Fraction] = {}
+        terms: dict[tuple[int, int], int] = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 key = (i1 + i2, j1 + j2)
                 terms[key] = terms.get(key, 0) + c1 * c2
         return BiPoly(terms)
 
-    def scale(self, c) -> "BiPoly":
-        c = exact(c)
+    def scale(self, c: int) -> "BiPoly":
         return BiPoly({k: v * c for k, v in self.terms.items()})
 
-    def evaluate(self, x, y) -> int | Fraction:
-        x, y = exact(x), exact(y)
-        return exact(sum(c * x**i * y**j for (i, j), c in self.terms.items()))
+    def evaluate(self, x, y):
+        return sum(c * x**i * y**j for (i, j), c in self.terms.items())
 
-    def top_form_at(self, a) -> int | Fraction:
+    def top_form_at(self, a: int) -> int:
         """The top-degree homogeneous part evaluated at (a, 1)."""
-        a = exact(a)
         d = self.total_degree()
-        return exact(sum(c * a**i for (i, j), c in self.terms.items() if i + j == d))
+        return sum(c * a**i for (i, j), c in self.terms.items() if i + j == d)
 
     def shear(self, a: int) -> "BiPoly":
         """Substitute x -> x + a*y; common zeros correspond bijectively."""
         if a == 0:
             return self
-        terms: dict[tuple[int, int], int | Fraction] = {}
+        terms: dict[tuple[int, int], int] = {}
         for (i, j), c in self.terms.items():
             # (x + a y)^i expanded by binomials
             binom = 1
@@ -353,11 +323,11 @@ class BiPoly:
         return BiPoly(terms)
 
     def exact_div(self, other: "BiPoly") -> "BiPoly":
-        """Exact division in Q[x, y]; raises when not divisible."""
+        """The quotient in Z[x, y]; raises unless other divides self there."""
         if other.is_zero():
             raise PolynomialError("division by the zero polynomial")
         remainder = dict(self.terms)
-        quotient: dict[tuple[int, int], int | Fraction] = {}
+        quotient: dict[tuple[int, int], int] = {}
         lead_key = max(other.terms, key=lambda k: (k[1], k[0]))
         lead_c = other.terms[lead_key]
         while remainder:
@@ -365,7 +335,9 @@ class BiPoly:
             di, dj = key[0] - lead_key[0], key[1] - lead_key[1]
             if di < 0 or dj < 0:
                 raise PolynomialError("bivariate division expected to be exact failed")
-            factor = _quo(remainder[key], lead_c)
+            factor, left = divmod(remainder[key], lead_c)
+            if left:
+                raise PolynomialError("bivariate division expected to be exact left a fraction")
             quotient[(di, dj)] = factor
             for (i, j), c in other.terms.items():
                 k2 = (i + di, j + dj)
@@ -387,19 +359,18 @@ def _strip(coeffs: list[UnivariatePoly]) -> list[UnivariatePoly]:
 
 
 def _content_y(coeffs: list[UnivariatePoly]) -> UnivariatePoly:
-    """Content in Q[x] of the polynomial in y with these coefficients.
+    """Content in Z[x] of the polynomial in y with these coefficients.
 
     Dividing every coefficient by it leaves a primitive polynomial in
-    Z[x][y]: the rational content of all coefficients times the
-    primitive gcd over Z[x] of the y-coefficients.
+    Z[x][y]: the integer gcd of all coefficients times the primitive gcd
+    of the y-coefficients.
     """
     content = UnivariatePoly.zero()
     for c in coeffs:
         content = poly_gcd(content, c)
         if content.degree == 0:
             break
-    scalar = rational_content(v for c in coeffs for v in c.coeffs)
-    return content.primitive().scale(scalar)
+    return content.scale(gcd(*(v for c in coeffs for v in c.coeffs)))
 
 
 def _primitive_y(coeffs: list[UnivariatePoly]) -> list[UnivariatePoly]:
@@ -433,13 +404,13 @@ def _pseudo_rem_y(a: list[UnivariatePoly], b: list[UnivariatePoly]) -> list[Univ
 
 
 def bipoly_gcd(p: BiPoly, q: BiPoly) -> BiPoly:
-    """The primitive integer gcd of p and q in Q[x, y], by a primitive remainder sequence in y."""
+    """The primitive gcd of p and q in Z[x, y], by a primitive remainder sequence in y."""
     if p.is_zero():
         return q
     if q.is_zero():
         return p
     pc, qc = p.y_coeffs(), q.y_coeffs()
-    content = poly_gcd(_content_y(pc), _content_y(qc)).primitive()
+    content = poly_gcd(_content_y(pc), _content_y(qc))
     a, b = _primitive_y(pc), _primitive_y(qc)
     if len(a) < len(b):
         a, b = b, a
@@ -525,20 +496,14 @@ def res_y_prs(p: BiPoly, q: BiPoly) -> UnivariatePoly:
 def common_affine_zero(polys: list[BiPoly]) -> bool:
     """Whether the listed bivariate polynomials share a complex affine zero.
 
-    Exact decision: zero polynomials impose nothing, a nonzero constant
-    makes the answer no, a single nonconstant polynomial always has
-    zeros.  For two or three polynomials the variables are sheared so
-    every leading y-coefficient is a nonzero constant, after which gcds,
-    resultants and the subresultant gcd-specialization give an exact
-    criterion.
+    Exact decision for at most three polynomials.  The variables are
+    sheared so every leading y-coefficient is a nonzero constant.  Then
+    zero polynomials impose nothing, a nonzero constant makes the answer
+    no, a single nonconstant polynomial always has zeros, and for two or
+    three gcds, resultants and the subresultant gcd-specialization give
+    an exact criterion.
     """
     ps = [p for p in polys if not p.is_zero()]
-    if not ps:
-        return True
-    if any(p.total_degree() == 0 for p in ps):
-        return False
-    if len(ps) == 1:
-        return True
     if len(ps) > 3:
         raise PolynomialError("common-zero decision implemented for at most three polynomials")
     a = 0

@@ -1,14 +1,16 @@
 """Exact certificates for plane curves: smoothness, simple flexes, classical counts.
 
 A ternary form is a homogeneous polynomial in (x, y, z) with exact
-rational coefficients.  Both certificates first scale the form to its
-primitive integer multiple, which changes neither answer, so all their
-elimination runs over Z.  Smoothness is decided on the partial
-derivatives by bivariate elimination on the chart z = 1 and by a
-univariate gcd on the line at infinity; the flex certificate eliminates
-one variable from the curve and its Hessian after a seeded random
-unimodular change of coordinates and tests the degree-24 eliminant, the
-entry S_0 of one subresultant chain, for repeated roots.
+rational coefficients, as parsed and printed.  ``TernaryForm.primitive``
+is where a form becomes integer: both certificates first scale the form
+to its primitive integer multiple, which changes neither answer, and
+hand only ``int`` coefficients to the integer kernel in ``polynomials``.
+Smoothness is decided on the partial derivatives by bivariate
+elimination on the chart z = 1 and by a univariate gcd on the line at
+infinity; the flex certificate eliminates one variable from the curve
+and its Hessian after a seeded random unimodular change of coordinates
+and tests the degree-24 eliminant, the entry S_0 of one subresultant
+chain, for repeated roots.
 """
 
 from __future__ import annotations
@@ -16,16 +18,16 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import InputError
 from .polynomials import (
     BiPoly,
+    PolynomialError,
     UnivariatePoly,
     common_affine_zero,
-    exact,
     poly_gcd,
-    rational_content,
     squarefree_part,
     subresultant_chain_y,
 )
@@ -80,9 +82,10 @@ class TernaryForm:
                 raise DegenerateFormError(
                     f"exponents {key} do not sum to the declared degree {degree}"
                 )
-            value = exact(value)
-            if value != 0:
-                cleaned[(i, j, k)] = value
+            if not isinstance(value, (int, Fraction)):
+                raise PolynomialError(f"form coefficients must be int or Fraction, got {value!r}")
+            if value:
+                cleaned[(i, j, k)] = value.numerator if value.denominator == 1 else value
         self.degree = degree
         self.coefficients = cleaned
 
@@ -128,13 +131,17 @@ class TernaryForm:
         return TernaryForm(self.degree + other.degree, terms)
 
     def scale(self, c) -> "TernaryForm":
-        c = exact(c)
         return TernaryForm(self.degree, {k: v * c for k, v in self.coefficients.items()})
 
     def primitive(self) -> "TernaryForm":
-        """The positive multiple with coprime integer coefficients: the same curve."""
-        content = rational_content(self.coefficients.values())
-        return self if content in (0, 1) else self.scale(Fraction(1) / content)
+        """The positive multiple with coprime ``int`` coefficients: the same curve."""
+        values = self.coefficients.values()
+        common = lcm(*(c.denominator for c in values))
+        numerators = [c.numerator * (common // c.denominator) for c in values]
+        content = gcd(*numerators) or 1
+        return TernaryForm(
+            self.degree, {key: n // content for key, n in zip(self.coefficients, numerators)}
+        )
 
     def partial(self, var: int) -> "TernaryForm":
         """Partial derivative with respect to variable 0, 1 or 2; may be zero."""
@@ -146,10 +153,6 @@ class TernaryForm:
             new_key = tuple(v - 1 if idx == var else v for idx, v in enumerate(key))
             terms[new_key] = c * e
         return TernaryForm(max(self.degree - 1, 0), terms)
-
-    def evaluate(self, x, y, z) -> int | Fraction:
-        x, y, z = exact(x), exact(y), exact(z)
-        return exact(sum(c * x**i * y**j * z**k for (i, j, k), c in self.coefficients.items()))
 
     def compose(self, matrix: list[list[int]]) -> "TernaryForm":
         """The form (F o M)(v) = F(M v) for an integer 3x3 matrix M."""
@@ -182,7 +185,7 @@ class TernaryForm:
         return result
 
     def chart(self, var: int) -> BiPoly:
-        """Dehomogenize by setting one variable to 1, keeping the other two in order."""
+        """Dehomogenize an integer form by setting one variable to 1, keeping the other two in order."""
         keep = [v for v in range(3) if v != var]
         terms = {}
         for key, c in self.coefficients.items():
@@ -190,8 +193,8 @@ class TernaryForm:
         return BiPoly(terms)
 
     def xz_slice_at_y1(self) -> BiPoly:
-        """Collect the form as a polynomial in z over Q[x] with y set to 1."""
-        terms: dict[tuple[int, int], int | Fraction] = {}
+        """Collect an integer form as a polynomial in z over Z[x] with y set to 1."""
+        terms: dict[tuple[int, int], int] = {}
         for (i, j, k), c in self.coefficients.items():
             key = (i, k)
             terms[key] = terms.get(key, 0) + c
@@ -419,7 +422,7 @@ def flexes_all_simple(form: TernaryForm, seed: int) -> FlexCertificate:
         matrix = random_unimodular(rng)
         moved_form = form.compose(matrix)
         moved_hess = hess.compose(matrix)
-        if moved_form.evaluate(0, 0, 1) == 0 or moved_hess.evaluate(0, 0, 1) == 0:
+        if (0, 0, 4) not in moved_form.coefficients or (0, 0, 6) not in moved_hess.coefficients:
             continue
         chain = subresultant_chain_y(moved_hess.xz_slice_at_y1(), moved_form.xz_slice_at_y1())
         eliminant = chain[0].y_coeff(0)

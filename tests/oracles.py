@@ -3,7 +3,8 @@
 Each one computes a value the program also computes, by a different
 route: Sylvester determinants and their fraction-free Bareiss
 elimination instead of remainder sequences, Euclid over Fraction
-coefficients instead of integer remainder sequences, and for
+coefficients instead of integer remainder sequences (its monic gcd
+returned as the primitive integer associate), and for
 permutations, breadth-first closure over all generators instead of
 closure a coset at a time, orders by repeated composition instead of
 cycle lengths, a
@@ -17,14 +18,14 @@ for primality, and smoothness by bivariate elimination on all three
 affine charts instead of one chart and the line at infinity.
 
 The permutation helpers ``identity``, ``inverse`` and ``sign``, the
-``group_from_elements`` wrapper, ``is_squarefree`` and the
+``group_from_elements`` wrapper, ``evaluate_form``, ``is_squarefree`` and the
 ``FibrationProfile`` record serve tests only; the program never needs
 them.
 """
 
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from xiaofib import monodromy
 from xiaofib.monodromy import GroupDescriptor, Permutation
@@ -162,9 +163,9 @@ def res_y(p: BiPoly, q: BiPoly) -> UnivariatePoly:
     return _poly_matrix_det(rows)
 
 
-def _fraction_divmod(f: list[Fraction], g: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+def fraction_divmod(f, g) -> tuple[list[Fraction], list[Fraction]]:
     """Quotient and remainder of f by nonzero g over Q, coefficient lists ascending."""
-    rem = list(f)
+    rem = [Fraction(c) for c in f]
     d = len(g) - 1
     quotient = [Fraction(0)] * max(len(rem) - d, 0)
     while len(rem) - 1 >= d and rem:
@@ -181,25 +182,40 @@ def _fraction_divmod(f: list[Fraction], g: list[Fraction]) -> tuple[list[Fractio
 
 def _gcd_euclid(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     while b:
-        a, b = b, _fraction_divmod(a, b)[1]
+        a, b = b, fraction_divmod(a, b)[1]
     return [c / a[-1] for c in a] if a else []
 
 
+def primitive_associate(monic: list[Fraction]) -> UnivariatePoly:
+    """The integer multiple of a monic polynomial with coprime coefficients.
+
+    Scaled by the lcm L of its denominators, a monic polynomial has
+    integer coefficients with no common prime: a prime dividing L misses
+    the coefficient whose denominator it divides most, and any other
+    prime misses the leading coefficient L.
+    """
+    scale = lcm(*(c.denominator for c in monic))
+    return UnivariatePoly(tuple(int(c * scale) for c in monic))
+
+
 def poly_gcd_euclid(f: UnivariatePoly, g: UnivariatePoly) -> UnivariatePoly:
-    """Monic gcd by Euclid's algorithm over Fraction coefficients; gcd(0, 0) = 0."""
-    return UnivariatePoly(tuple(_gcd_euclid([Fraction(c) for c in f.coeffs], [Fraction(c) for c in g.coeffs])))
+    """The monic gcd by Euclid's algorithm over Fraction coefficients, as its primitive associate.
+
+    gcd(0, 0) = 0.
+    """
+    return primitive_associate(_gcd_euclid([Fraction(c) for c in f.coeffs], [Fraction(c) for c in g.coeffs]))
 
 
 def squarefree_part_euclid(f: UnivariatePoly) -> UnivariatePoly:
-    """f divided by its Euclid gcd with f', made monic."""
+    """f divided by its Euclid gcd with f', made monic, as its primitive associate."""
     if f.is_zero():
         return f
     coeffs = [Fraction(c) for c in f.coeffs]
     derivative = [i * c for i, c in enumerate(coeffs)][1:]
     while derivative and derivative[-1] == 0:
         derivative.pop()
-    quotient, _ = _fraction_divmod(coeffs, _gcd_euclid(coeffs, derivative))
-    return UnivariatePoly(tuple(c / quotient[-1] for c in quotient))
+    quotient, _ = fraction_divmod(coeffs, _gcd_euclid(coeffs, derivative))
+    return primitive_associate([c / quotient[-1] for c in quotient])
 
 
 def coprime_bipolys(p: BiPoly, q: BiPoly) -> bool:
@@ -451,6 +467,11 @@ def is_smooth_three_charts(form) -> bool:
         if common_affine_zero(charted):
             return False
     return True
+
+
+def evaluate_form(form, x, y, z):
+    """The value of a ternary form at the point (x, y, z), term by term."""
+    return sum(c * x**i * y**j * z**k for (i, j, k), c in form.coefficients.items())
 
 
 def is_squarefree(f: UnivariatePoly) -> bool:

@@ -778,6 +778,16 @@ def test_a_tower_sorts_nothing_and_descriptors_sort_when_compared(make, cut):
         assert [e.images for e in descriptor.elements] == sorted(e.images for e in descriptor.elements)
 
 
+def test_descriptors_compare_and_hash_by_their_element_set():
+    group = generated_group(build_dihedral_cover(2, 5))
+    shuffled = list(group.elements)
+    random.Random(5).shuffle(shuffled)
+    for listed in (group.elements[::-1], tuple(shuffled)):
+        copy = GroupDescriptor(10, "dihedral", listed)
+        assert copy == group and group == copy and hash(copy) == hash(group)
+        assert copy.elements == tuple(listed)  # the public order is kept
+
+
 # ---- dihedral construction ----
 
 

@@ -1,9 +1,11 @@
 import random
+import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from oracles import is_squarefree, res_y, resultant, sylvester_matrix
+from oracles import fraction_divmod, is_squarefree, res_y, resultant, sylvester_matrix
 from xiaofib.polynomials import (
     BiPoly,
     PolynomialError,
@@ -29,19 +31,17 @@ def from_roots(roots, lead=1):
 
 def lin(a, b, c):
     """a*x + b*y + c as a bivariate polynomial."""
-    return BiPoly({(1, 0): Fraction(a), (0, 1): Fraction(b), (0, 0): Fraction(c)})
+    return BiPoly({(1, 0): a, (0, 1): b, (0, 0): c})
 
 
-X = BiPoly({(1, 0): Fraction(1)})
-Y = BiPoly({(0, 1): Fraction(1)})
+X = BiPoly({(1, 0): 1})
+Y = BiPoly({(0, 1): 1})
 ONE = BiPoly.constant(1)
 
 
 def rand_poly(rng, max_degree, zero_ok=False):
     degree = rng.randint(0 if zero_ok else 1, max_degree)
-    coeffs = [Fraction(rng.randint(-6, 6)) for _ in range(degree)] + [
-        Fraction(rng.choice([1, 2, -1, 3]))
-    ]
+    coeffs = [rng.randint(-6, 6) for _ in range(degree)] + [rng.choice([1, 2, -1, 3])]
     return U(tuple(coeffs))
 
 
@@ -50,8 +50,8 @@ def rand_bipoly(rng, dx, dy):
     for i in range(dx + 1):
         for j in range(dy + 1):
             if rng.random() < 0.7:
-                terms[(i, j)] = Fraction(rng.randint(-5, 5))
-    terms[(rng.randint(0, dx), dy)] = Fraction(rng.choice([1, 2, -3]))
+                terms[(i, j)] = rng.randint(-5, 5)
+    terms[(rng.randint(0, dx), dy)] = rng.choice([1, 2, -3])
     return BiPoly(terms)
 
 
@@ -63,7 +63,15 @@ def test_normalization_and_degree():
     assert U(()).is_zero()
     assert U(()).degree == -1
     assert U((0, 0)).is_zero()
-    assert U((Fraction(1, 2), 1)).leading() == 1
+    assert U((3, -2, 0)).leading() == -2
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, True])
+def test_constructors_refuse_coefficients_that_are_not_int(bad):
+    with pytest.raises(PolynomialError, match=re.escape(repr(bad))):
+        U((1, bad))
+    with pytest.raises(PolynomialError, match=re.escape(repr(bad))):
+        BiPoly({(0, 0): 1, (1, 2): bad})
 
 
 def test_divmod_is_exact_division_with_remainder():
@@ -71,9 +79,22 @@ def test_divmod_is_exact_division_with_remainder():
     for _ in range(60):
         f = rand_poly(rng, 7, zero_ok=True)
         g = rand_poly(rng, 4)
-        q, r = f.divmod(g)
-        assert q * g + r == f
-        assert r.is_zero() or r.degree < g.degree
+        q, r = fraction_divmod(f.coeffs, g.coeffs)  # the oracle, over Q
+        scale = lcm(*(c.denominator for c in q + r))
+        quotient, remainder = (U(tuple(int(c * scale) for c in cs)) for cs in (q, r))
+        assert quotient * g + remainder == f.scale(scale)
+        assert remainder.degree < g.degree
+        assert (f * g).exact_div(g) == f
+        if remainder.is_zero() and scale == 1:
+            assert f.exact_div(g) == quotient
+        else:  # g does not divide f in Z[x]
+            with pytest.raises(PolynomialError):
+                f.exact_div(g)
+    assert U((2, 2)).exact_div(U((2,))) == U((1, 1))
+    with pytest.raises(PolynomialError):
+        U((1, 1)).exact_div(U((2, 2)))  # the quotient 1/2 is not in Z[x]
+    with pytest.raises(PolynomialError):
+        U((1, 1)).exact_div(U(()))
 
 
 def test_gcd_properties():
@@ -84,16 +105,20 @@ def test_gcd_properties():
         g = common * rand_poly(rng, 3)
         d = poly_gcd(f, g)
         assert d.degree >= common.degree
-        assert f.divmod(d)[1].is_zero()
-        assert g.divmod(d)[1].is_zero()
+        assert d == d.primitive()  # coprime coefficients, positive leading coefficient
+        f.exact_div(d)  # raises unless the gcd divides f in Z[x]
+        g.exact_div(d)
     assert poly_gcd(U(()), U(())).is_zero()
-    assert poly_gcd(U((2,)), U((0, 1))).degree == 0
+    assert poly_gcd(U((2,)), U((0, 1))) == U((1,))
+    assert poly_gcd(U((-4, 0, 4)), U((6, -6))) == U((-1, 1))
 
 
 def test_squarefree_detection():
     double = U((1, 1)) * U((1, 1)) * U((3, 1))
     assert not is_squarefree(double)
-    assert squarefree_part(double) == (U((1, 1)) * U((3, 1))).monic()
+    assert squarefree_part(double) == U((1, 1)) * U((3, 1))
+    # 6 (2x + 1)^2 (x - 1): the monic part would be x^2 - x/2 - 1/2
+    assert squarefree_part(U((6,)) * U((1, 2)) ** 2 * U((-1, 1))) == U((-1, -1, 2))
     assert is_squarefree(U((-1, 0, 1)))
 
 
@@ -165,7 +190,7 @@ def test_bipoly_shear_preserves_zero_sets():
     for _ in range(20):
         p = rand_bipoly(rng, 3, 3)
         a = rng.randint(-3, 3)
-        x0, y0 = Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))
+        x0, y0 = rng.randint(-4, 4), rng.randint(-4, 4)
         # shear substitutes x -> x + a y, so evaluate accordingly
         assert p.shear(a).evaluate(x0, y0) == p.evaluate(x0 + a * y0, y0)
 
@@ -217,9 +242,9 @@ def test_subresultant_specialization_gcd_degree():
     # degree is the least k whose principal subresultant coefficient survives
     rng = random.Random(43)
     for _ in range(15):
-        common = BiPoly({(0, 1): Fraction(1), (1, 0): Fraction(rng.randint(-3, 3)), (0, 0): Fraction(rng.randint(-3, 3))})
-        p = common * rand_bipoly(rng, 1, 2) + BiPoly({(0, 4): Fraction(1)})
-        q = common * rand_bipoly(rng, 1, 1) + BiPoly({(0, 3): Fraction(1)})
+        common = BiPoly({(0, 1): 1, (1, 0): rng.randint(-3, 3), (0, 0): rng.randint(-3, 3)})
+        p = common * rand_bipoly(rng, 1, 2) + BiPoly({(0, 4): 1})
+        q = common * rand_bipoly(rng, 1, 1) + BiPoly({(0, 3): 1})
         if p.deg_y() < q.deg_y():
             p, q = q, p
         chain = subresultant_chain_y(p, q)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import evaluate_form
 from xiaofib.polynomials import common_affine_zero
 from xiaofib.quartic import (
     FERMAT_QUARTIC,
@@ -246,4 +247,4 @@ def test_compose_is_substitution():
         matrix = random_unimodular(rng)
         x, y, z = (Fraction(rng.randint(-3, 3)) for _ in range(3))
         image = [sum(matrix[i][j] * v for j, v in enumerate((x, y, z))) for i in range(3)]
-        assert form.compose(matrix).evaluate(x, y, z) == form.evaluate(*image)
+        assert evaluate_form(form.compose(matrix), x, y, z) == evaluate_form(form, *image)

@@ -5,11 +5,14 @@ infinity with a univariate gcd; the oracle eliminates on all three
 affine charts.  Forms are drawn sparse (mostly singular), as a Fermat
 curve plus a few terms (mostly smooth), as products (always singular),
 and as A(x, y)^2 L + z^2 C, singular wherever A vanishes on z = 0; each
-may be moved by a unimodular change of coordinates.
+may be moved by a unimodular change of coordinates.  Both certificates
+give the same answer on a form and on its rational multiples.
 """
 
 import random
 import time
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -17,10 +20,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from oracles import is_smooth_three_charts  # noqa: E402
+from xiaofib import quartic  # noqa: E402
 from xiaofib.quartic import (  # noqa: E402
     MAX_FORM_DEGREE,
     FormParseError,
     TernaryForm,
+    flexes_all_simple,
     is_smooth,
     parse_ternary_form,
     random_unimodular,
@@ -78,6 +83,37 @@ def plane_curves(draw):
 @example(parse_ternary_form("x^6 + y^6 + z^6"))
 def test_is_smooth_matches_the_three_chart_oracle(form):
     assert is_smooth(form) is is_smooth_three_charts(form)
+
+
+# ---- rational multiples: TernaryForm.primitive is where a form becomes integer ----
+
+QUARTIC_MONOMIALS = [(i, j, 4 - i - j) for i in range(5) for j in range(5 - i)]
+quartics = st.lists(
+    st.integers(-9, 9), min_size=len(QUARTIC_MONOMIALS), max_size=len(QUARTIC_MONOMIALS)
+).map(lambda cs: TernaryForm(4, dict(zip(QUARTIC_MONOMIALS, cs)))).filter(lambda f: not f.is_zero())
+rationals = st.builds(Fraction, st.integers(-60, 60).filter(bool), st.integers(1, 60))
+
+
+def flex_outcome(form: TernaryForm, seed: int):
+    """The flex certificate, or the error it raises, and the coordinate changes it drew."""
+    with mock.patch.object(quartic, "random_unimodular", wraps=random_unimodular) as drawn:
+        try:
+            outcome = flexes_all_simple(form, seed)
+        except quartic.DegenerateFormError as error:
+            outcome = str(error)
+    return outcome, drawn.call_count
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(quartics, rationals, st.integers(1, 2**31))
+@example(parse_ternary_form(quartic.KLEIN_QUARTIC), Fraction(3, 2), 1)
+@example(parse_ternary_form(quartic.FERMAT_QUARTIC), Fraction(-1, 2), 5)
+def test_certificates_ignore_a_rational_scalar(form, c, seed):
+    scaled = form.scale(c)
+    assert scaled.primitive() == form.primitive().scale(1 if c > 0 else -1)
+    assert all(type(v) is int for v in scaled.primitive().coefficients.values())
+    assert is_smooth(scaled) is is_smooth(form)
+    assert flex_outcome(scaled, seed) == flex_outcome(form, seed)
 
 
 # ---- parse_ternary_form fuzz: a form within the degree limit or a parse error, within a second ----
