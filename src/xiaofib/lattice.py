@@ -4,14 +4,12 @@ Lattices are symmetric integer Gram matrices over a named basis,
 together with the canonical class.  Two families matter here: the
 product of a curve with itself (basis D1, D2, diagonal) and its
 symmetric square (basis D_P, half-diagonal delta).  Everything is done
-in exact integer or rational arithmetic; signature computations use
-rational congruence diagonalization so that Hodge-index conclusions are
+in exact integer arithmetic; signature computations use integer
+congruence diagonalization so that Hodge-index conclusions are
 certificates rather than approximations.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import numerology
 from .record import Record
@@ -74,9 +72,6 @@ class DivisorClass(Record):
         if len(self.coeffs) != len(other.coeffs):
             raise RankMismatchError("subtracting classes of different ranks")
         return DivisorClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(tuple(-a for a in self.coeffs))
 
     def __rmul__(self, scalar: int) -> "DivisorClass":
         return DivisorClass(tuple(scalar * a for a in self.coeffs))
@@ -149,13 +144,6 @@ class IntersectionLattice(Record):
             raise NonIntegralGenusError(f"c^2 + c.K = {total} is odd: genus is not an integer")
         return 1 + total // 2
 
-    def pairings(self, c: DivisorClass) -> tuple[int, ...]:
-        """Intersections of c with each basis class, i.e. gram . c."""
-        self._check_rank(c)
-        return tuple(
-            sum(self.gram[i][j] * c.coeffs[j] for j in range(self.rank)) for i in range(self.rank)
-        )
-
     def class_from_intersections(self, pairings) -> DivisorClass:
         """Solve gram . c = pairings exactly; the solution must be integral."""
         target = tuple(pairings)
@@ -164,19 +152,23 @@ class IntersectionLattice(Record):
         solution = _solve_exact(self.gram, target)
         if solution is None:
             raise LatticeShapeError("gram matrix is degenerate: pairings do not determine a class")
-        coeffs = []
-        for value in solution:
-            if value.denominator != 1:
-                raise ClassNotInLatticeError(
-                    f"pairings {target} solve to non-integral coefficients {solution}"
-                )
-            coeffs.append(int(value))
-        return DivisorClass(tuple(coeffs))
+        numerators, det = solution
+        if any(x % det for x in numerators):
+            raise ClassNotInLatticeError(
+                f"pairings {target} solve to non-integral coefficients {tuple(numerators)}/{det}"
+            )
+        return DivisorClass(tuple(x // det for x in numerators))
 
     def signature(self) -> tuple[int, int, int]:
-        """(positive, negative, zero) inertia indices, by exact congruence diagonalization."""
+        """(positive, negative, zero) inertia indices, by exact congruence diagonalization.
+
+        Each step replaces row and column i by d times themselves minus a
+        times row and column k, d being the pivot and a the entry to
+        clear: a congruence by an invertible rational matrix, which keeps
+        the inertia (Sylvester's law) and the entries integral.
+        """
         n = self.rank
-        m = [[Fraction(self.gram[i][j]) for j in range(n)] for i in range(n)]
+        m = [list(row) for row in self.gram]
         pos = neg = zero = 0
         for k in range(n):
             if m[k][k] == 0:
@@ -195,13 +187,13 @@ class IntersectionLattice(Record):
             else:
                 neg += 1
             for i in range(k + 1, n):
-                factor = m[i][k] / d
-                if factor == 0:
+                a = m[i][k]
+                if a == 0:
                     continue
                 for j in range(n):
-                    m[i][j] -= factor * m[k][j]
+                    m[i][j] = d * m[i][j] - a * m[k][j]
                 for j in range(n):
-                    m[j][i] -= factor * m[j][k]
+                    m[j][i] = d * m[j][i] - a * m[j][k]
         return pos, neg, zero
 
     def to_json_dict(self, classes: dict[str, DivisorClass] | None = None) -> dict:
@@ -214,35 +206,43 @@ class IntersectionLattice(Record):
         }
 
 
-def _swap_symmetric(m: list[list[Fraction]], a: int, b: int):
+def _swap_symmetric(m: list[list[int]], a: int, b: int):
     m[a], m[b] = m[b], m[a]
     for row in m:
         row[a], row[b] = row[b], row[a]
 
 
-def _add_symmetric(m: list[list[Fraction]], a: int, b: int):
+def _add_symmetric(m: list[list[int]], a: int, b: int):
     for j in range(len(m)):
         m[a][j] += m[b][j]
     for row in m:
         row[a] += row[b]
 
 
-def _solve_exact(gram, rhs) -> list[Fraction] | None:
-    """Gaussian elimination over the rationals; None when the matrix is singular."""
+def _solve_exact(gram, rhs) -> tuple[list[int], int] | None:
+    """Numerators and common denominator of the solution; None when the matrix is singular.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968): every entry
+    stays a minor of the augmented matrix, so each division is exact,
+    and the diagonal ends as d = +-det(gram) with d * x in the last
+    column.
+    """
     n = len(gram)
-    aug = [[Fraction(gram[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
+    aug = [list(gram[i]) + [rhs[i]] for i in range(n)]
+    prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
             return None
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        lead = aug[col][col]
-        aug[col] = [v / lead for v in aug[col]]
+        lead = aug[col]
+        d = lead[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+            if r != col:
+                a = aug[r][col]
+                aug[r] = [(d * v - a * w) // prev for v, w in zip(aug[r], lead)]
+        prev = d
+    return [aug[i][n] for i in range(n)], prev
 
 
 def product_with_diagonal_lattice(g: int) -> IntersectionLattice:
@@ -322,16 +322,16 @@ def complete_involution(
         if label not in lattice.basis_labels:
             raise CompletionError(f"unknown basis label {label!r}")
         lattice._check_rank(partial[label])
-    columns: list[list[Fraction] | None] = [None] * n
+    columns: list[list[int] | None] = [None] * n
     for label, image in partial.items():
-        columns[lattice.basis_labels.index(label)] = [Fraction(c) for c in image.coeffs]
+        columns[lattice.basis_labels.index(label)] = list(image.coeffs)
     if len(missing) > 1:
         raise CompletionError(
             "invariance of a single class cannot determine more than one missing column"
         )
     if len(missing) == 1:
         j0 = missing[0]
-        weight = Fraction(invariant.coeffs[j0])
+        weight = invariant.coeffs[j0]
         if weight == 0:
             raise CompletionError(
                 f"invariant class has zero coefficient on {lattice.basis_labels[j0]!r}: "
@@ -344,18 +344,14 @@ def complete_involution(
                 for j in range(n)
                 if j != j0
             )
-            new_column.append((Fraction(invariant.coeffs[i]) - known) / weight)
+            entry, left = divmod(invariant.coeffs[i] - known, weight)
+            if left:
+                raise CompletionError(
+                    f"completed matrix is not integral in column {lattice.basis_labels[j0]!r}"
+                )
+            new_column.append(entry)
         columns[j0] = new_column
-    matrix_fraction = [[columns[j][i] for j in range(n)] for i in range(n)]  # type: ignore[index]
-    matrix: list[list[int]] = []
-    for row in matrix_fraction:
-        out_row = []
-        for value in row:
-            if value.denominator != 1:
-                raise CompletionError(f"completed matrix is not integral: {matrix_fraction}")
-            out_row.append(int(value))
-        matrix.append(out_row)
-    m = tuple(tuple(row) for row in matrix)
+    m = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))  # type: ignore[index]
     if _mat_mul(m, m) != _identity(n):
         raise CompletionError("completed action does not square to the identity")
     if not _is_isometry(lattice, m):

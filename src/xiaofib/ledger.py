@@ -11,7 +11,6 @@ inputs) are reported with status ``assumed``.
 from __future__ import annotations
 
 from functools import cache
-from fractions import Fraction
 from typing import Callable
 
 from . import invariants, lattice, monodromy, numerology, quartic
@@ -38,16 +37,6 @@ class ClaimReport(Record):
             "computed": self.computed,
             "status": self.status,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClaimReport":
-        return cls(
-            claim_id=data["claim_id"],
-            paper_anchor=data["paper_anchor"],
-            expected=data["expected"],
-            computed=data["computed"],
-            status=data["status"],
-        )
 
 
 class Claim(Record):
@@ -78,10 +67,10 @@ class Claim(Record):
 
 
 def fmt(value) -> str:
-    """Canonical exact rendering: integers, rationals, booleans and tuples only."""
+    """Canonical exact rendering: integers, booleans, strings and tuples only."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return str(value)
     if isinstance(value, lattice.DivisorClass):
         return fmt(value.coeffs)
@@ -597,12 +586,6 @@ def render_json(reports: list[ClaimReport]) -> str:
     import json  # here, not at the top: the markdown format never needs it
 
     return json.dumps([r.to_dict() for r in reports], indent=2)
-
-
-def parse_reports(text: str) -> list[ClaimReport]:
-    import json
-
-    return [ClaimReport.from_dict(entry) for entry in json.loads(text)]
 
 
 def render_markdown(reports: list[ClaimReport]) -> str:

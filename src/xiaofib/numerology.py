@@ -1,6 +1,6 @@
 """Closed-form arithmetic for dihedral-cover fibrations.
 
-Everything here is exact integer or rational arithmetic: genera of the
+Everything here is exact integer arithmetic: genera of the
 cover tower, self-intersections of the embedded curve in D x D, the
 finite/positive-dimensional classification of the moduli fiber, bound
 checks (Xiao, BGN, Brill-Noether) and the character-by-character
@@ -10,8 +10,6 @@ dimension bookkeeping of the cover's canonical system.
 from __future__ import annotations
 
 import itertools
-import math
-from fractions import Fraction
 
 from .errors import InputError
 from .record import Record
@@ -102,13 +100,16 @@ class FiberClass(Record):
 
 
 class XiaoReport(Record):
-    """Bound comparison for one fibration: q_rel against (g_fiber + 1)/2."""
+    """Bound comparison for one fibration: q_rel against (g_fiber + 1)/2.
+
+    ``bound`` is that number written exactly, as ``"7/2"`` or ``"4"``.
+    """
 
     __slots__ = ("bound", "is_xiao", "meets_ceiling", "bgn_bound_at_generic_clifford")
 
     def __init__(
         self,
-        bound: Fraction,
+        bound: str,
         is_xiao: bool,
         meets_ceiling: bool,
         bgn_bound_at_generic_clifford: int,
@@ -217,11 +218,11 @@ def xiao_report(g_fiber: int, q_rel: int) -> XiaoReport:
     """Compare q_rel against the bound (g_fiber + 1)/2 and its ceiling."""
     if g_fiber < 2:
         raise NumerologyError("fiber genus must be at least 2")
-    bound = Fraction(g_fiber + 1, 2)
+    twice = g_fiber + 1
     return XiaoReport(
-        bound=bound,
-        is_xiao=q_rel > bound,
-        meets_ceiling=q_rel == math.ceil(bound),
+        bound=f"{twice}/2" if twice % 2 else str(twice // 2),
+        is_xiao=2 * q_rel > twice,
+        meets_ceiling=q_rel == (twice + 1) // 2,
         bgn_bound_at_generic_clifford=bgn_bound(g_fiber),
     )
 

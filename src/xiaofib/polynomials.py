@@ -11,7 +11,9 @@ the main variable and coefficients in Z[x].  One subresultant remainder
 sequence in y gives the whole determinantal subresultant chain of two
 such polynomials; the resultant is its entry S_0.  On top sits an exact
 decision for whether up to three bivariate polynomials share a complex
-zero, which backs the smoothness certificate for plane curves.
+zero, which backs the smoothness certificate for plane curves.  One
+test is modular and one-way: ``squarefree_mod_p`` reduces modulo the
+prime 2^31 - 1, and only its True answer is a certificate.
 """
 
 from __future__ import annotations
@@ -115,12 +117,6 @@ class UnivariatePoly(Record):
             k >>= 1
         return result
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def derivative(self) -> "UnivariatePoly":
         return UnivariatePoly(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
 
@@ -194,6 +190,38 @@ def poly_gcd(f: UnivariatePoly, g: UnivariatePoly) -> UnivariatePoly:
     while not b.is_zero():
         a, b = b, UnivariatePoly(_pseudo_rem(a.coeffs, b.coeffs)).primitive()
     return a
+
+
+MODULUS = 2**31 - 1  # a prime
+
+
+def squarefree_mod_p(f: UnivariatePoly) -> bool:
+    """Whether f mod ``MODULUS`` keeps f's degree and is coprime to its derivative.
+
+    True certifies that f is squarefree: the prime divides no leading
+    coefficient of a factorization f = g^2 h, so g reduces to a factor
+    of the same positive degree that would divide both f and f' mod p.
+    False decides nothing.
+    """
+    p = MODULUS
+    a = [c % p for c in f.coeffs]
+    if not a or not a[-1]:
+        return False
+    b = [i * c % p for i, c in enumerate(a)][1:]
+    while b:  # Euclid over GF(p): a, b = b, a mod b
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            break
+        inverse = pow(b[-1], -1, p)
+        d = len(b) - 1
+        while len(a) > d:
+            q = a.pop() * inverse % p
+            shift = len(a) - d
+            for i in range(d):
+                a[shift + i] = (a[shift + i] - q * b[i]) % p
+        a, b = b, a
+    return len(a) == 1
 
 
 def squarefree_part(f: UnivariatePoly) -> UnivariatePoly:
@@ -299,9 +327,6 @@ class BiPoly:
 
     def scale(self, c: int) -> "BiPoly":
         return BiPoly({k: v * c for k, v in self.terms.items()})
-
-    def evaluate(self, x, y):
-        return sum(c * x**i * y**j for (i, j), c in self.terms.items())
 
     def top_form_at(self, a: int) -> int:
         """The top-degree homogeneous part evaluated at (a, 1)."""

@@ -10,16 +10,19 @@ elimination on the chart z = 1 and by a univariate gcd on the line at
 infinity; the flex certificate eliminates one variable from the curve
 and its Hessian after a seeded random unimodular change of coordinates
 and tests the degree-24 eliminant, the entry S_0 of one subresultant
-chain, for repeated roots.
+chain, for repeated roots: first modulo the prime 2^31 - 1, where a
+squarefree reduction of full degree certifies all flexes simple, then,
+if that decides nothing, by the exact integer gcd.  Integer input is
+parsed to ``int`` coefficients, so ``fractions`` is imported only when
+the input holds a ``/``.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError
 from .polynomials import (
@@ -28,9 +31,13 @@ from .polynomials import (
     UnivariatePoly,
     common_affine_zero,
     poly_gcd,
+    squarefree_mod_p,
     squarefree_part,
     subresultant_chain_y,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 FLEX_RETRY_BUDGET = 32
 
@@ -82,10 +89,15 @@ class TernaryForm:
                 raise DegenerateFormError(
                     f"exponents {key} do not sum to the declared degree {degree}"
                 )
-            if not isinstance(value, (int, Fraction)):
-                raise PolynomialError(f"form coefficients must be int or Fraction, got {value!r}")
+            if value.__class__ is not int:
+                from fractions import Fraction  # only rational input pays for this import
+
+                if not isinstance(value, (int, Fraction)):
+                    raise PolynomialError(f"form coefficients must be int or Fraction, got {value!r}")
+                if value.denominator == 1:
+                    value = value.numerator
             if value:
-                cleaned[(i, j, k)] = value.numerator if value.denominator == 1 else value
+                cleaned[(i, j, k)] = value
         self.degree = degree
         self.coefficients = cleaned
 
@@ -223,9 +235,13 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _numeral(text: str, position: int) -> Fraction:
-    """Exact value of a ``num`` token."""
+def _numeral(text: str, position: int) -> int | Fraction:
+    """Exact value of a ``num`` token: an ``int`` unless it holds a ``/``."""
     try:
+        if "/" not in text:
+            return int(text)
+        from fractions import Fraction  # only rational input pays for this import
+
         return Fraction(text.replace(" ", ""))
     except ZeroDivisionError:
         raise FormParseError("zero denominator", position) from None
@@ -252,7 +268,7 @@ def parse_ternary_form(text: str) -> TernaryForm:
     if not tokens:
         raise FormParseError("empty polynomial", 0)
 
-    terms: dict[tuple[int, int, int], Fraction] = {}
+    terms: dict[tuple[int, int, int], int | Fraction] = {}
     idx = 0
     var_index = {"x": 0, "y": 1, "z": 2}
 
@@ -268,7 +284,7 @@ def parse_ternary_form(text: str) -> TernaryForm:
             idx += 1
         if idx >= len(tokens):
             raise FormParseError("dangling sign at end of input", tokens[-1][2])
-        coeff = Fraction(sign)
+        coeff = sign
         exponents = [0, 0, 0]
         saw_factor = False
         while idx < len(tokens) and tokens[idx][0] in ("num", "var", "mul"):
@@ -292,14 +308,14 @@ def parse_ternary_form(text: str) -> TernaryForm:
                     idx += 1
                     if idx >= len(tokens) or tokens[idx][0] != "num" or "/" in tokens[idx][1]:
                         raise FormParseError("'^' must be followed by an integer", caret_pos)
-                    exponent = int(_numeral(tokens[idx][1], tokens[idx][2]))
+                    exponent = _numeral(tokens[idx][1], tokens[idx][2])
                     idx += 1
                 exponents[var] += exponent
             saw_factor = True
         if not saw_factor:
             raise FormParseError("expected a term", tokens[idx][2] if idx < len(tokens) else len(text))
         key = tuple(exponents)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
+        terms[key] = terms.get(key, 0) + coeff
 
     terms = {key: c for key, c in terms.items() if c != 0}  # "0*z^5 + z^6" has degree 6
     degrees = {sum(key) for key in terms}
@@ -410,6 +426,18 @@ def flexes_all_simple(form: TernaryForm, seed: int) -> FlexCertificate:
     roots carrying two distinct points are projection collisions, so the
     coordinate change is rejected and retried, as are changes with
     extraneous or deficient eliminant degree.
+
+    Two cheap steps come first.  A change is skipped before composing
+    when its projection centre M (0:0:1), the third column of M, lies on
+    a side of the coordinate triangle, or when the line that the chart
+    y = 1 puts at infinity, through M (1:0:0) and M (0:0:1), passes
+    through a vertex.  Sparse forms have flexes there: Klein's quartic
+    has one at each vertex, so such changes collide or lose degree.  A
+    skipped change never yields an answer, so skipping is sound.  The
+    eliminant is then tested for squarefreeness modulo the prime
+    2^31 - 1 (``polynomials.squarefree_mod_p``); a pass certifies all
+    flexes simple, and otherwise the exact gcd decides.  No answer
+    depends on which change or which route decided it.
     """
     if form.degree != 4:
         raise DegenerateFormError("the flex certificate is for quartics")
@@ -420,6 +448,9 @@ def flexes_all_simple(form: TernaryForm, seed: int) -> FlexCertificate:
     rng = random.Random(seed)
     for _ in range(FLEX_RETRY_BUDGET):
         matrix = random_unimodular(rng)
+        (a0, c0), (a1, c1), (a2, c2) = ((row[0], row[2]) for row in matrix)
+        if not (c0 and c1 and c2 and a1 * c2 - a2 * c1 and a2 * c0 - a0 * c2 and a0 * c1 - a1 * c0):
+            continue  # centre on a side, or the line y = 0 through a vertex, of the coordinate triangle
         moved_form = form.compose(matrix)
         moved_hess = hess.compose(matrix)
         if (0, 0, 4) not in moved_form.coefficients or (0, 0, 6) not in moved_hess.coefficients:
@@ -428,6 +459,8 @@ def flexes_all_simple(form: TernaryForm, seed: int) -> FlexCertificate:
         eliminant = chain[0].y_coeff(0)
         if eliminant.degree != 24:
             continue
+        if squarefree_mod_p(eliminant):
+            return FlexCertificate(True, 24)
         repeated = poly_gcd(eliminant, eliminant.derivative())
         if repeated.degree == 0:
             return FlexCertificate(True, 24)

@@ -18,16 +18,19 @@ for primality, and smoothness by bivariate elimination on all three
 affine charts instead of one chart and the line at infinity.
 
 The permutation helpers ``identity``, ``inverse`` and ``sign``, the
-``group_from_elements`` wrapper, ``evaluate_form``, ``is_squarefree`` and the
-``FibrationProfile`` record serve tests only; the program never needs
-them.
+``group_from_elements`` wrapper, the evaluators ``evaluate_poly``,
+``evaluate_bipoly`` and ``evaluate_form``, ``pairings``, ``parse_reports``,
+``is_squarefree`` and the ``FibrationProfile`` record serve tests only;
+the program never needs them.
 """
 
+import json
 import re
 from fractions import Fraction
 from math import factorial, lcm
 
 from xiaofib import monodromy
+from xiaofib.ledger import ClaimReport
 from xiaofib.monodromy import GroupDescriptor, Permutation
 from xiaofib.numerology import NumerologyError
 from xiaofib.polynomials import BiPoly, PolynomialError, UnivariatePoly, common_affine_zero, poly_gcd
@@ -467,6 +470,29 @@ def is_smooth_three_charts(form) -> bool:
         if common_affine_zero(charted):
             return False
     return True
+
+
+def evaluate_poly(f: UnivariatePoly, x):
+    """The value f(x), by Horner's rule."""
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def evaluate_bipoly(p: BiPoly, x, y):
+    """The value p(x, y), term by term."""
+    return sum(c * x**i * y**j for (i, j), c in p.terms.items())
+
+
+def pairings(lattice, c) -> tuple[int, ...]:
+    """Intersections of the class c with each basis class, i.e. gram . c."""
+    return tuple(sum(g * v for g, v in zip(row, c.coeffs)) for row in lattice.gram)
+
+
+def parse_reports(text: str) -> list[ClaimReport]:
+    """The claim reports of a ``verify --format json`` document."""
+    return [ClaimReport(**entry) for entry in json.loads(text)]
 
 
 def evaluate_form(form, x, y, z):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import parse_reports
 from xiaofib import errors, lattice, ledger, monodromy, numerology, quartic
 from xiaofib.cli import main
 from xiaofib.ledger import (
@@ -15,7 +16,6 @@ from xiaofib.ledger import (
     ClaimReport,
     build_claims,
     exit_code,
-    parse_reports,
     render_json,
     render_markdown,
     run_claims,
@@ -459,9 +459,10 @@ def test_build_claims_stable_ids():
 
 # Installed as ``sitecustomize`` in a fresh interpreter: at exit it writes the
 # names of the executed ``xiaofib.*`` modules on one line and, on a second, those
-# of ``CODE_GENERATION`` that were imported.  A module bound lazily but never used
-# is in ``sys.modules`` with a subclass of ``types.ModuleType``.
-CODE_GENERATION = ("dataclasses", "inspect")
+# of ``NOT_IMPORTED`` that were imported.  A module bound lazily but never used
+# is in ``sys.modules`` with a subclass of ``types.ModuleType``.  Code generation
+# and the rational-number stack cost start-up time that integer input never needs.
+NOT_IMPORTED = ("dataclasses", "inspect", "fractions", "decimal", "numbers")
 RECORD_EXECUTED = f"""
 import atexit, os, sys, types
 
@@ -469,7 +470,7 @@ def _record():
     with open(os.environ["XIAOFIB_EXECUTED"], "w") as out:
         out.write(" ".join(name for name, module in sys.modules.items()
                            if name.startswith("xiaofib.") and type(module) is types.ModuleType))
-        out.write("\\n" + " ".join(name for name in {CODE_GENERATION!r} if name in sys.modules))
+        out.write("\\n" + " ".join(name for name in {NOT_IMPORTED!r} if name in sys.modules))
 
 atexit.register(_record)
 """
@@ -494,6 +495,8 @@ LAUNCHERS = {
     pytest.param(("lattice", "--case", "g5-product"), 2, set(), id="lattice-refused"),
     pytest.param(("quartic", "--poly", "x^4 + y^4 + z^4", "--check", "smooth"), 0,
                  {"quartic", "polynomials", "record"}, id="quartic"),
+    pytest.param(("quartic", "--poly", "x^3*y + y^3*z + z^3*x", "--check", "flexes"), 0,
+                 {"quartic", "polynomials", "record"}, id="quartic-flexes"),
     pytest.param(("quartic", "--poly", "x^4 + q", "--check", "smooth"), 2,
                  {"quartic", "polynomials", "record"}, id="quartic-refused"),
     pytest.param(("verify",), 0,
@@ -501,7 +504,7 @@ LAUNCHERS = {
                   "quartic", "record"}, id="verify"),
 ])
 def test_a_subcommand_executes_only_the_engines_it_uses(tmp_path, launcher, args, code, executed):
-    """Only the engines a subcommand uses execute, and none imports ``CODE_GENERATION``."""
+    """Only the engines a subcommand uses execute, and none imports ``NOT_IMPORTED``."""
     (tmp_path / "sitecustomize.py").write_text(RECORD_EXECUTED)
     record = tmp_path / "executed.txt"
     result = subprocess.run(

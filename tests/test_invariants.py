@@ -29,6 +29,7 @@ def test_double_cover_chi():
 def test_noether_chi():
     assert noether_chi(216, 96) == 26
     assert noether_chi(0, 12) == 1
+    assert noether_chi(1, 11) == 1  # K^2 - c2 = -10 is not divisible by 12
     with pytest.raises(InvariantError):
         noether_chi(216, 95)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import pairings
 from xiaofib.lattice import (
     ClassNotInLatticeError,
     CompletionError,
@@ -108,7 +109,7 @@ def test_class_from_intersections():
     assert lat2.class_from_intersections((2, 2, 8)) == DivisorClass((3, 3, -1))
     for label in lat3.basis_labels:
         basis = lat3.basis_class(label)
-        assert lat3.class_from_intersections(lat3.pairings(basis)) == basis
+        assert lat3.class_from_intersections(pairings(lat3, basis)) == basis
     with pytest.raises(ClassNotInLatticeError):
         lat3.class_from_intersections((1, 0, 0))
 
@@ -120,7 +121,7 @@ def test_class_roundtrip_random():
             for _ in range(100):
                 coeffs = tuple(rng.randint(-30, 30) for _ in range(lat.rank))
                 c = DivisorClass(coeffs)
-                assert lat.class_from_intersections(lat.pairings(c)) == c
+                assert lat.class_from_intersections(pairings(lat, c)) == c
 
 
 def test_singular_gram_rejected():

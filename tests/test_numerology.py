@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,7 @@ def test_primality_is_refused_at_the_limit():
     assert is_odd_prime(10**18 + 3)
     assert is_odd_prime(2**61 - 1)
     assert is_odd_prime(PRIMALITY_LIMIT - 1) is False  # even
+    assert is_odd_prime(PRIMALITY_LIMIT + 1) is False  # even numbers are refused before the limit
     # a strong pseudoprime to all thirteen bases
     with pytest.raises(NumerologyError, match="cannot decide"):
         is_odd_prime(3317044064679887385961981)
@@ -113,20 +115,28 @@ def test_moduli_dims():
 
 def test_xiao_report_examples():
     report = xiao_report(6, 4)
-    assert report.bound == Fraction(7, 2)
+    assert report.bound == "7/2"
     assert report.is_xiao and report.meets_ceiling
     assert report.bgn_bound_at_generic_clifford == 4
 
     report = xiao_report(10, 6)
-    assert report.bound == Fraction(11, 2)
+    assert report.bound == "11/2"
     assert report.is_xiao and report.meets_ceiling
     assert report.bgn_bound_at_generic_clifford == 6
 
     report = xiao_report(7, 4)
-    assert report.bound == Fraction(4)
+    assert report.bound == "4"
     assert not report.is_xiao
     assert report.meets_ceiling
     assert report.bgn_bound_at_generic_clifford == 4
+
+    for g in range(2, 30):
+        bound = Fraction(g + 1, 2)
+        for q in range(g + 3):
+            report = xiao_report(g, q)
+            assert Fraction(report.bound) == bound
+            assert report.is_xiao == (q > bound)
+            assert report.meets_ceiling == (q == math.ceil(bound))
 
 
 def test_bgn_bound():

@@ -24,11 +24,13 @@ from oracles import (  # noqa: E402
     subresultant_det,
 )
 from xiaofib.polynomials import (  # noqa: E402
+    MODULUS,
     BiPoly,
     UnivariatePoly,
     bipoly_gcd,
     poly_gcd,
     res_y_prs,
+    squarefree_mod_p,
     squarefree_part,
     subresultant_chain_y,
 )
@@ -98,6 +100,30 @@ def test_squarefree_part_and_test_match_the_oracle(f, square):
 def test_planted_square_is_never_squarefree(h, k):
     e = h * h * k
     assert not is_squarefree(e)
+    assert not squarefree_mod_p(e)
+
+
+# Coefficients around the modulus and its multiples reduce to small residues,
+# so reductions that drop the degree or plant a square mod p come up often.
+near_modulus = st.builds(
+    lambda k, r: k * MODULUS + r, st.integers(-2, 2), st.integers(-3, 3)
+) | st.integers(-(2**70), 2**70)
+wide_univariate = st.lists(near_modulus | coefficients, max_size=7).map(lambda cs: U(tuple(cs)))
+
+
+@PROPERTY
+@given(wide_univariate, wide_univariate)
+def test_squarefree_mod_p_certifies_only_squarefree_polynomials(f, square):
+    for g in (f, f * square * square, f + square.scale(MODULUS)):
+        if squarefree_mod_p(g):
+            assert poly_gcd(g, g.derivative()).degree == 0
+
+
+@PROPERTY
+@given(wide_univariate, st.integers(-3, 3).filter(bool))
+def test_squarefree_mod_p_refuses_a_leading_coefficient_divisible_by_p(f, k):
+    g = U(f.coeffs[:-1] + (k * MODULUS,))
+    assert not squarefree_mod_p(g)
 
 
 @PROPERTY

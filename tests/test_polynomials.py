@@ -5,8 +5,17 @@ from math import lcm
 
 import pytest
 
-from oracles import fraction_divmod, is_squarefree, res_y, resultant, sylvester_matrix
+from oracles import (
+    evaluate_bipoly,
+    evaluate_poly,
+    fraction_divmod,
+    is_squarefree,
+    res_y,
+    resultant,
+    sylvester_matrix,
+)
 from xiaofib.polynomials import (
+    MODULUS,
     BiPoly,
     PolynomialError,
     UnivariatePoly,
@@ -14,6 +23,7 @@ from xiaofib.polynomials import (
     common_affine_zero,
     poly_gcd,
     res_y_prs,
+    squarefree_mod_p,
     squarefree_part,
     subresultant_chain_y,
     subresultant_y,
@@ -122,9 +132,20 @@ def test_squarefree_detection():
     assert is_squarefree(U((-1, 0, 1)))
 
 
+def test_squarefree_mod_p_is_one_way():
+    assert squarefree_mod_p(U((-1, 0, 1))) is True
+    assert squarefree_mod_p(U((7,))) is True
+    assert squarefree_mod_p(U((1, 1)) * U((1, 1)) * U((3, 1))) is False
+    assert squarefree_mod_p(U.zero()) is False
+    # x^2 + p is squarefree, but x^2 mod p is not: False decides nothing
+    assert is_squarefree(U((MODULUS, 0, 1))) and squarefree_mod_p(U((MODULUS, 0, 1))) is False
+    # the leading coefficient vanishes mod p
+    assert is_squarefree(U((1, 1, MODULUS))) and squarefree_mod_p(U((1, 1, MODULUS))) is False
+
+
 def test_evaluation_and_derivative():
     f = U((1, -2, 3))  # 3x^2 - 2x + 1
-    assert f(Fraction(1, 2)) == Fraction(3, 4)
+    assert evaluate_poly(f, Fraction(1, 2)) == Fraction(3, 4)
     assert f.derivative() == U((-2, 6))
 
 
@@ -192,7 +213,7 @@ def test_bipoly_shear_preserves_zero_sets():
         a = rng.randint(-3, 3)
         x0, y0 = rng.randint(-4, 4), rng.randint(-4, 4)
         # shear substitutes x -> x + a y, so evaluate accordingly
-        assert p.shear(a).evaluate(x0, y0) == p.evaluate(x0 + a * y0, y0)
+        assert evaluate_bipoly(p.shear(a), x0, y0) == evaluate_bipoly(p, x0 + a * y0, y0)
 
 
 def test_bipoly_exact_division():
@@ -249,14 +270,14 @@ def test_subresultant_specialization_gcd_degree():
             p, q = q, p
         chain = subresultant_chain_y(p, q)
         for x0 in (0, 1, -2):
-            pu = U(tuple(c(x0) for c in p.y_coeffs()))
-            qu = U(tuple(c(x0) for c in q.y_coeffs()))
+            pu = U(tuple(evaluate_poly(c, x0) for c in p.y_coeffs()))
+            qu = U(tuple(evaluate_poly(c, x0) for c in q.y_coeffs()))
             gcd_degree = poly_gcd(pu, qu).degree
             least = next(
                 (
                     k
                     for k in range(len(chain))
-                    if len(chain[k].y_coeffs()) > k and chain[k].y_coeffs()[k](x0) != 0
+                    if len(chain[k].y_coeffs()) > k and evaluate_poly(chain[k].y_coeffs()[k], x0) != 0
                 ),
                 q.deg_y(),
             )
@@ -316,7 +337,7 @@ def test_common_zero_planted_random_points():
         polys = []
         for _ in range(3):
             base = rand_bipoly(rng, 2, 2)
-            value = base.evaluate(x0, y0)
+            value = evaluate_bipoly(base, x0, y0)
             polys.append(base - BiPoly.constant(value))
         assert common_affine_zero(polys) is True
 

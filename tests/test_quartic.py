@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import evaluate_form
+from xiaofib import quartic
 from xiaofib.polynomials import common_affine_zero
 from xiaofib.quartic import (
     FERMAT_QUARTIC,
@@ -214,6 +215,53 @@ def test_flex_certificates_stable_across_seeds():
     for seed in (1, 2):
         assert tuple(flexes_all_simple(klein, seed)) == (True, 24)
         assert tuple(flexes_all_simple(fermat, seed)) == (False, 24)
+
+
+def test_flex_certificates_agree_without_the_modular_test(monkeypatch):
+    """Forcing the exact squarefree test on every eliminant gives the same certificates."""
+    rng = random.Random(29)
+    forms = [parse_ternary_form(KLEIN_QUARTIC), parse_ternary_form(FERMAT_QUARTIC)]
+    forms += [random_quartic(rng) for _ in range(6)]
+    cases = [(form, seed) for form in forms for seed in (1, 2, 77)]
+
+    def outcomes():
+        out = []
+        for form, seed in cases:
+            try:
+                out.append(tuple(flexes_all_simple(form, seed)))
+            except DegenerateFormError as error:
+                out.append(str(error))
+        return out
+
+    fast = outcomes()
+    monkeypatch.setattr(quartic, "squarefree_mod_p", lambda f: False)
+    assert outcomes() == fast
+    assert fast.count((True, 24)) >= 2 and (False, 24) in fast
+
+
+def test_klein_certificate_builds_one_chain_and_takes_no_gcd(monkeypatch):
+    """After ``is_smooth``, each Klein certificate is one subresultant chain and the modular test."""
+    calls = []
+    originals = {name: getattr(quartic, name) for name in ("is_smooth", "subresultant_chain_y", "poly_gcd")}
+
+    def smooth(form):
+        answer = originals["is_smooth"](form)
+        calls.clear()
+        return answer
+
+    def counted(name):
+        def wrapper(*args):
+            calls.append(name)
+            return originals[name](*args)
+        return wrapper
+
+    monkeypatch.setattr(quartic, "is_smooth", smooth)
+    monkeypatch.setattr(quartic, "subresultant_chain_y", counted("subresultant_chain_y"))
+    monkeypatch.setattr(quartic, "poly_gcd", counted("poly_gcd"))
+    klein = parse_ternary_form(KLEIN_QUARTIC)
+    for seed in range(1, 51):
+        assert tuple(flexes_all_simple(klein, seed)) == (True, 24)
+        assert calls == ["subresultant_chain_y"], seed
 
 
 def test_flex_certificate_preconditions():
