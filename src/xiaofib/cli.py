@@ -115,12 +115,7 @@ def _cmd_numerology(args) -> int:
     print(f"g_C = {g_c}")
     print(f"g_D = {g_d}")
     print(f"gamma^2 = {gamma}")
-    if fiber.finite:
-        print("fiber class: finite")
-    elif fiber.dimension is None:
-        print("fiber class: positive-dimensional")
-    else:
-        print(f"fiber class: positive-dimensional of dimension {fiber.dimension}")
+    print(f"fiber class: {fiber}")
     print(f"moduli dimensions: source {dim_h}, target {dim_m}")
     print(f"chevalley-weil dims: {cw.dims} (prym {cw.prym_dim}, sym2-invariants {cw.sym2_invariant_dim})")
     print(f"xiao bound: {report.bound}")

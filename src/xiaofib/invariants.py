@@ -8,8 +8,6 @@ routes must agree on any consistent input.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .record import Record
 
 

@@ -98,6 +98,13 @@ class FiberClass(Record):
     def finite(self) -> bool:
         return self.kind == FINITE
 
+    def __str__(self) -> str:
+        if self.finite:
+            return "finite"
+        if self.dimension is None:
+            return "positive-dimensional"
+        return f"positive-dimensional of dimension {self.dimension}"
+
 
 class XiaoReport(Record):
     """Bound comparison for one fibration: q_rel against (g_fiber + 1)/2.

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import random
 import re
+from collections import namedtuple
 from math import gcd, lcm
-from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError
 from .polynomials import (
@@ -35,9 +35,6 @@ from .polynomials import (
     squarefree_part,
     subresultant_chain_y,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 FLEX_RETRY_BUDGET = 32
 
@@ -378,9 +375,7 @@ def is_smooth(form: TernaryForm) -> bool:
     return not common_affine_zero([p.chart(2) for p in partials])
 
 
-class PluckerCounts(NamedTuple):
-    flexes: int
-    bitangents: int
+PluckerCounts = namedtuple("PluckerCounts", "flexes bitangents")
 
 
 def plucker_counts(d: int) -> PluckerCounts:
@@ -392,9 +387,7 @@ def plucker_counts(d: int) -> PluckerCounts:
     return PluckerCounts(flexes, bitangents)
 
 
-class FlexCertificate(NamedTuple):
-    all_simple: bool
-    flex_degree: int
+FlexCertificate = namedtuple("FlexCertificate", "all_simple flex_degree")
 
 
 def random_unimodular(rng: random.Random, operations: int = 12) -> list[list[int]]:

@@ -51,8 +51,24 @@ def test_only_filter():
     assert nothing == []
 
 
+def _failing(reports) -> dict[str, str]:
+    return {r.claim_id: r.computed for r in reports if r.status == "fail"}
+
+
+def _assert_blocked_below(failing: dict[str, str], roots: set[str]):
+    """Each failing claim is a root, or is blocked by one of its declared inputs that failed."""
+    inputs = {c.claim_id: c.inputs for c in build_claims(1, errors.DEFAULT_MAX_GROUP_ORDER)}
+    for claim_id, computed in failing.items():
+        if claim_id in roots:
+            assert not computed.startswith("blocked by"), claim_id
+            continue
+        blocker = computed.removeprefix("blocked by ")
+        assert computed.startswith("blocked by "), (claim_id, computed)
+        assert blocker in inputs[claim_id] and blocker in failing, (claim_id, computed)
+
+
 def test_corrupted_gram_fails_loudly(monkeypatch):
-    """One poisoned entry of the genus-3 product Gram matrix must fail the run."""
+    """One poisoned entry of the genus-3 product Gram matrix fails every claim that reads it."""
     build = lattice.product_with_diagonal_lattice
 
     def poisoned(g):
@@ -66,12 +82,88 @@ def test_corrupted_gram_fails_loudly(monkeypatch):
     monkeypatch.setattr(lattice, "product_with_diagonal_lattice", poisoned)
     code, reports = verify_paper()
     assert code == 1
-    failing = [r for r in reports if r.status == "fail"]
-    assert failing
-    assert any(r.claim_id == "g4p3/fiber-class" for r in failing)
-    # the branch-class chain reads the poisoned lattice: its five claims fail with the rest
-    assert len(failing) == 13
-    assert {"g4p3/branch-class", "g4p3/branch-half"} <= {r.claim_id for r in failing}
+    failing = _failing(reports)
+    # two roots: the fiber class solved in the poisoned lattice, and the branch-class chain
+    assert set(failing) == {
+        "g4p3/fiber-class", "g4p3/fiber-self-intersection", "g4p3/fiber-genus",
+        "g4p3/hodge-determination", "g4p3/branch-class", "g4p3/involution-on-dp",
+        "g4p3/involution-on-delta", "g4p3/involution-on-diagonal", "g4p3/branch-half",
+        "g4p3/branch-genus-adjunction", "g4p3/double-cover-inputs", "g4p3/K2",
+        "g4p3/chi-noether", "g4p3/chi-double-cover", "g4p3/profile",
+    }
+    assert failing["g4p3/fiber-class"].startswith("error: pairings (2, 2, 10) solve to non-integral")
+    assert failing["g4p3/branch-class"].startswith("error: projection formula fails")
+    assert failing["g4p3/K2"] == "blocked by g4p3/double-cover-inputs"
+    assert failing["g4p3/profile"] == "blocked by g4p3/K2"
+    _assert_blocked_below(failing, {"g4p3/fiber-class", "g4p3/branch-class"})
+
+
+def _poison_genera(case):
+    def poison(monkeypatch):
+        genera = numerology.cover_genera
+
+        def poisoned(params):
+            g_c, g_d = genera(params)
+            return (g_c, g_d + 1) if (params.g, params.p) == case else (g_c, g_d)
+
+        monkeypatch.setattr(numerology, "cover_genera", poisoned)
+
+    return poison
+
+
+def _poison_plucker_counts(monkeypatch):
+    counts = quartic.plucker_counts
+    monkeypatch.setattr(
+        quartic, "plucker_counts", lambda d: quartic.PluckerCounts(counts(d).flexes + 1, counts(d).bitangents)
+    )
+
+
+# A root calls the poisoned function itself: ``adjunction_inverse`` (under
+# ``gamma-square`` and the gamma grid) and ``moduli_dims`` read ``cover_genera``
+# inside the engine, not through a claim.
+@pytest.mark.parametrize("poison, roots, blocked", [
+    pytest.param(
+        _poison_genera((2, 5)),
+        {"g2p5/genera": "(6, 3)", "g2p5/gamma-square": "-6", "g2p5/moduli-dimensions": "(3, 6)",
+         "general/gamma-grid": "14/15 agree"},
+        {"g2p5/q-rel", "g2p5/xiao", "g2p5/brill-noether"},
+        id="genera-g2p5"),
+    pytest.param(
+        _poison_genera((3, 3)),
+        {"g3p3/genera": "(7, 3)", "general/gamma-grid": "14/15 agree"},
+        {"g3p3/nodal-class", "g3p3/nodal-genus", "g3p3/geometric-genus", "g3p3/q-rel",
+         "g3p3/xiao-generic", "g3p3/xiao-smooth-model"},
+        id="genera-g3p3"),
+    pytest.param(
+        _poison_genera((4, 3)),
+        {"g4p3/genera": "(10, 4)", "general/gamma-grid": "14/15 agree"},
+        {"g4p3/fiber-class", "g4p3/fiber-self-intersection", "g4p3/fiber-genus",
+         "g4p3/hodge-determination", "g4p3/branch-class", "g4p3/involution-on-dp",
+         "g4p3/involution-on-delta", "g4p3/involution-on-diagonal", "g4p3/branch-half",
+         "g4p3/branch-genus-adjunction", "g4p3/branch-genus-riemann-hurwitz",
+         "g4p3/double-cover-inputs", "g4p3/K2", "g4p3/c2", "g4p3/chi-noether",
+         "g4p3/chi-double-cover", "g4p3/q-rel", "g4p3/profile", "g4p3/xiao", "g4p3/brill-noether"},
+        id="genera-g4p3"),
+    pytest.param(
+        _poison_plucker_counts,
+        {"g4p3/plucker-counts": "(25, 28)"},
+        {"g4p3/branch-genus-riemann-hurwitz", "g4p3/c2", "g4p3/chi-noether", "g4p3/profile",
+         "g4p3/base-point-position"},
+        id="plucker-counts"),
+])
+def test_a_poisoned_root_fails_exactly_its_readers(monkeypatch, poison, roots, blocked):
+    poison(monkeypatch)
+    code, reports = verify_paper()
+    assert code == 1
+    failing = _failing(reports)
+    assert set(failing) == set(roots) | blocked
+    assert {claim_id: failing[claim_id] for claim_id in roots} == roots
+    _assert_blocked_below(failing, set(roots))
+    # one case alone evaluates the claims it reads and fails the same way
+    case = next(iter(blocked)).partition("/")[0]
+    assert _failing(verify_paper(only=case)[1]) == {
+        claim_id: computed for claim_id, computed in failing.items() if claim_id.startswith(case + "/")
+    }
 
 
 def test_branch_class_is_built_once_per_run(monkeypatch):
@@ -115,11 +207,47 @@ def test_markdown_table():
 
 def test_claim_errors_are_reported_not_raised():
     claims = [
-        ledger.Claim("boom/claim", "boom", "anchor", "1", lambda: 1 / 0, False),
+        ledger.Claim("boom/claim", "anchor", "1", (), lambda: 1 / 0),
+        ledger.Claim("boom/reader", "anchor", "2", ("boom/claim",), lambda one: one + 1),
+        ledger.Claim("boom/recorded", "anchor", "4", (), lambda: 3, assumed=True),
     ]
-    reports = run_claims(claims)
-    assert reports[0].status == "fail"
-    assert reports[0].computed.startswith("error:")
+    reports = {r.claim_id: r for r in run_claims(claims)}
+    assert reports["boom/claim"].status == "fail"
+    assert reports["boom/claim"].computed.startswith("error:")
+    assert (reports["boom/reader"].status, reports["boom/reader"].computed) == ("fail", "blocked by boom/claim")
+    # a recorded hypothesis whose computed value differs fails like any other claim
+    assert (reports["boom/recorded"].status, reports["boom/recorded"].computed) == ("fail", "3")
+
+
+def test_one_case_evaluates_the_claims_it_reads_once_each():
+    calls = []
+
+    def row(claim_id, inputs, value):
+        def compute(*args):
+            calls.append((claim_id, args))
+            return value
+
+        return ledger.Claim(claim_id, "anchor", str(value), inputs, compute)
+
+    claims = [
+        row("a/base", (), 1),
+        row("b/unread", (), 2),
+        row("c/reader", ("a/base",), 3),
+        row("c/second", ("a/base", "c/reader"), 4),
+    ]
+    reports = run_claims(claims, only="c")
+    assert [(r.claim_id, r.status) for r in reports] == [("c/reader", "pass"), ("c/second", "pass")]
+    assert calls == [("a/base", ()), ("c/reader", (1,)), ("c/second", (1, 3))]
+
+
+def test_the_table_refuses_an_input_that_is_unknown_or_declared_later():
+    reader = ledger.Claim("a/reader", "anchor", "1", ("a/base",), lambda base: base)
+    root = ledger.Claim("a/base", "anchor", "1", (), lambda: 1)
+    assert ledger._checked([root, reader]) == [root, reader]
+    with pytest.raises(ValueError, match="a/reader reads a/base"):
+        ledger._checked([reader, root])
+    with pytest.raises(ValueError, match="a/reader reads a/base"):
+        ledger._checked([reader])
 
 
 # ---- command line ----
@@ -148,7 +276,10 @@ def test_cli_numerology(capsys):
     assert "g_D = 2" in out
     assert "gamma^2 = 2" in out
     assert "dimension 1" in out
+    assert "fiber class: positive-dimensional of dimension 1" in out.splitlines()
     assert "xiao bound: 7/2" in out
+    assert main(["numerology", "--genus", "3", "--degree", "5"]) == 0
+    assert "fiber class: finite" in capsys.readouterr().out.splitlines()
 
 
 def test_cli_numerology_bad_params(capsys):
@@ -451,7 +582,7 @@ def test_cli_quartic_parse_error(capsys):
 
 
 def test_build_claims_stable_ids():
-    ids = [c.claim_id for c in build_claims()]
+    ids = [c.claim_id for c in build_claims(1, errors.DEFAULT_MAX_GROUP_ORDER)]
     assert len(ids) == len(set(ids))
 
 
@@ -516,6 +647,29 @@ def test_a_subcommand_executes_only_the_engines_it_uses(tmp_path, launcher, args
     names = set(executed_line.split()) - {"xiaofib.cli"}
     assert names == {f"xiaofib.{name}" for name in executed | {"errors"}}
     assert generation_line.split() == []
+
+
+# Under ``python -S`` the interpreter imports only what the program asks for; an
+# environment's ``site`` (through a .pth file) may import ``typing`` itself and hide a regression.
+@pytest.mark.parametrize("args", [
+    ("verify",),
+    ("verify", "--format", "json"),
+    ("numerology", "--genus", "2", "--degree", "5"),
+    ("monodromy", "--dihedral", "4", "3"),
+    ("lattice", "--case", "g3-product"),
+    ("quartic", "--poly", "x^4 + y^4 + z^4", "--check", "smooth"),
+    ("quartic", "--poly", "x^3*y + y^3*z + z^3*x", "--check", "flexes"),
+], ids=" ".join)
+def test_no_subcommand_imports_typing_or_the_rational_stack(args):
+    result = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "xiaofib.cli", *args],
+        capture_output=True, text=True, env=fresh_env(), timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "xiaofib.errors" in imported  # the report was read
+    assert imported & {"typing", "fractions", "decimal"} == set()
 
 
 def test_importing_the_cli_binds_every_engine_without_executing_it():

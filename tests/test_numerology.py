@@ -98,6 +98,12 @@ def test_fiber_classification():
     assert psi_fiber_class(CoverParams(2, 7)).finite
 
 
+def test_fiber_class_renders_each_case():
+    assert str(FiberClass("finite", 0)) == "finite"
+    assert str(FiberClass("positive_dimensional", 2)) == "positive-dimensional of dimension 2"
+    assert str(FiberClass("positive_dimensional", None)) == "positive-dimensional"
+
+
 def test_fiber_sign_consistency_with_gamma():
     for g in range(2, 9):
         for p in (3, 5, 7, 11):
