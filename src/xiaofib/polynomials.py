@@ -3,17 +3,20 @@
 Every coefficient is an ``int``: the constructors refuse anything else,
 ``bool``, ``float`` and ``Fraction`` included, so a rational input is
 scaled to an integer one before it gets here.  Gcds are primitive
-integer polynomials with positive leading coefficient, computed by
-primitive or subresultant remainder sequences over Z; by Gauss's lemma a
+integer polynomials with positive leading coefficient; by Gauss's lemma a
 primitive divisor leaves an integer quotient, so each division they make
-is an exact integer division.  Bivariate polynomials in (x, y) have y as
-the main variable and coefficients in Z[x].  One subresultant remainder
-sequence in y gives the whole determinantal subresultant chain of two
-such polynomials; the resultant is its entry S_0.  On top sits an exact
-decision for whether up to three bivariate polynomials share a complex
-zero, which backs the smoothness certificate for plane curves.  One
-test is modular and one-way: ``squarefree_mod_p`` reduces modulo the
-prime 2^31 - 1, and only its True answer is a certificate.
+is an exact integer division.  A primitive remainder sequence over Z
+gives univariate gcds only.  Bivariate polynomials in (x, y) have y as
+the main variable and coefficients in Z[x], and one subresultant
+remainder sequence in y gives the whole determinantal subresultant chain
+of two of them.  Everything in y is read off that chain: the resultant
+is its entry S_0, its first nonzero entry is a gcd over Q(x), and two
+polynomials with constant leading y-coefficients are coprime exactly
+when S_0 is nonzero.  On top sits an exact decision for whether up to three
+bivariate polynomials share a complex zero, which backs the smoothness
+certificate for plane curves.  One test is modular and one-way:
+``squarefree_mod_p`` reduces modulo the prime 2^31 - 1, and only its
+True answer is a certificate.
 """
 
 from __future__ import annotations
@@ -398,13 +401,6 @@ def _content_y(coeffs: list[UnivariatePoly]) -> UnivariatePoly:
     return content.scale(gcd(*(v for c in coeffs for v in c.coeffs)))
 
 
-def _primitive_y(coeffs: list[UnivariatePoly]) -> list[UnivariatePoly]:
-    content = _content_y(coeffs)
-    if content.is_zero() or content.coeffs == (1,):
-        return coeffs
-    return [c.exact_div(content) for c in coeffs]
-
-
 def _pseudo_rem_y(a: list[UnivariatePoly], b: list[UnivariatePoly]) -> list[UnivariatePoly]:
     """Pseudo-remainder in y: lc(b)^(deg a - deg b + 1) * a modulo b."""
     r = _strip(list(a))
@@ -426,22 +422,6 @@ def _pseudo_rem_y(a: list[UnivariatePoly], b: list[UnivariatePoly]) -> list[Univ
         factor = lb**e
         r = [factor * c for c in r]
     return r
-
-
-def bipoly_gcd(p: BiPoly, q: BiPoly) -> BiPoly:
-    """The primitive gcd of p and q in Z[x, y], by a primitive remainder sequence in y."""
-    if p.is_zero():
-        return q
-    if q.is_zero():
-        return p
-    pc, qc = p.y_coeffs(), q.y_coeffs()
-    content = poly_gcd(_content_y(pc), _content_y(qc))
-    a, b = _primitive_y(pc), _primitive_y(qc)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _primitive_y(_pseudo_rem_y(a, b))
-    return BiPoly.from_y_coeffs([c * content for c in a])
 
 
 def subresultant_chain_y(p: BiPoly, q: BiPoly) -> list[BiPoly]:
@@ -499,6 +479,31 @@ def subresultant_y(p: BiPoly, q: BiPoly, k: int) -> BiPoly:
     return chain[k]
 
 
+def bipoly_gcd(p: BiPoly, q: BiPoly) -> BiPoly:
+    """The primitive gcd of p and q in Z[x, y]; a zero input gives the other one.
+
+    Read off the subresultant chain, the one remainder sequence in y:
+    the primitive content gcd in Z[x] times the primitive part of the
+    chain's first nonzero entry S_d, a gcd over Q(x) of degree d by the
+    fundamental theorem of subresultants, or of the input of lower
+    y-degree when every entry vanishes.  The result's sign makes the
+    coefficient of the highest power of y, then of x, positive.
+    """
+    if p.is_zero() or q.is_zero():
+        coeffs = (q if p.is_zero() else p).y_coeffs()
+    else:
+        content = poly_gcd(_content_y(p.y_coeffs()), _content_y(q.y_coeffs()))
+        if p.deg_y() < q.deg_y():
+            p, q = q, p
+        chain = subresultant_chain_y(p, q) if q.deg_y() >= 1 else []
+        coeffs = next((s for s in chain if not s.is_zero()), q).y_coeffs()
+        cont_g = _content_y(coeffs)
+        coeffs = [c.exact_div(cont_g) * content for c in coeffs]
+    if coeffs and coeffs[-1].leading() < 0:
+        coeffs = [-c for c in coeffs]
+    return BiPoly.from_y_coeffs(coeffs)
+
+
 def res_y_prs(p: BiPoly, q: BiPoly) -> UnivariatePoly:
     """Resultant of p and q with respect to y, equal to the Sylvester determinant.
 
@@ -538,7 +543,8 @@ def common_affine_zero(polys: list[BiPoly]) -> bool:
 
 
 def _common_zero_normalized(polys: list[BiPoly]) -> bool:
-    # Invariant: every nonzero entry has constant nonzero leading y-coefficient.
+    # Invariant: every nonzero entry has constant nonzero leading y-coefficient,
+    # so no factor of one lies in Z[x] alone and S_0 = 0 exactly when a pair shares one.
     ps = [p for p in polys if not p.is_zero()]
     if not ps:
         return True
@@ -547,57 +553,43 @@ def _common_zero_normalized(polys: list[BiPoly]) -> bool:
     if len(ps) == 1:
         return True
     p, q, rest = ps[0], ps[1], ps[2:]
-    h = bipoly_gcd(p, q)
-    if h.total_degree() >= 1:
+    if p.deg_y() < q.deg_y():
+        p, q = q, p
+    chain = subresultant_chain_y(p, q)
+    resultant = chain[0].y_coeff(0)
+    if resultant.is_zero():
+        h = bipoly_gcd(p, q)
         if _common_zero_normalized([h] + rest):
             return True
         return _common_zero_normalized([p.exact_div(h), q.exact_div(h)] + rest)
     if not rest:
-        return res_y_prs(p, q).degree >= 1
-    return _coprime_pair_meets(p, q, rest[0])
+        return resultant.degree >= 1
+    return _coprime_pair_meets(chain + [q], rest[0])
 
 
-def _coprime_pair_meets(p: BiPoly, q: BiPoly, r: BiPoly) -> bool:
+def _coprime_pair_meets(entries: list[BiPoly], r: BiPoly) -> bool:
     """Common zero of coprime p, q together with r, all with constant leading y-coefficients.
 
-    Branches on the gcd degree j of p and q at a specialization: the
-    j-th subresultant is the gcd wherever the lower principal
-    coefficients vanish and the j-th does not, so a common zero with r
-    over some x-value is witnessed by a common root of the vanishing
-    locus polynomials.
+    ``entries`` is ``subresultant_chain_y(p, q)`` followed by q as S_n,
+    n = deg_y(q) <= deg_y(p), and the resultant S_0 is nonzero.  Branches
+    on the gcd degree j of p and q at a specialization: S_j is the gcd
+    wherever the lower principal coefficients vanish and the j-th does
+    not (that of S_n is a nonzero constant), so a common zero with r over
+    some x-value is witnessed by a common root of the vanishing locus
+    polynomials.
     """
-    if p.deg_y() < q.deg_y():
-        p, q = q, p
-    n = q.deg_y()
-    chain = subresultant_chain_y(p, q)
-    if chain[0].is_zero():
-        raise PolynomialError("subresultant branch analysis needs coprime inputs")
-    principal = [entry.y_coeff(k) for k, entry in enumerate(chain)]
-    for j in range(1, n + 1):
-        if j < n:
-            gate = principal[j]
-            if gate.is_zero():
-                continue  # this gcd degree never occurs
-            g_poly = chain[j]
-        else:
-            gate = None
-            g_poly = q
-        t_poly = res_y_prs(g_poly, r)
-        u = squarefree_part(principal[0])
+    principal = [entry.y_coeff(k) for k, entry in enumerate(entries)]
+    roots = squarefree_part(principal[0])
+    for j in range(1, len(entries)):
+        if principal[j].is_zero():
+            continue  # this gcd degree never occurs
+        u = roots
         for t in range(1, j):
-            if principal[t].is_zero():
-                continue
-            u = poly_gcd(u, principal[t])
             if u.degree == 0:
                 break
-        if u.degree == 0:
-            continue
-        if not t_poly.is_zero():
-            u = poly_gcd(u, t_poly)
-            if u.degree == 0:
-                continue
-        if gate is not None:
-            u = u.exact_div(poly_gcd(u, gate))
+            u = poly_gcd(u, principal[t])
         if u.degree >= 1:
-            return True
+            u = poly_gcd(u, res_y_prs(entries[j], r))
+            if u.exact_div(poly_gcd(u, principal[j])).degree >= 1:
+                return True
     return False

@@ -40,9 +40,9 @@ FLEX_RETRY_BUDGET = 32
 
 # Highest form degree the parser and ``is_smooth`` accept.  Smoothness
 # elimination grows steeply with the degree: a dense form with
-# coefficients up to +-3 takes about 0.05 s at degree 5, 0.25-0.4 s at
-# degree 6, 2.4 s at degree 7 and 20 s at degree 8 (Python 3.11 on a
-# shared 2-core Linux machine).
+# coefficients up to +-3 takes about 0.01 s at degree 5, 0.08-0.11 s at
+# degree 6, 0.8-1.1 s at degree 7 and 6-8 s at degree 8 (Python 3.11 on
+# a shared 2-core Linux machine).
 MAX_FORM_DEGREE = 6
 
 
@@ -199,14 +199,6 @@ class TernaryForm:
         terms = {}
         for key, c in self.coefficients.items():
             terms[(key[keep[0]], key[keep[1]])] = c
-        return BiPoly(terms)
-
-    def xz_slice_at_y1(self) -> BiPoly:
-        """Collect an integer form as a polynomial in z over Z[x] with y set to 1."""
-        terms: dict[tuple[int, int], int] = {}
-        for (i, j, k), c in self.coefficients.items():
-            key = (i, k)
-            terms[key] = terms.get(key, 0) + c
         return BiPoly(terms)
 
     def __str__(self) -> str:
@@ -448,7 +440,7 @@ def flexes_all_simple(form: TernaryForm, seed: int) -> FlexCertificate:
         moved_hess = hess.compose(matrix)
         if (0, 0, 4) not in moved_form.coefficients or (0, 0, 6) not in moved_hess.coefficients:
             continue
-        chain = subresultant_chain_y(moved_hess.xz_slice_at_y1(), moved_form.xz_slice_at_y1())
+        chain = subresultant_chain_y(moved_hess.chart(1), moved_form.chart(1))
         eliminant = chain[0].y_coeff(0)
         if eliminant.degree != 24:
             continue

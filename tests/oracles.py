@@ -4,8 +4,9 @@ Each one computes a value the program also computes, by a different
 route: Sylvester determinants and their fraction-free Bareiss
 elimination instead of remainder sequences, Euclid over Fraction
 coefficients instead of integer remainder sequences (its monic gcd
-returned as the primitive integer associate), and for
-permutations, breadth-first closure over all generators instead of
+returned as the primitive integer associate), a primitive remainder
+sequence in y instead of the subresultant chain for bivariate gcds, and
+for permutations, breadth-first closure over all generators instead of
 closure a coset at a time, orders by repeated composition instead of
 cycle lengths, a
 group label read from every element's order up front instead of from
@@ -27,7 +28,7 @@ the program never needs them.
 import json
 import re
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from xiaofib import monodromy
 from xiaofib.ledger import ClaimReport
@@ -235,6 +236,54 @@ def coprime_bipolys(p: BiPoly, q: BiPoly) -> bool:
     if p.deg_y() == 0 or q.deg_y() == 0:
         return True
     return not res_y(p, q).is_zero()
+
+
+def _content_in_x(coeffs: list[UnivariatePoly]) -> UnivariatePoly:
+    """The primitive gcd of the y-coefficients times the integer gcd of all their coefficients."""
+    content = UnivariatePoly.zero()
+    for c in coeffs:
+        content = poly_gcd(content, c)
+    return content.scale(gcd(*(v for c in coeffs for v in c.coeffs)))
+
+
+def _primitive_in_y(coeffs: list[UnivariatePoly]) -> list[UnivariatePoly]:
+    content = _content_in_x(coeffs)
+    return [c.exact_div(content) for c in coeffs] if coeffs else coeffs
+
+
+def _pseudo_rem_in_y(a: list[UnivariatePoly], b: list[UnivariatePoly]) -> list[UnivariatePoly]:
+    """lc(b)^(deg a - deg b + 1) a modulo b, for coefficient lists with nonzero last entries."""
+    r = list(a)
+    for _ in range(len(a) - len(b) + 1):
+        lead, shift = r[-1], len(r) - len(b)
+        r = [c * b[-1] for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] = r[shift + i] - lead * c
+        r.pop()
+    while r and r[-1].is_zero():
+        r.pop()
+    return r
+
+
+def bipoly_gcd_prs(p: BiPoly, q: BiPoly) -> BiPoly:
+    """The gcd in Z[x, y] by a primitive remainder sequence in y, of unnormalized sign.
+
+    Both inputs are divided by their contents in Z[x], every remainder
+    by its own, and the last nonzero remainder is multiplied by the gcd
+    of the two contents.  gcd(0, q) = q.
+    """
+    if p.is_zero():
+        return q
+    if q.is_zero():
+        return p
+    pc, qc = p.y_coeffs(), q.y_coeffs()
+    content = poly_gcd(_content_in_x(pc), _content_in_x(qc))
+    a, b = _primitive_in_y(pc), _primitive_in_y(qc)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive_in_y(_pseudo_rem_in_y(a, b))
+    return BiPoly.from_y_coeffs([c * content for c in a])
 
 
 def identity(degree: int) -> Permutation:

@@ -15,6 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from oracles import (  # noqa: E402
+    bipoly_gcd_prs,
     coprime_bipolys,
     is_squarefree,
     poly_gcd_euclid,
@@ -160,6 +161,30 @@ def test_bipoly_gcd_divides_both_with_coprime_cofactors(h, u, v):
     assert coprime_bipolys(p.exact_div(d), q.exact_div(d))
     content = gcd(*h.terms.values())
     d.exact_div(BiPoly({k: c // content for k, c in h.terms.items()}))  # so h divides d over Q
+
+
+in_x_only = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.just(0)), coefficients, max_size=4
+).map(BiPoly)
+gcd_inputs = st.one_of(
+    st.tuples(bivariate, bivariate),
+    st.builds(lambda h, u, v: (h * u, h * v), nonzero_bivariate, small_bivariate, small_bivariate),
+    st.tuples(in_x_only, bivariate),
+    st.tuples(bivariate, in_x_only),
+    st.tuples(st.just(BiPoly.zero()), bivariate),
+)
+
+
+@PROPERTY
+@given(gcd_inputs)
+def test_bipoly_gcd_matches_the_primitive_remainder_sequence(pair):
+    p, q = pair
+    got = bipoly_gcd(p, q)
+    expected = bipoly_gcd_prs(p, q)
+    assert got in (expected, -expected)
+    assert_exact(got.terms.values())
+    if not got.is_zero():
+        assert got.terms[max(got.terms, key=lambda k: (k[1], k[0]))] > 0
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

@@ -330,6 +330,19 @@ def test_common_zero_three_polynomials():
     assert common_affine_zero(line_excluded) is False
 
 
+def test_common_zero_skips_an_x_value_whose_gcd_degree_is_higher():
+    # At x = 0, p and q share y^2 - 1: the principal coefficients of S_0 and
+    # S_1 vanish there, S_1 vanishes identically, and so does its resultant
+    # with any r.  Only the gcd-degree-2 branch may count x = 0.
+    c = BiPoly.constant
+    p = (Y * Y - ONE) * (Y - c(2)) + X * (Y - c(3))
+    q = (Y * Y - ONE) * (Y - c(3)) - X.scale(3)
+    assert common_affine_zero([p, q]) is True
+    assert common_affine_zero([p, q, Y - ONE]) is True  # (0, 1)
+    # y = -6 puts p's zero at x = -280/9 and q's at x = -105
+    assert common_affine_zero([p, q, Y + c(6)]) is False
+
+
 def test_common_zero_planted_random_points():
     rng = random.Random(53)
     for _ in range(20):

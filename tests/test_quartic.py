@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import evaluate_form
-from xiaofib import quartic
+from xiaofib import polynomials, quartic
 from xiaofib.polynomials import common_affine_zero
 from xiaofib.quartic import (
     FERMAT_QUARTIC,
@@ -262,6 +262,30 @@ def test_klein_certificate_builds_one_chain_and_takes_no_gcd(monkeypatch):
     for seed in range(1, 51):
         assert tuple(flexes_all_simple(klein, seed)) == (True, 24)
         assert calls == ["subresultant_chain_y"], seed
+
+
+def test_klein_smoothness_reads_one_chain_of_the_partials(monkeypatch):
+    """The (F_x, F_y) chain decides coprimality and feeds the branches: built once, no bivariate gcd."""
+    klein = parse_ternary_form(KLEIN_QUARTIC)
+    fx, fy, fz = (klein.partial(v).chart(2) for v in range(3))
+    calls = {"bipoly_gcd": [], "subresultant_chain_y": [], "squarefree_part": []}
+
+    def counted(name):
+        original = getattr(polynomials, name)
+
+        def wrapper(*args):
+            calls[name].append(set(args))
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(polynomials, name, counted(name))
+    assert common_affine_zero([fx, fy, fz]) is False
+    assert calls["bipoly_gcd"] == []
+    shears = [s for s in range(-5, 6) if {fx.shear(s), fy.shear(s)} in calls["subresultant_chain_y"]]
+    assert len(shears) == 1
+    assert calls["subresultant_chain_y"].count({fx.shear(shears[0]), fy.shear(shears[0])}) == 1
+    assert len(calls["squarefree_part"]) == 1
 
 
 def test_flex_certificate_preconditions():
