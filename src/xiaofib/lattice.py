@@ -55,14 +55,6 @@ class DivisorClass(Record):
     def __init__(self, coeffs: tuple[int, ...]):
         object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if len(self.coeffs) != len(other.coeffs):
             raise RankMismatchError("adding classes of different ranks")

@@ -21,13 +21,15 @@ repeated lines share one ``Permutation`` object; a cover file that is not
 UTF-8 raises ``MonodromyDataError``.  A cover converts each distinct
 branch permutation object to a group element once, and walks the cycles
 of each distinct permutation once (``cycle_type``, which also keeps its
-order) and of r, the product of its first two distinct elements, once.
+order) and of r, the product of its first two distinct elements, once;
+the reflections of ``build_dihedral_cover`` carry their cycle type from
+construction, so a dihedral cover walks r alone.
 That walk of r gives transitivity when r is an n-cycle (otherwise the
 cover follows forward images), and the order and parity with which the
 closure and the label start.  Inside the module a group element is the
 byte string of its images when the cover has at most 256 sheets, and
 the image tuple above that, where no byte can name a sheet.  Group
-closure, classification and coset tables compose these with one kernel,
+closure and classification compose these with one kernel,
 ``_right(s)``, the map ``h -> h then s``: one ``bytes.translate``
 through s padded to a 256-byte table, or one ``itemgetter`` above 256
 sheets; the powers of one element are one C loop of ``bytes.translate``
@@ -38,23 +40,25 @@ rotation for the paper's reflections), and records parities as it goes;
 it refuses before a batch would pass ``max_order`` elements or
 ``errors.MAX_GROUP_CELLS`` cells, each element costing its degree plus
 ``errors.ELEMENT_OVERHEAD`` cells (a byte string's header, a dict slot
-and a list slot).  A group descriptor keeps its elements in the order
-they were found; it sorts them (byte strings sort as their image tuples
-do), wraps them as ``Permutation`` objects, and classifies itself, only
-when a caller reads them or compares or hashes the descriptor, and no
-tower number needs any of that.  The closure's descriptor keeps its span
+and a list slot).  The closure's descriptor keeps its elements in the
+order they were found; it sorts them (byte strings sort as their image
+tuples do), wraps them as ``Permutation`` objects, and classifies
+itself, only when a caller reads them or compares or hashes the
+descriptor, and no tower number needs any of that.  The public
+constructor sorts the elements it is given, so descriptors compare and
+hash by their element set.  The closure's descriptor keeps its span
 and the cycle lengths of its generators and of r: the label counts
 moved points on the generators and tries the first generator taken (r,
 unless r is the identity) first, reading its powers off the span (see
 ``_classify``), and a dihedral label keeps those rotations
 for ``cyclic_rotation_subgroup``.  That function and ``even_subgroup``
-record the descriptor they cut from, and ``quotient_genus`` skips its
-containment, identity and closure checks only for a subgroup cut from
-the very descriptor ``generated_group`` keeps on the cover: a parity
-kernel and the powers of one element are subgroups by construction.
-Every other descriptor (built by the constructor, copied, unpickled, or
-cut from another cover's group) is checked.  Only a quotient by a
-subgroup of index above 2 builds a coset table.
+(which reads the parities the closure recorded) record the descriptor
+they cut from.  Every quotient the paper takes is by such a subgroup, of
+index 1 or 2, so ``quotient_genus`` answers only for the very descriptor
+``generated_group`` keeps on the cover and the subgroups cut from it,
+reading the genus off the branch permutations; it refuses every other
+descriptor (built by the constructor, copied, unpickled, or cut from
+another cover's group).
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ import re
 from functools import reduce
 from itertools import accumulate, chain, filterfalse, repeat
 from math import factorial, lcm
-from operator import itemgetter, methodcaller
+from operator import attrgetter, itemgetter, methodcaller
 
 from .errors import DEFAULT_MAX_GROUP_ORDER, ELEMENT_OVERHEAD, MAX_GROUP_CELLS, InputError
 from .numerology import is_odd_prime
@@ -86,10 +90,6 @@ class MonodromyDataError(InputError, ValueError):
 
 class EnumerationLimitError(InputError, RuntimeError):
     """Group closure exceeded the configured element bound."""
-
-
-class SubgroupContainmentError(ValueError):
-    """Claimed subgroup is not contained in the ambient group."""
 
 
 def _numeral(text: str) -> int:
@@ -119,14 +119,6 @@ class Permutation(Record):
             raise MonodromyDataError(f"permutation images must be integers: {images!r}")
         if sorted(images) != list(range(len(images))):
             raise MonodromyDataError(f"not a bijection of 0..{len(images) - 1}: {images!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
 
     @classmethod
     def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
@@ -171,9 +163,6 @@ class Permutation(Record):
         # a one-index itemgetter returns a bare item; the only permutation of one sheet is the identity
         return Permutation._unchecked(itemgetter(*first)(second) if len(first) > 1 else second)
 
-    def is_identity(self) -> bool:
-        return self.images == tuple(range(len(self.images)))
-
     def cycle_type(self) -> tuple[int, ...]:
         """Cycle lengths sorted decreasingly; sums to the degree.  Computed once, with the order."""
         if self._cycle_type is None:
@@ -203,11 +192,6 @@ def _cycle_lengths(images) -> list[int]:
             length += 1
         found.append(length)
     return found
-
-
-def _parity(images) -> int:
-    """1 for an odd permutation, 0 for an even one."""
-    return (len(images) - len(_cycle_lengths(images))) % 2
 
 
 _BYTE_VALUES = bytes(range(256))
@@ -304,7 +288,7 @@ class GroupDescriptor(Record):
     )
 
     def __init__(self, order: int, classification: str, elements: tuple[Permutation, ...]):
-        elements = tuple(elements)
+        elements = tuple(sorted(elements, key=attrgetter("images")))
         members = tuple(_element(e.images) for e in elements)
         self._set(order=order, classification=classification, elements=elements, _members=members)
         if self.order != len(self.elements):
@@ -330,18 +314,6 @@ class GroupDescriptor(Record):
         object.__setattr__(self, name, value)
         return value
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.order == other.order
-            and self._images == other._images
-            and self.classification == other.classification
-        )
-
-    def __hash__(self):
-        return hash((self.order, self.classification, self._images))
-
 
 def rh_genus(cover: BranchedCover) -> int:
     """Genus from Riemann-Hurwitz: 2g - 2 = n(2b - 2) + sum over cycles of (len - 1)."""
@@ -366,14 +338,12 @@ def ramification_profile(cover: BranchedCover) -> list[tuple[int, ...]]:
     return [sigma.cycle_type() for sigma in cover.branch_monodromy]
 
 
-def _span(
-    candidates, degree: int, max_order: int, within: set | None = None, lengths: dict | None = None
-) -> dict:
+def _span(candidates, degree: int, max_order: int, lengths: dict | None = None) -> dict:
     """The group generated by ``candidates``, a whole right coset at a time, with parities.
 
     Dimino's algorithm (G. Butler, *Fundamental Algorithms for Permutation
-    Groups*, LNCS 559, 1991).  Candidates, ``within`` and the result's keys
-    are internal elements; each element maps to its parity, 1 when odd.
+    Groups*, LNCS 559, 1991).  Candidates and the result's keys are
+    internal elements; each element maps to its parity, 1 when odd.
     The product of the first two distinct candidates is taken first (for
     two reflections, a rotation), and its powers are walked.  A later
     candidate outside the span H joins it as right cosets of H: for each
@@ -389,20 +359,16 @@ def _span(
     The size of each batch (an order, or |H|) is known before it is
     built, so ``EnumerationLimitError`` is raised before the span would
     pass ``max_order`` elements or ``MAX_GROUP_CELLS`` cells, each element
-    costing its degree plus ``ELEMENT_OVERHEAD``.  With ``within`` given
-    (holding the identity, at most ``max_order`` elements), leaving it or
-    overflowing raises ``MonodromyDataError``: the set is not closed.
+    costing its degree plus ``ELEMENT_OVERHEAD``.
     """
     identity = _element(range(degree))
     span = {identity: 0}
     bound = min(max_order, MAX_GROUP_CELLS // (degree + ELEMENT_OVERHEAD))
     known = lengths or {}
 
-    def admit(size: int, fresh=()) -> None:
-        """Refuse ``size`` more elements past the bound, and ``fresh`` elements outside ``within``."""
+    def admit(size: int) -> None:
+        """Refuse ``size`` more elements past the bound."""
         total = len(span) + size
-        if within is not None and (total > bound or not within.issuperset(fresh)):
-            raise MonodromyDataError("element set is not closed under composition")
         if total > bound:
             if total > max_order:
                 raise EnumerationLimitError(f"group closure exceeds the configured bound {max_order}")
@@ -421,9 +387,7 @@ def _span(
         if len(steps) == 1:  # 1, u, u^2, ... up to its order, of alternating parity when u is odd
             order = lcm(*cycles)
             admit(order - 1)
-            powers = _powers(u, order)
-            admit(0, powers)
-            span.update(zip(powers, [0, u_odd] * order))
+            span.update(zip(_powers(u, order), [0, u_odd] * order))
             continue
         cosets = [list(span)]  # the identity first, so each coset's first element is its representative
         flips = (list(span.values()), [odd ^ 1 for odd in span.values()])
@@ -433,7 +397,6 @@ def _span(
                 if then_s(coset[0]) not in span:
                     admit(len(coset))
                     fresh = list(map(then_s, coset))
-                    admit(0, fresh)
                     span.update(zip(fresh, flips[r_odd ^ s_odd]))
                     cosets.append(fresh)
     return span
@@ -509,7 +472,7 @@ def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORD
     if group is None:
         lengths = dict(zip(cover._elements, map(Permutation.cycle_type, cover.branch_monodromy)))
         lengths.update(cover._lengths)
-        span = _span(cover._elements, cover.degree, max_order, None, lengths)
+        span = _span(cover._elements, cover.degree, max_order, lengths)
         group = GroupDescriptor._of_images(span, _odd=span, _lengths=lengths)
         cover._set(_group=group)
     elif group.order > max_order:
@@ -528,8 +491,9 @@ def cyclic_rotation_subgroup(group: GroupDescriptor) -> GroupDescriptor:
 
 def even_subgroup(group: GroupDescriptor) -> GroupDescriptor:
     """The subgroup of even permutations (alternating part), by the parities the closure recorded."""
-    odd = group._odd or {g: _parity(g) for g in group._members}
-    return GroupDescriptor._of_images(list(filterfalse(odd.__getitem__, group._members)), _parent=group)
+    if group._odd is None:
+        raise MonodromyDataError("even subgroup needs the parities generated_group records")
+    return GroupDescriptor._of_images(list(filterfalse(group._odd.__getitem__, group._members)), _parent=group)
 
 
 def galois_closure_genus(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> int:
@@ -548,38 +512,23 @@ def quotient_genus(
     subgroup: GroupDescriptor,
     max_order: int = DEFAULT_MAX_GROUP_ORDER,
 ) -> int:
-    """Genus of the quotient of the Galois closure by ``subgroup``.
+    """Genus of the quotient of the Galois closure by ``subgroup``, of index 1 or 2.
 
-    The monodromy acts on cosets of the subgroup inside the full monodromy
-    group; branch points whose induced action is trivial are dropped.  A
-    subgroup of index 2 is normal, so a branch permutation outside it swaps
-    the two cosets and one inside it fixes both: no coset table is needed.
-    Containment, the identity and closure are checked unless ``subgroup``
-    was cut from this cover's group by ``even_subgroup`` or
-    ``cyclic_rotation_subgroup``: a parity kernel and the powers of one
-    element are subgroups by construction.
+    ``subgroup`` is the cover's own group, ``generated_group(cover)``, or a
+    subgroup that ``even_subgroup`` or ``cyclic_rotation_subgroup`` cut
+    from it; any other descriptor is refused.  A subgroup of index 2 is
+    normal, so a branch permutation outside it swaps the two cosets and
+    one inside it fixes both; branch points whose induced action is
+    trivial are dropped.
     """
     group = generated_group(cover, max_order)
+    if subgroup is not group and subgroup._parent is not group:
+        raise MonodromyDataError(
+            "subgroup is neither this cover's group nor cut from it by even_subgroup or cyclic_rotation_subgroup"
+        )
     members = set(subgroup._members)
-    if subgroup._parent is not group:
-        if not group._odd.keys() >= members:
-            raise SubgroupContainmentError("subgroup element is not in the monodromy group")
-        if _element(range(cover.degree)) not in members:
-            raise MonodromyDataError("subgroup is missing the identity")
-        _span(subgroup._members, cover.degree, len(members), members)
-    if 2 * len(members) >= group.order:  # index 1 or 2
-        moved = sum(h not in members for h in cover._elements)
-        return _rh_solve(group.order // len(members), cover.base_genus, moved)
-    # the right coset of g is {u then g : u in the subgroup}
-    coset_of = {}
-    reps = []
-    for g in group._members:
-        if g not in coset_of:
-            coset_of.update(dict.fromkeys(map(_right(g), members), len(reps)))
-            reps.append(g)
-    action = {id(s): Permutation(tuple(coset_of[h] for h in map(_right(s), reps))) for s in cover._elements}
-    induced = tuple(action[id(s)] for s in cover._elements if not action[id(s)].is_identity())
-    return rh_genus(BranchedCover(len(reps), cover.base_genus, induced))
+    moved = sum(h not in members for h in cover._elements)
+    return _rh_solve(group.order // len(members), cover.base_genus, moved)
 
 
 def build_dihedral_cover(
@@ -606,8 +555,10 @@ def build_dihedral_cover(
     if not is_odd_prime(p):
         raise MonodromyDataError(f"cover degree must be an odd prime, got {p}")
 
-    s_1 = Permutation._unchecked((1, 0, *range(p - 1, 1, -1)))  # x -> 1 - x
-    s_0 = Permutation._unchecked((0, *range(p - 1, 0, -1)))  # x -> -x
+    # x -> a - x fixes a/2 alone and swaps the other points in pairs, so no cycle walk is needed
+    reflection = {"_cycle_type": (2,) * ((p - 1) // 2) + (1,), "_order": 2}
+    s_1 = Permutation._unchecked((1, 0, *range(p - 1, 1, -1)))._set(**reflection)  # x -> 1 - x
+    s_0 = Permutation._unchecked((0, *range(p - 1, 0, -1)))._set(**reflection)  # x -> -x
     return BranchedCover(p, 0, (s_1, s_1) + (s_0,) * (2 * g))
 
 

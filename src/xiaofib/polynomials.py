@@ -52,14 +52,6 @@ class UnivariatePoly(Record):
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     @classmethod
     def zero(cls) -> "UnivariatePoly":
         return cls(())
@@ -76,17 +68,8 @@ class UnivariatePoly(Record):
         """Degree, with the convention -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def leading(self) -> int:
-        if self.is_zero():
-            raise PolynomialError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def coeff(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def __add__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UnivariatePoly(tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
 
     def __sub__(self, other: "UnivariatePoly") -> "UnivariatePoly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -256,14 +239,6 @@ class BiPoly:
         self.terms = cleaned
 
     @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls({})
-
-    @classmethod
-    def constant(cls, c) -> "BiPoly":
-        return cls({(0, 0): c})
-
-    @classmethod
     def from_y_coeffs(cls, coeffs: list[UnivariatePoly]) -> "BiPoly":
         terms = {}
         for j, poly in enumerate(coeffs):
@@ -304,32 +279,6 @@ class BiPoly:
             size = max(bucket, default=-1) + 1
             out.append(UnivariatePoly(tuple(bucket.get(k, 0) for k in range(size))))
         return out
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0) + c
-        return BiPoly(terms)
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0) - c
-        return BiPoly(terms)
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other: "BiPoly") -> "BiPoly":
-        terms: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return BiPoly(terms)
-
-    def scale(self, c: int) -> "BiPoly":
-        return BiPoly({k: v * c for k, v in self.terms.items()})
 
     def top_form_at(self, a: int) -> int:
         """The top-degree homogeneous part evaluated at (a, 1)."""
@@ -375,9 +324,6 @@ class BiPoly:
                 else:
                     remainder[k2] = value
         return BiPoly(quotient)
-
-    def __repr__(self) -> str:
-        return f"BiPoly({self.terms!r})"
 
 
 def _strip(coeffs: list[UnivariatePoly]) -> list[UnivariatePoly]:
@@ -499,7 +445,7 @@ def bipoly_gcd(p: BiPoly, q: BiPoly) -> BiPoly:
         coeffs = next((s for s in chain if not s.is_zero()), q).y_coeffs()
         cont_g = _content_y(coeffs)
         coeffs = [c.exact_div(cont_g) * content for c in coeffs]
-    if coeffs and coeffs[-1].leading() < 0:
+    if coeffs and coeffs[-1].coeffs[-1] < 0:
         coeffs = [-c for c in coeffs]
     return BiPoly.from_y_coeffs(coeffs)
 

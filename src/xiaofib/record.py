@@ -12,9 +12,7 @@ The standard ``dataclasses`` module gives the same behaviour but builds
 each class's methods as source text and compiles it when the class is
 created, 0.5-1 ms per class with Python 3.11, and importing it loads
 ``inspect``, ``ast``, ``dis`` and ``tokenize``; every command-line run
-would pay for both at start-up.  Classes compared or hashed in inner
-loops override ``__eq__`` and ``__hash__`` with field-specific versions.
-This module imports nothing.
+would pay for both at start-up.  This module imports nothing.
 """
 
 

@@ -19,10 +19,11 @@ for primality, and smoothness by bivariate elimination on all three
 affine charts instead of one chart and the line at infinity.
 
 The permutation helpers ``identity``, ``inverse`` and ``sign``, the
-``group_from_elements`` wrapper, the evaluators ``evaluate_poly``,
-``evaluate_bipoly`` and ``evaluate_form``, ``pairings``, ``parse_reports``,
-``is_squarefree`` and the ``FibrationProfile`` record serve tests only;
-the program never needs them.
+``group_from_elements`` wrapper, the ring operations of the ``BiPoly``
+subclass, the evaluators ``evaluate_poly``, ``evaluate_bipoly`` and
+``evaluate_form``, ``pairings``, ``parse_reports``, ``is_squarefree`` and
+the ``FibrationProfile`` record serve tests only; the program never needs
+them.
 """
 
 import json
@@ -30,12 +31,59 @@ import re
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from xiaofib import monodromy
+from xiaofib import monodromy, polynomials
 from xiaofib.ledger import ClaimReport
 from xiaofib.monodromy import GroupDescriptor, Permutation
 from xiaofib.numerology import NumerologyError
-from xiaofib.polynomials import BiPoly, PolynomialError, UnivariatePoly, common_affine_zero, poly_gcd
+from xiaofib.polynomials import PolynomialError, UnivariatePoly, common_affine_zero, poly_gcd
 from xiaofib.record import Record
+
+
+class BiPoly(polynomials.BiPoly):
+    """A bivariate polynomial with the ring operations, so that test expressions read as algebra.
+
+    Results are of this class; the program's own results can be wrapped
+    as ``BiPoly(p.terms)``.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls) -> "BiPoly":
+        return cls({})
+
+    @classmethod
+    def constant(cls, c) -> "BiPoly":
+        return cls({(0, 0): c})
+
+    def __add__(self, other) -> "BiPoly":
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, 0) + c
+        return BiPoly(terms)
+
+    def __sub__(self, other) -> "BiPoly":
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, 0) - c
+        return BiPoly(terms)
+
+    def __neg__(self) -> "BiPoly":
+        return BiPoly({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other) -> "BiPoly":
+        terms: dict[tuple[int, int], int] = {}
+        for (i1, j1), c1 in self.terms.items():
+            for (i2, j2), c2 in other.terms.items():
+                key = (i1 + i2, j1 + j2)
+                terms[key] = terms.get(key, 0) + c1 * c2
+        return BiPoly(terms)
+
+    def scale(self, c: int) -> "BiPoly":
+        return BiPoly({k: v * c for k, v in self.terms.items()})
+
+    def __repr__(self) -> str:
+        return f"BiPoly({self.terms!r})"
 
 
 def _fraction_det(matrix: list[list[Fraction]]) -> Fraction:
@@ -87,9 +135,9 @@ def resultant(f: UnivariatePoly, g: UnivariatePoly) -> Fraction:
     if f.degree == 0 and g.degree == 0:
         return Fraction(1)
     if f.degree == 0:
-        return f.leading() ** g.degree
+        return f.coeffs[-1] ** g.degree
     if g.degree == 0:
-        return g.leading() ** f.degree
+        return g.coeffs[-1] ** f.degree
     return _fraction_det(sylvester_matrix(f, g))
 
 
@@ -313,13 +361,12 @@ def group_from_elements(perms) -> GroupDescriptor:
     return GroupDescriptor._of_images(tuple(sorted({monodromy._element(p.images) for p in perms})))
 
 
-def bfs_span(candidates, degree: int, max_order: int, within: set | None = None) -> dict:
+def bfs_span(candidates, degree: int, max_order: int) -> dict:
     """The group generated by internal elements, breadth first, with parities: ``_span``'s reference.
 
     Each candidate outside the span is taken as a generator, and every
-    new element is composed with every generator taken.  Raises ``EnumerationLimitError`` before the span exceeds
-    ``max_order`` elements and, when ``within`` is given,
-    ``MonodromyDataError`` as soon as the span leaves it.
+    new element is composed with every generator taken.  Raises
+    ``EnumerationLimitError`` before the span exceeds ``max_order`` elements.
     """
     span = {monodromy._element(range(degree)): 0}
     by_parity = ([*span], [])  # the span's even elements, then its odd ones
@@ -327,7 +374,7 @@ def bfs_span(candidates, degree: int, max_order: int, within: set | None = None)
     for u in candidates:
         if u in span:
             continue
-        steps.append((monodromy._right(u), monodromy._parity(u)))
+        steps.append((monodromy._right(u), (1 - sign(Permutation(tuple(u)))) // 2))
         # the old span is closed under the old generators; new elements meet all of them
         fresh, maps = by_parity, steps[-1:]
         while fresh[0] or fresh[1]:
@@ -337,8 +384,6 @@ def bfs_span(candidates, degree: int, max_order: int, within: set | None = None)
                 for h in products:
                     if h in span:
                         continue
-                    if within is not None and h not in within:
-                        raise monodromy.MonodromyDataError("element set is not closed under composition")
                     if len(span) >= max_order:
                         raise monodromy.EnumerationLimitError(
                             f"group closure exceeds the configured bound {max_order}"
@@ -422,7 +467,7 @@ def is_transitive(perms, degree: int) -> bool:
 def composition_order(perm) -> int:
     """Order by repeated composition: the reference for the cycle-length lcm."""
     power, k = perm, 1
-    while not power.is_identity():
+    while power != identity(perm.degree):
         power, k = power.then(perm), k + 1
     return k
 
@@ -450,7 +495,7 @@ def classify_by_orders(elements) -> str:
                 power = power.then(r)
             r_inv = inverse(r)
             for s in set(elements) - rotations:
-                if s.then(s).is_identity() and s.then(r).then(s) == r_inv:
+                if s.then(s) == identity(r.degree) and s.then(r).then(s) == r_inv:
                     return "dihedral"
             break
     moved = {i for e in elements for i, j in enumerate(e.images) if i != j}

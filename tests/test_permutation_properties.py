@@ -13,7 +13,6 @@ permutation.
 """
 
 import time
-from itertools import combinations
 
 import pytest
 
@@ -25,6 +24,7 @@ from oracles import (  # noqa: E402
     brute_closure,
     classify_by_orders,
     composition_order,
+    identity,
     inverse,
     is_transitive,
     permutation_from_cycles,
@@ -82,7 +82,7 @@ def test_products_and_inverses_pass_the_boundary_check(pair):
     a, b = pair
     for result in (a.then(b), b.then(a), a.then(inverse(b))):
         assert Permutation(result.images) == result
-    assert a.then(inverse(a)).is_identity() and inverse(a).then(a).is_identity()
+    assert a.then(inverse(a)) == identity(a.degree) == inverse(a).then(a)
 
 
 @PROPERTY
@@ -121,12 +121,12 @@ def test_images_must_be_integers():
 def covers(draw):
     """A transitive cover: random branch permutations closed up by the inverse of their product."""
     n = draw(st.integers(1, 6))
-    perms = [p for p in draw(st.lists(permutations_of(n), max_size=3)) if not p.is_identity()]
+    perms = [p for p in draw(st.lists(permutations_of(n), max_size=3)) if p != identity(n)]
     if perms:
         product = perms[0]
         for q in perms[1:]:
             product = product.then(q)
-        if not product.is_identity():
+        if product != identity(n):
             perms.append(inverse(product))
     try:
         return BranchedCover(n, 0, tuple(perms))
@@ -175,14 +175,14 @@ def labelled_covers(draw):
                               min_size=1, max_size=3))
         # x -> k +- x (mod n): a rotation, or a reflection of the n-gon
         perms = [relabel([(k + (-x if e else x)) % n for x in range(n)], sheets) for k, e in words]
-    perms = [p for p in perms if not p.is_identity()]
+    perms = [p for p in perms if p != identity(n)]
     assume(perms)
     if draw(st.booleans()):
         perms.insert(1, inverse(perms[0]))
     product = perms[0]
     for q in perms[1:]:
         product = product.then(q)
-    if not product.is_identity():
+    if product != identity(n):
         perms.append(inverse(product))
     try:
         return BranchedCover(n, 0, tuple(perms))
@@ -212,37 +212,22 @@ def test_the_label_from_the_closures_generators_matches_the_eager_oracle(cover):
         assert classify_by_orders(list(rotations.elements)) == "cyclic"
 
 
-def span_outcome(span, candidates, degree, max_order, within=None):
+def span_outcome(span, candidates, degree, max_order):
     """The span's dict, or the class of the refusal it raised."""
     try:
-        return span(list(candidates), degree, max_order, within)
-    except (EnumerationLimitError, MonodromyDataError) as error:
+        return span(list(candidates), degree, max_order)
+    except EnumerationLimitError as error:
         return type(error)
 
 
-def assert_spans_agree(candidates, degree, drop):
-    """Dimino's closure and the breadth-first one agree at |G|, |G| - 1 and on an unclosed set."""
+def assert_spans_agree(candidates, degree):
+    """Dimino's closure and the breadth-first one agree at |G| and |G| - 1."""
     group = bfs_span(candidates, degree, 10**6)
     assert span_outcome(monodromy._span, candidates, degree, len(group)) == group
     for max_order in (len(group) - 1, len(group)):
         assert span_outcome(monodromy._span, candidates, degree, max_order) == span_outcome(
             bfs_span, candidates, degree, max_order
         )
-    missing = sorted(group)[drop % len(group)]  # dropping the identity leaves the set closed
-    within = set(group) - {missing}
-    if missing == monodromy._element(range(degree)):
-        within = set(group)
-    args = (candidates, degree, len(within), within)
-    assert span_outcome(monodromy._span, *args) == span_outcome(bfs_span, *args)
-    # padded with a transposition outside the group, the set is as large as the group but still lacks it
-    for i, j in combinations(range(degree), 2):
-        images = list(range(degree))
-        images[i], images[j] = j, i
-        if monodromy._element(images) not in group:
-            within = within | {monodromy._element(images)}
-            args = (candidates, degree, len(within), within)
-            assert span_outcome(monodromy._span, *args) == span_outcome(bfs_span, *args)
-            break
 
 
 @st.composite
@@ -261,21 +246,21 @@ def generator_lists(draw):
 
 
 @PROPERTY
-@given(generator_lists(), st.integers(0, 5039))
-@example((3, [bytes((1, 2, 0)), bytes((2, 0, 1))]), 1)  # an inverse pair: the product is the identity
-@example((1, [bytes((0,))]), 0)
-def test_span_matches_the_breadth_first_closure(case, drop):
+@given(generator_lists())
+@example((3, [bytes((1, 2, 0)), bytes((2, 0, 1))]))  # an inverse pair: the product is the identity
+@example((1, [bytes((0,))]))
+def test_span_matches_the_breadth_first_closure(case):
     degree, candidates = case
-    assert_spans_agree(candidates, degree, drop)
+    assert_spans_agree(candidates, degree)
 
 
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([251, 257]), st.randoms(use_true_random=False), st.integers(0, 513))
-def test_span_matches_the_breadth_first_closure_on_dihedral_covers(p, rng, drop):
+@given(st.sampled_from([251, 257]), st.randoms(use_true_random=False))
+def test_span_matches_the_breadth_first_closure_on_dihedral_covers(p, rng):
     """Reflections of Z/p: byte strings at 251 sheets, image tuples at 257."""
     candidates = [monodromy._element(s.images) for s in build_dihedral_cover(2, p).branch_monodromy]
     rng.shuffle(candidates)
-    assert_spans_agree(candidates, p, drop)
+    assert_spans_agree(candidates, p)
 
 
 # ---- parse_cover fuzz: a cover or a documented error, within a second ----
@@ -428,7 +413,7 @@ def branch_lists(draw):
     product = Permutation(tuple(range(n)))
     for q in perms:
         product = product.then(q)
-    perms = [q for q in perms + [inverse(product)] if not q.is_identity()]
+    perms = [q for q in perms + [inverse(product)] if q != identity(n)]
     return n, perms
 
 

@@ -1,0 +1,192 @@
+"""Every ``def`` in ``src/`` runs on the supported surface, or is allowed here with its reason.
+
+The supported surface is the one README names: the five subcommands
+through ``cli.main``, ``xiaofib.ledger.verify_paper``, and the
+``monodromy`` and ``quartic`` calls the benchmark makes
+(``tower_answer`` and ``quartic_answer`` in ``perfbench/workloads.py``).
+A fixed corpus of valid, malformed and hostile inputs runs through that
+surface in one fresh interpreter, under ``sys.setprofile`` from before
+``xiaofib`` is imported: so the functions that run at import time count,
+and nothing that other tests imported, memoised or patched changes the
+outcome.  A code object that ran is matched to its ``def`` by file,
+first line (a decorated function starts at its first decorator) and
+name.
+"""
+
+import ast
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# reason -> the defs that stay although the corpus never runs them, as module.Qualified.name
+ALLOWED = {
+    "value-class protocol: Record gives each value class equality, hashing, repr, immutability and "
+    "copy and pickle by value, and TernaryForm and BiPoly compare and hash by their terms; no "
+    "supported input hashes, prints, assigns to, pickles or compares two such values, and the "
+    "tests do": (
+        "record.Record.__hash__",
+        "record.Record.__repr__",
+        "record.Record.__setattr__",
+        "record.Record.__delattr__",
+        "record.Record.__reduce__",
+        "quartic.TernaryForm.__eq__",
+        "quartic.TernaryForm.__hash__",
+        "polynomials.BiPoly.__eq__",
+        "polynomials.BiPoly.__hash__",
+    ),
+    "hooked by name: perfbench/tracing.py spans subresultant_y": (
+        "polynomials.subresultant_y",
+    ),
+    "input checks the surface never trips: the parser hands the kernel int coefficients only, and "
+    "the program builds permutations and group descriptors unchecked; the checked constructors "
+    "are the public ones, and copy and pickle rebuild a value through them": (
+        "polynomials._not_int",
+        "monodromy.Permutation.__init__",
+        "monodromy.GroupDescriptor.__init__",
+    ),
+    "exact-procedure branches no probe reached: a shared factor of two partials in "
+    "common_affine_zero (a curve singular at infinity is refused before it), and a zero pivot "
+    "in the signature of the three fixed lattices": (
+        "polynomials.bipoly_gcd",
+        "polynomials.BiPoly.exact_div",
+        "lattice._add_symmetric",
+    ),
+}
+
+KLEIN = "x^3*y + y^3*z + z^3*x"
+NODAL = "x^4 + y^4 - x^2*z^2"
+S5_CHAIN = "degree 5; base_genus 0\n" + "".join(f"({i} {i + 1})\n" * 2 for i in range(4))
+
+
+def command_lines(workdir: str) -> list[list[str]]:
+    """Valid, malformed and hostile argument lists for each subcommand; cover files go to ``workdir``."""
+    files = {
+        "s5.txt": S5_CHAIN.encode(),
+        "odd.txt": b"degree 3; base_genus 0\n(0 1)\n",  # one transposition: the product is not 1
+        "latin1.txt": b"degree 3; base_genus 0\n(0 1)\xff\n",
+    }
+    for name, data in files.items():
+        Path(workdir, name).write_bytes(data)
+    path = {name: str(Path(workdir, name)) for name in files}
+    return [
+        ["verify"],
+        ["verify", "--format", "json", "--seed", "7"],
+        ["verify", "--only", "g4p3"],
+        ["verify", "--only", "no-such-case"],
+        ["verify", "--max-group-order", "3"],
+        ["verify", "--max-group-order", "0"],
+        ["numerology", "--genus", "4", "--degree", "3"],
+        ["numerology", "--genus", "1", "--degree", "5"],
+        ["numerology", "--genus", "2", "--degree", "9"],
+        ["numerology", "--genus", "100000000000", "--degree", "1000000007"],
+        ["monodromy", "--dihedral", "2", "5"],
+        ["monodromy", "--dihedral", "2", "257"],  # image tuples above 256 sheets
+        ["monodromy", "--dihedral", "2", "9"],
+        ["monodromy", "--dihedral", "1", "5"],
+        ["monodromy", "--dihedral", "2", "100003"],
+        ["monodromy", "--dihedral", "2", "101", "--max-group-order", "100"],
+        ["monodromy", "--file", path["s5.txt"]],
+        ["monodromy", "--file", path["s5.txt"], "--max-group-order", "100"],
+        ["monodromy", "--file", path["odd.txt"]],
+        ["monodromy", "--file", path["latin1.txt"]],
+        ["monodromy", "--file", str(Path(workdir, "missing.txt"))],
+        ["lattice", "--case", "g3-product"],
+        ["lattice", "--case", "g3-sym2"],
+        ["lattice", "--case", "g2-product"],
+        ["lattice", "--case", "g9"],
+        ["quartic", "--poly", KLEIN, "--check", "smooth"],
+        ["quartic", "--poly", KLEIN, "--check", "flexes", "--seed", "3"],
+        ["quartic", "--poly", "-x^4 + y^4 + z^4", "--check", "flexes"],
+        ["quartic", "--poly", "1/2*x^4 + y^4 + z^4", "--check", "smooth"],
+        ["quartic", "--poly", NODAL, "--check", "smooth"],
+        ["quartic", "--poly", NODAL, "--check", "flexes"],
+        ["quartic", "--poly", "x^3 + y^3 + z^3", "--check", "flexes"],
+        ["quartic", "--poly", "x^4 + y^^4", "--check", "smooth"],
+        ["quartic", "--poly", "x^40*y^40-z^80", "--check", "smooth"],
+    ]
+
+
+def run_corpus() -> None:
+    """Run the corpus through the supported surface."""
+    from xiaofib import cli
+    from xiaofib.ledger import verify_paper
+
+    with tempfile.TemporaryDirectory() as workdir:
+        for argv in command_lines(workdir):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    cli.main(argv)
+                except SystemExit:  # argparse refuses a usage error
+                    pass
+    verify_paper(only="g2p5", seed=2)
+    sys.path.insert(0, str(PERFBENCH))
+    import workloads
+
+    for args in ((2, 5), (10, 151), (S5_CHAIN,)):
+        workloads.tower_answer(*args)
+    for text in (KLEIN, "x^4 + y^4 + z^4", NODAL, "x^4 + y"):
+        workloads.quartic_answer(text, 5)
+
+
+def ran_under_profile() -> list[tuple[str, int, str]]:
+    """(file, first line, name) of every Python code object that ran during the corpus and its imports."""
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        run_corpus()
+    finally:
+        sys.setprofile(None)
+    return [(code.co_filename, code.co_firstlineno, code.co_name) for code in ran]
+
+
+def defs_in(package: Path) -> dict[tuple[str, int, str], str]:
+    """Every def in the package's modules, keyed by (file, first line, name), to its qualified name."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(str(path), first, child.name)] = prefix + child.name
+                visit(child, path, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.resolve(), f"{path.stem}.")
+    return found
+
+
+def test_every_def_in_src_runs_on_the_supported_surface_or_is_allowed():
+    import xiaofib
+
+    package = Path(xiaofib.__file__).resolve().parent
+    path = os.pathsep.join([str(package.parent), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    child = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    ran = {(str(Path(file).resolve()), line, name) for file, line, name in json.loads(child.stdout)}
+    missed = {name: f"{Path(key[0]).name}:{key[1]}" for key, name in defs_in(package).items() if key not in ran}
+    allowed = {name for names in ALLOWED.values() for name in names}
+    unlisted = [f"{name} ({at})" for name, at in sorted(missed.items()) if name not in allowed]
+    assert not unlisted, "never run by the supported surface: " + ", ".join(unlisted)
+    stale = sorted(allowed - missed.keys())
+    assert not stale, "allowed but run, or no longer a def in src/: " + ", ".join(stale)
+
+
+if __name__ == "__main__":  # the child process: run the corpus and report what ran
+    print(json.dumps(ran_under_profile()))
