@@ -24,11 +24,7 @@ class SurfaceProfile(Record):
     __slots__ = ("q", "chi_O", "K2", "c2", "p_g")
 
     def __init__(self, q: int, chi_O: int, K2: int, c2: int, p_g: int):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "chi_O", chi_O)
-        object.__setattr__(self, "K2", K2)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "p_g", p_g)
+        super().__init__(q, chi_O, K2, c2, p_g)
         if 12 * self.chi_O != self.K2 + self.c2:
             raise InvariantError(
                 f"Noether violated: 12*{self.chi_O} != {self.K2} + {self.c2}"

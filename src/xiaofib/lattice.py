@@ -53,17 +53,20 @@ class DivisorClass(Record):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[int, ...]):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+        super().__init__(tuple(int(c) for c in coeffs))
+
+    def _combine(self, other: "DivisorClass", sign: int) -> "DivisorClass":
+        if len(self.coeffs) != len(other.coeffs):
+            raise RankMismatchError(
+                f"combining classes of ranks {len(self.coeffs)} and {len(other.coeffs)}"
+            )
+        return DivisorClass(tuple(a + sign * b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        if len(self.coeffs) != len(other.coeffs):
-            raise RankMismatchError("adding classes of different ranks")
-        return DivisorClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        if len(self.coeffs) != len(other.coeffs):
-            raise RankMismatchError("subtracting classes of different ranks")
-        return DivisorClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, -1)
 
     def __rmul__(self, scalar: int) -> "DivisorClass":
         return DivisorClass(tuple(scalar * a for a in self.coeffs))
@@ -89,18 +92,14 @@ class IntersectionLattice(Record):
         gram: tuple[tuple[int, ...], ...],
         canonical: tuple[int, ...],
     ):
-        object.__setattr__(self, "basis_labels", tuple(basis_labels))
-        object.__setattr__(self, "gram", tuple(tuple(row) for row in gram))
-        object.__setattr__(self, "canonical", tuple(canonical))
+        super().__init__(tuple(basis_labels), tuple(tuple(row) for row in gram), tuple(canonical))
         n = len(self.basis_labels)
         if len(self.gram) != n or any(len(row) != n for row in self.gram):
             raise LatticeError("gram matrix shape does not match the basis")
         if len(self.canonical) != n:
             raise LatticeError("canonical vector length does not match the basis")
-        for i in range(n):
-            for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise LatticeError("gram matrix must be symmetric")
+        if self.gram != _transpose(self.gram):
+            raise LatticeError("gram matrix must be symmetric")
 
     @property
     def rank(self) -> int:
@@ -123,11 +122,7 @@ class IntersectionLattice(Record):
         """The pairing a . b through the Gram matrix."""
         self._check_rank(a)
         self._check_rank(b)
-        return sum(
-            a.coeffs[i] * self.gram[i][j] * b.coeffs[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        return sum(x * y for x, y in zip(a.coeffs, _apply(self.gram, b.coeffs)))
 
     def adjunction_genus(self, c: DivisorClass) -> int:
         """Arithmetic genus 1 + (c.c + c.K)/2."""
@@ -329,24 +324,18 @@ def complete_involution(
                 f"invariant class has zero coefficient on {lattice.basis_labels[j0]!r}: "
                 "extension is underdetermined"
             )
-        new_column = []
-        for i in range(n):
-            known = sum(
-                columns[j][i] * invariant.coeffs[j]  # type: ignore[index]
-                for j in range(n)
-                if j != j0
+        columns[j0] = [0] * n  # the known columns' share of the invariant's image
+        known = _apply(_transpose(columns), invariant.coeffs)
+        solved = [divmod(c - k, weight) for c, k in zip(invariant.coeffs, known)]
+        if any(left for _, left in solved):
+            raise CompletionError(
+                f"completed matrix is not integral in column {lattice.basis_labels[j0]!r}"
             )
-            entry, left = divmod(invariant.coeffs[i] - known, weight)
-            if left:
-                raise CompletionError(
-                    f"completed matrix is not integral in column {lattice.basis_labels[j0]!r}"
-                )
-            new_column.append(entry)
-        columns[j0] = new_column
-    m = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))  # type: ignore[index]
-    if _mat_mul(m, m) != _identity(n):
+        columns[j0] = [entry for entry, _ in solved]
+    m = _transpose(columns)
+    if _mat_mul(m, m) != _scalar_matrix(n, 1):
         raise CompletionError("completed action does not square to the identity")
-    if not _is_isometry(lattice, m):
+    if _mat_mul(_mat_mul(_transpose(m), lattice.gram), m) != lattice.gram:
         raise CompletionError("completed action does not preserve the intersection form")
     check = apply_matrix(m, invariant)
     if check != invariant:
@@ -355,28 +344,30 @@ def complete_involution(
 
 
 def apply_matrix(matrix: tuple[tuple[int, ...], ...], c: DivisorClass) -> DivisorClass:
-    n = len(matrix)
-    if len(c.coeffs) != n:
-        raise RankMismatchError("matrix size does not match class rank")
-    return DivisorClass(tuple(sum(matrix[i][j] * c.coeffs[j] for j in range(n)) for i in range(n)))
+    """The class matrix . c; the matrix may be rectangular, with one column per coordinate of c."""
+    rank = len(c.coeffs)
+    if any(len(row) != rank for row in matrix):
+        raise RankMismatchError(f"matrix columns do not match a class of rank {rank}")
+    return DivisorClass(_apply(matrix, c.coeffs))
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
+def _apply(matrix, coeffs) -> tuple[int, ...]:
+    """Matrix times vector, each row dotted with ``coeffs``: every product here runs on it."""
+    return tuple(sum(a * b for a, b in zip(row, coeffs)) for row in matrix)
 
 
-def _identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def _transpose(matrix) -> tuple[tuple[int, ...], ...]:
+    return tuple(zip(*matrix))
 
 
-def _is_isometry(lattice: IntersectionLattice, m) -> bool:
-    n = lattice.rank
-    g = lattice.gram
-    mt = tuple(tuple(m[j][i] for j in range(n)) for i in range(n))
-    return _mat_mul(_mat_mul(mt, g), m) == g
+def _mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
+    """The product a . b of rectangular matrices: row i of it is b^T applied to row i of a."""
+    columns = _transpose(b)
+    return tuple(_apply(columns, row) for row in a)
+
+
+def _scalar_matrix(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(d if i == j else 0 for j in range(n)) for i in range(n))
 
 
 class LatticeMorphism(Record):
@@ -384,8 +375,9 @@ class LatticeMorphism(Record):
 
     ``pushforward`` is a target rank x source rank matrix, ``pullback``
     a source rank x target rank one.  The projection formula
-    (push x).y = x.(pull y) is verified on all basis pairs, as is
-    push o pull = degree x identity.
+    (push x).y = x.(pull y) on all basis pairs is the matrix identity
+    push^T G_target = G_source pull, and push o pull = degree x identity
+    is push pull = degree I; both are verified.
     """
 
     __slots__ = ("source", "target", "pushforward", "pullback", "degree")
@@ -398,11 +390,7 @@ class LatticeMorphism(Record):
         pullback: tuple[tuple[int, ...], ...],
         degree: int,
     ):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "pushforward", pushforward)
-        object.__setattr__(self, "pullback", pullback)
-        object.__setattr__(self, "degree", degree)
+        super().__init__(source, target, pushforward, pullback, degree)
         ns, nt = self.source.rank, self.target.rank
         if len(self.pushforward) != nt or any(len(r) != ns for r in self.pushforward):
             raise LatticeError("pushforward matrix has the wrong shape")
@@ -410,38 +398,23 @@ class LatticeMorphism(Record):
             raise LatticeError("pullback matrix has the wrong shape")
         if self.degree < 1:
             raise LatticeError("degree must be positive")
-        for i in range(ns):
-            x = DivisorClass(tuple(1 if a == i else 0 for a in range(ns)))
-            for j in range(nt):
-                y = DivisorClass(tuple(1 if a == j else 0 for a in range(nt)))
-                left = self.target.intersect(self.pushforward_class(x), y)
-                right = self.source.intersect(x, self.pullback_class(y))
-                if left != right:
+        # entry (i, j) of each side is (push e_i).f_j and e_i.(pull f_j) for basis vectors e_i, f_j
+        left = _mat_mul(_transpose(self.pushforward), self.target.gram)
+        right = _mat_mul(self.source.gram, self.pullback)
+        for i, (left_row, right_row) in enumerate(zip(left, right)):
+            for j, (a, b) in enumerate(zip(left_row, right_row)):
+                if a != b:
                     raise LatticeError(
-                        f"projection formula fails on basis pair ({i}, {j}): {left} != {right}"
+                        f"projection formula fails on basis pair ({i}, {j}): {a} != {b}"
                     )
-        for j in range(nt):
-            y = DivisorClass(tuple(1 if a == j else 0 for a in range(nt)))
-            if self.pushforward_class(self.pullback_class(y)) != self.degree * y:
-                raise LatticeError("pushforward of pullback is not degree times the identity")
+        if _mat_mul(self.pushforward, self.pullback) != _scalar_matrix(nt, self.degree):
+            raise LatticeError("pushforward of pullback is not degree times the identity")
 
     def pushforward_class(self, c: DivisorClass) -> DivisorClass:
-        self.source._check_rank(c)
-        return DivisorClass(
-            tuple(
-                sum(self.pushforward[i][j] * c.coeffs[j] for j in range(self.source.rank))
-                for i in range(self.target.rank)
-            )
-        )
+        return apply_matrix(self.pushforward, c)
 
     def pullback_class(self, c: DivisorClass) -> DivisorClass:
-        self.target._check_rank(c)
-        return DivisorClass(
-            tuple(
-                sum(self.pullback[i][j] * c.coeffs[j] for j in range(self.target.rank))
-                for i in range(self.source.rank)
-            )
-        )
+        return apply_matrix(self.pullback, c)
 
 
 def phi_morphism(g: int) -> LatticeMorphism:
@@ -470,13 +443,6 @@ class BranchClassResult(Record):
     """Branch class of the double cover of the genus-3 product, with its half."""
 
     __slots__ = ("branch", "half", "involution")
-
-    def __init__(
-        self, branch: DivisorClass, half: DivisorClass, involution: tuple[tuple[int, ...], ...]
-    ):
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "half", half)
-        object.__setattr__(self, "involution", involution)
 
 
 def branch_class(g: int) -> BranchClassResult:

@@ -33,17 +33,8 @@ class ClaimReport(Record):
 
     __slots__ = ("claim_id", "paper_anchor", "expected", "computed", "status")
 
-    def __init__(self, claim_id: str, paper_anchor: str, expected: str, computed: str, status: str):
-        self._set(claim_id=claim_id, paper_anchor=paper_anchor, expected=expected, computed=computed, status=status)
-
     def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "paper_anchor": self.paper_anchor,
-            "expected": self.expected,
-            "computed": self.computed,
-            "status": self.status,
-        }
+        return dict(zip(self._fields, self._values()))
 
 
 class Claim(Record):

@@ -540,9 +540,9 @@ def build_dihedral_cover(
     x -> a - x (mod p), so every profile is {2^((p-1)/2), 1}.  The tuple
     (s_1, s_1, s_0, ..., s_0) multiplies to the identity and generates
     the full dihedral group of order 2p because s_0 * s_1 is the unit
-    rotation.  A degree above ``max_group_order``, or more than
-    ``MAX_BRANCH_POINTS`` branch points, is refused before any permutation
-    is built.
+    rotation.  A degree above ``max_group_order``, a group order 2p above
+    it, or more than ``MAX_BRANCH_POINTS`` branch points, is refused before
+    any permutation is built.
     """
     if g < 2:
         raise MonodromyDataError("base hyperelliptic genus must be at least 2")
@@ -554,6 +554,8 @@ def build_dihedral_cover(
     _refuse_degree_above(p, max_group_order)
     if not is_odd_prime(p):
         raise MonodromyDataError(f"cover degree must be an odd prime, got {p}")
+    if 2 * p > max_group_order:  # the group is D_p, of order 2p: its closure would pass the bound
+        raise EnumerationLimitError(f"group closure exceeds the configured bound {max_group_order}")
 
     # x -> a - x fixes a/2 alone and swaps the other points in pairs, so no cycle walk is needed
     reflection = {"_cycle_type": (2,) * ((p - 1) // 2) + (1,), "_order": 2}

@@ -71,8 +71,7 @@ class CoverParams(Record):
     __slots__ = ("g", "p")
 
     def __init__(self, g: int, p: int):
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "p", p)
+        super().__init__(g, p)
         if self.g < 2:
             raise NumerologyError(f"hyperelliptic genus must be >= 2, got {self.g}")
         if self.g >= GENUS_LIMIT:
@@ -89,10 +88,6 @@ class FiberClass(Record):
     """
 
     __slots__ = ("kind", "dimension")
-
-    def __init__(self, kind: str, dimension: int | None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "dimension", dimension)
 
     @property
     def finite(self) -> bool:
@@ -114,26 +109,11 @@ class XiaoReport(Record):
 
     __slots__ = ("bound", "is_xiao", "meets_ceiling", "bgn_bound_at_generic_clifford")
 
-    def __init__(
-        self,
-        bound: str,
-        is_xiao: bool,
-        meets_ceiling: bool,
-        bgn_bound_at_generic_clifford: int,
-    ):
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "is_xiao", is_xiao)
-        object.__setattr__(self, "meets_ceiling", meets_ceiling)
-        object.__setattr__(self, "bgn_bound_at_generic_clifford", bgn_bound_at_generic_clifford)
-
 
 class Runs(Record):
     """A sequence of integers stored as (value, count) runs, never expanded in memory."""
 
     __slots__ = ("runs",)
-
-    def __init__(self, runs: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "runs", runs)
 
     def __len__(self) -> int:
         return sum(count for _, count in self.runs)
@@ -149,19 +129,10 @@ class Runs(Record):
 class ChevalleyWeil(Record):
     """Character-space dimensions of the pushed-forward canonical bundle.
 
-    ``dims`` holds one dimension per character, run-length encoded; a
-    plain sequence given here is encoded the same way.
+    ``dims`` holds one dimension per character, as ``Runs``.
     """
 
     __slots__ = ("dims", "prym_dim", "sym2_invariant_dim")
-
-    def __init__(self, dims: Runs, prym_dim: int, sym2_invariant_dim: int):
-        if not isinstance(dims, Runs):
-            runs = tuple((v, len(list(group))) for v, group in itertools.groupby(dims))
-            dims = Runs(runs)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "prym_dim", prym_dim)
-        object.__setattr__(self, "sym2_invariant_dim", sym2_invariant_dim)
 
 
 def cover_genera(params: CoverParams) -> tuple[int, int]:

@@ -1,12 +1,15 @@
 """Base of the package's immutable value classes.
 
-A value class names its fields in ``__slots__`` and sets them in its own
-``__init__`` through ``object.__setattr__`` or ``_set``.  Slots whose names start
+A value class names its fields in ``__slots__``.  Slots whose names start
 with an underscore hold memos: they stay out of equality, hashing and
-``repr``.  Instances compare and hash by their field values, assigning
-or deleting an attribute raises ``AttributeError``, and ``copy`` and
-``pickle`` rebuild an instance by passing its field values to
-``__init__``, so ``__init__`` takes the fields in slot order.
+``repr``.  ``Record.__init__`` binds the public fields in slot order, by
+position or keyword; a class that converts or checks its fields calls it
+first and then does so, and a class with memos or a hot constructor sets
+its slots itself.  Instances compare and hash by their
+field values, assigning or deleting an attribute raises
+``AttributeError``, and ``copy`` and ``pickle`` rebuild an instance by
+passing its field values to ``__init__``, so every ``__init__`` takes the
+fields in slot order.
 
 The standard ``dataclasses`` module gives the same behaviour but builds
 each class's methods as source text and compiles it when the class is
@@ -23,6 +26,18 @@ class Record:
 
     def __init_subclass__(cls):
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = dict(zip(fields, args))
+        twice = values.keys() & kwargs.keys()
+        values.update(kwargs)
+        if len(args) > len(fields) or twice or values.keys() != set(fields):
+            raise TypeError(
+                f"{self.__class__.__qualname__} takes the fields ({', '.join(fields)}), got "
+                f"{len(args)} by position and ({', '.join(kwargs)}) by keyword"
+            )
+        self._set(**values)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,11 @@ from xiaofib.lattice import (
     DivisorClass,
     IntersectionLattice,
     LatticeError,
+    LatticeMorphism,
     LatticeShapeError,
     NonDivisibleClassError,
     NonIntegralGenusError,
+    RankMismatchError,
     adjunction_inverse,
     apply_matrix,
     branch_class,
@@ -201,6 +204,87 @@ def test_phi_morphism():
     assert phi.pullback_class(DivisorClass((0, 1))) == DivisorClass((0, 0, 1))
     xp = DivisorClass((3, 3, -1))
     assert phi.pushforward_class(xp) == DivisorClass((6, -2))
+
+
+PHI_PUSH = ((1, 1, 0), (0, 0, 2))
+PHI_PULL = ((1, 0), (1, 0), (0, 1))
+
+
+def first_projection_failure(source, target, push, pull):
+    """The projection formula checked one basis pair at a time, source index first."""
+    for i, label in enumerate(source.basis_labels):
+        x = source.basis_class(label)
+        for j, other in enumerate(target.basis_labels):
+            y = target.basis_class(other)
+            left = target.intersect(apply_matrix(push, x), y)
+            right = source.intersect(x, apply_matrix(pull, y))
+            if left != right:
+                return f"projection formula fails on basis pair ({i}, {j}): {left} != {right}"
+    return None
+
+
+def test_morphism_refuses_a_pushforward_that_breaks_the_projection_formula():
+    source, target = product_with_diagonal_lattice(3), symmetric_square_lattice(3)
+    # the diagonal sent to delta, not 2 delta; then D2 sent to D_P + delta as well
+    for push, message in (
+        (((1, 1, 0), (0, 0, 1)), "projection formula fails on basis pair (2, 0): 1 != 2"),
+        (((1, 1, 0), (0, 1, 2)), "projection formula fails on basis pair (1, 0): 2 != 1"),
+    ):
+        assert first_projection_failure(source, target, push, PHI_PULL) == message
+        with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
+            LatticeMorphism(source, target, push, PHI_PULL, 2)
+    rng = random.Random(5)
+    for _ in range(200):
+        push = tuple(tuple(v + rng.choice((0, 0, 0, 1, -1)) for v in row) for row in PHI_PUSH)
+        pull = tuple(tuple(v + rng.choice((0, 0, 0, 1, -1)) for v in row) for row in PHI_PULL)
+        message = first_projection_failure(source, target, push, pull)
+        if message is None:
+            continue
+        with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
+            LatticeMorphism(source, target, push, pull, 2)
+
+
+def test_morphism_refuses_a_composite_that_is_not_degree_times_identity():
+    source, target = product_with_diagonal_lattice(3), symmetric_square_lattice(3)
+    assert first_projection_failure(source, target, PHI_PUSH, PHI_PULL) is None
+    assert LatticeMorphism(source, target, PHI_PUSH, PHI_PULL, 2) == phi_morphism(3)
+    with pytest.raises(LatticeError, match="^pushforward of pullback is not degree times the identity$"):
+        LatticeMorphism(source, target, PHI_PUSH, PHI_PULL, 3)
+    with pytest.raises(LatticeError, match="^degree must be positive$"):
+        LatticeMorphism(source, target, PHI_PUSH, PHI_PULL, 0)
+
+
+def test_morphism_refuses_matrices_of_the_wrong_shape():
+    source, target = product_with_diagonal_lattice(3), symmetric_square_lattice(3)
+    for push in (PHI_PULL, PHI_PUSH[:1], ((1, 1), (0, 0))):
+        with pytest.raises(LatticeError, match="^pushforward matrix has the wrong shape$"):
+            LatticeMorphism(source, target, push, PHI_PULL, 2)
+    for pull in (PHI_PUSH, PHI_PULL[:2], ((1, 0), (1, 0), (0, 1, 0))):
+        with pytest.raises(LatticeError, match="^pullback matrix has the wrong shape$"):
+            LatticeMorphism(source, target, PHI_PUSH, pull, 2)
+
+
+def test_rank_mismatches_are_refused():
+    phi = phi_morphism(3)
+    lat = phi.source
+    c, short = DivisorClass((3, 3, -1)), DivisorClass((3, -1))
+    assert apply_matrix(phi.pushforward, c) == phi.pushforward_class(c) == DivisorClass((6, -2))
+    assert apply_matrix(phi.pullback, short) == phi.pullback_class(short) == DivisorClass((3, 3, -1))
+    for matrix, wrong in ((phi.pushforward, short), (phi.pullback, c), (lat.gram, short)):
+        with pytest.raises(RankMismatchError):
+            apply_matrix(matrix, wrong)
+    with pytest.raises(RankMismatchError):
+        phi.pushforward_class(short)
+    with pytest.raises(RankMismatchError):
+        phi.pullback_class(c)
+    with pytest.raises(RankMismatchError):
+        lat.intersect(c, short)
+    with pytest.raises(RankMismatchError):
+        lat.intersect(short, c)
+    with pytest.raises(RankMismatchError):
+        c + short
+    with pytest.raises(RankMismatchError):
+        short - c
 
 
 def test_branch_class_chain():

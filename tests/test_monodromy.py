@@ -499,6 +499,25 @@ def test_degree_above_the_bound_is_refused_before_enumeration(monkeypatch):
         generated_group(cover, max_order=100)
 
 
+def test_a_dihedral_group_above_the_bound_is_refused_at_build(monkeypatch):
+    """D_p has order 2p: a prime p with p <= bound < 2p is refused before any closure."""
+    from xiaofib import monodromy
+
+    def no_closure(*args):
+        raise AssertionError("enumerated a dihedral group of order above the bound")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(monodromy, "_span", no_closure)
+        refusal = "^group closure exceeds the configured bound 5000$"
+        for p in (2503, 4999):
+            with pytest.raises(EnumerationLimitError, match=refusal):
+                build_dihedral_cover(2, p)
+        with pytest.raises(EnumerationLimitError, match="bound 13$"):
+            build_dihedral_cover(2, 7, max_group_order=13)
+    group = generated_group(build_dihedral_cover(2, 2477))  # 2 * 2477 = 4954 is within the bound
+    assert (group.order, group.classification) == (4954, "dihedral")
+
+
 # ---- index-2 quotients and recorded parities against the coset-table and sign oracles ----
 
 

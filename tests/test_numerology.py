@@ -12,6 +12,7 @@ from xiaofib.numerology import (
     GENUS_LIMIT,
     NumerologyError,
     PRIMALITY_LIMIT,
+    Runs,
     bgn_bound,
     brill_noether_range,
     chevalley_weil,
@@ -167,8 +168,9 @@ def test_brill_noether_range():
 
 
 def test_chevalley_weil():
-    assert chevalley_weil(CoverParams(2, 5)) == ChevalleyWeil((2, 1, 1, 1, 1), 4, 2)
-    assert chevalley_weil(CoverParams(2, 3)) == ChevalleyWeil((2, 1, 1), 2, 1)
+    assert chevalley_weil(CoverParams(2, 5)) == ChevalleyWeil(Runs(((2, 1), (1, 4))), 4, 2)
+    assert chevalley_weil(CoverParams(2, 3)) == ChevalleyWeil(Runs(((2, 1), (1, 2))), 2, 1)
+    assert tuple(chevalley_weil(CoverParams(2, 5)).dims) == (2, 1, 1, 1, 1)
     for g in range(2, 7):
         for p in (3, 5, 7, 11):
             params = CoverParams(g, p)

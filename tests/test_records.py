@@ -10,10 +10,11 @@ import pickle
 
 import pytest
 
-from xiaofib.lattice import DivisorClass
+from xiaofib.invariants import SurfaceProfile
+from xiaofib.lattice import BranchClassResult, DivisorClass
 from xiaofib.ledger import ClaimReport
 from xiaofib.monodromy import GroupDescriptor, Permutation, build_dihedral_cover, generated_group
-from xiaofib.numerology import CoverParams
+from xiaofib.numerology import ChevalleyWeil, CoverParams, FiberClass, Runs, XiaoReport
 from xiaofib.polynomials import UnivariatePoly
 
 # (constructor, arguments, arguments of an unequal instance, one field name)
@@ -26,6 +27,16 @@ CASES = {
                     ("id", "anchor", "1", "2", "fail"), "status"),
     "GroupDescriptor": (GroupDescriptor, (2, "cyclic", (Permutation((0, 1)), Permutation((1, 0)))),
                         (2, "other", (Permutation((0, 1)), Permutation((1, 0)))), "classification"),
+    "FiberClass": (FiberClass, ("finite", 0), ("positive_dimensional", 0), "kind"),
+    "XiaoReport": (XiaoReport, ("7/2", True, True, 4), ("7/2", True, False, 4), "meets_ceiling"),
+    "Runs": (Runs, (((2, 1), (1, 4)),), (((2, 1), (1, 2)),), "runs"),
+    "ChevalleyWeil": (ChevalleyWeil, (Runs(((2, 1), (1, 4))), 4, 2), (Runs(((2, 1), (1, 4))), 4, 3),
+                      "sym2_invariant_dim"),
+    "BranchClassResult": (BranchClassResult,
+                          (DivisorClass((16, 16, -6)), DivisorClass((8, 8, -3)), ((3, 8), (-1, -3))),
+                          (DivisorClass((16, 16, -6)), DivisorClass((8, 8, -2)), ((3, 8), (-1, -3))),
+                          "half"),
+    "SurfaceProfile": (SurfaceProfile, (0, 1, 9, 3, 0), (1, 1, 8, 4, 1), "K2"),
 }
 
 
@@ -45,6 +56,22 @@ def test_value_classes_compare_by_value_and_are_immutable(name):
     assert a == b and getattr(a, field) == getattr(b, field)
     for clone in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert clone == a and hash(clone) == hash(a)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        (("finite",), {}),  # too few fields
+        (("finite", 0, 1), {}),  # too many fields
+        (("finite", 0), {"rank": 1}),  # an unknown keyword
+        (("finite",), {"_memo": 1, "dimension": 0}),  # a memo is not a field
+        (("finite", 0), {"kind": "finite"}),  # a field by position and by keyword
+    ],
+)
+def test_record_init_binds_fields_as_a_signature_would(args, kwargs):
+    assert FiberClass("finite", dimension=0) == FiberClass(dimension=0, kind="finite") == FiberClass("finite", 0)
+    with pytest.raises(TypeError, match=r"^FiberClass takes the fields \(kind, dimension\)"):
+        FiberClass(*args, **kwargs)
 
 
 def test_repr_names_the_fields_and_omits_memos():
