@@ -4,9 +4,9 @@ Lattices are symmetric integer Gram matrices over a named basis,
 together with the canonical class.  Two families matter here: the
 product of a curve with itself (basis D1, D2, diagonal) and its
 symmetric square (basis D_P, half-diagonal delta).  Everything is done
-in exact integer arithmetic; signature computations use integer
-congruence diagonalization so that Hodge-index conclusions are
-certificates rather than approximations.
+in exact integer arithmetic; a signature is read off the integer
+characteristic polynomial by Descartes' rule of signs, so that
+Hodge-index conclusions are certificates rather than approximations.
 """
 
 from __future__ import annotations
@@ -147,41 +147,31 @@ class IntersectionLattice(Record):
         return DivisorClass(tuple(x // det for x in numerators))
 
     def signature(self) -> tuple[int, int, int]:
-        """(positive, negative, zero) inertia indices, by exact congruence diagonalization.
+        """(positive, negative, zero) inertia indices, read off the characteristic polynomial.
 
-        Each step replaces row and column i by d times themselves minus a
-        times row and column k, d being the pivot and a the entry to
-        clear: a congruence by an invertible rational matrix, which keeps
-        the inertia (Sylvester's law) and the entries integral.
+        The Faddeev-LeVerrier recurrence gives det(t I - G) with integer
+        coefficients and exact divisions: M_1 = I, c_(n-k) = -tr(G M_k) / k
+        and M_(k+1) = G M_k + c_(n-k) I.  A symmetric G has only real
+        eigenvalues, so Descartes' rule of signs is exact: the positive
+        ones number the sign changes of the coefficients, the zero ones
+        the vanishing lowest coefficients, and the negative ones the rest.
         """
         n = self.rank
-        m = [list(row) for row in self.gram]
-        pos = neg = zero = 0
-        for k in range(n):
-            if m[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
-                if pivot is not None:
-                    _swap_symmetric(m, k, pivot)
-                else:
-                    partner = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
-                    if partner is None:
-                        zero += 1
-                        continue
-                    _add_symmetric(m, k, partner)
-            d = m[k][k]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            for i in range(k + 1, n):
-                a = m[i][k]
-                if a == 0:
-                    continue
-                for j in range(n):
-                    m[i][j] = d * m[i][j] - a * m[k][j]
-                for j in range(n):
-                    m[j][i] = d * m[j][i] - a * m[j][k]
-        return pos, neg, zero
+        coeffs = [1]  # of t^n, t^(n-1), ..., t^0
+        product = _scalar_matrix(n, 0)  # G M_(k-1), with M_0 = 0
+        for k in range(1, n + 1):
+            m = [list(row) for row in product]
+            for i in range(n):
+                m[i][i] += coeffs[-1]
+            product = _mat_mul(self.gram, m)
+            coeffs.append(-sum(product[i][i] for i in range(n)) // k)
+        zero = 0
+        while not coeffs[-1]:
+            coeffs.pop()
+            zero += 1
+        signs = [c > 0 for c in coeffs if c]
+        pos = sum(a != b for a, b in zip(signs, signs[1:]))
+        return pos, n - pos - zero, zero
 
     def to_json_dict(self, classes: dict[str, DivisorClass] | None = None) -> dict:
         """Serializable dump: {basis, gram, canonical, classes}."""
@@ -191,19 +181,6 @@ class IntersectionLattice(Record):
             "canonical": list(self.canonical),
             "classes": {name: list(c.coeffs) for name, c in (classes or {}).items()},
         }
-
-
-def _swap_symmetric(m: list[list[int]], a: int, b: int):
-    m[a], m[b] = m[b], m[a]
-    for row in m:
-        row[a], row[b] = row[b], row[a]
-
-
-def _add_symmetric(m: list[list[int]], a: int, b: int):
-    for j in range(len(m)):
-        m[a][j] += m[b][j]
-    for row in m:
-        row[a] += row[b]
 
 
 def _solve_exact(gram, rhs) -> tuple[list[int], int] | None:
@@ -390,7 +367,13 @@ class LatticeMorphism(Record):
         pullback: tuple[tuple[int, ...], ...],
         degree: int,
     ):
-        super().__init__(source, target, pushforward, pullback, degree)
+        super().__init__(
+            source,
+            target,
+            tuple(tuple(row) for row in pushforward),
+            tuple(tuple(row) for row in pullback),
+            degree,
+        )
         ns, nt = self.source.rank, self.target.rank
         if len(self.pushforward) != nt or any(len(r) != ns for r in self.pushforward):
             raise LatticeError("pushforward matrix has the wrong shape")

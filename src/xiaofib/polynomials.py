@@ -15,8 +15,9 @@ polynomials with constant leading y-coefficients are coprime exactly
 when S_0 is nonzero.  On top sits an exact decision for whether up to three
 bivariate polynomials share a complex zero, which backs the smoothness
 certificate for plane curves.  One test is modular and one-way:
-``squarefree_mod_p`` reduces modulo the prime 2^31 - 1, and only its
-True answer is a certificate.
+``poly_gcd`` first runs Euclid modulo the prime 2^31 - 1, and only a
+coprime answer there is a certificate; otherwise the exact remainder
+sequence decides.
 """
 
 from __future__ import annotations
@@ -164,41 +165,26 @@ def _pseudo_rem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(r)
 
 
-def poly_gcd(f: UnivariatePoly, g: UnivariatePoly) -> UnivariatePoly:
-    """The primitive gcd with positive leading coefficient; gcd(0, 0) = 0.
-
-    A primitive remainder sequence over Z on the primitive associates of
-    f and g: every remainder is divided by its integer content.
-    """
-    a, b = f.primitive(), g.primitive()
-    if a.degree < b.degree:
-        a, b = b, a
-    while not b.is_zero():
-        a, b = b, UnivariatePoly(_pseudo_rem(a.coeffs, b.coeffs)).primitive()
-    return a
-
-
 MODULUS = 2**31 - 1  # a prime
 
 
-def squarefree_mod_p(f: UnivariatePoly) -> bool:
-    """Whether f mod ``MODULUS`` keeps f's degree and is coprime to its derivative.
+def _coprime_mod_p(f: UnivariatePoly, g: UnivariatePoly) -> bool:
+    """Whether f mod ``MODULUS`` keeps its degree and Euclid over GF(p) on f, g ends in a nonzero constant.
 
-    True certifies that f is squarefree: the prime divides no leading
-    coefficient of a factorization f = g^2 h, so g reduces to a factor
-    of the same positive degree that would divide both f and f' mod p.
-    False decides nothing.
+    True certifies gcd(f, g) = 1: a common factor h of positive degree
+    has lc(h) | lc(f), so h mod p keeps its degree and divides both
+    reductions.  False decides nothing.
     """
     p = MODULUS
     a = [c % p for c in f.coeffs]
     if not a or not a[-1]:
         return False
-    b = [i * c % p for i, c in enumerate(a)][1:]
-    while b:  # Euclid over GF(p): a, b = b, a mod b
+    b = [c % p for c in g.coeffs]
+    while True:  # Euclid over GF(p): a, b = b, a mod b
         while b and not b[-1]:
             b.pop()
         if not b:
-            break
+            return len(a) == 1
         inverse = pow(b[-1], -1, p)
         d = len(b) - 1
         while len(a) > d:
@@ -207,7 +193,24 @@ def squarefree_mod_p(f: UnivariatePoly) -> bool:
             for i in range(d):
                 a[shift + i] = (a[shift + i] - q * b[i]) % p
         a, b = b, a
-    return len(a) == 1
+
+
+def poly_gcd(f: UnivariatePoly, g: UnivariatePoly) -> UnivariatePoly:
+    """The primitive gcd with positive leading coefficient; gcd(0, 0) = 0.
+
+    1 when ``_coprime_mod_p(f, g)`` certifies it, before any content is
+    taken.  Otherwise a primitive remainder sequence over Z on the
+    primitive associates of f and g: every remainder is divided by its
+    integer content.
+    """
+    if _coprime_mod_p(f, g):
+        return UnivariatePoly.one()
+    a, b = f.primitive(), g.primitive()
+    if a.degree < b.degree:
+        a, b = b, a
+    while not b.is_zero():
+        a, b = b, UnivariatePoly(_pseudo_rem(a.coeffs, b.coeffs)).primitive()
+    return a
 
 
 def squarefree_part(f: UnivariatePoly) -> UnivariatePoly:

@@ -10,9 +10,9 @@ elimination on the chart z = 1 and by a univariate gcd on the line at
 infinity; the flex certificate eliminates one variable from the curve
 and its Hessian after a seeded random unimodular change of coordinates
 and tests the degree-24 eliminant, the entry S_0 of one subresultant
-chain, for repeated roots: first modulo the prime 2^31 - 1, where a
-squarefree reduction of full degree certifies all flexes simple, then,
-if that decides nothing, by the exact integer gcd.  Integer input is
+chain, for repeated roots by one gcd with its derivative; ``poly_gcd``
+certifies coprimality modulo the prime 2^31 - 1 before it runs the
+exact integer remainder sequence.  Integer input is
 parsed to ``int`` coefficients, so ``fractions`` is imported only when
 the input holds a ``/``.
 """
@@ -31,18 +31,20 @@ from .polynomials import (
     UnivariatePoly,
     common_affine_zero,
     poly_gcd,
-    squarefree_mod_p,
     squarefree_part,
     subresultant_chain_y,
 )
 
 FLEX_RETRY_BUDGET = 32
 
-# Highest form degree the parser and ``is_smooth`` accept.  Smoothness
-# elimination grows steeply with the degree: a dense form with
-# coefficients up to +-3 takes about 0.01 s at degree 5, 0.08-0.11 s at
-# degree 6, 0.8-1.1 s at degree 7 and 6-8 s at degree 8 (Python 3.11 on
-# a shared 2-core Linux machine).
+# Highest form degree the parser and ``is_smooth`` accept.  A smooth
+# dense form, where the modular test in ``poly_gcd`` decides every
+# coprimality, takes about 0.005 s at degree 6, 0.012 s at degree 7 and
+# 0.03 s at degree 8 with coefficients up to +-3, and 0.016 s at degree 6
+# with 12-digit ones.  A singular form runs the exact remainder
+# sequences: a product of two dense cubics takes 0.03 s with coefficients
+# up to +-3 and 1.4 s with 6-digit ones (Python 3.11 on a shared 2-core
+# Linux machine).
 MAX_FORM_DEGREE = 6
 
 
@@ -418,11 +420,10 @@ def flexes_all_simple(form: TernaryForm, seed: int) -> FlexCertificate:
     y = 1 puts at infinity, through M (1:0:0) and M (0:0:1), passes
     through a vertex.  Sparse forms have flexes there: Klein's quartic
     has one at each vertex, so such changes collide or lose degree.  A
-    skipped change never yields an answer, so skipping is sound.  The
-    eliminant is then tested for squarefreeness modulo the prime
-    2^31 - 1 (``polynomials.squarefree_mod_p``); a pass certifies all
-    flexes simple, and otherwise the exact gcd decides.  No answer
-    depends on which change or which route decided it.
+    skipped change never yields an answer, so skipping is sound.  No
+    answer depends on which change decided it, nor on whether
+    ``poly_gcd`` decided coprimality modulo its prime or by the exact
+    remainder sequence.
     """
     if form.degree != 4:
         raise DegenerateFormError("the flex certificate is for quartics")
@@ -444,8 +445,6 @@ def flexes_all_simple(form: TernaryForm, seed: int) -> FlexCertificate:
         eliminant = chain[0].y_coeff(0)
         if eliminant.degree != 24:
             continue
-        if squarefree_mod_p(eliminant):
-            return FlexCertificate(True, 24)
         repeated = poly_gcd(eliminant, eliminant.derivative())
         if repeated.degree == 0:
             return FlexCertificate(True, 24)

@@ -15,8 +15,10 @@ table instead of the index-2 reading, parities from each element's
 cycle type instead of from the closure, cycle notation read by regular
 expressions instead of string methods, transitivity by a search over
 every permutation instead of the n-cycle test, trial division instead of Miller-Rabin
-for primality, and smoothness by bivariate elimination on all three
-affine charts instead of one chart and the line at infinity.
+for primality, smoothness by bivariate elimination on all three
+affine charts instead of one chart and the line at infinity, and lattice
+signatures by congruence diagonalization instead of the signs of the
+characteristic polynomial.
 
 The permutation helpers ``identity``, ``inverse`` and ``sign``, the
 ``group_from_elements`` wrapper, the ring operations of the ``BiPoly``
@@ -582,6 +584,51 @@ def evaluate_bipoly(p: BiPoly, x, y):
 def pairings(lattice, c) -> tuple[int, ...]:
     """Intersections of the class c with each basis class, i.e. gram . c."""
     return tuple(sum(g * v for g, v in zip(row, c.coeffs)) for row in lattice.gram)
+
+
+def congruence_signature(gram) -> tuple[int, int, int]:
+    """(positive, negative, zero) inertia indices of a symmetric integer matrix.
+
+    Congruence diagonalization: each step replaces row and column i by d
+    times themselves minus a times row and column k, d being the pivot
+    and a the entry to clear, an invertible rational congruence that
+    keeps the inertia (Sylvester's law) and the entries integral.  A zero
+    pivot is swapped for a later nonzero diagonal entry, or, when the
+    rest of the diagonal vanishes, row and column k get a partner row and
+    column with a nonzero entry in row k added to them.
+    """
+    n = len(gram)
+    m = [list(row) for row in gram]
+    pos = neg = zero = 0
+    for k in range(n):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
+            if pivot is not None:
+                m[k], m[pivot] = m[pivot], m[k]
+                for row in m:
+                    row[k], row[pivot] = row[pivot], row[k]
+            else:
+                partner = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
+                if partner is None:
+                    zero += 1
+                    continue
+                m[k] = [a + b for a, b in zip(m[k], m[partner])]
+                for row in m:
+                    row[k] += row[partner]
+        d = m[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            a = m[i][k]
+            if a == 0:
+                continue
+            for j in range(n):
+                m[i][j] = d * m[i][j] - a * m[k][j]
+            for j in range(n):
+                m[j][i] = d * m[j][i] - a * m[j][k]
+    return pos, neg, zero
 
 
 def parse_reports(text: str) -> list[ClaimReport]:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -449,6 +450,25 @@ def test_cli_quartic_refuses_a_form_above_the_degree_limit_at_once(poly):
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("parse error:")
     assert "exceeds the limit" in lines[0]
+    assert elapsed < 1.0
+
+
+def dense_sextic(seed: int) -> str:
+    """All 28 monomials of degree 6, each with a signed random 12-digit coefficient."""
+    rng = random.Random(seed)
+    return " ".join(
+        f"{rng.choice('+-')}{rng.randrange(10**11, 10**12)}*x^{i}*y^{j}*z^{6 - i - j}"
+        for i in range(7) for j in range(7 - i)
+    )
+
+
+def test_cli_quartic_decides_a_dense_sextic_with_12_digit_coefficients_in_time():
+    """The modular coprimality test in ``poly_gcd`` answers without the integer content gcds (4.2 s before)."""
+    poly = dense_sextic(5)
+    assert poly.count("*x^") == 28
+    result, elapsed = run_fresh_cli("quartic", "--poly", poly, "--check", "smooth")
+    assert result.returncode == 0 and result.stderr == ""
+    assert result.stdout.splitlines()[-1] == "smooth: true"
     assert elapsed < 1.0
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import pairings
+from oracles import congruence_signature, pairings
 from xiaofib.lattice import (
     ClassNotInLatticeError,
     CompletionError,
@@ -146,6 +146,23 @@ def test_signatures():
     assert null.signature() == (0, 1, 1)
 
 
+def test_signature_matches_congruence_diagonalization():
+    """Random symmetric matrices of rank 1-5, mostly zeros: the oracle's zero-pivot cases all run."""
+    rng = random.Random(11)
+    partner_cases = 0
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = rng.choice((0, 0, 0, 0, 1, -1, 2, -3, 7))
+        lattice = IntersectionLattice(tuple(f"e{i}" for i in range(n)), gram, (0,) * n)
+        assert lattice.signature() == congruence_signature(gram), gram
+        # with the whole diagonal zero, a nonzero matrix sends the oracle to a partner row
+        partner_cases += all(gram[i][i] == 0 for i in range(n)) and any(map(any, gram))
+    assert partner_cases >= 50
+
+
 def test_hodge_index_forced_zero():
     lat = product_with_diagonal_lattice(3)
     xp = lat.class_from_intersections((2, 2, 10))
@@ -252,6 +269,14 @@ def test_morphism_refuses_a_composite_that_is_not_degree_times_identity():
         LatticeMorphism(source, target, PHI_PUSH, PHI_PULL, 3)
     with pytest.raises(LatticeError, match="^degree must be positive$"):
         LatticeMorphism(source, target, PHI_PUSH, PHI_PULL, 0)
+
+
+def test_morphism_built_from_lists_equals_and_hashes_like_phi():
+    source, target = product_with_diagonal_lattice(3), symmetric_square_lattice(3)
+    listed = LatticeMorphism(source, target, [[1, 1, 0], [0, 0, 2]], [[1, 0], [1, 0], [0, 1]], 2)
+    assert listed == phi_morphism(3)
+    assert hash(listed) == hash(phi_morphism(3))
+    assert listed.pushforward == PHI_PUSH and listed.pullback == PHI_PULL
 
 
 def test_morphism_refuses_matrices_of_the_wrong_shape():

@@ -28,10 +28,10 @@ from oracles import (  # noqa: E402
 from xiaofib.polynomials import (  # noqa: E402
     MODULUS,
     UnivariatePoly,
+    _coprime_mod_p,
     bipoly_gcd,
     poly_gcd,
     res_y_prs,
-    squarefree_mod_p,
     squarefree_part,
     subresultant_chain_y,
 )
@@ -101,7 +101,7 @@ def test_squarefree_part_and_test_match_the_oracle(f, square):
 def test_planted_square_is_never_squarefree(h, k):
     e = h * h * k
     assert not is_squarefree(e)
-    assert not squarefree_mod_p(e)
+    assert not _coprime_mod_p(e, e.derivative())
 
 
 # Coefficients around the modulus and its multiples reduce to small residues,
@@ -113,18 +113,31 @@ wide_univariate = st.lists(near_modulus | coefficients, max_size=7).map(lambda c
 
 
 @PROPERTY
+@given(wide_univariate, wide_univariate, wide_univariate)
+def test_coprime_mod_p_certifies_only_coprime_pairs(f, g, h):
+    """True from the kernel is a proof, planted factor or not; ``poly_gcd`` matches the oracle either way."""
+    for a, b in ((f, g), (f * h, g * h)):
+        if _coprime_mod_p(a, b):
+            assert poly_gcd_euclid(a, b).degree == 0
+    got = poly_gcd(f * h, g * h)
+    assert got == poly_gcd_euclid(f * h, g * h)
+    assert_exact(got.coeffs)
+
+
+@PROPERTY
 @given(wide_univariate, wide_univariate)
-def test_squarefree_mod_p_certifies_only_squarefree_polynomials(f, square):
+def test_coprime_mod_p_on_a_derivative_certifies_only_squarefree_polynomials(f, square):
     for g in (f, f * square * square, f - square.scale(MODULUS)):
-        if squarefree_mod_p(g):
-            assert poly_gcd(g, g.derivative()).degree == 0
+        if _coprime_mod_p(g, g.derivative()):
+            assert poly_gcd_euclid(g, g.derivative()).degree == 0
 
 
 @PROPERTY
 @given(wide_univariate, st.integers(-3, 3).filter(bool))
-def test_squarefree_mod_p_refuses_a_leading_coefficient_divisible_by_p(f, k):
+def test_coprime_mod_p_refuses_a_leading_coefficient_divisible_by_p(f, k):
     g = U(f.coeffs[:-1] + (k * MODULUS,))
-    assert not squarefree_mod_p(g)
+    assert not _coprime_mod_p(g, g.derivative())
+    assert not _coprime_mod_p(g, U.one())
 
 
 @PROPERTY

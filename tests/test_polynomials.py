@@ -11,6 +11,7 @@ from oracles import (
     evaluate_poly,
     fraction_divmod,
     is_squarefree,
+    poly_gcd_euclid,
     res_y,
     resultant,
     sylvester_matrix,
@@ -22,8 +23,8 @@ from xiaofib.polynomials import (
     bipoly_gcd,
     common_affine_zero,
     poly_gcd,
+    _coprime_mod_p,
     res_y_prs,
-    squarefree_mod_p,
     squarefree_part,
     subresultant_chain_y,
     subresultant_y,
@@ -132,15 +133,21 @@ def test_squarefree_detection():
     assert is_squarefree(U((-1, 0, 1)))
 
 
-def test_squarefree_mod_p_is_one_way():
-    assert squarefree_mod_p(U((-1, 0, 1))) is True
-    assert squarefree_mod_p(U((7,))) is True
-    assert squarefree_mod_p(U((1, 1)) * U((1, 1)) * U((3, 1))) is False
-    assert squarefree_mod_p(U.zero()) is False
+def test_coprime_mod_p_is_one_way():
+    """The modular kernel on (f, f'): True certifies f squarefree, and the exact gcd decides the rest."""
+    def kernel(f):
+        return _coprime_mod_p(f, f.derivative())
+
+    assert kernel(U((-1, 0, 1))) is True
+    assert kernel(U((7,))) is True
+    assert kernel(U((1, 1)) * U((1, 1)) * U((3, 1))) is False
+    assert kernel(U.zero()) is False
     # x^2 + p is squarefree, but x^2 mod p is not: False decides nothing
-    assert is_squarefree(U((MODULUS, 0, 1))) and squarefree_mod_p(U((MODULUS, 0, 1))) is False
+    assert kernel(U((MODULUS, 0, 1))) is False
     # the leading coefficient vanishes mod p
-    assert is_squarefree(U((1, 1, MODULUS))) and squarefree_mod_p(U((1, 1, MODULUS))) is False
+    assert kernel(U((1, 1, MODULUS))) is False
+    for f in (U((MODULUS, 0, 1)), U((1, 1, MODULUS))):
+        assert poly_gcd(f, f.derivative()) == poly_gcd_euclid(f, f.derivative()) == U.one()
 
 
 def test_evaluation_and_derivative():

@@ -218,14 +218,14 @@ def test_flex_certificates_stable_across_seeds():
 
 
 def test_flex_certificates_agree_without_the_modular_test(monkeypatch):
-    """Forcing the exact squarefree test on every eliminant gives the same certificates."""
+    """Forcing the exact remainder sequence in every ``poly_gcd`` gives the same certificates."""
     rng = random.Random(29)
     forms = [parse_ternary_form(KLEIN_QUARTIC), parse_ternary_form(FERMAT_QUARTIC)]
     forms += [random_quartic(rng) for _ in range(6)]
     cases = [(form, seed) for form in forms for seed in (1, 2, 77)]
 
     def outcomes():
-        out = []
+        out = [is_smooth(form) for form in forms]
         for form, seed in cases:
             try:
                 out.append(tuple(flexes_all_simple(form, seed)))
@@ -234,34 +234,43 @@ def test_flex_certificates_agree_without_the_modular_test(monkeypatch):
         return out
 
     fast = outcomes()
-    monkeypatch.setattr(quartic, "squarefree_mod_p", lambda f: False)
+    forced = []
+    monkeypatch.setattr(polynomials, "_coprime_mod_p", lambda f, g: forced.append(f) or False)
     assert outcomes() == fast
+    assert forced
     assert fast.count((True, 24)) >= 2 and (False, 24) in fast
+    assert True in fast[: len(forms)]
 
 
-def test_klein_certificate_builds_one_chain_and_takes_no_gcd(monkeypatch):
-    """After ``is_smooth``, each Klein certificate is one subresultant chain and the modular test."""
+def test_klein_certificate_builds_one_chain_and_one_modular_gcd(monkeypatch):
+    """After ``is_smooth``, each Klein certificate is one subresultant chain and one ``poly_gcd``.
+
+    The modular test inside ``poly_gcd`` decides it: no integer remainder sequence runs.
+    """
     calls = []
-    originals = {name: getattr(quartic, name) for name in ("is_smooth", "subresultant_chain_y", "poly_gcd")}
+    original_smooth = quartic.is_smooth
 
     def smooth(form):
-        answer = originals["is_smooth"](form)
+        answer = original_smooth(form)
         calls.clear()
         return answer
 
-    def counted(name):
+    def count(module, name):
+        original = getattr(module, name)
+
         def wrapper(*args):
             calls.append(name)
-            return originals[name](*args)
-        return wrapper
+            return original(*args)
+        monkeypatch.setattr(module, name, wrapper)
 
     monkeypatch.setattr(quartic, "is_smooth", smooth)
-    monkeypatch.setattr(quartic, "subresultant_chain_y", counted("subresultant_chain_y"))
-    monkeypatch.setattr(quartic, "poly_gcd", counted("poly_gcd"))
+    count(quartic, "subresultant_chain_y")
+    count(quartic, "poly_gcd")
+    count(polynomials, "_pseudo_rem")
     klein = parse_ternary_form(KLEIN_QUARTIC)
     for seed in range(1, 51):
         assert tuple(flexes_all_simple(klein, seed)) == (True, 24)
-        assert calls == ["subresultant_chain_y"], seed
+        assert calls == ["subresultant_chain_y", "poly_gcd"], seed
 
 
 def test_klein_smoothness_reads_one_chain_of_the_partials(monkeypatch):

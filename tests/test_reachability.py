@@ -52,11 +52,9 @@ ALLOWED = {
         "monodromy.GroupDescriptor.__init__",
     ),
     "exact-procedure branches no probe reached: a shared factor of two partials in "
-    "common_affine_zero (a curve singular at infinity is refused before it), and a zero pivot "
-    "in the signature of the three fixed lattices": (
+    "common_affine_zero (a curve singular at infinity is refused before it)": (
         "polynomials.bipoly_gcd",
         "polynomials.BiPoly.exact_div",
-        "lattice._add_symmetric",
     ),
 }
 
