@@ -70,7 +70,7 @@ from math import factorial, lcm
 from operator import attrgetter, itemgetter, methodcaller
 
 from .errors import DEFAULT_MAX_GROUP_ORDER, ELEMENT_OVERHEAD, MAX_GROUP_CELLS, InputError
-from .numerology import is_odd_prime
+from .numerology import GENUS_LIMIT, is_odd_prime
 from .record import Record
 
 CYCLIC = "cyclic"
@@ -240,6 +240,11 @@ class BranchedCover(Record):
             raise MonodromyDataError("cover degree must be positive")
         if self.base_genus < 0:
             raise MonodromyDataError("base genus must be non-negative")
+        # The largest genus printed, the Galois closure's, is below |G| (b + k) for k branch
+        # points, and the cell budget keeps |G| below 2.6 * 10^5: below this bound on b every
+        # printed genus has far fewer than the interpreter's 4300 digits for int-to-text.
+        if self.base_genus >= GENUS_LIMIT:
+            raise MonodromyDataError("base genus must be below 10^2000")
         identity = tuple(range(self.degree))
         distinct = {id(sigma): sigma for sigma in self.branch_monodromy}  # by object: no image tuple is hashed
         for sigma in distinct.values():

@@ -6,10 +6,12 @@ scaled to an integer one before it gets here.  Gcds are primitive
 integer polynomials with positive leading coefficient; by Gauss's lemma a
 primitive divisor leaves an integer quotient, so each division they make
 is an exact integer division.  A primitive remainder sequence over Z
-gives univariate gcds only.  Bivariate polynomials in (x, y) have y as
-the main variable and coefficients in Z[x], and one subresultant
-remainder sequence in y gives the whole determinantal subresultant chain
-of two of them.  Everything in y is read off that chain: the resultant
+gives univariate gcds only.  A bivariate polynomial in (x, y) has y as
+the main variable and is stored as ``BiPoly.y_coeffs``, the tuple of its
+coefficients of 1, y, y^2, ... in Z[x] with no trailing zero, the zero
+polynomial being ``()``; one subresultant remainder sequence in y runs on
+those tuples and gives the whole determinantal subresultant chain of two
+of them.  Everything in y is read off that chain: the resultant
 is its entry S_0, its first nonzero entry is a gcd over Q(x), and two
 polynomials with constant leading y-coefficients are coprime exactly
 when S_0 is nonzero.  On top sits an exact decision for whether up to three
@@ -22,17 +24,13 @@ sequence decides.
 
 from __future__ import annotations
 
-from math import gcd
+from math import comb, gcd
 
 from .record import Record
 
 
 class PolynomialError(ValueError):
     """Invalid polynomial input for an exact operation."""
-
-
-def _not_int(value) -> PolynomialError:
-    return PolynomialError(f"polynomial coefficients must be int, got {value!r}")
 
 
 class UnivariatePoly(Record):
@@ -48,7 +46,7 @@ class UnivariatePoly(Record):
         cs = list(coeffs)
         for c in cs:
             if type(c) is not int:
-                raise _not_int(c)
+                raise PolynomialError(f"polynomial coefficients must be int, got {c!r}")
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -221,111 +219,67 @@ def squarefree_part(f: UnivariatePoly) -> UnivariatePoly:
     return f.exact_div(poly_gcd(f, f.derivative()))
 
 
-class BiPoly:
+class BiPoly(Record):
     """Polynomial in (x, y) over Z with y as the main variable.
 
-    Stored as a map (x-exponent, y-exponent) -> int with zero values
-    dropped.
+    ``y_coeffs`` holds the coefficients of 1, y, y^2, ... as polynomials
+    in x, the form the subresultant chain computes in, with no trailing
+    zero polynomial: the zero polynomial is ``()``.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("y_coeffs",)
 
-    def __init__(self, terms: dict[tuple[int, int], int]):
-        cleaned = {}
-        for (i, j), c in terms.items():
-            if type(c) is not int:
-                raise _not_int(c)
-            if c:
-                if i < 0 or j < 0:
-                    raise PolynomialError("negative exponent in bivariate polynomial")
-                cleaned[(int(i), int(j))] = c
-        self.terms = cleaned
-
-    @classmethod
-    def from_y_coeffs(cls, coeffs: list[UnivariatePoly]) -> "BiPoly":
-        terms = {}
-        for j, poly in enumerate(coeffs):
-            for i, c in enumerate(poly.coeffs):
-                if c != 0:
-                    terms[(i, j)] = c
-        return cls(terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BiPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    def __init__(self, y_coeffs: tuple[UnivariatePoly, ...]):
+        self._set(y_coeffs=tuple(_strip(list(y_coeffs))))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.y_coeffs
 
     def total_degree(self) -> int:
         """Total degree, -1 for zero."""
-        return max((i + j for i, j in self.terms), default=-1)
+        return max((j + c.degree for j, c in enumerate(self.y_coeffs)), default=-1)
 
     def deg_y(self) -> int:
-        return max((j for _, j in self.terms), default=-1)
+        return len(self.y_coeffs) - 1
 
     def y_coeff(self, k: int) -> UnivariatePoly:
         """The coefficient of y^k as a polynomial in x."""
-        size = max((i + 1 for i, j in self.terms if j == k), default=0)
-        return UnivariatePoly(tuple(self.terms.get((i, k), 0) for i in range(size)))
-
-    def y_coeffs(self) -> list[UnivariatePoly]:
-        """Coefficients of 1, y, y^2, ... as polynomials in x."""
-        d = self.deg_y()
-        buckets: list[dict[int, int]] = [{} for _ in range(d + 1)]
-        for (i, j), c in self.terms.items():
-            buckets[j][i] = c
-        out = []
-        for bucket in buckets:
-            size = max(bucket, default=-1) + 1
-            out.append(UnivariatePoly(tuple(bucket.get(k, 0) for k in range(size))))
-        return out
+        return self.y_coeffs[k] if 0 <= k < len(self.y_coeffs) else UnivariatePoly.zero()
 
     def top_form_at(self, a: int) -> int:
         """The top-degree homogeneous part evaluated at (a, 1)."""
         d = self.total_degree()
-        return sum(c * a**i for (i, j), c in self.terms.items() if i + j == d)
+        return sum(c.coeff(d - j) * a ** (d - j) for j, c in enumerate(self.y_coeffs))
 
     def shear(self, a: int) -> "BiPoly":
         """Substitute x -> x + a*y; common zeros correspond bijectively."""
         if a == 0:
             return self
-        terms: dict[tuple[int, int], int] = {}
-        for (i, j), c in self.terms.items():
-            # (x + a y)^i expanded by binomials
-            binom = 1
-            for t in range(i + 1):
-                key = (i - t, j + t)
-                terms[key] = terms.get(key, 0) + c * binom * a**t
-                binom = binom * (i - t) // (t + 1)
-        return BiPoly(terms)
+        d = self.total_degree()
+        rows = [[0] * (d + 1) for _ in range(d + 1)]  # rows[j][i]: the coefficient of x^i y^j
+        for j, poly in enumerate(self.y_coeffs):
+            for i, c in enumerate(poly.coeffs):
+                for t in range(i + 1):  # (x + a y)^i expanded by binomials
+                    rows[j + t][i - t] += c * comb(i, t) * a**t
+        return BiPoly([UnivariatePoly(tuple(row)) for row in rows])
 
     def exact_div(self, other: "BiPoly") -> "BiPoly":
-        """The quotient in Z[x, y]; raises unless other divides self there."""
+        """The quotient in Z[x, y]; raises unless other divides self there.
+
+        Long division in y, each quotient coefficient an exact division in Z[x].
+        """
         if other.is_zero():
             raise PolynomialError("division by the zero polynomial")
-        remainder = dict(self.terms)
-        quotient: dict[tuple[int, int], int] = {}
-        lead_key = max(other.terms, key=lambda k: (k[1], k[0]))
-        lead_c = other.terms[lead_key]
-        while remainder:
-            key = max(remainder, key=lambda k: (k[1], k[0]))
-            di, dj = key[0] - lead_key[0], key[1] - lead_key[1]
-            if di < 0 or dj < 0:
-                raise PolynomialError("bivariate division expected to be exact failed")
-            factor, left = divmod(remainder[key], lead_c)
-            if left:
-                raise PolynomialError("bivariate division expected to be exact left a fraction")
-            quotient[(di, dj)] = factor
-            for (i, j), c in other.terms.items():
-                k2 = (i + di, j + dj)
-                value = remainder.get(k2, 0) - factor * c
-                if value == 0:
-                    remainder.pop(k2, None)
-                else:
-                    remainder[k2] = value
+        rem = list(self.y_coeffs)
+        divisor = other.y_coeffs
+        d = len(divisor) - 1
+        quotient = [UnivariatePoly.zero()] * max(len(rem) - d, 0)
+        for shift in range(len(rem) - 1 - d, -1, -1):
+            factor = quotient[shift] = rem[shift + d].exact_div(divisor[-1])
+            for i in range(d):
+                rem[shift + i] = rem[shift + i] - factor * divisor[i]
+        if not all(c.is_zero() for c in rem[:d]):
+            raise PolynomialError("bivariate division expected to be exact left a remainder")
         return BiPoly(quotient)
 
 
@@ -389,7 +343,7 @@ def subresultant_chain_y(p: BiPoly, q: BiPoly) -> list[BiPoly]:
     Z[x][y] with exact divisions, and S_k(u p, v q) = u^(n-k) v^(m-k) S_k(p, q)
     scales the entries back.
     """
-    a, b = p.y_coeffs(), q.y_coeffs()
+    a, b = p.y_coeffs, q.y_coeffs
     m, n = len(a) - 1, len(b) - 1
     if m < n or n < 1:
         raise PolynomialError("subresultants need deg_y(p) >= deg_y(q) >= 1")
@@ -416,7 +370,7 @@ def subresultant_chain_y(p: BiPoly, q: BiPoly) -> list[BiPoly]:
     scaled = []
     for k, entry in enumerate(chain):
         factor = cont_a ** (n - k) * cont_b ** (m - k)
-        scaled.append(BiPoly.from_y_coeffs([c * factor for c in entry]))
+        scaled.append(BiPoly([c * factor for c in entry]))
     return scaled
 
 
@@ -439,18 +393,18 @@ def bipoly_gcd(p: BiPoly, q: BiPoly) -> BiPoly:
     coefficient of the highest power of y, then of x, positive.
     """
     if p.is_zero() or q.is_zero():
-        coeffs = (q if p.is_zero() else p).y_coeffs()
+        coeffs = (q if p.is_zero() else p).y_coeffs
     else:
-        content = poly_gcd(_content_y(p.y_coeffs()), _content_y(q.y_coeffs()))
+        content = poly_gcd(_content_y(p.y_coeffs), _content_y(q.y_coeffs))
         if p.deg_y() < q.deg_y():
             p, q = q, p
         chain = subresultant_chain_y(p, q) if q.deg_y() >= 1 else []
-        coeffs = next((s for s in chain if not s.is_zero()), q).y_coeffs()
+        coeffs = next((s for s in chain if not s.is_zero()), q).y_coeffs
         cont_g = _content_y(coeffs)
         coeffs = [c.exact_div(cont_g) * content for c in coeffs]
     if coeffs and coeffs[-1].coeffs[-1] < 0:
         coeffs = [-c for c in coeffs]
-    return BiPoly.from_y_coeffs(coeffs)
+    return BiPoly(coeffs)
 
 
 def res_y_prs(p: BiPoly, q: BiPoly) -> UnivariatePoly:

@@ -197,11 +197,11 @@ class TernaryForm:
 
     def chart(self, var: int) -> BiPoly:
         """Dehomogenize an integer form by setting one variable to 1, keeping the other two in order."""
-        keep = [v for v in range(3) if v != var]
-        terms = {}
+        x, y = (v for v in range(3) if v != var)
+        rows = [[0] * (self.degree + 1) for _ in range(self.degree + 1)]  # rows[j][i]: x^i y^j
         for key, c in self.coefficients.items():
-            terms[(key[keep[0]], key[keep[1]])] = c
-        return BiPoly(terms)
+            rows[key[y]][key[x]] = c
+        return BiPoly([UnivariatePoly(tuple(row)) for row in rows])
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -1,6 +1,7 @@
 """Base of the package's immutable value classes.
 
-A value class names its fields in ``__slots__``.  Slots whose names start
+A value class names its fields in ``__slots__``, after the fields of
+the value class it extends, if any.  Slots whose names start
 with an underscore hold memos: they stay out of equality, hashing and
 ``repr``.  ``Record.__init__`` binds the public fields in slot order, by
 position or keyword; a class that converts or checks its fields calls it
@@ -25,7 +26,14 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        # the public slots of every class along the MRO, bases first: a subclass that
+        # declares ``__slots__ = ()`` keeps its base's fields
+        cls._fields = tuple(
+            name
+            for klass in reversed(cls.__mro__)
+            for name in vars(klass).get("__slots__", ())
+            if not name.startswith("_")
+        )
 
     def __init__(self, *args, **kwargs):
         fields = self._fields

@@ -5,8 +5,10 @@ route: Sylvester determinants and their fraction-free Bareiss
 elimination instead of remainder sequences, Euclid over Fraction
 coefficients instead of integer remainder sequences (its monic gcd
 returned as the primitive integer associate), a primitive remainder
-sequence in y instead of the subresultant chain for bivariate gcds, and
-for permutations, breadth-first closure over all generators instead of
+sequence in y instead of the subresultant chain for bivariate gcds,
+total degree, top form, shear and exact division on term maps
+(``terms_*``) instead of on tuples of y-coefficients, and for
+permutations, breadth-first closure over all generators instead of
 closure a coset at a time, orders by repeated composition instead of
 cycle lengths, a
 group label read from every element's order up front instead of from
@@ -21,9 +23,9 @@ signatures by congruence diagonalization instead of the signs of the
 characteristic polynomial.
 
 The permutation helpers ``identity``, ``inverse`` and ``sign``, the
-``group_from_elements`` wrapper, the ring operations of the ``BiPoly``
-subclass, the evaluators ``evaluate_poly``, ``evaluate_bipoly`` and
-``evaluate_form``, ``pairings``, ``parse_reports``, ``is_squarefree`` and
+``group_from_elements`` wrapper, ``term_map`` and the term-map
+constructor and ring operations of the ``BiPoly`` subclass, the
+evaluators ``evaluate_poly``, ``evaluate_bipoly`` and ``evaluate_form``, ``pairings``, ``parse_reports``, ``is_squarefree`` and
 the ``FibrationProfile`` record serve tests only; the program never needs
 them.
 """
@@ -31,7 +33,7 @@ them.
 import json
 import re
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 from xiaofib import monodromy, polynomials
 from xiaofib.ledger import ClaimReport
@@ -41,14 +43,35 @@ from xiaofib.polynomials import PolynomialError, UnivariatePoly, common_affine_z
 from xiaofib.record import Record
 
 
-class BiPoly(polynomials.BiPoly):
-    """A bivariate polynomial with the ring operations, so that test expressions read as algebra.
+def term_map(p: polynomials.BiPoly) -> dict[tuple[int, int], int]:
+    """The nonzero terms of a bivariate polynomial, (x-exponent, y-exponent) -> int."""
+    return {(i, j): c for j, poly in enumerate(p.y_coeffs) for i, c in enumerate(poly.coeffs) if c}
 
-    Results are of this class; the program's own results can be wrapped
-    as ``BiPoly(p.terms)``.
+
+class BiPoly(polynomials.BiPoly):
+    """A bivariate polynomial built from its term map, with the ring operations, so that test
+    expressions read as algebra.
+
+    Results are of this class.  The program's own values are of the base
+    class, so they compare unequal to these; ``BiPoly.of(p)`` converts one.
     """
 
     __slots__ = ()
+
+    def __init__(self, terms: dict[tuple[int, int], int]):
+        width = max((i + 1 for i, _ in terms), default=0)
+        rows = [[0] * width for _ in range(max((j + 1 for _, j in terms), default=0))]
+        for (i, j), c in terms.items():
+            rows[j][i] = c
+        super().__init__([UnivariatePoly(tuple(row)) for row in rows])
+
+    @classmethod
+    def of(cls, p: polynomials.BiPoly) -> "BiPoly":
+        return cls(term_map(p))
+
+    @property
+    def terms(self) -> dict[tuple[int, int], int]:
+        return term_map(self)
 
     @classmethod
     def zero(cls) -> "BiPoly":
@@ -59,13 +82,13 @@ class BiPoly(polynomials.BiPoly):
         return cls({(0, 0): c})
 
     def __add__(self, other) -> "BiPoly":
-        terms = dict(self.terms)
+        terms = self.terms
         for key, c in other.terms.items():
             terms[key] = terms.get(key, 0) + c
         return BiPoly(terms)
 
     def __sub__(self, other) -> "BiPoly":
-        terms = dict(self.terms)
+        terms = self.terms
         for key, c in other.terms.items():
             terms[key] = terms.get(key, 0) - c
         return BiPoly(terms)
@@ -86,6 +109,49 @@ class BiPoly(polynomials.BiPoly):
 
     def __repr__(self) -> str:
         return f"BiPoly({self.terms!r})"
+
+
+def terms_total_degree(terms: dict[tuple[int, int], int]) -> int:
+    """Total degree of a term map, -1 for zero."""
+    return max((i + j for i, j in terms), default=-1)
+
+
+def terms_top_form_at(terms: dict[tuple[int, int], int], a: int) -> int:
+    """The top-degree homogeneous part of a term map evaluated at (a, 1)."""
+    d = terms_total_degree(terms)
+    return sum(c * a**i for (i, j), c in terms.items() if i + j == d)
+
+
+def terms_shear(terms: dict[tuple[int, int], int], a: int) -> dict[tuple[int, int], int]:
+    """The term map after x -> x + a*y, each (x + a y)^i expanded by binomials."""
+    out: dict[tuple[int, int], int] = {}
+    for (i, j), c in terms.items():
+        for t in range(i + 1):
+            key = (i - t, j + t)
+            out[key] = out.get(key, 0) + c * comb(i, t) * a**t
+    return {key: c for key, c in out.items() if c}
+
+
+def terms_exact_div(terms: dict[tuple[int, int], int], divisor: dict[tuple[int, int], int]):
+    """The quotient of two term maps by division on the leading term in (y, x) order; raises unless exact."""
+    if not divisor:
+        raise PolynomialError("division by the zero polynomial")
+    remainder = dict(terms)
+    quotient: dict[tuple[int, int], int] = {}
+    lead_key = max(divisor, key=lambda k: (k[1], k[0]))
+    while remainder:
+        key = max(remainder, key=lambda k: (k[1], k[0]))
+        di, dj = key[0] - lead_key[0], key[1] - lead_key[1]
+        factor, left = divmod(remainder[key], divisor[lead_key])
+        if di < 0 or dj < 0 or left:
+            raise PolynomialError("bivariate division expected to be exact failed")
+        quotient[(di, dj)] = factor
+        for (i, j), c in divisor.items():
+            k2 = (i + di, j + dj)
+            remainder[k2] = remainder.get(k2, 0) - factor * c
+            if not remainder[k2]:
+                del remainder[k2]
+    return quotient
 
 
 def _fraction_det(matrix: list[list[Fraction]]) -> Fraction:
@@ -179,8 +245,7 @@ def subresultant_det(p: BiPoly, q: BiPoly, k: int) -> BiPoly:
     matrix; the y^(k-l) coefficient is the Bareiss determinant of its
     first m + n - 2k - 1 columns and the column of y^(k-l).
     """
-    pc = p.y_coeffs()
-    qc = q.y_coeffs()
+    pc, qc = p.y_coeffs, q.y_coeffs
     m, n = len(pc) - 1, len(qc) - 1
     r = m + n - 2 * k
     c = m + n - k
@@ -189,12 +254,11 @@ def subresultant_det(p: BiPoly, q: BiPoly, k: int) -> BiPoly:
         rows.append([_poly_coeff(pc, c - 1 - col - t) for col in range(c)])
     for t in range(m - k - 1, -1, -1):  # rows y^t * q
         rows.append([_poly_coeff(qc, c - 1 - col - t) for col in range(c)])
-    result = BiPoly.zero()
+    coeffs = [UnivariatePoly.zero()] * (k + 1)
     for l in range(k + 1):
         cols = list(range(r - 1)) + [r - 1 + l]
-        minor = _poly_matrix_det([[row[col] for col in cols] for row in rows])
-        result = result + BiPoly.from_y_coeffs([UnivariatePoly.zero()] * (k - l) + [minor])
-    return result
+        coeffs[k - l] = _poly_matrix_det([[row[col] for col in cols] for row in rows])
+    return BiPoly.of(polynomials.BiPoly(coeffs))
 
 
 def res_y(p: BiPoly, q: BiPoly) -> UnivariatePoly:
@@ -206,8 +270,8 @@ def res_y(p: BiPoly, q: BiPoly) -> UnivariatePoly:
         r = res_y(q, p)
         return r if (m * n) % 2 == 0 else -r
     if n == 0:
-        return q.y_coeffs()[0] ** m if m > 0 else UnivariatePoly.one()
-    pc, qc = p.y_coeffs(), q.y_coeffs()
+        return q.y_coeffs[0] ** m if m > 0 else UnivariatePoly.one()
+    pc, qc = p.y_coeffs, q.y_coeffs
     size = m + n
     rows = []
     for t in range(n - 1, -1, -1):
@@ -279,7 +343,7 @@ def coprime_bipolys(p: BiPoly, q: BiPoly) -> bool:
     factor in x alone divides every y-coefficient of both.
     """
     shared = UnivariatePoly.zero()
-    for c in p.y_coeffs() + q.y_coeffs():
+    for c in p.y_coeffs + q.y_coeffs:
         shared = poly_gcd_euclid(shared, c)
     if shared.degree >= 1:
         return False
@@ -326,14 +390,14 @@ def bipoly_gcd_prs(p: BiPoly, q: BiPoly) -> BiPoly:
         return q
     if q.is_zero():
         return p
-    pc, qc = p.y_coeffs(), q.y_coeffs()
+    pc, qc = p.y_coeffs, q.y_coeffs
     content = poly_gcd(_content_in_x(pc), _content_in_x(qc))
     a, b = _primitive_in_y(pc), _primitive_in_y(qc)
     if len(a) < len(b):
         a, b = b, a
     while b:
         a, b = b, _primitive_in_y(_pseudo_rem_in_y(a, b))
-    return BiPoly.from_y_coeffs([c * content for c in a])
+    return BiPoly.of(polynomials.BiPoly([c * content for c in a]))
 
 
 def identity(degree: int) -> Permutation:
@@ -578,7 +642,7 @@ def evaluate_poly(f: UnivariatePoly, x):
 
 def evaluate_bipoly(p: BiPoly, x, y):
     """The value p(x, y), term by term."""
-    return sum(c * x**i * y**j for (i, j), c in p.terms.items())
+    return sum(c * x**i * y**j for (i, j), c in term_map(p).items())
 
 
 def pairings(lattice, c) -> tuple[int, ...]:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from corpus import HUGE_BASE_GENUS
 from oracles import parse_reports
 from xiaofib import errors, lattice, ledger, monodromy, numerology, quartic
 from xiaofib.cli import main
@@ -347,6 +348,14 @@ def assert_refused(result: subprocess.CompletedProcess, detail: str) -> None:
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert detail in lines[0]
+
+
+def test_cli_monodromy_refuses_a_base_genus_whose_galois_closure_genus_could_not_print(tmp_path):
+    """4,299 digits of base genus parse, but the closure's genus would pass the 4,300-digit limit."""
+    path = tmp_path / "cover.txt"
+    path.write_text(HUGE_BASE_GENUS)
+    result, _ = run_fresh_cli("monodromy", "--file", str(path))
+    assert_refused(result, "base genus must be below 10^2000")
 
 
 def test_cli_monodromy_refuses_a_huge_cover_quickly():

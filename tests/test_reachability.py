@@ -4,18 +4,16 @@ The supported surface is the one README names: the five subcommands
 through ``cli.main``, ``xiaofib.ledger.verify_paper``, and the
 ``monodromy`` and ``quartic`` calls the benchmark makes
 (``tower_answer`` and ``quartic_answer`` in ``perfbench/workloads.py``).
-A fixed corpus of valid, malformed and hostile inputs runs through that
-surface in one fresh interpreter, under ``sys.setprofile`` from before
-``xiaofib`` is imported: so the functions that run at import time count,
-and nothing that other tests imported, memoised or patched changes the
-outcome.  A code object that ran is matched to its ``def`` by file,
+The fixed corpus of valid, malformed and hostile inputs in
+``tests/corpus.py`` runs through that surface in one fresh interpreter,
+under ``sys.setprofile`` from before ``xiaofib`` is imported: so the
+functions that run at import time count, and nothing that other tests
+imported, memoised or patched changes the outcome.  A code object that ran is matched to its ``def`` by file,
 first line (a decorated function starts at its first decorator) and
 name.
 """
 
 import ast
-import contextlib
-import io
 import json
 import os
 import subprocess
@@ -23,12 +21,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+from corpus import KLEIN, NODAL, S5_CHAIN, command_lines, run_cli
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # reason -> the defs that stay although the corpus never runs them, as module.Qualified.name
 ALLOWED = {
     "value-class protocol: Record gives each value class equality, hashing, repr, immutability and "
-    "copy and pickle by value, and TernaryForm and BiPoly compare and hash by their terms; no "
+    "copy and pickle by value, and TernaryForm compares and hashes by its terms; no "
     "supported input hashes, prints, assigns to, pickles or compares two such values, and the "
     "tests do": (
         "record.Record.__hash__",
@@ -38,16 +38,13 @@ ALLOWED = {
         "record.Record.__reduce__",
         "quartic.TernaryForm.__eq__",
         "quartic.TernaryForm.__hash__",
-        "polynomials.BiPoly.__eq__",
-        "polynomials.BiPoly.__hash__",
     ),
     "hooked by name: perfbench/tracing.py spans subresultant_y": (
         "polynomials.subresultant_y",
     ),
-    "input checks the surface never trips: the parser hands the kernel int coefficients only, and "
-    "the program builds permutations and group descriptors unchecked; the checked constructors "
-    "are the public ones, and copy and pickle rebuild a value through them": (
-        "polynomials._not_int",
+    "input checks the surface never trips: the program builds permutations and group descriptors "
+    "unchecked; the checked constructors are the public ones, and copy and pickle rebuild a value "
+    "through them": (
         "monodromy.Permutation.__init__",
         "monodromy.GroupDescriptor.__init__",
     ),
@@ -58,71 +55,14 @@ ALLOWED = {
     ),
 }
 
-KLEIN = "x^3*y + y^3*z + z^3*x"
-NODAL = "x^4 + y^4 - x^2*z^2"
-S5_CHAIN = "degree 5; base_genus 0\n" + "".join(f"({i} {i + 1})\n" * 2 for i in range(4))
-
-
-def command_lines(workdir: str) -> list[list[str]]:
-    """Valid, malformed and hostile argument lists for each subcommand; cover files go to ``workdir``."""
-    files = {
-        "s5.txt": S5_CHAIN.encode(),
-        "odd.txt": b"degree 3; base_genus 0\n(0 1)\n",  # one transposition: the product is not 1
-        "latin1.txt": b"degree 3; base_genus 0\n(0 1)\xff\n",
-    }
-    for name, data in files.items():
-        Path(workdir, name).write_bytes(data)
-    path = {name: str(Path(workdir, name)) for name in files}
-    return [
-        ["verify"],
-        ["verify", "--format", "json", "--seed", "7"],
-        ["verify", "--only", "g4p3"],
-        ["verify", "--only", "no-such-case"],
-        ["verify", "--max-group-order", "3"],
-        ["verify", "--max-group-order", "0"],
-        ["numerology", "--genus", "4", "--degree", "3"],
-        ["numerology", "--genus", "1", "--degree", "5"],
-        ["numerology", "--genus", "2", "--degree", "9"],
-        ["numerology", "--genus", "100000000000", "--degree", "1000000007"],
-        ["monodromy", "--dihedral", "2", "5"],
-        ["monodromy", "--dihedral", "2", "257"],  # image tuples above 256 sheets
-        ["monodromy", "--dihedral", "2", "9"],
-        ["monodromy", "--dihedral", "1", "5"],
-        ["monodromy", "--dihedral", "2", "100003"],
-        ["monodromy", "--dihedral", "2", "101", "--max-group-order", "100"],
-        ["monodromy", "--file", path["s5.txt"]],
-        ["monodromy", "--file", path["s5.txt"], "--max-group-order", "100"],
-        ["monodromy", "--file", path["odd.txt"]],
-        ["monodromy", "--file", path["latin1.txt"]],
-        ["monodromy", "--file", str(Path(workdir, "missing.txt"))],
-        ["lattice", "--case", "g3-product"],
-        ["lattice", "--case", "g3-sym2"],
-        ["lattice", "--case", "g2-product"],
-        ["lattice", "--case", "g9"],
-        ["quartic", "--poly", KLEIN, "--check", "smooth"],
-        ["quartic", "--poly", KLEIN, "--check", "flexes", "--seed", "3"],
-        ["quartic", "--poly", "-x^4 + y^4 + z^4", "--check", "flexes"],
-        ["quartic", "--poly", "1/2*x^4 + y^4 + z^4", "--check", "smooth"],
-        ["quartic", "--poly", NODAL, "--check", "smooth"],
-        ["quartic", "--poly", NODAL, "--check", "flexes"],
-        ["quartic", "--poly", "x^3 + y^3 + z^3", "--check", "flexes"],
-        ["quartic", "--poly", "x^4 + y^^4", "--check", "smooth"],
-        ["quartic", "--poly", "x^40*y^40-z^80", "--check", "smooth"],
-    ]
-
 
 def run_corpus() -> None:
     """Run the corpus through the supported surface."""
-    from xiaofib import cli
     from xiaofib.ledger import verify_paper
 
     with tempfile.TemporaryDirectory() as workdir:
         for argv in command_lines(workdir):
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                try:
-                    cli.main(argv)
-                except SystemExit:  # argparse refuses a usage error
-                    pass
+            run_cli(argv)
     verify_paper(only="g2p5", seed=2)
     sys.path.insert(0, str(PERFBENCH))
     import workloads

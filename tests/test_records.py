@@ -15,12 +15,15 @@ from xiaofib.lattice import BranchClassResult, DivisorClass
 from xiaofib.ledger import ClaimReport
 from xiaofib.monodromy import GroupDescriptor, Permutation, build_dihedral_cover, generated_group
 from xiaofib.numerology import ChevalleyWeil, CoverParams, FiberClass, Runs, XiaoReport
-from xiaofib.polynomials import UnivariatePoly
+from xiaofib.polynomials import BiPoly, UnivariatePoly
+from xiaofib.record import Record
 
 # (constructor, arguments, arguments of an unequal instance, one field name)
 CASES = {
     "Permutation": (Permutation, ((1, 2, 0),), ((2, 0, 1),), "images"),
     "UnivariatePoly": (UnivariatePoly, ((1, 0, 3, 0),), ((1, 0, 3, 1),), "coeffs"),
+    "BiPoly": (BiPoly, ((UnivariatePoly((1, 2)), UnivariatePoly(()), UnivariatePoly((0, 3))),),
+               ((UnivariatePoly((1, 2)), UnivariatePoly((0, 3))),), "y_coeffs"),
     "DivisorClass": (DivisorClass, ((3, 3, -1),), ((3, -1, 3),), "coeffs"),
     "CoverParams": (CoverParams, (2, 5), (5, 2 ** 13 - 1), "p"),
     "ClaimReport": (ClaimReport, ("id", "anchor", "1", "1", "pass"),
@@ -72,6 +75,19 @@ def test_record_init_binds_fields_as_a_signature_would(args, kwargs):
     assert FiberClass("finite", dimension=0) == FiberClass(dimension=0, kind="finite") == FiberClass("finite", 0)
     with pytest.raises(TypeError, match=r"^FiberClass takes the fields \(kind, dimension\)"):
         FiberClass(*args, **kwargs)
+
+
+def test_a_subclass_without_slots_of_its_own_keeps_its_bases_fields():
+    class Base(Record):
+        __slots__ = ("value", "_memo")
+
+    class Derived(Base):
+        __slots__ = ()
+
+    assert Derived._fields == ("value",)
+    assert Derived(1) == Derived(value=1) and hash(Derived(1)) == hash(Derived(1))
+    assert Derived(1) != Derived(2) and len({Derived(1), Derived(2)}) == 2
+    assert repr(Derived(2)).endswith("Derived(value=2)")
 
 
 def test_repr_names_the_fields_and_omits_memos():
