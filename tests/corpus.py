@@ -16,6 +16,14 @@ S5_CHAIN = "degree 5; base_genus 0\n" + "".join(f"({i} {i + 1})\n" * 2 for i in 
 # The same chain over a base whose genus has 4,299 digits, one below the interpreter's limit
 # for converting an int to text: the cover refuses it before any genus is printed.
 HUGE_BASE_GENUS = S5_CHAIN.replace("base_genus 0", "base_genus " + "9" * 4299)
+# Groups the generators do not name, so the closure enumerates and labels them: a 5-cycle and its
+# inverse (cyclic), two commuting double transpositions (the Klein four group, labelled "other"),
+# and three transpositions of 3 sheets (S_3, which is D_3).
+CYCLIC5 = "degree 5; base_genus 0\n(0 1 2 3 4)\n(0 4 3 2 1)\n"
+KLEIN_FOUR = "degree 4; base_genus 0\n" + "(0 1)(2 3)\n" * 2 + "(0 2)(1 3)\n" * 2
+S3_TRIANGLE = "degree 3; base_genus 0\n" + "".join(f"({a} {b})\n" * 2 for a, b in ((0, 1), (1, 2), (0, 2)))
+S4_CHAIN = "degree 4; base_genus 0\n(0 1)\n(1 2)\n(2 3)\n(2 3)\n(1 2)\n(0 1)\n"
+S6_CHAIN = "degree 6; base_genus 0\n" + "".join(f"({i} {i + 1})\n" * 2 for i in range(5))
 
 
 def command_lines(workdir: str) -> list[list[str]]:
@@ -25,6 +33,11 @@ def command_lines(workdir: str) -> list[list[str]]:
         "odd.txt": b"degree 3; base_genus 0\n(0 1)\n",  # one transposition: the product is not 1
         "latin1.txt": b"degree 3; base_genus 0\n(0 1)\xff\n",
         "huge-base-genus.txt": HUGE_BASE_GENUS.encode(),
+        "cyclic5.txt": CYCLIC5.encode(),
+        "klein-four.txt": KLEIN_FOUR.encode(),
+        "s3-triangle.txt": S3_TRIANGLE.encode(),
+        "s4.txt": S4_CHAIN.encode(),
+        "s6.txt": S6_CHAIN.encode(),
     }
     for name, data in files.items():
         Path(workdir, name).write_bytes(data)
@@ -46,12 +59,19 @@ def command_lines(workdir: str) -> list[list[str]]:
         ["monodromy", "--dihedral", "1", "5"],
         ["monodromy", "--dihedral", "2", "100003"],
         ["monodromy", "--dihedral", "2", "101", "--max-group-order", "100"],
+        ["monodromy", "--dihedral", "3", "31"],
+        ["monodromy", "--dihedral", "2", "251"],  # byte-string elements, just below the tuples of 257
         ["monodromy", "--file", path["s5.txt"]],
         ["monodromy", "--file", path["s5.txt"], "--max-group-order", "100"],
         ["monodromy", "--file", path["odd.txt"]],
         ["monodromy", "--file", path["latin1.txt"]],
         ["monodromy", "--file", str(Path(workdir, "missing.txt"))],
         ["monodromy", "--file", path["huge-base-genus.txt"]],
+        ["monodromy", "--file", path["cyclic5.txt"]],
+        ["monodromy", "--file", path["klein-four.txt"]],
+        ["monodromy", "--file", path["s3-triangle.txt"]],
+        ["monodromy", "--file", path["s4.txt"]],
+        ["monodromy", "--file", path["s6.txt"]],
         ["lattice", "--case", "g3-product"],
         ["lattice", "--case", "g3-sym2"],
         ["lattice", "--case", "g2-product"],
