@@ -18,8 +18,9 @@ S5_CHAIN = "degree 5; base_genus 0\n" + "".join(f"({i} {i + 1})\n" * 2 for i in 
 HUGE_BASE_GENUS = S5_CHAIN.replace("base_genus 0", "base_genus " + "9" * 4299)
 # Groups the generators do not name, so the closure enumerates and labels them: a 5-cycle and its
 # inverse (cyclic), two commuting double transpositions (the Klein four group, labelled "other"),
-# and three transpositions of 3 sheets (S_3, which is D_3).
+# three transpositions of 3 sheets (S_3, which is D_3), and S_5 from a 5-cycle and a transposition.
 CYCLIC5 = "degree 5; base_genus 0\n(0 1 2 3 4)\n(0 4 3 2 1)\n"
+S5_CYCLE_AND_SWAP = "degree 5; base_genus 0\n(0 1 2 3 4)\n(0 1)\n(1 4 3 2)\n"
 KLEIN_FOUR = "degree 4; base_genus 0\n" + "(0 1)(2 3)\n" * 2 + "(0 2)(1 3)\n" * 2
 S3_TRIANGLE = "degree 3; base_genus 0\n" + "".join(f"({a} {b})\n" * 2 for a, b in ((0, 1), (1, 2), (0, 2)))
 S4_CHAIN = "degree 4; base_genus 0\n(0 1)\n(1 2)\n(2 3)\n(2 3)\n(1 2)\n(0 1)\n"
@@ -36,6 +37,7 @@ def command_lines(workdir: str) -> list[list[str]]:
         "cyclic5.txt": CYCLIC5.encode(),
         "klein-four.txt": KLEIN_FOUR.encode(),
         "s3-triangle.txt": S3_TRIANGLE.encode(),
+        "s5-cycle-and-swap.txt": S5_CYCLE_AND_SWAP.encode(),
         "s4.txt": S4_CHAIN.encode(),
         "s6.txt": S6_CHAIN.encode(),
     }
@@ -70,6 +72,7 @@ def command_lines(workdir: str) -> list[list[str]]:
         ["monodromy", "--file", path["cyclic5.txt"]],
         ["monodromy", "--file", path["klein-four.txt"]],
         ["monodromy", "--file", path["s3-triangle.txt"]],
+        ["monodromy", "--file", path["s5-cycle-and-swap.txt"]],
         ["monodromy", "--file", path["s4.txt"]],
         ["monodromy", "--file", path["s6.txt"]],
         ["lattice", "--case", "g3-product"],
