@@ -34,29 +34,36 @@ closure and classification compose these with one kernel,
 through s padded to a 256-byte table, or one ``itemgetter`` above 256
 sheets; the powers of one element are one C loop of ``bytes.translate``
 (``_powers``).  A byte string caches its hash, so each element is hashed
-once.  The closure (Dimino's algorithm, after Butler 1991) builds the
-group a whole right coset at a time, starting from the powers of r (a
-rotation for the paper's reflections), and records parities as it goes;
-it refuses before a batch would pass ``max_order`` elements or
-``errors.MAX_GROUP_CELLS`` cells, each element costing its degree plus
-``errors.ELEMENT_OVERHEAD`` cells (a byte string's header, a dict slot
-and a list slot).  The closure's descriptor keeps its elements in the
-order they were found; it sorts them (byte strings sort as their image
-tuples do), wraps them as ``Permutation`` objects, and classifies
-itself, only when a caller reads them or compares or hashes the
-descriptor, and no tower number needs any of that.  The public
+once.
+
+``generated_group`` first names the group from the cover's distinct
+branch elements, whose cycle lengths it already holds: two distinct
+involutions whose product r has order m >= 3 generate D_m, of order 2m,
+with rotations <r>; transpositions on n >= 4 sheets generate S_n, of
+order n!, because every cover is transitive.  A named group within the
+closure's bound lists its elements only when a caller reads, compares or
+hashes them.  Every other group, and every refusal, comes from the
+closure (Dimino's algorithm, after Butler 1991), which builds the group
+a whole right coset at a time, starting from the powers of r, and
+records parities as it goes; it refuses before a batch would pass
+``max_order`` elements or ``errors.MAX_GROUP_CELLS`` cells, each element
+costing its degree plus ``errors.ELEMENT_OVERHEAD`` cells (a byte
+string's header, a dict slot and a list slot).  A descriptor keeps its
+elements in the order they were found; it sorts them (byte strings sort
+as their image tuples do), wraps them as ``Permutation`` objects, and
+classifies itself, only when a caller reads them or compares or hashes
+the descriptor, and no tower number needs any of that.  The public
 constructor sorts the elements it is given, so descriptors compare and
-hash by their element set.  The closure's descriptor keeps its span
-and the cycle lengths of its generators and of r: the label counts
-moved points on the generators and tries the first generator taken (r,
-unless r is the identity) first, reading its powers off the span (see
-``_classify``), and a dihedral label keeps those rotations
-for ``cyclic_rotation_subgroup``.  That function and ``even_subgroup``
-(which reads the parities the closure recorded) record the descriptor
-they cut from.  Every quotient the paper takes is by such a subgroup, of
-index 1 or 2, so ``quotient_genus`` answers only for the very descriptor
-``generated_group`` keeps on the cover and the subgroups cut from it,
-reading the genus off the branch permutations; it refuses every other
+hash by their element set.  The descriptor ``generated_group`` makes
+keeps the cycle lengths of the generators and of r: the label of an
+enumerated group counts moved points on them (see ``_classify``), and a
+dihedral label keeps a rotation, whose powers ``cyclic_rotation_subgroup``
+takes.  ``even_subgroup`` reads its order off the generators' parities.
+Both cuts record the descriptor they cut from and which of its
+generators lie inside.  Every quotient the paper takes is by such a
+subgroup, of index 1 or 2, so ``quotient_genus`` answers only for the
+very descriptor ``generated_group`` keeps on the cover and the subgroups
+cut from it, counting the branch points outside; it refuses every other
 descriptor (built by the constructor, copied, unpickled, or cut from
 another cover's group).
 """
@@ -65,7 +72,7 @@ from __future__ import annotations
 
 import re
 from functools import reduce
-from itertools import accumulate, chain, filterfalse, repeat
+from itertools import accumulate, repeat
 from math import factorial, lcm
 from operator import attrgetter, itemgetter, methodcaller
 
@@ -283,13 +290,16 @@ class BranchedCover(Record):
 class GroupDescriptor(Record):
     """A concrete permutation group: order, coarse classification, full element list."""
 
-    # ``_members``: internal elements in any order; ``_images``: the same, sorted on first read.
-    # ``_rotations``: the powers of a rotation of half order when the label is dihedral, else
-    # None.  Set by the closure only: ``_odd``, its span (element -> parity, in the span's
-    # order), and ``_lengths``, the cycle lengths of its distinct generators and of their
-    # product.  ``_parent``: the descriptor a subgroup was cut from.  Unset memos read as None.
+    # ``_members``: internal elements in any order, listed by ``_enumerate()`` on first read when
+    # unset; ``_images``: the same, sorted on first read.  ``_rotation``: a rotation of half order
+    # when the label is dihedral, else None.  Set by ``generated_group`` only: ``_lengths``, the
+    # cycle lengths of the distinct generators and of their product, and then ``_members`` is
+    # the span (element -> parity).  On a cut subgroup, ``_parent``: the group it was cut from,
+    # and ``_inside``: a set holding each generator of the parent that lies in the subgroup.
+    # Unset memos read as None.
     __slots__ = (
-        "order", "classification", "elements", "_members", "_images", "_rotations", "_odd", "_lengths", "_parent"
+        "order", "classification", "elements", "_members", "_images", "_rotation", "_lengths", "_parent",
+        "_enumerate", "_inside",
     )
 
     def __init__(self, order: int, classification: str, elements: tuple[Permutation, ...]):
@@ -304,15 +314,17 @@ class GroupDescriptor(Record):
         return object.__new__(cls)._set(order=len(members), _members=members, **memos)
 
     def __getattr__(self, name):  # slots left unset until their first read
-        if name in ("classification", "_rotations"):
-            label, rotations = _classify(self)
-            object.__setattr__(self, "_rotations", rotations)
-            value = label if name == "classification" else rotations
+        if name in ("classification", "_rotation"):
+            label, rotation = _classify(self)
+            object.__setattr__(self, "_rotation", rotation)
+            value = label if name == "classification" else rotation
+        elif name == "_members":
+            value = self._enumerate()
         elif name == "_images":
             value = tuple(sorted(self._members))
         elif name == "elements":
             value = tuple(Permutation._unchecked(tuple(g)) for g in self._images)
-        elif name in ("_odd", "_lengths", "_parent"):
+        elif name in ("_lengths", "_parent"):
             value = None
         else:
             raise AttributeError(name)
@@ -343,6 +355,11 @@ def ramification_profile(cover: BranchedCover) -> list[tuple[int, ...]]:
     return [sigma.cycle_type() for sigma in cover.branch_monodromy]
 
 
+def _bound(degree: int, max_order: int) -> int:
+    """The most elements a group of this degree may have: ``max_order``, or fewer by the cell budget."""
+    return min(max_order, MAX_GROUP_CELLS // (degree + ELEMENT_OVERHEAD))
+
+
 def _span(candidates, degree: int, max_order: int, lengths: dict | None = None) -> dict:
     """The group generated by ``candidates``, a whole right coset at a time, with parities.
 
@@ -358,8 +375,7 @@ def _span(candidates, degree: int, max_order: int, lengths: dict | None = None) 
     composition and one dict insert.  The keys keep that order: the
     identity, the powers r, r^2, ... of the first generator taken (the
     product, unless it is the identity) up to its order, then the second
-    generator taken and the rest of its coset; ``_classify`` reads the
-    rotations of a dihedral group there.  A generator's order and parity
+    generator taken and the rest of its coset.  A generator's order and parity
     come from its cycle lengths, read from ``lengths`` when it is a key.
     The size of each batch (an order, or |H|) is known before it is
     built, so ``EnumerationLimitError`` is raised before the span would
@@ -368,7 +384,7 @@ def _span(candidates, degree: int, max_order: int, lengths: dict | None = None) 
     """
     identity = _element(range(degree))
     span = {identity: 0}
-    bound = min(max_order, MAX_GROUP_CELLS // (degree + ELEMENT_OVERHEAD))
+    bound = _bound(degree, max_order)
     known = lengths or {}
 
     def admit(size: int) -> None:
@@ -407,7 +423,7 @@ def _span(candidates, degree: int, max_order: int, lengths: dict | None = None) 
     return span
 
 
-def _classify(group: GroupDescriptor) -> tuple[str, list | None]:
+def _classify(group: GroupDescriptor) -> tuple:
     """Coarse label of a group descriptor, from the few facts it needs.
 
     Symmetric is tested first, and only when |G| = k! with k >= 4: a
@@ -416,18 +432,16 @@ def _classify(group: GroupDescriptor) -> tuple[str, list | None]:
     dihedral test).  A point every generator fixes is fixed by the group,
     so moved points are counted on the closure's generators, or on every
     element when the descriptor has none.  One scan then reads element
-    orders until the label is settled, starting with the closure's first
-    generator taken, whose powers are the span's first keys and whose
-    order the closure already knows.  An element of order |G| makes G
+    orders until the label is settled; the closure's generators and their
+    product come with their cycle lengths.  An element of order |G| makes G
     cyclic.  The first element r of order |G|/2, when |G| >= 6, settles
-    the dihedral question with any element s outside <r>, on the closure
-    the span key right after r's powers: G is dihedral exactly when s is
-    an involution inverting r.  In D_m with m >= 3 every element of order
-    m is a rotation and every other element a reflection; conversely such
-    r and s generate D_m.  So the label does not depend on the order of
-    the elements.  A dihedral group is not abelian, so no cyclic label
-    hides behind it.  A dihedral label comes with the powers of r, which
-    are the rotations; any other with None.
+    the dihedral question with any element s outside <r>: G is dihedral
+    exactly when s is an involution inverting r.  In D_m with m >= 3 every
+    element of order m is a rotation and every other element a reflection;
+    conversely such r and s generate D_m.  So the label does not depend on
+    the order of the elements.  A dihedral group is not abelian, so no
+    cyclic label hides behind it.  A dihedral label comes with r, whose
+    powers are the rotations; any other with None.
     """
     members, known = group._members, group._lengths or {}
     n = len(members)
@@ -439,22 +453,18 @@ def _classify(group: GroupDescriptor) -> tuple[str, list | None]:
     if factorial(k) == n and sum(column.count(i) != len(pool) for i, column in enumerate(zip(*pool))) == k:
         return SYMMETRIC, None
     half = n // 2 if n % 2 == 0 and n >= 6 else None
-    keys = list(members) if known else []
-    for r in chain(keys[1:2], members):
+    for r in members:
         order = lcm(*known.get(r) or _cycle_lengths(r))
         if order == n:
             return CYCLIC, None
         if order == half:
             half = None  # only the first element of order |G|/2 is tried
-            if keys[1:2] == [r]:
-                powers, s = keys[:order], keys[order]
-            else:
-                powers = _powers(r, order)
-                rotations = set(powers)
-                s = next(s for s in members if s not in rotations)
+            powers = _powers(r, order)
+            rotations = set(powers)
+            s = next(s for s in members if s not in rotations)
             then_s = _right(s)
             if then_s(s) == powers[0] and then_s(_right(r)(s)) == powers[-1]:
-                return DIHEDRAL, powers
+                return DIHEDRAL, r
     return OTHER, None
 
 
@@ -467,18 +477,41 @@ def _refuse_degree_above(degree: int, max_order: int) -> None:
 
 
 def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> GroupDescriptor:
-    """Enumerate the monodromy group by closure under composition, with each element's parity.
+    """The monodromy group: named from its generators, or enumerated by closure with each element's parity.
 
-    The group is enumerated once per cover and kept on it; ``max_order``
-    is checked on every call, and a cover of larger degree is refused at once.
+    Two distinct involutions whose product r has order m generate the
+    dihedral group of order 2m, with rotations <r>, and transpositions
+    that generate a transitive group (every cover's does) generate all of
+    S_n (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*,
+    2005, 4.1; Dixon & Mortimer, *Permutation Groups*, 1996, 3.3).  So a
+    D_m with m >= 3 or an S_n with n >= 4, of an order ``_span`` admits,
+    is named from the cycle lengths of its generators and enumerated only
+    when its elements are read.  The closure answers every other group
+    (the Klein four group and S_3 from transpositions, labelled other and
+    dihedral, among them) and makes every refusal.  The group is built
+    once per cover and kept on it; ``max_order`` is checked on every call,
+    and a cover of larger degree is refused at once.
     """
-    _refuse_degree_above(cover.degree, max_order)
+    n = cover.degree
+    _refuse_degree_above(n, max_order)
     group = cover._group
     if group is None:
-        lengths = dict(zip(cover._elements, map(Permutation.cycle_type, cover.branch_monodromy)))
-        lengths.update(cover._lengths)
-        span = _span(cover._elements, cover.degree, max_order, lengths)
-        group = GroupDescriptor._of_images(span, _odd=span, _lengths=lengths)
+        gens = dict(zip(cover._elements, map(Permutation.cycle_type, cover.branch_monodromy)))
+        lengths = {**gens, **cover._lengths}  # the generators, then r: as candidates, the same span
+        order = 0
+        if len(gens) == 2 and all(cycles[0] == 2 for cycles in gens.values()):  # two involutions
+            [(r, cycles)] = cover._lengths.items()
+            label, order = DIHEDRAL, 2 * lcm(*cycles)
+        elif n >= 4 and all(len(cycles) == n - 1 for cycles in gens.values()):  # transpositions
+            label, order, r = SYMMETRIC, factorial(n), None
+        if 4 < order <= _bound(n, max_order):  # m >= 3: D_2 is the Klein four group, labelled other
+            group = object.__new__(GroupDescriptor)._set(
+                order=order, classification=label, _rotation=r, _lengths=lengths,
+                _enumerate=lambda: _span(lengths, n, order, lengths),
+            )
+        else:
+            span = _span(cover._elements, n, max_order, lengths)
+            group = GroupDescriptor._of_images(span, _lengths=lengths)
         cover._set(_group=group)
     elif group.order > max_order:
         raise EnumerationLimitError(f"group closure exceeds the configured bound {max_order}")
@@ -486,19 +519,29 @@ def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORD
 
 
 def cyclic_rotation_subgroup(group: GroupDescriptor) -> GroupDescriptor:
-    """The cyclic index-2 subgroup of a dihedral group descriptor."""
+    """The cyclic index-2 subgroup of a dihedral group descriptor: the powers of its rotation."""
     if group.classification != DIHEDRAL:
         raise MonodromyDataError("rotation subgroup is defined for dihedral groups only")
-    if group._rotations is None:  # a descriptor built with a dihedral label the scan does not find
+    if group._rotation is None:  # a descriptor built with a dihedral label the scan does not find
         raise MonodromyDataError("dihedral descriptor has no rotation of half order")
-    return GroupDescriptor._of_images(group._rotations, _parent=group)
+    powers = _powers(group._rotation, group.order // 2)
+    return GroupDescriptor._of_images(powers, _parent=group, _inside=set(powers))
 
 
 def even_subgroup(group: GroupDescriptor) -> GroupDescriptor:
-    """The subgroup of even permutations (alternating part), by the parities the closure recorded."""
-    if group._odd is None:
+    """The subgroup of even permutations (alternating part), its order read off the generators' parities.
+
+    It has index 2 when some generator is odd and is the whole group
+    otherwise; its elements are filtered from the span's parities when read.
+    """
+    if group._lengths is None:
         raise MonodromyDataError("even subgroup needs the parities generated_group records")
-    return GroupDescriptor._of_images(list(filterfalse(group._odd.__getitem__, group._members)), _parent=group)
+    inside = {h for h, cycles in group._lengths.items() if (len(h) - len(cycles)) % 2 == 0}
+    some_odd = len(inside) < len(group._lengths)
+    return object.__new__(GroupDescriptor)._set(
+        order=group.order // 2 if some_odd else group.order, _parent=group, _inside=inside,
+        _enumerate=lambda: [h for h, odd in group._members.items() if not odd],
+    )
 
 
 def galois_closure_genus(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> int:
@@ -531,9 +574,8 @@ def quotient_genus(
         raise MonodromyDataError(
             "subgroup is neither this cover's group nor cut from it by even_subgroup or cyclic_rotation_subgroup"
         )
-    members = set(subgroup._members)
-    moved = sum(h not in members for h in cover._elements)
-    return _rh_solve(group.order // len(members), cover.base_genus, moved)
+    moved = 0 if subgroup is group else sum(h not in subgroup._inside for h in cover._elements)
+    return _rh_solve(group.order // subgroup.order, cover.base_genus, moved)
 
 
 def build_dihedral_cover(

@@ -601,6 +601,35 @@ def coset_quotient_genus(cover, subgroup) -> int:
     return (len(reps) * (2 * cover.base_genus - 2) + ramification) // 2 + 1
 
 
+def brute_regular_genus(cover):
+    """Riemann-Hurwitz on the translation action, rebuilt from raw tuples."""
+
+    def compose(a, b):
+        return tuple(b[i] for i in a)
+
+    def cycle_count(perm):
+        seen, count = set(), 0
+        for start in range(len(perm)):
+            if start in seen:
+                continue
+            count += 1
+            j = start
+            while j not in seen:
+                seen.add(j)
+                j = perm[j]
+        return count
+
+    elements = sorted(brute_closure([p.images for p in cover.branch_monodromy], cover.degree))
+    index = {e: i for i, e in enumerate(elements)}
+    total = 0
+    for sigma in cover.branch_monodromy:
+        action = tuple(index[compose(e, sigma.images)] for e in elements)
+        total += len(elements) - cycle_count(action)
+    rhs = len(elements) * (2 * cover.base_genus - 2) + total
+    assert rhs % 2 == 0
+    return (rhs + 2) // 2
+
+
 def even_by_sign(elements) -> tuple:
     """The elements of sign +1, each sign read from its own cycle type."""
     return tuple(e for e in elements if sign(e) == 1)

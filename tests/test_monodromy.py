@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     brute_closure,
+    brute_regular_genus,
     classify_by_orders,
     composition_order,
     coset_quotient_genus,
@@ -221,35 +222,6 @@ def test_galois_closure_examples():
     assert galois_closure_genus(build_dihedral_cover(2, 5)) == 6
 
 
-def brute_regular_genus(cover):
-    """Riemann-Hurwitz on the translation action, rebuilt from raw tuples."""
-
-    def compose(a, b):
-        return tuple(b[i] for i in a)
-
-    def cycle_count(perm):
-        seen, count = set(), 0
-        for start in range(len(perm)):
-            if start in seen:
-                continue
-            count += 1
-            j = start
-            while j not in seen:
-                seen.add(j)
-                j = perm[j]
-        return count
-
-    elements = sorted(brute_closure([p.images for p in cover.branch_monodromy], cover.degree))
-    index = {e: i for i, e in enumerate(elements)}
-    total = 0
-    for sigma in cover.branch_monodromy:
-        action = tuple(index[compose(e, sigma.images)] for e in elements)
-        total += len(elements) - cycle_count(action)
-    rhs = len(elements) * (2 * cover.base_genus - 2) + total
-    assert rhs % 2 == 0
-    return (rhs + 2) // 2
-
-
 def test_regular_cover_oracle_on_symmetric_groups():
     t01 = transposition(0, 1, 4)
     t12 = transposition(1, 2, 4)
@@ -342,11 +314,31 @@ def public_copy(group):
 
 
 def test_closure_composes_each_element_about_once(monkeypatch):
-    """Whole cosets at a time: one composition per element, plus one per coset and generator."""
-    calls = counting_compositions(monkeypatch)
+    """Whole cosets at a time: one composition per element, plus one per coset and generator.
+
+    Transpositions name S_6, so its order costs no composition; reading the
+    members runs the closure.
+    """
     cover = parse_cover(S6_CHAIN)
-    assert generated_group(cover).order == 720
+    calls = counting_compositions(monkeypatch)
+    group = generated_group(cover)
+    assert group.order == 720 and calls["n"] == 0
+    assert len(group._members) == 720
     assert 0 < calls["n"] < 2 * 720  # breadth first, every element met every generator: about 720 x 5
+
+
+def test_a_named_tower_never_enumerates(monkeypatch):
+    """D_151 from two reflections, S_6 from transpositions, and every tower of the ledger."""
+    from xiaofib import monodromy
+    from xiaofib.ledger import verify_paper
+
+    def no_closure(*args):
+        raise AssertionError("enumerated a group its generators name")
+
+    monkeypatch.setattr(monodromy, "_span", no_closure)
+    assert tower(build_dihedral_cover(10, 151)) == (675, 1360, 10, "dihedral", 302)
+    assert tower(parse_cover(S6_CHAIN)) == (0, 1081, 4, "symmetric", 720)
+    assert verify_paper()[0] == 0
 
 
 @pytest.mark.parametrize("make, cut, quotient", [
@@ -374,12 +366,13 @@ def test_only_subgroups_cut_from_the_covers_own_group_skip_the_checks(monkeypatc
         group_from_elements(subgroup.elements),
         public_copy(group), copy.copy(group), pickle.loads(pickle.dumps(group)), generated_group(twin),
     ]
+    for other in others:  # comparing enumerates the twin's named group, so it is done before counting
+        assert other in (subgroup, group) and other._parent is not group
     calls = counting_compositions(monkeypatch)
     assert quotient_genus(cover, subgroup) == quotient
     assert quotient_genus(cover, group) == cover.base_genus  # index 1
     assert calls["n"] == 0
     for other in others:
-        assert other in (subgroup, group) and other._parent is not group
         refused(quotient_genus, cover, other)
     assert calls["n"] == 0
     assert quotient_genus(twin, cut(generated_group(twin))) == quotient

@@ -12,6 +12,7 @@ replaced, and the n-cycle transitivity test with a search over every
 permutation.
 """
 
+import random
 import time
 
 import pytest
@@ -22,8 +23,10 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 from oracles import (  # noqa: E402
     bfs_span,
     brute_closure,
+    brute_regular_genus,
     classify_by_orders,
     composition_order,
+    coset_quotient_genus,
     identity,
     inverse,
     is_transitive,
@@ -39,8 +42,11 @@ from xiaofib.monodromy import (  # noqa: E402
     Permutation,
     build_dihedral_cover,
     cyclic_rotation_subgroup,
+    even_subgroup,
+    galois_closure_genus,
     generated_group,
     parse_cover,
+    quotient_genus,
 )
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -261,6 +267,122 @@ def test_span_matches_the_breadth_first_closure_on_dihedral_covers(p, rng):
     candidates = [monodromy._element(s.images) for s in build_dihedral_cover(2, p).branch_monodromy]
     rng.shuffle(candidates)
     assert_spans_agree(candidates, p)
+
+
+# ---- groups named from their generators against the enumerated ones ----
+
+NAMED = ("reflections", "transpositions")
+
+
+def generator_cover(kind: str, size: int, seed: int) -> BranchedCover:
+    """A cover of ``size`` sheets, relabelled at random, whose generators name its group or must not.
+
+    Named: two reflections x -> 1 - x and x -> -x of Z/m (D_m), and each
+    edge of a random tree twice (S_n, n >= 4).  Declined: the Klein four
+    group, a cyclic group from c, c and c^-2, A_n from 3-cycles and their
+    inverses, D_m from a rotation, its inverse and a reflection, and S_3
+    from three transpositions.
+    """
+    rng = random.Random(seed)
+    sheets = list(range(size))
+    rng.shuffle(sheets)
+
+    def power(k):  # x -> x + k (mod size)
+        return [(x + k) % size for x in range(size)]
+
+    def swaps(*pairs):
+        images = list(range(size))
+        for a, b in pairs:
+            images[a], images[b] = b, a
+        return images
+
+    if kind == "reflections":
+        reflection = [(1 - x) % size for x in range(size)]
+        words = [reflection] * 2 + [[-x % size for x in range(size)]] * 2 * rng.randint(1, 3)
+    elif kind == "transpositions":
+        edges = [(i, rng.randrange(i)) for i in range(1, size)]
+        rng.shuffle(edges)
+        words = [swaps(e) for e in (edges + edges[::-1] if rng.randrange(2) else [e for e in edges for _ in (0, 1)])]
+    elif kind == "klein-four":
+        words = [swaps((0, 1), (2, 3))] * 2 + [swaps((0, 2), (1, 3))] * 2
+    elif kind == "cyclic":
+        words = [power(1), power(1), power(-2)]
+    elif kind == "three-cycles":
+        words = []
+        for i in range(size - 2):  # (i i+1 i+2) and its inverse
+            cycle = list(range(size))
+            cycle[i], cycle[i + 1], cycle[i + 2] = i + 1, i + 2, i
+            words += [cycle, [cycle.index(x) for x in range(size)]]
+    elif kind == "rotation-and-reflection":
+        words = [power(1), power(-1)] + [[-x % size for x in range(size)]] * 2
+    else:  # "s3-transpositions"
+        words = [swaps(e) for e in ((0, 1), (1, 2), (0, 2)) for _ in (0, 1)]
+    return BranchedCover(size, rng.randint(0, 2), tuple(relabel(images, sheets) for images in words))
+
+
+generator_cases = st.tuples(
+    st.one_of(
+        st.tuples(st.just("reflections"), st.sampled_from([3, 5, 7, 11, 13, 17, 4, 6, 9, 12, 15])),
+        st.tuples(st.just("transpositions"), st.integers(4, 7)),
+        st.tuples(st.just("klein-four"), st.just(4)),
+        st.tuples(st.just("cyclic"), st.integers(3, 9)),
+        st.tuples(st.just("three-cycles"), st.integers(4, 6)),
+        st.tuples(st.just("rotation-and-reflection"), st.integers(3, 9)),
+        st.tuples(st.just("s3-transpositions"), st.just(3)),
+    ),
+    st.integers(0, 10**6),
+).map(lambda case: (*case[0], case[1]))
+
+
+def holds_members(group) -> bool:
+    """Whether the descriptor holds its elements, read off the slot so that nothing is enumerated."""
+    try:
+        GroupDescriptor.__dict__["_members"].__get__(group)
+    except AttributeError:
+        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(generator_cases)
+@example(("reflections", 5, 1))  # p = 1 (mod 4): every reflection is even
+@example(("reflections", 7, 1))  # p = 3 (mod 4): every reflection is odd
+@example(("reflections", 257, 1))  # image tuples above 256 sheets
+@example(("reflections", 9, 1))  # composite m
+@example(("reflections", 12, 1))  # composite m, one even and one odd reflection
+@example(("transpositions", 7, 1))  # S_7, above the default bound
+@example(("klein-four", 4, 1))
+@example(("cyclic", 7, 1))
+@example(("three-cycles", 5, 1))
+@example(("rotation-and-reflection", 8, 1))
+@example(("s3-transpositions", 3, 1))
+def test_a_named_group_answers_as_the_enumerated_one(case):
+    """Order, label, both cuts and both genera, read before any element, against the references."""
+    kind, size, seed = case
+    bound = 5040  # S_7
+    cover = generator_cover(kind, size, seed)
+    group = generated_group(cover, bound)
+    assert holds_members(group) == (kind not in NAMED)
+    evens = even_subgroup(group)
+    answers = [group.order, group.classification, evens.order,
+               quotient_genus(cover, evens, bound), galois_closure_genus(cover, bound)]
+    if group.classification == "dihedral":
+        rotations = cyclic_rotation_subgroup(group)
+        answers += [rotations.order, quotient_genus(cover, rotations, bound)]
+    assert holds_members(group) == (kind not in NAMED)  # no answer enumerated a named group
+
+    span = bfs_span([monodromy._element(sigma.images) for sigma in cover.branch_monodromy], size, bound)
+    elements = [Permutation(tuple(h)) for h in span]
+    label = classify_by_orders(elements)
+    even = {tuple(h) for h, odd in span.items() if not odd}
+    expected = [len(span), label, len(even), coset_quotient_genus(cover, even), brute_regular_genus(cover)]
+    if label == "dihedral":  # for m >= 3 an element of order m generates the rotations
+        r = next(e for e in elements if 2 * e.order() == len(span))
+        rotations = {tuple(h) for h in bfs_span([monodromy._element(r.images)], size, bound)}
+        expected += [len(rotations), coset_quotient_genus(cover, rotations)]
+    assert answers == expected
+    public = GroupDescriptor(group.order, group.classification, group.elements)
+    assert public == group and group == public and hash(public) == hash(group)
 
 
 # ---- parse_cover fuzz: a cover or a documented error, within a second ----
