@@ -4,7 +4,7 @@ This module imports nothing, so ``cli`` can catch every input error and
 build its argument parser without executing an engine module.
 """
 
-# The largest monodromy group enumerated unless --max-group-order says otherwise.
+# The largest monodromy group named or enumerated unless --max-group-order says otherwise.
 DEFAULT_MAX_GROUP_ORDER = 5000
 
 # Cells a group element costs beyond its images: a byte string's header, a dict slot and a

@@ -54,7 +54,7 @@ def noether_chi(K2: int, c2: int) -> int:
     return (K2 + c2) // 12
 
 
-def fibration_euler(g_base: int, g_fiber: int, fiber_defects: Sequence[int]) -> int:
+def fibration_euler(g_base: int, g_fiber: int, fiber_defects: list[int]) -> int:
     """Topological Euler number of a fibration with the listed fiber defects.
 
     Each irreducible one-node fiber contributes defect 1 on top of the

@@ -25,12 +25,12 @@ order) and of r, the product of its first two distinct elements, once;
 the reflections of ``build_dihedral_cover`` carry their cycle type from
 construction, so a dihedral cover walks r alone.
 That walk of r gives transitivity when r is an n-cycle (otherwise the
-cover follows forward images), and the order and parity with which the
-closure and the label start.  Inside the module a group element is the
-byte string of its images when the cover has at most 256 sheets, and
-the image tuple above that, where no byte can name a sheet.  Group
-closure and classification compose these with one kernel,
-``_right(s)``, the map ``h -> h then s``: one ``bytes.translate``
+cover follows forward images), the order with which the closure and the
+label start, and the parity the even subgroup reads.  Inside the module
+a group element is the byte string of its images when the cover has at
+most 256 sheets, and the image tuple above that, where no byte can name
+a sheet.  Group closure and classification compose these with one
+kernel, ``_right(s)``, the map ``h -> h then s``: one ``bytes.translate``
 through s padded to a 256-byte table, or one ``itemgetter`` above 256
 sheets; the powers of one element are one C loop of ``bytes.translate``
 (``_powers``).  A byte string caches its hash, so each element is hashed
@@ -40,32 +40,26 @@ once.
 branch elements, whose cycle lengths it already holds: two distinct
 involutions whose product r has order m >= 3 generate D_m, of order 2m,
 with rotations <r>; transpositions on n >= 4 sheets generate S_n, of
-order n!, because every cover is transitive.  A named group within the
-closure's bound lists its elements only when a caller reads, compares or
-hashes them.  Every other group, and every refusal, comes from the
-closure (Dimino's algorithm, after Butler 1991), which builds the group
-a whole right coset at a time, starting from the powers of r, and
-records parities as it goes; it refuses before a batch would pass
+order n!, because every cover is transitive.  Every other group, and
+every refusal, comes from the closure (Dimino's algorithm, after Butler
+1991), which builds the group a whole right coset at a time, starting
+from the powers of r; it refuses before a batch would pass
 ``max_order`` elements or ``errors.MAX_GROUP_CELLS`` cells, each element
 costing its degree plus ``errors.ELEMENT_OVERHEAD`` cells (a byte
-string's header, a dict slot and a list slot).  A descriptor keeps its
-elements in the order they were found; it sorts them (byte strings sort
-as their image tuples do), wraps them as ``Permutation`` objects, and
-classifies itself, only when a caller reads them or compares or hashes
-the descriptor, and no tower number needs any of that.  The public
-constructor sorts the elements it is given, so descriptors compare and
-hash by their element set.  The descriptor ``generated_group`` makes
-keeps the cycle lengths of the generators and of r: the label of an
-enumerated group counts moved points on them (see ``_classify``), and a
-dihedral label keeps a rotation, whose powers ``cyclic_rotation_subgroup``
-takes.  ``even_subgroup`` reads its order off the generators' parities.
-Both cuts record the descriptor they cut from and which of its
+string's header, a dict slot and a list slot).  The enumerated group is
+labelled at once (see ``_classify``) and its elements are dropped.
+
+A ``GroupDescriptor`` holds only what a tower reads: the order, the
+label and, when the label is dihedral, a rotation of half order.  The
+one ``generated_group`` makes also keeps the cycle lengths of the
+generators and of r.  ``cyclic_rotation_subgroup`` takes the powers of
+the rotation, and ``even_subgroup`` reads its order off the generators'
+parities; both cuts record the descriptor they cut from and which of its
 generators lie inside.  Every quotient the paper takes is by such a
 subgroup, of index 1 or 2, so ``quotient_genus`` answers only for the
 very descriptor ``generated_group`` keeps on the cover and the subgroups
 cut from it, counting the branch points outside; it refuses every other
-descriptor (built by the constructor, copied, unpickled, or cut from
-another cover's group).
+descriptor.  Descriptors compare by identity.
 """
 
 from __future__ import annotations
@@ -74,7 +68,7 @@ import re
 from functools import reduce
 from itertools import accumulate, repeat
 from math import factorial, lcm
-from operator import attrgetter, itemgetter, methodcaller
+from operator import itemgetter, methodcaller
 
 from .errors import DEFAULT_MAX_GROUP_ORDER, ELEMENT_OVERHEAD, MAX_GROUP_CELLS, InputError
 from .numerology import GENUS_LIMIT, is_odd_prime
@@ -287,49 +281,21 @@ class BranchedCover(Record):
         return len(reached) == self.degree
 
 
-class GroupDescriptor(Record):
-    """A concrete permutation group: order, coarse classification, full element list."""
+class GroupDescriptor:
+    """A permutation group as a tower reads it: order, coarse label and, when dihedral, a rotation.
 
-    # ``_members``: internal elements in any order, listed by ``_enumerate()`` on first read when
-    # unset; ``_images``: the same, sorted on first read.  ``_rotation``: a rotation of half order
-    # when the label is dihedral, else None.  Set by ``generated_group`` only: ``_lengths``, the
-    # cycle lengths of the distinct generators and of their product, and then ``_members`` is
-    # the span (element -> parity).  On a cut subgroup, ``_parent``: the group it was cut from,
-    # and ``_inside``: a set holding each generator of the parent that lies in the subgroup.
-    # Unset memos read as None.
-    __slots__ = (
-        "order", "classification", "elements", "_members", "_images", "_rotation", "_lengths", "_parent",
-        "_enumerate", "_inside",
-    )
+    ``generated_group`` passes ``lengths``, the cycle lengths of the
+    distinct generators and of their product; a cut passes ``parent``, the
+    group it was cut from, and ``inside``, the set of the parent's
+    generators that lie in the subgroup.
+    """
 
-    def __init__(self, order: int, classification: str, elements: tuple[Permutation, ...]):
-        elements = tuple(sorted(elements, key=attrgetter("images")))
-        members = tuple(_element(e.images) for e in elements)
-        self._set(order=order, classification=classification, elements=elements, _members=members)
-        if self.order != len(self.elements):
-            raise MonodromyDataError("group order does not match element count")
+    __slots__ = ("order", "classification", "_rotation", "_lengths", "_parent", "_inside")
 
-    @classmethod
-    def _of_images(cls, members, **memos) -> "GroupDescriptor":
-        return object.__new__(cls)._set(order=len(members), _members=members, **memos)
-
-    def __getattr__(self, name):  # slots left unset until their first read
-        if name in ("classification", "_rotation"):
-            label, rotation = _classify(self)
-            object.__setattr__(self, "_rotation", rotation)
-            value = label if name == "classification" else rotation
-        elif name == "_members":
-            value = self._enumerate()
-        elif name == "_images":
-            value = tuple(sorted(self._members))
-        elif name == "elements":
-            value = tuple(Permutation._unchecked(tuple(g)) for g in self._images)
-        elif name in ("_lengths", "_parent"):
-            value = None
-        else:
-            raise AttributeError(name)
-        object.__setattr__(self, name, value)
-        return value
+    def __init__(self, order: int, classification: str | None, rotation=None, *,
+                 lengths=None, parent=None, inside=None):
+        self.order, self.classification, self._rotation = order, classification, rotation
+        self._lengths, self._parent, self._inside = lengths, parent, inside
 
 
 def rh_genus(cover: BranchedCover) -> int:
@@ -361,29 +327,27 @@ def _bound(degree: int, max_order: int) -> int:
 
 
 def _span(candidates, degree: int, max_order: int, lengths: dict | None = None) -> dict:
-    """The group generated by ``candidates``, a whole right coset at a time, with parities.
+    """The group generated by ``candidates``, a whole right coset at a time, as a dict's keys.
 
     Dimino's algorithm (G. Butler, *Fundamental Algorithms for Permutation
     Groups*, LNCS 559, 1991).  Candidates and the result's keys are
-    internal elements; each element maps to its parity, 1 when odd.
-    The product of the first two distinct candidates is taken first (for
-    two reflections, a rotation), and its powers are walked.  A later
-    candidate outside the span H joins it as right cosets of H: for each
-    coset H r and each generator s taken, H r then s is the coset H (r s)
-    when r s is outside the span, built in one pass in H's order, so its
-    parities are H's, flipped or not.  Each element so costs one
-    composition and one dict insert.  The keys keep that order: the
-    identity, the powers r, r^2, ... of the first generator taken (the
-    product, unless it is the identity) up to its order, then the second
-    generator taken and the rest of its coset.  A generator's order and parity
-    come from its cycle lengths, read from ``lengths`` when it is a key.
-    The size of each batch (an order, or |H|) is known before it is
-    built, so ``EnumerationLimitError`` is raised before the span would
-    pass ``max_order`` elements or ``MAX_GROUP_CELLS`` cells, each element
-    costing its degree plus ``ELEMENT_OVERHEAD``.
+    internal elements.  The product of the first two distinct candidates
+    is taken first (for two reflections, a rotation), and its powers are
+    walked.  A later candidate outside the span H joins it as right
+    cosets of H: for each coset H r and each generator s taken, H r then s
+    is the coset H (r s) when r s is outside the span, built in one pass in
+    H's order.  Each element so costs one composition and one dict insert.
+    The keys keep that order: the identity, the powers r, r^2, ... of the
+    first generator taken (the product, unless it is the identity) up to
+    its order, then the second generator taken and the rest of its coset.
+    The first generator's order comes from its cycle lengths, read from
+    ``lengths`` when it is a key.  The size of each batch (an order, or
+    |H|) is known before it is built, so ``EnumerationLimitError`` is
+    raised before the span would pass ``max_order`` elements or
+    ``MAX_GROUP_CELLS`` cells, each element costing its degree plus
+    ``ELEMENT_OVERHEAD``.
     """
-    identity = _element(range(degree))
-    span = {identity: 0}
+    span = dict.fromkeys([_element(range(degree))])
     bound = _bound(degree, max_order)
     known = lengths or {}
 
@@ -398,42 +362,38 @@ def _span(candidates, degree: int, max_order: int, lengths: dict | None = None) 
     gens = list(dict.fromkeys(candidates))
     if len(gens) > 1:  # the product lies in the group
         gens.insert(0, _right(gens[1])(gens[0]))
-    steps = []  # (- then s, parity of s) for each generator s taken
+    steps = []  # - then s, for each generator s taken
     for u in gens:
         if u in span:
             continue
-        cycles = known.get(u) or _cycle_lengths(u)
-        u_odd = (degree - len(cycles)) % 2
-        steps.append((_right(u), u_odd))
-        if len(steps) == 1:  # 1, u, u^2, ... up to its order, of alternating parity when u is odd
-            order = lcm(*cycles)
+        steps.append(_right(u))
+        if len(steps) == 1:  # 1, u, u^2, ... up to its order
+            order = lcm(*known.get(u) or _cycle_lengths(u))
             admit(order - 1)
-            span.update(zip(_powers(u, order), [0, u_odd] * order))
+            span.update(dict.fromkeys(_powers(u, order)))
             continue
         cosets = [list(span)]  # the identity first, so each coset's first element is its representative
-        flips = (list(span.values()), [odd ^ 1 for odd in span.values()])
         for coset in cosets:  # grows as the loop runs
-            r_odd = span[coset[0]]
-            for then_s, s_odd in steps:
+            for then_s in steps:
                 if then_s(coset[0]) not in span:
                     admit(len(coset))
                     fresh = list(map(then_s, coset))
-                    span.update(zip(fresh, flips[r_odd ^ s_odd]))
+                    span.update(dict.fromkeys(fresh))
                     cosets.append(fresh)
     return span
 
 
-def _classify(group: GroupDescriptor) -> tuple:
-    """Coarse label of a group descriptor, from the few facts it needs.
+def _classify(members, known: dict) -> tuple:
+    """Coarse label of the group whose elements are ``members``, with a rotation when dihedral.
 
-    Symmetric is tested first, and only when |G| = k! with k >= 4: a
-    group of that order moving exactly k points is all of Sym of them,
-    which is neither cyclic nor dihedral (S_3 is D_3 and is left to the
-    dihedral test).  A point every generator fixes is fixed by the group,
-    so moved points are counted on the closure's generators, or on every
-    element when the descriptor has none.  One scan then reads element
-    orders until the label is settled; the closure's generators and their
-    product come with their cycle lengths.  An element of order |G| makes G
+    ``known`` maps the closure's generators and their product to their
+    cycle lengths, or is empty.  Symmetric is tested first, and only when
+    |G| = k! with k >= 4: a group of that order moving exactly k points is
+    all of Sym of them, which is neither cyclic nor dihedral (S_3 is D_3
+    and is left to the dihedral test).  A point every generator fixes is
+    fixed by the group, so moved points are counted on the generators, or
+    on every element when none are known.  One scan then reads element
+    orders until the label is settled.  An element of order |G| makes G
     cyclic.  The first element r of order |G|/2, when |G| >= 6, settles
     the dihedral question with any element s outside <r>: G is dihedral
     exactly when s is an involution inverting r.  In D_m with m >= 3 every
@@ -443,7 +403,6 @@ def _classify(group: GroupDescriptor) -> tuple:
     cyclic label hides behind it.  A dihedral label comes with r, whose
     powers are the rotations; any other with None.
     """
-    members, known = group._members, group._lengths or {}
     n = len(members)
     k = 4
     while factorial(k) < n:
@@ -477,7 +436,7 @@ def _refuse_degree_above(degree: int, max_order: int) -> None:
 
 
 def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> GroupDescriptor:
-    """The monodromy group: named from its generators, or enumerated by closure with each element's parity.
+    """The monodromy group: named from its generators, or enumerated by closure and labelled.
 
     Two distinct involutions whose product r has order m generate the
     dihedral group of order 2m, with rotations <r>, and transpositions
@@ -485,12 +444,12 @@ def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORD
     S_n (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*,
     2005, 4.1; Dixon & Mortimer, *Permutation Groups*, 1996, 3.3).  So a
     D_m with m >= 3 or an S_n with n >= 4, of an order ``_span`` admits,
-    is named from the cycle lengths of its generators and enumerated only
-    when its elements are read.  The closure answers every other group
-    (the Klein four group and S_3 from transpositions, labelled other and
-    dihedral, among them) and makes every refusal.  The group is built
-    once per cover and kept on it; ``max_order`` is checked on every call,
-    and a cover of larger degree is refused at once.
+    is named from the cycle lengths of its generators and never
+    enumerated.  The closure answers every other group (the Klein four
+    group and S_3 from transpositions, labelled other and dihedral, among
+    them) and makes every refusal.  The group is built once per cover and
+    kept on it; ``max_order`` is checked on every call, and a cover of
+    larger degree is refused at once.
     """
     n = cover.degree
     _refuse_degree_above(n, max_order)
@@ -505,13 +464,10 @@ def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORD
         elif n >= 4 and all(len(cycles) == n - 1 for cycles in gens.values()):  # transpositions
             label, order, r = SYMMETRIC, factorial(n), None
         if 4 < order <= _bound(n, max_order):  # m >= 3: D_2 is the Klein four group, labelled other
-            group = object.__new__(GroupDescriptor)._set(
-                order=order, classification=label, _rotation=r, _lengths=lengths,
-                _enumerate=lambda: _span(lengths, n, order, lengths),
-            )
+            group = GroupDescriptor(order, label, r, lengths=lengths)
         else:
-            span = _span(cover._elements, n, max_order, lengths)
-            group = GroupDescriptor._of_images(span, _lengths=lengths)
+            members = _span(cover._elements, n, max_order, lengths)
+            group = GroupDescriptor(len(members), *_classify(members, lengths), lengths=lengths)
         cover._set(_group=group)
     elif group.order > max_order:
         raise EnumerationLimitError(f"group closure exceeds the configured bound {max_order}")
@@ -522,26 +478,21 @@ def cyclic_rotation_subgroup(group: GroupDescriptor) -> GroupDescriptor:
     """The cyclic index-2 subgroup of a dihedral group descriptor: the powers of its rotation."""
     if group.classification != DIHEDRAL:
         raise MonodromyDataError("rotation subgroup is defined for dihedral groups only")
-    if group._rotation is None:  # a descriptor built with a dihedral label the scan does not find
-        raise MonodromyDataError("dihedral descriptor has no rotation of half order")
-    powers = _powers(group._rotation, group.order // 2)
-    return GroupDescriptor._of_images(powers, _parent=group, _inside=set(powers))
+    order = group.order // 2
+    return GroupDescriptor(order, CYCLIC, parent=group, inside=set(_powers(group._rotation, order)))
 
 
 def even_subgroup(group: GroupDescriptor) -> GroupDescriptor:
     """The subgroup of even permutations (alternating part), its order read off the generators' parities.
 
     It has index 2 when some generator is odd and is the whole group
-    otherwise; its elements are filtered from the span's parities when read.
+    otherwise.  No tower reads its label, so it carries none.
     """
     if group._lengths is None:
-        raise MonodromyDataError("even subgroup needs the parities generated_group records")
+        raise MonodromyDataError("even subgroup needs the cycle lengths generated_group records")
     inside = {h for h, cycles in group._lengths.items() if (len(h) - len(cycles)) % 2 == 0}
-    some_odd = len(inside) < len(group._lengths)
-    return object.__new__(GroupDescriptor)._set(
-        order=group.order // 2 if some_odd else group.order, _parent=group, _inside=inside,
-        _enumerate=lambda: [h for h, odd in group._members.items() if not odd],
-    )
+    order = group.order // 2 if len(inside) < len(group._lengths) else group.order
+    return GroupDescriptor(order, None, parent=group, inside=inside)
 
 
 def galois_closure_genus(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> int:

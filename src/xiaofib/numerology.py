@@ -176,20 +176,15 @@ def moduli_dims(params: CoverParams) -> tuple[int, int]:
     return dim_h, dim_m
 
 
-def bgn_bound(g_fiber: int, clifford_index: int | None = None) -> int:
-    """Upper bound g - c for the relative irregularity.
+def bgn_bound(g_fiber: int) -> int:
+    """Upper bound g - c for the relative irregularity, at the generic Clifford index.
 
-    The Clifford index is a caller-supplied parameter, never computed;
-    by default it is the generic value floor((g - 1)/2), for which the
-    bound becomes ceil((g + 1)/2).
+    The Clifford index c is never computed: it is taken to be the generic
+    value floor((g - 1)/2), for which the bound becomes ceil((g + 1)/2).
     """
     if g_fiber < 2:
         raise NumerologyError("fiber genus must be at least 2")
-    if clifford_index is None:
-        clifford_index = (g_fiber - 1) // 2
-    if clifford_index < 0:
-        raise NumerologyError("Clifford index must be non-negative")
-    return g_fiber - clifford_index
+    return g_fiber - (g_fiber - 1) // 2
 
 
 def xiao_report(g_fiber: int, q_rel: int) -> XiaoReport:

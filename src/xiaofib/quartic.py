@@ -233,7 +233,7 @@ def _numeral(text: str, position: int) -> int | Fraction:
             return int(text)
         from fractions import Fraction  # only rational input pays for this import
 
-        return Fraction(text.replace(" ", ""))
+        return Fraction("".join(text.split()))  # the token allows any whitespace around "/"
     except ZeroDivisionError:
         raise FormParseError("zero denominator", position) from None
     except ValueError:  # more digits than the interpreter converts

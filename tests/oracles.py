@@ -13,8 +13,9 @@ closure a coset at a time, orders by repeated composition instead of
 cycle lengths, a
 group label read from every element's order up front instead of from
 the few orders the label needs, quotient genera from the full coset
-table instead of the index-2 reading, parities from each element's
-cycle type instead of from the closure, cycle notation read by regular
+table instead of the index-2 reading, even elements by each element's
+sign instead of the generators' parities, rotations by repeated
+composition instead of one walk of byte strings, cycle notation read by regular
 expressions instead of string methods, transitivity by a search over
 every permutation instead of the n-cycle test, trial division instead of Miller-Rabin
 for primality, smoothness by bivariate elimination on all three
@@ -22,8 +23,8 @@ affine charts instead of one chart and the line at infinity, and lattice
 signatures by congruence diagonalization instead of the signs of the
 characteristic polynomial.
 
-The permutation helpers ``identity``, ``inverse`` and ``sign``, the
-``group_from_elements`` wrapper, ``term_map`` and the term-map
+The permutation helpers ``identity``, ``inverse``, ``sign`` and
+``internal``, ``term_map`` and the term-map
 constructor and ring operations of the ``BiPoly`` subclass, the
 evaluators ``evaluate_poly``, ``evaluate_bipoly`` and ``evaluate_form``, ``pairings``, ``parse_reports``, ``is_squarefree`` and
 the ``FibrationProfile`` record serve tests only; the program never needs
@@ -37,7 +38,7 @@ from math import comb, factorial, gcd, lcm
 
 from xiaofib import monodromy, polynomials
 from xiaofib.ledger import ClaimReport
-from xiaofib.monodromy import GroupDescriptor, Permutation
+from xiaofib.monodromy import Permutation
 from xiaofib.numerology import NumerologyError
 from xiaofib.polynomials import PolynomialError, UnivariatePoly, common_affine_zero, poly_gcd
 from xiaofib.record import Record
@@ -416,48 +417,36 @@ def sign(perm: Permutation) -> int:
     return -1 if (perm.degree - len(perm.cycle_type())) % 2 else 1
 
 
-def group_from_elements(perms) -> GroupDescriptor:
-    """Descriptor of a group listed as permutations, labelled by the program on first read.
-
-    Not a reference: it wraps the elements as ``generated_group`` wraps
-    the ones it enumerates, so that the classifier can be tested on
-    groups no transitive cover generates.  The caller passes a group;
-    nothing here checks closure.
-    """
-    return GroupDescriptor._of_images(tuple(sorted({monodromy._element(p.images) for p in perms})))
+def internal(perms) -> list:
+    """The program's internal form of each permutation, for the closure and the classifier."""
+    return [monodromy._element(p.images) for p in perms]
 
 
 def bfs_span(candidates, degree: int, max_order: int) -> dict:
-    """The group generated by internal elements, breadth first, with parities: ``_span``'s reference.
+    """The group generated by internal elements, breadth first, as a dict's keys: ``_span``'s reference.
 
     Each candidate outside the span is taken as a generator, and every
     new element is composed with every generator taken.  Raises
     ``EnumerationLimitError`` before the span exceeds ``max_order`` elements.
     """
-    span = {monodromy._element(range(degree)): 0}
-    by_parity = ([*span], [])  # the span's even elements, then its odd ones
-    steps = []  # (- then s, parity of s) for each generator s taken
+    span = dict.fromkeys([monodromy._element(range(degree))])
+    steps = []  # - then s, for each generator s taken
     for u in candidates:
         if u in span:
             continue
-        steps.append((monodromy._right(u), (1 - sign(Permutation(tuple(u)))) // 2))
+        steps.append(monodromy._right(u))
         # the old span is closed under the old generators; new elements meet all of them
-        fresh, maps = by_parity, steps[-1:]
-        while fresh[0] or fresh[1]:
-            frontier = [(odd ^ s_odd, map(then_s, fresh[odd])) for then_s, s_odd in maps for odd in (0, 1)]
-            fresh, maps = ([], []), steps
-            for odd, products in frontier:
-                for h in products:
-                    if h in span:
-                        continue
-                    if len(span) >= max_order:
-                        raise monodromy.EnumerationLimitError(
-                            f"group closure exceeds the configured bound {max_order}"
-                        )
-                    span[h] = odd
-                    fresh[odd].append(h)
-            by_parity[0].extend(fresh[0])
-            by_parity[1].extend(fresh[1])
+        fresh, maps = list(span), steps[-1:]
+        while fresh:
+            products = [then_s(h) for then_s in maps for h in fresh]
+            fresh, maps = [], steps
+            for h in products:
+                if h in span:
+                    continue
+                if len(span) >= max_order:
+                    raise monodromy.EnumerationLimitError(f"group closure exceeds the configured bound {max_order}")
+                span[h] = None
+                fresh.append(h)
     return span
 
 
@@ -633,6 +622,16 @@ def brute_regular_genus(cover):
 def even_by_sign(elements) -> tuple:
     """The elements of sign +1, each sign read from its own cycle type."""
     return tuple(e for e in elements if sign(e) == 1)
+
+
+def rotations_of(group) -> set[tuple[int, ...]]:
+    """The image tuples of the powers of a dihedral descriptor's rotation, by repeated composition."""
+    r = Permutation(tuple(group._rotation))
+    found, power = set(), r
+    while power.images not in found:
+        found.add(power.images)
+        power = power.then(r)
+    return found
 
 
 def trial_division_is_odd_prime(p: int) -> bool:

@@ -586,6 +586,7 @@ def test_cli_quartic_checks(capsys):
     ["quartic", "--poly", "-x^4+y^4+z^4", "--check", "smooth"],
     ["quartic", "--check", "smooth", "--poly", "-x^4 + y^4 + z^4"],
     ["quartic", "--poly=-x^4+y^4+z^4", "--check", "smooth"],
+    ["quartic", "--poly", "-2\t/2*x^4 + y^4 + z^4", "--check", "smooth"],  # a tab in a rational coefficient
 ])
 def test_cli_quartic_takes_a_form_that_starts_with_a_minus(argv, capsys):
     assert main(argv) == 0

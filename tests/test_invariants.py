@@ -1,4 +1,5 @@
 import random
+import typing
 
 import pytest
 
@@ -44,6 +45,7 @@ def test_fibration_euler():
     assert fibration_euler(2, 5, []) == (2 - 4) * (2 - 10)
     with pytest.raises(InvariantError):
         fibration_euler(3, 10, [-1])
+    assert typing.get_type_hints(fibration_euler)["fiber_defects"] == list[int]  # every annotation resolves
 
 
 def test_fibration_euler_properties():

@@ -12,11 +12,13 @@ from oracles import (
     cycle_string,
     cycles,
     even_by_sign,
-    group_from_elements,
     identity,
+    internal,
     inverse,
+    rotations_of,
     sign,
 )
+from xiaofib import monodromy
 from xiaofib.monodromy import (
     BranchedCover,
     EnumerationLimitError,
@@ -178,7 +180,7 @@ def test_generated_group_examples():
     d5 = generated_group(build_dihedral_cover(2, 5))
     assert (d5.order, d5.classification) == (10, "dihedral")
     brute = brute_closure([p.images for p in build_dihedral_cover(2, 5).branch_monodromy], 5)
-    assert {e.images for e in d5.elements} == brute
+    assert d5.order == len(brute) and len(rotations_of(d5)) == 5 and rotations_of(d5) <= brute
 
 
 def test_symmetric_classification():
@@ -252,43 +254,48 @@ def refused(call, *args, match=NOT_CUT):
     assert "\n" not in str(refusal.value)
 
 
+def cut_by_hand(order, elements):
+    """A descriptor that says it holds ``elements``, built by the constructor and cut from nothing."""
+    return GroupDescriptor(order, "other", inside=set(internal(elements)))
+
+
+def elements_of(cover):
+    """The cover's monodromy group as permutations, closed by the breadth-first oracle."""
+    return [Permutation(t) for t in sorted(brute_closure([s.images for s in cover.branch_monodromy], cover.degree))]
+
+
 def test_quotient_containment_error():
     """A descriptor holding an element outside the group is refused like any the module did not cut."""
     cover = build_dihedral_cover(2, 5)
-    outsider = GroupDescriptor(2, "other", (identity(5), Permutation((1, 0, 2, 3, 4))))
-    refused(quotient_genus, cover, outsider)
+    refused(quotient_genus, cover, cut_by_hand(2, (identity(5), Permutation((1, 0, 2, 3, 4)))))
 
 
 def test_quotient_rejects_non_subgroups():
     cover = build_dihedral_cover(2, 5)
     group = generated_group(cover)
-    reflections = [e for e in group.elements if e.order() == 2]
-    refused(quotient_genus, cover, GroupDescriptor(len(reflections), "other", tuple(reflections)))
-    refused(quotient_genus, cover, group_from_elements(reflections))
-    # subgroups of every index, built by the constructor or by the oracles' wrapper, are refused too
-    rotations = [e for e in group.elements if e.order() != 2]
-    for elements in ((identity(5),), rotations, group.elements):
-        refused(quotient_genus, cover, GroupDescriptor(len(elements), "other", elements))
-        refused(quotient_genus, cover, group_from_elements(elements))
+    elements = elements_of(cover)
+    reflections = [e for e in elements if e.order() == 2]
+    refused(quotient_genus, cover, cut_by_hand(len(reflections), reflections))
+    # subgroups of every index built by the constructor are refused too, and so is a copy of the group
+    rotations = [e for e in elements if e.order() != 2]
+    for subset in ((identity(5),), rotations, elements):
+        refused(quotient_genus, cover, cut_by_hand(len(subset), subset))
+    refused(quotient_genus, cover, GroupDescriptor(10, "dihedral", group._rotation, lengths=group._lengths))
 
 
 def test_quotient_rejects_identity_holding_non_subgroups():
     """Sets that hold the identity are refused before any closure is taken."""
     cover = build_dihedral_cover(2, 5)
-    group = generated_group(cover)
-    r = next(e for e in group.elements if e.order() == 5)
-    refused(quotient_genus, cover, GroupDescriptor(3, "other", (identity(5), r, r.then(r))))
+    r = Permutation(tuple(generated_group(cover)._rotation))
+    refused(quotient_genus, cover, cut_by_hand(3, (identity(5), r, r.then(r))))
     # {1, a, b, ab} for non-commuting involutions: ab * b and a * ab stay inside, b * a does not
     s3_cover = trigonal_cover()
     a, b = transposition(0, 1), transposition(1, 2)
-    lopsided = GroupDescriptor(4, "other", (identity(3), a, b, a.then(b)))
-    refused(quotient_genus, s3_cover, lopsided)
+    refused(quotient_genus, s3_cover, cut_by_hand(4, (identity(3), a, b, a.then(b))))
 
 
 def counting_compositions(monkeypatch):
     """Count compositions of group elements, each a call of a map that ``_right`` made."""
-    from xiaofib import monodromy
-
     calls = {"n": 0}
     kernel = monodromy._right
 
@@ -309,21 +316,21 @@ S6_CHAIN = "degree 6; base_genus 0\n" + "".join(f"({i} {i + 1})\n" * 2 for i in 
 
 
 def public_copy(group):
-    """The same elements through the public constructor: a descriptor the module did not cut."""
-    return GroupDescriptor(group.order, group.classification, group.elements)
+    """The same order, label and rotation through the constructor: a descriptor the module did not cut."""
+    return GroupDescriptor(group.order, group.classification, group._rotation)
 
 
 def test_closure_composes_each_element_about_once(monkeypatch):
     """Whole cosets at a time: one composition per element, plus one per coset and generator.
 
-    Transpositions name S_6, so its order costs no composition; reading the
-    members runs the closure.
+    Transpositions name S_6, so its order costs no composition; the
+    closure of the same generators is counted on its own.
     """
     cover = parse_cover(S6_CHAIN)
     calls = counting_compositions(monkeypatch)
     group = generated_group(cover)
     assert group.order == 720 and calls["n"] == 0
-    assert len(group._members) == 720
+    assert len(monodromy._span(cover._elements, 6, 720)) == 720
     assert 0 < calls["n"] < 2 * 720  # breadth first, every element met every generator: about 720 x 5
 
 
@@ -346,12 +353,12 @@ def test_a_named_tower_never_enumerates(monkeypatch):
     pytest.param(lambda: build_dihedral_cover(3, 151), cyclic_rotation_subgroup, 3, id="D151-rotations"),
 ])
 def test_only_subgroups_cut_from_the_covers_own_group_skip_the_checks(monkeypatch, make, cut, quotient):
-    """A parity kernel or a power set cut from ``generated_group(cover)`` is answered; an equal one is refused.
+    """A parity kernel or a power set cut from ``generated_group(cover)`` is answered; a like one is refused.
 
-    Copies, pickles, the public constructor, the oracles' wrapper and the
-    same cut of an equal cover's group give equal descriptors that the
-    module did not cut from this cover's group: each is refused, without
-    a composition.
+    Deep copies, pickles, the constructor and the same cut of an equal
+    cover's group give descriptors that the module did not cut from this
+    cover's group: each is refused, without a composition.  A shallow
+    copy of the cut keeps its parent, so it is answered alike.
     """
     import copy
     import pickle
@@ -361,15 +368,14 @@ def test_only_subgroups_cut_from_the_covers_own_group_skip_the_checks(monkeypatc
     subgroup = cut(group)
     twin = make()  # an equal cover with a group of its own
     others = [
-        public_copy(subgroup), copy.copy(subgroup), copy.deepcopy(subgroup),
-        pickle.loads(pickle.dumps(subgroup)), cut(generated_group(twin)),
-        group_from_elements(subgroup.elements),
+        GroupDescriptor(subgroup.order, subgroup.classification, inside=subgroup._inside),
+        copy.deepcopy(subgroup), pickle.loads(pickle.dumps(subgroup)), cut(generated_group(twin)),
         public_copy(group), copy.copy(group), pickle.loads(pickle.dumps(group)), generated_group(twin),
     ]
-    for other in others:  # comparing enumerates the twin's named group, so it is done before counting
-        assert other in (subgroup, group) and other._parent is not group
+    for other in others:
+        assert other._parent is not group and other is not group
     calls = counting_compositions(monkeypatch)
-    assert quotient_genus(cover, subgroup) == quotient
+    assert quotient_genus(cover, subgroup) == quotient_genus(cover, copy.copy(subgroup)) == quotient
     assert quotient_genus(cover, group) == cover.base_genus  # index 1
     assert calls["n"] == 0
     for other in others:
@@ -442,7 +448,8 @@ def test_order_is_the_repeated_composition_count():
     for cover in random_covers(17, 40):
         for sigma in cover.branch_monodromy:
             assert sigma.order() == composition_order(sigma)
-        elements = generated_group(cover).elements
+        elements = elements_of(cover)
+        assert generated_group(cover).order == len(elements)
         for element in rng.sample(elements, min(5, len(elements))):
             assert element.order() == composition_order(element)
 
@@ -460,13 +467,14 @@ def test_quotients_by_known_subgroups():
     """
     for cover in random_covers(29, 24):
         group = generated_group(cover)
-        fixing_0 = {e.images for e in group.elements if e.images[0] == 0}
+        elements = images_of(elements_of(cover))
+        fixing_0 = {images for images in elements if images[0] == 0}
         trivial = coset_quotient_genus(cover, {tuple(range(cover.degree))})
         assert trivial == galois_closure_genus(cover) == brute_regular_genus(cover)
         assert coset_quotient_genus(cover, fixing_0) == rh_genus(cover)
-        assert quotient_genus(cover, group) == coset_quotient_genus(cover, images_of(group.elements))
+        assert quotient_genus(cover, group) == coset_quotient_genus(cover, elements)
         assert quotient_genus(cover, group) == cover.base_genus
-        refused(quotient_genus, cover, GroupDescriptor(1, "cyclic", (identity(cover.degree),)))
+        refused(quotient_genus, cover, cut_by_hand(1, (identity(cover.degree),)))
 
 
 def test_memoised_group_still_enforces_the_bound():
@@ -481,8 +489,6 @@ def test_memoised_group_still_enforces_the_bound():
 
 
 def test_degree_above_the_bound_is_refused_before_enumeration(monkeypatch):
-    from xiaofib import monodromy
-
     def no_closure(*args):
         raise AssertionError("enumerated a cover of degree above the bound")
 
@@ -494,8 +500,6 @@ def test_degree_above_the_bound_is_refused_before_enumeration(monkeypatch):
 
 def test_a_dihedral_group_above_the_bound_is_refused_at_build(monkeypatch):
     """D_p has order 2p: a prime p with p <= bound < 2p is refused before any closure."""
-    from xiaofib import monodromy
-
     def no_closure(*args):
         raise AssertionError("enumerated a dihedral group of order above the bound")
 
@@ -511,7 +515,7 @@ def test_a_dihedral_group_above_the_bound_is_refused_at_build(monkeypatch):
     assert (group.order, group.classification) == (4954, "dihedral")
 
 
-# ---- index-2 quotients and recorded parities against the coset-table and sign oracles ----
+# ---- index-2 quotients and generator parities against the coset-table and sign oracles ----
 
 
 def random_small_cover(rng):
@@ -555,12 +559,12 @@ def test_even_subgroup_matches_the_sign_filter():
     for cover in small_covers(61, 40):
         group = generated_group(cover)
         evens = even_subgroup(group)
-        assert evens.elements == even_by_sign(group.elements)
-        assert evens == GroupDescriptor(evens.order, evens.classification, evens.elements)
+        assert evens.order == len(even_by_sign(elements_of(cover)))
+        assert evens._inside == {h for h in group._lengths if sign(Permutation(tuple(h))) == 1}
         parities.add(group.order // evens.order)
-        # the parities are the closure's: a descriptor it did not build has none to read
-        for other in (public_copy(group), group_from_elements(group.elements), evens):
-            refused(even_subgroup, other, match="parities")
+        # the cycle lengths are generated_group's: a descriptor it did not build has none to read
+        for other in (public_copy(group), evens):
+            refused(even_subgroup, other, match="cycle lengths")
     assert parities == {1, 2}
 
 
@@ -568,9 +572,9 @@ def test_index_one_and_two_quotients_match_the_coset_table():
     indices = []
     for cover in small_covers(67, 40):
         group = generated_group(cover)
-        for subgroup in (group, even_subgroup(group)):
-            expected = coset_quotient_genus(cover, images_of(subgroup.elements))
-            assert quotient_genus(cover, subgroup) == expected
+        elements = elements_of(cover)
+        for subgroup, members in ((group, elements), (even_subgroup(group), even_by_sign(elements))):
+            assert quotient_genus(cover, subgroup) == coset_quotient_genus(cover, images_of(members))
             indices.append(group.order // subgroup.order)
     assert set(indices) == {1, 2} and indices.count(2) >= 10
 
@@ -579,9 +583,10 @@ def test_index_one_and_two_quotients_match_the_coset_table():
 def test_rotation_quotients_match_the_coset_table(p):
     rng = random.Random(p)
     cover = relabelled(build_dihedral_cover(rng.randint(2, 6), p), rng)
-    rotations = cyclic_rotation_subgroup(generated_group(cover))
-    assert rotations.order == p
-    assert quotient_genus(cover, rotations) == coset_quotient_genus(cover, images_of(rotations.elements))
+    group = generated_group(cover)
+    rotations = cyclic_rotation_subgroup(group)
+    assert rotations.order == len(rotations_of(group)) == p
+    assert quotient_genus(cover, rotations) == coset_quotient_genus(cover, rotations_of(group))
 
 
 def counting(monkeypatch, owner, name):
@@ -598,8 +603,6 @@ def counting(monkeypatch, owner, name):
 
 
 def test_even_subgroup_of_s6_walks_no_cycles(monkeypatch):
-    from xiaofib import monodromy
-
     cover = random_tree_cover(random.Random(79), 6)
     group = generated_group(cover)
     walks = counting(monkeypatch, monodromy, "_cycle_lengths")
@@ -627,8 +630,8 @@ def test_a_tower_wraps_no_permutation_per_group_element(monkeypatch, make, quoti
 
 
 def closure_group(generators, degree):
-    """Descriptor of the group that image tuples generate, closed by the breadth-first oracle."""
-    return group_from_elements([Permutation(t) for t in brute_closure(list(generators), degree)])
+    """The elements of the group that image tuples generate, closed by the breadth-first oracle."""
+    return [Permutation(t) for t in sorted(brute_closure(list(generators), degree))]
 
 
 def pair_group(m, inverting, square):
@@ -664,14 +667,14 @@ def classified_families():
     for n in range(3, 7):
         full = closure_group([tuple((i + 1) % n for i in range(n)), (1, 0, *range(2, n))], n)
         yield f"S{n}", full, "dihedral" if n == 3 else "symmetric"  # S_3 is D_3
-        yield f"A{n}", group_from_elements(even_by_sign(full.elements)), "cyclic" if n == 3 else "other"
+        yield f"A{n}", list(even_by_sign(full)), "cyclic" if n == 3 else "other"
 
 
 @pytest.mark.parametrize(
-    "group, label", [pytest.param(group, label, id=name) for name, group, label in classified_families()]
+    "elements, label", [pytest.param(elements, label, id=name) for name, elements, label in classified_families()]
 )
-def test_classification_matches_the_eager_oracle_on_known_families(group, label):
-    assert group.classification == classify_by_orders(list(group.elements)) == label
+def test_classification_matches_the_eager_oracle_on_known_families(elements, label):
+    assert monodromy._classify(internal(elements), {})[0] == classify_by_orders(elements) == label
 
 
 def test_classification_matches_the_eager_oracle_on_random_subgroups():
@@ -689,9 +692,9 @@ def test_classification_matches_the_eager_oracle_on_random_subgroups():
                     a, b = rng.randrange(n), rng.randrange(n)
                     images[a], images[b] = images[b], images[a]
             generators.append(tuple(images))
-        group = closure_group(generators, n)
-        label = classify_by_orders(list(group.elements))
-        assert group.classification == label
+        elements = closure_group(generators, n)
+        label = classify_by_orders(elements)
+        assert monodromy._classify(internal(elements), {})[0] == label
         labels.add(label)
     assert labels == {"cyclic", "dihedral", "symmetric", "other"}
 
@@ -715,41 +718,9 @@ def test_a_tower_walks_each_permutation_once(monkeypatch, make, walks, answer):
 
     The reflections ``build_dihedral_cover`` makes carry their cycle type from construction.
     """
-    from xiaofib import monodromy
-
     counted = counting(monkeypatch, monodromy, "_cycle_lengths")
     assert tower(make()) == answer
     assert counted["n"] == walks
-
-
-@pytest.mark.parametrize("make, cut", [
-    pytest.param(lambda: parse_cover(S6_CHAIN), even_subgroup, id="S6"),
-    pytest.param(lambda: build_dihedral_cover(3, 151), cyclic_rotation_subgroup, id="D151"),
-])
-def test_a_tower_sorts_nothing_and_descriptors_sort_when_compared(make, cut):
-    cover = make()
-    tower(cover)
-    group = generated_group(cover)
-    descriptors = (group, cut(group))
-    unsorted = [descriptor for descriptor in descriptors if list(descriptor._members) != sorted(descriptor._members)]
-    assert unsorted  # the span's order is not the sorted one, so a sort would show
-    for descriptor in descriptors:
-        with pytest.raises(AttributeError):  # the slot itself, not the lazy read: nothing sorted yet
-            GroupDescriptor.__dict__["_images"].__get__(descriptor)
-    for descriptor in descriptors:
-        copy = public_copy(descriptor)
-        assert copy == descriptor and descriptor == copy and hash(copy) == hash(descriptor)
-        assert [e.images for e in descriptor.elements] == sorted(e.images for e in descriptor.elements)
-
-
-def test_descriptors_compare_and_hash_by_their_element_set():
-    group = generated_group(build_dihedral_cover(2, 5))
-    shuffled = list(group.elements)
-    random.Random(5).shuffle(shuffled)
-    for listed in (group.elements[::-1], tuple(shuffled)):
-        copy = GroupDescriptor(10, "dihedral", listed)
-        assert copy == group and group == copy and hash(copy) == hash(group)
-        assert copy.elements == group.elements  # the constructor sorts, as the closure's descriptor reads
 
 
 # ---- dihedral construction ----
@@ -793,9 +764,7 @@ def test_dihedral_towers_on_both_sides_of_256_sheets(p):
     assert rh_genus(cover) == (p - 1) // 2
     assert galois_closure_genus(cover) == p + 1
     assert quotient_genus(cover, rotations) == 2
-    public = GroupDescriptor(group.order, group.classification, group.elements)
-    assert public == group and hash(public) == hash(group)
-    assert [e.images for e in group.elements] == sorted(e.images for e in group.elements)
+    assert len(rotations_of(group)) == p
 
 
 def test_a_cover_of_256_sheets_matches_the_breadth_first_closure(tmp_path):
@@ -809,22 +778,20 @@ def test_a_cover_of_256_sheets_matches_the_breadth_first_closure(tmp_path):
     cover = load_cover(str(path))
     group = generated_group(cover)
     expected = brute_closure([sigma.images for sigma in cover.branch_monodromy], 256)
-    assert [e.images for e in group.elements] == sorted(expected)
+    assert {tuple(h) for h in monodromy._span(cover._elements, 256, 512)} == expected
     assert (group.order, group.classification) == (512, "dihedral")
     rotations = cyclic_rotation_subgroup(group)
-    assert quotient_genus(cover, rotations) == coset_quotient_genus(cover, images_of(rotations.elements))
+    assert quotient_genus(cover, rotations) == coset_quotient_genus(cover, rotations_of(group))
     assert galois_closure_genus(cover) == brute_regular_genus(cover)
 
 
 def test_the_rotations_are_computed_once_per_tower(monkeypatch):
-    from xiaofib import monodromy
-
     powers = counting(monkeypatch, monodromy, "_powers")
     for g in range(2, 52):
         cover = build_dihedral_cover(g, 151)
         rotations = cyclic_rotation_subgroup(generated_group(cover))
         assert quotient_genus(cover, rotations) == g
-    # the closure walks the rotations once per tower; the label reads them off the span
+    # the generators name D_151, so only the cut walks the rotations
     assert powers["n"] == 50
 
 

@@ -5,8 +5,10 @@ rebuilt through ``Permutation(...)``.  The composition kernel on group
 elements is compared with the map reference on both of its forms,
 byte strings up to 256 sheets and tuples above.  Orders, signs and
 groups are compared with references that use neither the cycle-length
-memo nor the coset-at-a-time closure; that closure is compared, dict for
-dict or refusal for refusal, with the breadth-first one it replaced.
+memo nor the coset-at-a-time closure; that closure is compared, element
+set for element set or refusal for refusal, with the breadth-first one
+it replaced, and its first elements with the powers of the first
+generator it takes.
 Cycle notation is compared with the regular-expression reader it
 replaced, and the n-cycle transitivity test with a search over every
 permutation.
@@ -27,17 +29,19 @@ from oracles import (  # noqa: E402
     classify_by_orders,
     composition_order,
     coset_quotient_genus,
+    even_by_sign,
     identity,
+    internal,
     inverse,
     is_transitive,
     permutation_from_cycles,
+    rotations_of,
     sign,
 )
 from xiaofib import monodromy  # noqa: E402
 from xiaofib.monodromy import (  # noqa: E402
     BranchedCover,
     EnumerationLimitError,
-    GroupDescriptor,
     MonodromyDataError,
     Permutation,
     build_dihedral_cover,
@@ -148,10 +152,11 @@ def covers(draw):
 def test_generated_group_matches_the_breadth_first_closure(cover):
     group = generated_group(cover)
     expected = brute_closure([sigma.images for sigma in cover.branch_monodromy], cover.degree)
-    assert [e.images for e in group.elements] == sorted(expected)
     assert group.order == len(expected)
-    for element in group.elements:
-        assert Permutation(element.images) == element
+    span = monodromy._span(cover._elements, cover.degree, group.order)
+    assert {tuple(h) for h in span} == expected
+    for h in span:  # every product the closure made passes the bijection check
+        assert Permutation(tuple(h)).images == tuple(h)
 
 
 def relabel(images, sheets):
@@ -209,27 +214,45 @@ def reflections_of(n, ks):
 @example(parse_cover("degree 4; base_genus 0\n(0 1)\n(0 1)\n(1 2 3)\n(1 3 2)\n"))  # S_4, inverse pair second
 def test_the_label_from_the_closures_generators_matches_the_eager_oracle(cover):
     group = generated_group(cover, max_order=5040)  # S_7 passes the default bound
-    label = classify_by_orders(list(group.elements))
+    span = bfs_span(cover._elements, cover.degree, 5040)
+    elements = [Permutation(tuple(h)) for h in span]
+    label = classify_by_orders(elements)
     assert group.classification == label
-    assert GroupDescriptor._of_images(group._images).classification == label  # the scan, without generators
+    assert monodromy._classify(internal(elements), {})[0] == label  # the scan, without generators
     if label == "dihedral":
         rotations = cyclic_rotation_subgroup(group)
-        assert 2 * rotations.order == group.order
-        assert classify_by_orders(list(rotations.elements)) == "cyclic"
+        powers = rotations_of(group)
+        assert 2 * rotations.order == group.order == 2 * len(powers)
+        assert powers <= {e.images for e in elements}
+        assert classify_by_orders([Permutation(images) for images in powers]) == "cyclic"
 
 
 def span_outcome(span, candidates, degree, max_order):
-    """The span's dict, or the class of the refusal it raised."""
+    """The span's element set, or the class of the refusal it raised."""
     try:
-        return span(list(candidates), degree, max_order)
+        return set(span(list(candidates), degree, max_order))
     except EnumerationLimitError as error:
         return type(error)
 
 
 def assert_spans_agree(candidates, degree):
-    """Dimino's closure and the breadth-first one agree at |G| and |G| - 1."""
+    """Dimino's closure and the breadth-first one agree at |G| and |G| - 1.
+
+    Dimino's keys start with the identity and the powers of the first
+    generator it takes: the product of the first two distinct candidates,
+    unless that is the identity.
+    """
     group = bfs_span(candidates, degree, 10**6)
-    assert span_outcome(monodromy._span, candidates, degree, len(group)) == group
+    keys = [tuple(h) for h in monodromy._span(list(candidates), degree, len(group))]
+    assert set(keys) == {tuple(h) for h in group}
+    gens = [Permutation(tuple(h)) for h in dict.fromkeys(candidates)]
+    if len(gens) > 1:
+        gens.insert(0, gens[0].then(gens[1]))
+    first = next((g for g in gens if g != identity(degree)), None)
+    powers = [identity(degree)]
+    while first and powers[-1].then(first) != powers[0]:
+        powers.append(powers[-1].then(first))
+    assert keys[:len(powers)] == [g.images for g in powers]
     for max_order in (len(group) - 1, len(group)):
         assert span_outcome(monodromy._span, candidates, degree, max_order) == span_outcome(
             bfs_span, candidates, degree, max_order
@@ -264,7 +287,7 @@ def test_span_matches_the_breadth_first_closure(case):
 @given(st.sampled_from([251, 257]), st.randoms(use_true_random=False))
 def test_span_matches_the_breadth_first_closure_on_dihedral_covers(p, rng):
     """Reflections of Z/p: byte strings at 251 sheets, image tuples at 257."""
-    candidates = [monodromy._element(s.images) for s in build_dihedral_cover(2, p).branch_monodromy]
+    candidates = internal(build_dihedral_cover(2, p).branch_monodromy)
     rng.shuffle(candidates)
     assert_spans_agree(candidates, p)
 
@@ -334,15 +357,6 @@ generator_cases = st.tuples(
 ).map(lambda case: (*case[0], case[1]))
 
 
-def holds_members(group) -> bool:
-    """Whether the descriptor holds its elements, read off the slot so that nothing is enumerated."""
-    try:
-        GroupDescriptor.__dict__["_members"].__get__(group)
-    except AttributeError:
-        return False
-    return True
-
-
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(generator_cases)
 @example(("reflections", 5, 1))  # p = 1 (mod 4): every reflection is even
@@ -361,28 +375,30 @@ def test_a_named_group_answers_as_the_enumerated_one(case):
     kind, size, seed = case
     bound = 5040  # S_7
     cover = generator_cover(kind, size, seed)
-    group = generated_group(cover, bound)
-    assert holds_members(group) == (kind not in NAMED)
-    evens = even_subgroup(group)
-    answers = [group.order, group.classification, evens.order,
-               quotient_genus(cover, evens, bound), galois_closure_genus(cover, bound)]
-    if group.classification == "dihedral":
-        rotations = cyclic_rotation_subgroup(group)
-        answers += [rotations.order, quotient_genus(cover, rotations, bound)]
-    assert holds_members(group) == (kind not in NAMED)  # no answer enumerated a named group
+    closures = []
+    with pytest.MonkeyPatch.context() as patch:
+        closure = monodromy._span
+        patch.setattr(monodromy, "_span", lambda *args: closures.append(args) or closure(*args))
+        group = generated_group(cover, bound)
+        assert len(closures) == (kind not in NAMED)
+        evens = even_subgroup(group)
+        answers = [group.order, group.classification, evens.order,
+                   quotient_genus(cover, evens, bound), galois_closure_genus(cover, bound)]
+        if group.classification == "dihedral":
+            rotations = cyclic_rotation_subgroup(group)
+            answers += [rotations.order, quotient_genus(cover, rotations, bound)]
+    assert len(closures) == (kind not in NAMED)  # no answer enumerated a named group
 
-    span = bfs_span([monodromy._element(sigma.images) for sigma in cover.branch_monodromy], size, bound)
+    span = bfs_span(internal(cover.branch_monodromy), size, bound)
     elements = [Permutation(tuple(h)) for h in span]
     label = classify_by_orders(elements)
-    even = {tuple(h) for h, odd in span.items() if not odd}
+    even = {e.images for e in even_by_sign(elements)}
     expected = [len(span), label, len(even), coset_quotient_genus(cover, even), brute_regular_genus(cover)]
     if label == "dihedral":  # for m >= 3 an element of order m generates the rotations
         r = next(e for e in elements if 2 * e.order() == len(span))
         rotations = {tuple(h) for h in bfs_span([monodromy._element(r.images)], size, bound)}
         expected += [len(rotations), coset_quotient_genus(cover, rotations)]
     assert answers == expected
-    public = GroupDescriptor(group.order, group.classification, group.elements)
-    assert public == group and group == public and hash(public) == hash(group)
 
 
 # ---- parse_cover fuzz: a cover or a documented error, within a second ----

@@ -59,6 +59,7 @@ def test_parse_grammar_flexibility():
     form = parse_ternary_form("3/2*x^2*y^2 - z^4 + x^4")
     assert form.coefficients[(2, 2, 0)] == Fraction(3, 2)
     assert form.coefficients[(0, 0, 4)] == Fraction(-1)
+    assert parse_ternary_form("3\t/\n2*x^2*y^2 - z^4 + x^4") == form  # any whitespace around "/"
     assert parse_ternary_form("2 x y z^2").coefficients == {(1, 1, 2): Fraction(2)}
     assert parse_ternary_form("x^1*y^1*z^2") == parse_ternary_form("x y z^2")
     assert parse_ternary_form("-x^4 + 2*x^4").coefficients == {(4, 0, 0): Fraction(1)}

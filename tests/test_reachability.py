@@ -42,11 +42,9 @@ ALLOWED = {
     "hooked by name: perfbench/tracing.py spans subresultant_y": (
         "polynomials.subresultant_y",
     ),
-    "input checks the surface never trips: the program builds permutations and group descriptors "
-    "unchecked; the checked constructors are the public ones, and copy and pickle rebuild a value "
-    "through them": (
+    "input checks the surface never trips: the program builds permutations unchecked; the checked "
+    "constructor is the public one, and copy and pickle rebuild a permutation through it": (
         "monodromy.Permutation.__init__",
-        "monodromy.GroupDescriptor.__init__",
     ),
     "exact-procedure branches no probe reached: a shared factor of two partials in "
     "common_affine_zero (a curve singular at infinity is refused before it)": (

@@ -13,7 +13,7 @@ import pytest
 from xiaofib.invariants import SurfaceProfile
 from xiaofib.lattice import BranchClassResult, DivisorClass
 from xiaofib.ledger import ClaimReport
-from xiaofib.monodromy import GroupDescriptor, Permutation, build_dihedral_cover, generated_group
+from xiaofib.monodromy import Permutation
 from xiaofib.numerology import ChevalleyWeil, CoverParams, FiberClass, Runs, XiaoReport
 from xiaofib.polynomials import BiPoly, UnivariatePoly
 from xiaofib.record import Record
@@ -28,8 +28,6 @@ CASES = {
     "CoverParams": (CoverParams, (2, 5), (5, 2 ** 13 - 1), "p"),
     "ClaimReport": (ClaimReport, ("id", "anchor", "1", "1", "pass"),
                     ("id", "anchor", "1", "2", "fail"), "status"),
-    "GroupDescriptor": (GroupDescriptor, (2, "cyclic", (Permutation((0, 1)), Permutation((1, 0)))),
-                        (2, "other", (Permutation((0, 1)), Permutation((1, 0)))), "classification"),
     "FiberClass": (FiberClass, ("finite", 0), ("positive_dimensional", 0), "kind"),
     "XiaoReport": (XiaoReport, ("7/2", True, True, 4), ("7/2", True, False, 4), "meets_ceiling"),
     "Runs": (Runs, (((2, 1), (1, 4)),), (((2, 1), (1, 2)),), "runs"),
@@ -96,29 +94,3 @@ def test_repr_names_the_fields_and_omits_memos():
     assert repr(p) == "Permutation(images=(1, 0))"
     assert repr(CoverParams(2, 5)) == "CoverParams(g=2, p=5)"
 
-
-def d5_group():
-    """A fresh dihedral group of order 10, as the closure builds it: nothing read yet."""
-    return generated_group(build_dihedral_cover(2, 5))
-
-
-def test_a_descriptor_never_read_keeps_value_semantics():
-    eager = d5_group()
-    eager = GroupDescriptor(eager.order, eager.classification, eager.elements)
-    assert d5_group() == eager and eager == d5_group() and hash(d5_group()) == hash(eager)
-    assert repr(d5_group()) == repr(eager)
-    for clone in (copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))):
-        assert clone(d5_group()) == eager and hash(clone(d5_group())) == hash(eager)
-    for read in ("classification", "elements"):
-        partly = d5_group()
-        getattr(partly, read)
-        assert partly == eager and hash(partly) == hash(eager) and repr(partly) == repr(eager)
-        assert pickle.loads(pickle.dumps(partly)) == eager
-    relabelled = GroupDescriptor(eager.order, "other", eager.elements)
-    reordered = GroupDescriptor(eager.order, eager.classification, eager.elements[::-1])
-    assert d5_group() != relabelled and d5_group() != eager.elements
-    assert d5_group() == reordered and hash(d5_group()) == hash(reordered)  # the same element set
-    with pytest.raises(AttributeError):
-        d5_group().unknown
-    with pytest.raises(AttributeError):
-        d5_group().elements = ()
