@@ -18,23 +18,16 @@ cycles of sheets in range (``from_cycles``) and the reflections
 ``build_dihedral_cover`` makes are bijections by construction and are not
 checked again.  ``parse_cover`` parses each distinct line once, so
 repeated lines share one ``Permutation`` object; a cover file that is not
-UTF-8 raises ``MonodromyDataError``.  A cover converts each distinct
-branch permutation object to a group element once, and walks the cycles
-of each distinct permutation once (``cycle_type``, which also keeps its
-order) and of r, the product of its first two distinct elements, once;
+UTF-8 raises ``MonodromyDataError``.  A cover walks the cycles of each
+distinct permutation once (``cycle_type``, which also keeps its order)
+and of r, the product of its first two distinct elements, once;
 the reflections of ``build_dihedral_cover`` carry their cycle type from
 construction, so a dihedral cover walks r alone.
 That walk of r gives transitivity when r is an n-cycle (otherwise the
 cover follows forward images), the order with which the closure and the
 label start, and the parity the even subgroup reads.  Inside the module
-a group element is the byte string of its images when the cover has at
-most 256 sheets, and the image tuple above that, where no byte can name
-a sheet.  Group closure and classification compose these with one
-kernel, ``_right(s)``, the map ``h -> h then s``: one ``bytes.translate``
-through s padded to a 256-byte table, or one ``itemgetter`` above 256
-sheets; the powers of one element are one C loop of ``bytes.translate``
-(``_powers``).  A byte string caches its hash, so each element is hashed
-once.
+a group element is a permutation's ``images`` tuple, composed by one
+kernel, ``_right(s)``, the map ``h -> h then s`` through one ``itemgetter``.
 
 ``generated_group`` first names the group from the cover's distinct
 branch elements, whose cycle lengths it already holds: two distinct
@@ -45,21 +38,21 @@ every refusal, comes from the closure (Dimino's algorithm, after Butler
 1991), which builds the group a whole right coset at a time, starting
 from the powers of r; it refuses before a batch would pass
 ``max_order`` elements or ``errors.MAX_GROUP_CELLS`` cells, each element
-costing its degree plus ``errors.ELEMENT_OVERHEAD`` cells (a byte
-string's header, a dict slot and a list slot).  The enumerated group is
+costing its degree plus ``errors.ELEMENT_OVERHEAD`` cells (a tuple's
+header, a dict slot and a list slot).  The enumerated group is
 labelled at once (see ``_classify``) and its elements are dropped.
 
 A ``GroupDescriptor`` holds only what a tower reads: the order, the
 label and, when the label is dihedral, a rotation of half order.  The
 one ``generated_group`` makes also keeps the cycle lengths of the
-generators and of r.  ``cyclic_rotation_subgroup`` takes the powers of
-the rotation, and ``even_subgroup`` reads its order off the generators'
-parities; both cuts record the descriptor they cut from and which of its
-generators lie inside.  Every quotient the paper takes is by such a
-subgroup, of index 1 or 2, so ``quotient_genus`` answers only for the
-very descriptor ``generated_group`` keeps on the cover and the subgroups
-cut from it, counting the branch points outside; it refuses every other
-descriptor.  Descriptors compare by identity.
+generators and of r.  ``cyclic_rotation_subgroup`` keeps the generators
+that commute with the rotation, and ``even_subgroup`` reads its order off
+the generators' parities; both cuts record the descriptor they cut from
+and which of its generators lie inside.  Every quotient the paper takes
+is by such a subgroup, of index 1 or 2, so ``quotient_genus`` answers
+only for the very descriptor ``generated_group`` keeps on the cover and
+the subgroups cut from it, counting the branch points outside; it
+refuses every other descriptor.  Descriptors compare by identity.
 """
 
 from __future__ import annotations
@@ -68,7 +61,7 @@ import re
 from functools import reduce
 from itertools import accumulate, repeat
 from math import factorial, lcm
-from operator import itemgetter, methodcaller
+from operator import itemgetter
 
 from .errors import DEFAULT_MAX_GROUP_ORDER, ELEMENT_OVERHEAD, MAX_GROUP_CELLS, InputError
 from .numerology import GENUS_LIMIT, is_odd_prime
@@ -101,9 +94,8 @@ def _numeral(text: str) -> int:
         raise MonodromyDataError(f"number has too many digits: {text[:12]}...") from None
 
 
-# Cycle notation with its whitespace removed; ``(`` and ``,`` read as blanks between entries.
+# Cycle notation with its whitespace removed
 _CYCLE_NOTATION = re.compile(r"(?:\([0-9,]*\))*")
-_SEPARATORS = str.maketrans("(,", "  ")
 
 
 class Permutation(Record):
@@ -141,7 +133,7 @@ class Permutation(Record):
             raise MonodromyDataError(f"unparseable cycle notation: {text!r}")
         images = list(range(degree))
         seen: set[int] = set()
-        for body in text.translate(_SEPARATORS).split(")")[:-1]:
+        for body in text.replace("(", " ").replace(",", " ").split(")")[:-1]:  # ( and , separate entries
             cycle = [_numeral(e) for e in body.split()]
             if any(i >= degree for i in cycle):
                 raise MonodromyDataError(f"sheet index out of range 0..{degree - 1}: {text!r}")
@@ -195,44 +187,22 @@ def _cycle_lengths(images) -> list[int]:
     return found
 
 
-_BYTE_VALUES = bytes(range(256))
-
-
-def _element(images) -> bytes | tuple[int, ...]:
-    """The internal form of the group element with these images: bytes up to 256 sheets."""
-    return bytes(images) if len(images) <= 256 else tuple(images)
-
-
 def _right(s):
-    """The map ``h -> h then s`` on internal elements: the one composition kernel.
+    """The map ``h -> h then s`` on image tuples: the one composition kernel.
 
-    ``h.translate(table)`` reads table[h[i]] for each i, which is s[h[i]]
-    when the table is s padded to 256 bytes.  Tuples have more than 256
-    entries, so ``itemgetter(*h)`` always returns a tuple.
+    ``itemgetter(*h)`` reads s[h[i]] for each i.  With one index it would
+    return a bare item; the only permutation of one sheet is the identity,
+    so there the map returns s.
     """
-    if type(s) is bytes:
-        return methodcaller("translate", s + _BYTE_VALUES[len(s):])
-    return lambda h: itemgetter(*h)(s)
-
-
-def _powers(r, count: int) -> list:
-    """The first ``count`` powers of an internal element, the identity first.
-
-    Up to 256 sheets the whole walk is one C loop of ``bytes.translate``.
-    """
-    identity = _element(range(len(r)))
-    if type(r) is bytes:
-        return list(accumulate(repeat(r + _BYTE_VALUES[len(r):], count - 1), bytes.translate, initial=identity))
-    step = _right(r)
-    return list(accumulate(repeat(None, count - 1), lambda h, _: step(h), initial=identity))
+    return (lambda h: itemgetter(*h)(s)) if len(s) > 1 else (lambda h: s)
 
 
 class BranchedCover(Record):
     """Degree-n cover of a genus-b curve, branch monodromy acting left to right."""
 
-    # ``_elements``: the internal element of each branch permutation, one object per distinct
-    # permutation object; ``_lengths``: the cycle lengths of r, the product of the first two
-    # distinct elements, keyed by r; ``_group``: set by the first ``generated_group`` call
+    # ``_elements``: the images of each branch permutation, one object per distinct permutation
+    # object; ``_lengths``: the cycle lengths of r, the product of the first two distinct
+    # elements, keyed by r; ``_group``: set by the first ``generated_group`` call
     __slots__ = ("degree", "base_genus", "branch_monodromy", "_elements", "_lengths", "_group")
 
     def __init__(self, degree: int, base_genus: int, branch_monodromy: tuple[Permutation, ...]):
@@ -255,11 +225,10 @@ class BranchedCover(Record):
                 raise MonodromyDataError("branch permutations must be non-identity")
         if self.branch_monodromy and reduce(Permutation.then, self.branch_monodromy).images != identity:
             raise MonodromyDataError("branch monodromy product is not the identity")
-        converted = {key: _element(sigma.images) for key, sigma in distinct.items()}
-        gens = list(dict.fromkeys(converted.values()))
+        gens = list(dict.fromkeys(sigma.images for sigma in distinct.values()))
         r = _right(gens[1])(gens[0]) if len(gens) > 1 else None
         self._set(
-            _elements=tuple(converted[id(sigma)] for sigma in self.branch_monodromy),
+            _elements=tuple(sigma.images for sigma in self.branch_monodromy),
             _lengths={r: _cycle_lengths(r)} if r else {},
         )
         # an n-cycle in the group proves it transitive; otherwise follow forward images
@@ -331,7 +300,7 @@ def _span(candidates, degree: int, max_order: int, lengths: dict | None = None) 
 
     Dimino's algorithm (G. Butler, *Fundamental Algorithms for Permutation
     Groups*, LNCS 559, 1991).  Candidates and the result's keys are
-    internal elements.  The product of the first two distinct candidates
+    image tuples.  The product of the first two distinct candidates
     is taken first (for two reflections, a rotation), and its powers are
     walked.  A later candidate outside the span H joins it as right
     cosets of H: for each coset H r and each generator s taken, H r then s
@@ -347,7 +316,7 @@ def _span(candidates, degree: int, max_order: int, lengths: dict | None = None) 
     ``MAX_GROUP_CELLS`` cells, each element costing its degree plus
     ``ELEMENT_OVERHEAD``.
     """
-    span = dict.fromkeys([_element(range(degree))])
+    span = dict.fromkeys([tuple(range(degree))])
     bound = _bound(degree, max_order)
     known = lengths or {}
 
@@ -367,10 +336,11 @@ def _span(candidates, degree: int, max_order: int, lengths: dict | None = None) 
         if u in span:
             continue
         steps.append(_right(u))
-        if len(steps) == 1:  # 1, u, u^2, ... up to its order
+        if len(steps) == 1:  # u, u^2, ... up to its order, after the identity
             order = lcm(*known.get(u) or _cycle_lengths(u))
             admit(order - 1)
-            span.update(dict.fromkeys(_powers(u, order)))
+            powers = accumulate(repeat(steps[0], order - 2), lambda h, then_u: then_u(h), initial=u)
+            span.update(dict.fromkeys(powers))
             continue
         cosets = [list(span)]  # the identity first, so each coset's first element is its representative
         for coset in cosets:  # grows as the loop runs
@@ -395,13 +365,17 @@ def _classify(members, known: dict) -> tuple:
     on every element when none are known.  One scan then reads element
     orders until the label is settled.  An element of order |G| makes G
     cyclic.  The first element r of order |G|/2, when |G| >= 6, settles
-    the dihedral question with any element s outside <r>: G is dihedral
-    exactly when s is an involution inverting r.  In D_m with m >= 3 every
-    element of order m is a rotation and every other element a reflection;
-    conversely such r and s generate D_m.  So the label does not depend on
-    the order of the elements.  A dihedral group is not abelian, so no
-    cyclic label hides behind it.  A dihedral label comes with r, whose
-    powers are the rotations; any other with None.
+    the dihedral question with the first element s that does not commute
+    with r: G is dihedral exactly when s and s r are involutions.  Such an
+    s lies outside <r>, of index 2, so s s = (s r)(s r) = 1 gives
+    s r s = r^-1, and r and s generate D_m.  Conversely in D_m with m >= 3
+    every element of order m is a rotation, an element commutes with a
+    rotation of order m exactly when it is a rotation, and every other
+    element is a reflection; no s at all means r is central, which no
+    rotation of D_m is.  So the label does not depend on the order of the
+    elements.  A dihedral group is not abelian, so no cyclic label hides
+    behind it.  A dihedral label comes with r, whose powers are the
+    rotations; any other with None.
     """
     n = len(members)
     k = 4
@@ -418,12 +392,12 @@ def _classify(members, known: dict) -> tuple:
             return CYCLIC, None
         if order == half:
             half = None  # only the first element of order |G|/2 is tried
-            powers = _powers(r, order)
-            rotations = set(powers)
-            s = next(s for s in members if s not in rotations)
-            then_s = _right(s)
-            if then_s(s) == powers[0] and then_s(_right(r)(s)) == powers[-1]:
-                return DIHEDRAL, r
+            then_r = _right(r)
+            s = next((s for s in members if then_r(s) != _right(s)(r)), None)
+            if s is not None:
+                sr = then_r(s)
+                if _right(s)(s) == _right(sr)(sr) == tuple(range(len(r))):
+                    return DIHEDRAL, r
     return OTHER, None
 
 
@@ -455,7 +429,8 @@ def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORD
     _refuse_degree_above(n, max_order)
     group = cover._group
     if group is None:
-        gens = dict(zip(cover._elements, map(Permutation.cycle_type, cover.branch_monodromy)))
+        distinct = {id(sigma): sigma for sigma in cover.branch_monodromy}  # by object: no image tuple is hashed
+        gens = {sigma.images: sigma.cycle_type() for sigma in distinct.values()}
         lengths = {**gens, **cover._lengths}  # the generators, then r: as candidates, the same span
         order = 0
         if len(gens) == 2 and all(cycles[0] == 2 for cycles in gens.values()):  # two involutions
@@ -466,7 +441,7 @@ def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORD
         if 4 < order <= _bound(n, max_order):  # m >= 3: D_2 is the Klein four group, labelled other
             group = GroupDescriptor(order, label, r, lengths=lengths)
         else:
-            members = _span(cover._elements, n, max_order, lengths)
+            members = _span(gens, n, max_order, lengths)
             group = GroupDescriptor(len(members), *_classify(members, lengths), lengths=lengths)
         cover._set(_group=group)
     elif group.order > max_order:
@@ -475,11 +450,21 @@ def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORD
 
 
 def cyclic_rotation_subgroup(group: GroupDescriptor) -> GroupDescriptor:
-    """The cyclic index-2 subgroup of a dihedral group descriptor: the powers of its rotation."""
+    """The cyclic index-2 subgroup of a dihedral group descriptor: the powers of its rotation.
+
+    Every dihedral label is D_m with m >= 3, where an element commutes with
+    a rotation r of order m exactly when it is a rotation: a reflection s
+    has s r s = r^-1, which is not r.  So a generator h lies inside exactly
+    when h r = r h, two compositions each, and no rotation is listed.  A
+    descriptor ``generated_group`` did not make holds no generators, and
+    ``quotient_genus`` refuses its cut.
+    """
     if group.classification != DIHEDRAL:
         raise MonodromyDataError("rotation subgroup is defined for dihedral groups only")
-    order = group.order // 2
-    return GroupDescriptor(order, CYCLIC, parent=group, inside=set(_powers(group._rotation, order)))
+    r = group._rotation
+    then_r = _right(r)
+    inside = {h for h in group._lengths or () if then_r(h) == _right(h)(r)}
+    return GroupDescriptor(group.order // 2, CYCLIC, parent=group, inside=inside)
 
 
 def even_subgroup(group: GroupDescriptor) -> GroupDescriptor:
@@ -518,14 +503,19 @@ def quotient_genus(
     from it; any other descriptor is refused.  A subgroup of index 2 is
     normal, so a branch permutation outside it swaps the two cosets and
     one inside it fixes both; branch points whose induced action is
-    trivial are dropped.
+    trivial are dropped.  Each generator outside the subgroup is looked up
+    once, and its branch points are counted by ``tuple.count``, which
+    compares by identity first: the cover shares one object per distinct
+    permutation.
     """
     group = generated_group(cover, max_order)
     if subgroup is not group and subgroup._parent is not group:
         raise MonodromyDataError(
             "subgroup is neither this cover's group nor cut from it by even_subgroup or cyclic_rotation_subgroup"
         )
-    moved = 0 if subgroup is group else sum(h not in subgroup._inside for h in cover._elements)
+    moved = 0 if subgroup is group else sum(
+        cover._elements.count(h) for h in group._lengths if h not in subgroup._inside
+    )
     return _rh_solve(group.order // subgroup.order, cover.base_genus, moved)
 
 

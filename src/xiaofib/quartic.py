@@ -47,6 +47,10 @@ FLEX_RETRY_BUDGET = 32
 # Linux machine).
 MAX_FORM_DEGREE = 6
 
+# The type of a coefficient, as text: ``typing.get_type_hints`` imports ``fractions`` to resolve
+# it, as rational input does, and integer input never does.
+Coefficient = 'int | __import__("fractions").Fraction'
+
 
 class FormParseError(InputError, ValueError):
     """Polynomial text that does not match the input grammar."""
@@ -80,7 +84,7 @@ class TernaryForm:
 
     __slots__ = ("degree", "coefficients")
 
-    def __init__(self, degree: int, coefficients: dict[tuple[int, int, int], int | Fraction]):
+    def __init__(self, degree: int, coefficients: dict[tuple[int, int, int], Coefficient]):
         cleaned = {}
         for key, value in coefficients.items():
             i, j, k = key
@@ -102,7 +106,7 @@ class TernaryForm:
 
     @classmethod
     def from_coefficients(
-        cls, degree: int, coefficients: dict[tuple[int, int, int], int | Fraction]
+        cls, degree: int, coefficients: dict[tuple[int, int, int], Coefficient]
     ) -> "TernaryForm":
         form = cls(degree, coefficients)
         if form.is_zero():
@@ -134,7 +138,7 @@ class TernaryForm:
         return self + other.scale(-1)
 
     def __mul__(self, other: "TernaryForm") -> "TernaryForm":
-        terms: dict[tuple[int, int, int], int | Fraction] = {}
+        terms: dict[tuple[int, int, int], Coefficient] = {}
         for (a, b, c), u in self.coefficients.items():
             for (d, e, f), v in other.coefficients.items():
                 key = (a + d, b + e, c + f)
@@ -226,7 +230,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _numeral(text: str, position: int) -> int | Fraction:
+def _numeral(text: str, position: int) -> Coefficient:
     """Exact value of a ``num`` token: an ``int`` unless it holds a ``/``."""
     try:
         if "/" not in text:
@@ -259,7 +263,7 @@ def parse_ternary_form(text: str) -> TernaryForm:
     if not tokens:
         raise FormParseError("empty polynomial", 0)
 
-    terms: dict[tuple[int, int, int], int | Fraction] = {}
+    terms: dict[tuple[int, int, int], Coefficient] = {}
     idx = 0
     var_index = {"x": 0, "y": 1, "z": 2}
 

@@ -56,13 +56,13 @@ def command_lines(workdir: str) -> list[list[str]]:
         ["numerology", "--genus", "2", "--degree", "9"],
         ["numerology", "--genus", "100000000000", "--degree", "1000000007"],
         ["monodromy", "--dihedral", "2", "5"],
-        ["monodromy", "--dihedral", "2", "257"],  # image tuples above 256 sheets
+        ["monodromy", "--dihedral", "2", "257"],
         ["monodromy", "--dihedral", "2", "9"],
         ["monodromy", "--dihedral", "1", "5"],
         ["monodromy", "--dihedral", "2", "100003"],
         ["monodromy", "--dihedral", "2", "101", "--max-group-order", "100"],
         ["monodromy", "--dihedral", "3", "31"],
-        ["monodromy", "--dihedral", "2", "251"],  # byte-string elements, just below the tuples of 257
+        ["monodromy", "--dihedral", "2", "251"],
         ["monodromy", "--file", path["s5.txt"]],
         ["monodromy", "--file", path["s5.txt"], "--max-group-order", "100"],
         ["monodromy", "--file", path["odd.txt"]],

@@ -15,7 +15,9 @@ group label read from every element's order up front instead of from
 the few orders the label needs, quotient genera from the full coset
 table instead of the index-2 reading, even elements by each element's
 sign instead of the generators' parities, rotations by repeated
-composition instead of one walk of byte strings, cycle notation read by regular
+composition instead of commutation with the rotation, a dihedral label
+from every pair of elements instead of the first rotation and the first
+element not commuting with it, cycle notation read by regular
 expressions instead of string methods, transitivity by a search over
 every permutation instead of the n-cycle test, trial division instead of Miller-Rabin
 for primality, smoothness by bivariate elimination on all three
@@ -418,23 +420,24 @@ def sign(perm: Permutation) -> int:
 
 
 def internal(perms) -> list:
-    """The program's internal form of each permutation, for the closure and the classifier."""
-    return [monodromy._element(p.images) for p in perms]
+    """The program's internal form of each permutation, its images, for the closure and the classifier."""
+    return [p.images for p in perms]
 
 
 def bfs_span(candidates, degree: int, max_order: int) -> dict:
-    """The group generated by internal elements, breadth first, as a dict's keys: ``_span``'s reference.
+    """The group generated by image tuples, breadth first, as a dict's keys: ``_span``'s reference.
 
     Each candidate outside the span is taken as a generator, and every
-    new element is composed with every generator taken.  Raises
-    ``EnumerationLimitError`` before the span exceeds ``max_order`` elements.
+    new element is composed with every generator taken, index by index.
+    Raises ``EnumerationLimitError`` before the span exceeds ``max_order``
+    elements.
     """
-    span = dict.fromkeys([monodromy._element(range(degree))])
+    span = dict.fromkeys([tuple(range(degree))])
     steps = []  # - then s, for each generator s taken
     for u in candidates:
         if u in span:
             continue
-        steps.append(monodromy._right(u))
+        steps.append(lambda h, s=u: tuple(s[i] for i in h))
         # the old span is closed under the old generators; new elements meet all of them
         fresh, maps = list(span), steps[-1:]
         while fresh:
@@ -557,6 +560,29 @@ def classify_by_orders(elements) -> str:
     if len(moved) >= 3 and n == factorial(len(moved)):
         return "symmetric"
     return "other"
+
+
+def is_dihedral(elements) -> bool:
+    """Whether the group of these permutations is D_m with m >= 3, tried on every pair of elements.
+
+    True when |G| = 2m with m >= 3 and some r of order m, by repeated
+    composition, and some s outside the powers of r satisfy s s = 1 and
+    s r s = r^-1: such r and s generate D_m.
+    """
+    n = len(elements)
+    if n % 2 or n < 6:
+        return False
+    one = identity(elements[0].degree)
+    for r in elements:
+        if composition_order(r) != n // 2:
+            continue
+        rotations, power, r_inv = {one}, r, inverse(r)
+        while power != one:
+            rotations.add(power)
+            power = power.then(r)
+        if any(s not in rotations and s.then(s) == one and s.then(r).then(s) == r_inv for s in elements):
+            return True
+    return False
 
 
 def coset_quotient_genus(cover, subgroup) -> int:

@@ -281,6 +281,8 @@ def test_quotient_rejects_non_subgroups():
     for subset in ((identity(5),), rotations, elements):
         refused(quotient_genus, cover, cut_by_hand(len(subset), subset))
     refused(quotient_genus, cover, GroupDescriptor(10, "dihedral", group._rotation, lengths=group._lengths))
+    # a descriptor built by the constructor holds no generators: its rotation cut is refused alike
+    refused(quotient_genus, cover, cyclic_rotation_subgroup(GroupDescriptor(10, "dihedral", group._rotation)))
 
 
 def test_quotient_rejects_identity_holding_non_subgroups():
@@ -754,7 +756,7 @@ def test_dihedral_tower_grid():
             assert quotient_genus(cover, rotations) == g
 
 
-@pytest.mark.parametrize("p", [251, 257])  # elements are byte strings up to 256 sheets, tuples above
+@pytest.mark.parametrize("p", [251, 257])
 def test_dihedral_towers_on_both_sides_of_256_sheets(p):
     cover = build_dihedral_cover(2, p)
     group = generated_group(cover)
@@ -768,7 +770,7 @@ def test_dihedral_towers_on_both_sides_of_256_sheets(p):
 
 
 def test_a_cover_of_256_sheets_matches_the_breadth_first_closure(tmp_path):
-    """Reflections x -> -x and x -> 1 - x of Z/256: sheet 255 is the largest byte."""
+    """Reflections x -> -x and x -> 1 - x of Z/256: D_256, whose m is composite."""
     lines = ["degree 256; base_genus 0"]
     for a in (1, 1, 0, 0):
         pairs = {tuple(sorted((x, (a - x) % 256))) for x in range(256)}
@@ -785,14 +787,52 @@ def test_a_cover_of_256_sheets_matches_the_breadth_first_closure(tmp_path):
     assert galois_closure_genus(cover) == brute_regular_genus(cover)
 
 
-def test_the_rotations_are_computed_once_per_tower(monkeypatch):
-    powers = counting(monkeypatch, monodromy, "_powers")
-    for g in range(2, 52):
-        cover = build_dihedral_cover(g, 151)
-        rotations = cyclic_rotation_subgroup(generated_group(cover))
-        assert quotient_genus(cover, rotations) == g
-    # the generators name D_151, so only the cut walks the rotations
-    assert powers["n"] == 50
+def test_the_rotation_cut_makes_as_many_kernels_at_every_p():
+    """The cut tests each generator and r by commutation with r, so its cost does not grow with p."""
+
+    def kernels_made(p):
+        cover = build_dihedral_cover(3, p)
+        group = generated_group(cover)
+        with pytest.MonkeyPatch.context() as patch:
+            made = counting(patch, monodromy, "_right")
+            rotations = cyclic_rotation_subgroup(group)
+        assert quotient_genus(cover, rotations) == 3
+        return made["n"]
+
+    assert 0 < kernels_made(7) == kernels_made(151) <= 2 * 3  # two reflections and r, two each
+
+
+def polygon_cover(tmp_path, m):
+    """A cover file of D_m on the vertices of an m-gon: the rotation x -> x + 1 and two reflections.
+
+    Three distinct generators, one not an involution, so the closure
+    enumerates the group and the classifier labels it.
+    """
+    def reflection(a):  # x -> a - x
+        return "".join(f"({x} {(a - x) % m})" for x in range(m) if x < (a - x) % m)
+
+    path = tmp_path / f"d{m}.txt"
+    path.write_text(f"degree {m}; base_genus 0\n({' '.join(map(str, range(m)))})\n{reflection(0)}\n{reflection(-1)}\n")
+    return load_cover(str(path))
+
+
+S3_FROM_THREE_TRANSPOSITIONS = "degree 3; base_genus 0\n" + "".join(f"{t}\n{t}\n" for t in ("(0 1)", "(1 2)", "(0 2)"))
+
+
+@pytest.mark.parametrize("make, enumerated", [
+    *(pytest.param(lambda tmp_path, p=p: build_dihedral_cover(2, p), 0, id=f"D{p}-named") for p in (3, 251, 257)),
+    pytest.param(lambda tmp_path: parse_cover(S3_FROM_THREE_TRANSPOSITIONS), 1, id="S3-transpositions"),
+    pytest.param(lambda tmp_path: polygon_cover(tmp_path, 4), 1, id="D4-file"),
+    pytest.param(lambda tmp_path: polygon_cover(tmp_path, 6), 1, id="D6-file"),
+])
+def test_the_commutation_cut_matches_the_coset_oracle(monkeypatch, tmp_path, make, enumerated):
+    cover = make(tmp_path)
+    closures = counting(monkeypatch, monodromy, "_span")
+    group = generated_group(cover)
+    assert (group.classification, closures["n"]) == ("dihedral", enumerated)
+    rotations = cyclic_rotation_subgroup(group)
+    assert 2 * rotations.order == group.order == 2 * len(rotations_of(group))
+    assert quotient_genus(cover, rotations) == coset_quotient_genus(cover, rotations_of(group))
 
 
 def test_ramification_profiles():

@@ -11,14 +11,20 @@ functions that run at import time count, and nothing that other tests
 imported, memoised or patched changes the outcome.  A code object that ran is matched to its ``def`` by file,
 first line (a decorated function starts at its first decorator) and
 name.
+
+A static companion requires ``typing.get_type_hints`` to resolve on
+every function and method in ``src/``.
 """
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import typing
 from pathlib import Path
 
 from corpus import KLEIN, NODAL, S5_CHAIN, command_lines, run_cli
@@ -122,6 +128,51 @@ def test_every_def_in_src_runs_on_the_supported_surface_or_is_allowed():
     assert not unlisted, "never run by the supported surface: " + ", ".join(unlisted)
     stale = sorted(allowed - missed.keys())
     assert not stale, "allowed but run, or no longer a def in src/: " + ", ".join(stale)
+
+
+def functions_in(module, stem: str) -> dict[str, object]:
+    """Every function and method a module defines, unwrapped from classmethod, staticmethod and property.
+
+    Keyed by qualified name as ``defs_in`` keys them, ``stem`` being the module's file name.
+    """
+    found = {}
+
+    def add(value):
+        for fn in (value, getattr(value, "__func__", None), *(getattr(value, f, None) for f in ("fget", "fset"))):
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                found[f"{stem}.{fn.__qualname__}"] = fn
+
+    for value in vars(module).values():
+        add(value)
+        if inspect.isclass(value) and value.__module__ == module.__name__:
+            for member in vars(value).values():
+                add(member)
+    return found
+
+
+def test_every_annotation_in_src_resolves():
+    """``typing.get_type_hints`` resolves on every function and method in ``src/``.
+
+    Every def outside another function's body is walked; a def nested
+    in a function is reached only through its enclosing call.
+    """
+    import xiaofib
+
+    package = Path(xiaofib.__file__).resolve().parent
+    functions = {}
+    for path in sorted(package.glob("*.py")):
+        name = "xiaofib" if path.stem == "__init__" else f"xiaofib.{path.stem}"
+        functions.update(functions_in(importlib.import_module(name), path.stem))
+    unwalked = [name for name in defs_in(package).values()
+                if name not in functions and not any(name.startswith(f"{walked}.") for walked in functions)]
+    assert not unwalked, "defs the walk missed: " + ", ".join(unwalked)
+    unresolved = []
+    for name, fn in sorted(functions.items()):
+        try:
+            typing.get_type_hints(fn)
+        except (NameError, AttributeError, TypeError, SyntaxError) as error:  # what evaluating a hint raises
+            unresolved.append(f"{name} ({type(error).__name__}: {error})")
+    assert not unresolved, "annotations that do not resolve: " + "; ".join(unresolved)
 
 
 if __name__ == "__main__":  # the child process: run the corpus and report what ran
