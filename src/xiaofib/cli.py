@@ -94,7 +94,7 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         max_group_order=args.max_group_order,
     )
-    if args.only and not reports:
+    if args.only is not None and not reports:
         raise errors.InputError(f"no claims for case {args.only!r}")
     if args.format == "json":
         print(ledger.render_json(reports))

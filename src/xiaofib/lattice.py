@@ -19,34 +19,6 @@ class LatticeError(ValueError):
     """Structural problem with a lattice, a class, or an operation's input."""
 
 
-class RankMismatchError(LatticeError):
-    """A divisor class has the wrong number of coordinates for the lattice."""
-
-
-class ClassNotInLatticeError(LatticeError):
-    """Prescribed pairings have no integral solution in the lattice."""
-
-
-class NonIntegralGenusError(LatticeError):
-    """Adjunction produced a half-integer: the class cannot be a curve class."""
-
-
-class LatticeShapeError(LatticeError):
-    """Lattice fails a shape precondition (nondegeneracy or signature)."""
-
-
-class CompletionError(LatticeError):
-    """Partial involution data does not extend to a unique isometry."""
-
-
-class NonDivisibleClassError(LatticeError):
-    """A class required to be 2-divisible is not."""
-
-
-class HodgeIndexViolationError(ArithmeticError):
-    """A null class orthogonal to a positive class was nonzero: lattice inconsistent."""
-
-
 class DivisorClass(Record):
     """Integer coefficient vector in a fixed lattice basis."""
 
@@ -57,7 +29,7 @@ class DivisorClass(Record):
 
     def _combine(self, other: "DivisorClass", sign: int) -> "DivisorClass":
         if len(self.coeffs) != len(other.coeffs):
-            raise RankMismatchError(
+            raise LatticeError(
                 f"combining classes of ranks {len(self.coeffs)} and {len(other.coeffs)}"
             )
         return DivisorClass(tuple(a + sign * b for a, b in zip(self.coeffs, other.coeffs)))
@@ -71,13 +43,10 @@ class DivisorClass(Record):
     def __rmul__(self, scalar: int) -> "DivisorClass":
         return DivisorClass(tuple(scalar * a for a in self.coeffs))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def halved(self) -> "DivisorClass":
         """The class divided by 2; raises if any coefficient is odd."""
         if any(c % 2 for c in self.coeffs):
-            raise NonDivisibleClassError(f"class {self.coeffs} is not divisible by 2")
+            raise LatticeError(f"class {self.coeffs} is not divisible by 2")
         return DivisorClass(tuple(c // 2 for c in self.coeffs))
 
 
@@ -114,7 +83,7 @@ class IntersectionLattice(Record):
 
     def _check_rank(self, c: DivisorClass):
         if len(c.coeffs) != self.rank:
-            raise RankMismatchError(
+            raise LatticeError(
                 f"class of rank {len(c.coeffs)} in a lattice of rank {self.rank}"
             )
 
@@ -128,20 +97,20 @@ class IntersectionLattice(Record):
         """Arithmetic genus 1 + (c.c + c.K)/2."""
         total = self.intersect(c, c) + self.intersect(c, self.canonical_class())
         if total % 2:
-            raise NonIntegralGenusError(f"c^2 + c.K = {total} is odd: genus is not an integer")
+            raise LatticeError(f"c^2 + c.K = {total} is odd: genus is not an integer")
         return 1 + total // 2
 
     def class_from_intersections(self, pairings) -> DivisorClass:
         """Solve gram . c = pairings exactly; the solution must be integral."""
         target = tuple(pairings)
         if len(target) != self.rank:
-            raise RankMismatchError("pairing vector length does not match the lattice rank")
+            raise LatticeError("pairing vector length does not match the lattice rank")
         solution = _solve_exact(self.gram, target)
         if solution is None:
-            raise LatticeShapeError("gram matrix is degenerate: pairings do not determine a class")
+            raise LatticeError("gram matrix is degenerate: pairings do not determine a class")
         numerators, det = solution
         if any(x % det for x in numerators):
-            raise ClassNotInLatticeError(
+            raise LatticeError(
                 f"pairings {target} solve to non-integral coefficients {tuple(numerators)}/{det}"
             )
         return DivisorClass(tuple(x // det for x in numerators))
@@ -246,24 +215,20 @@ def hodge_index_forced_zero(
 ) -> bool:
     """True iff v.v = 0 and v.ample = 0, which forces v = 0 in a (1, n-1) lattice.
 
-    The signature precondition is checked exactly; if the two pairings
-    vanish but v is not the zero vector the lattice itself is
-    inconsistent and the operation fails loudly.
+    The signature precondition is checked exactly.  With signature
+    (1, n-1) and ample^2 > 0, the orthogonal complement of ample is
+    negative definite (the Hodge index theorem, Hartshorne, Algebraic
+    Geometry, V.1.9), so a class with both pairings zero is zero.
     """
     pos, neg, zero = lattice.signature()
     if (pos, neg, zero) != (1, lattice.rank - 1, 0):
-        raise LatticeShapeError(
+        raise LatticeError(
             f"hodge-index argument needs signature (1, {lattice.rank - 1}), got "
             f"({pos}, {neg}) with {zero} null directions"
         )
     if lattice.intersect(ample, ample) <= 0:
         raise LatticeError("the ample witness must have positive self-intersection")
-    forced = lattice.intersect(v, v) == 0 and lattice.intersect(v, ample) == 0
-    if forced and not v.is_zero():
-        raise HodgeIndexViolationError(
-            f"nonzero class {v.coeffs} is null and orthogonal to a positive class"
-        )
-    return forced
+    return lattice.intersect(v, v) == 0 and lattice.intersect(v, ample) == 0
 
 
 def complete_involution(
@@ -284,20 +249,20 @@ def complete_involution(
     missing = [j for j, label in enumerate(lattice.basis_labels) if label not in partial]
     for label in partial:
         if label not in lattice.basis_labels:
-            raise CompletionError(f"unknown basis label {label!r}")
+            raise LatticeError(f"unknown basis label {label!r}")
         lattice._check_rank(partial[label])
     columns: list[list[int] | None] = [None] * n
     for label, image in partial.items():
         columns[lattice.basis_labels.index(label)] = list(image.coeffs)
     if len(missing) > 1:
-        raise CompletionError(
+        raise LatticeError(
             "invariance of a single class cannot determine more than one missing column"
         )
     if len(missing) == 1:
         j0 = missing[0]
         weight = invariant.coeffs[j0]
         if weight == 0:
-            raise CompletionError(
+            raise LatticeError(
                 f"invariant class has zero coefficient on {lattice.basis_labels[j0]!r}: "
                 "extension is underdetermined"
             )
@@ -305,18 +270,18 @@ def complete_involution(
         known = _apply(_transpose(columns), invariant.coeffs)
         solved = [divmod(c - k, weight) for c, k in zip(invariant.coeffs, known)]
         if any(left for _, left in solved):
-            raise CompletionError(
+            raise LatticeError(
                 f"completed matrix is not integral in column {lattice.basis_labels[j0]!r}"
             )
         columns[j0] = [entry for entry, _ in solved]
     m = _transpose(columns)
     if _mat_mul(m, m) != _scalar_matrix(n, 1):
-        raise CompletionError("completed action does not square to the identity")
+        raise LatticeError("completed action does not square to the identity")
     if _mat_mul(_mat_mul(_transpose(m), lattice.gram), m) != lattice.gram:
-        raise CompletionError("completed action does not preserve the intersection form")
+        raise LatticeError("completed action does not preserve the intersection form")
     check = apply_matrix(m, invariant)
     if check != invariant:
-        raise CompletionError("completed action does not fix the required invariant class")
+        raise LatticeError("completed action does not fix the required invariant class")
     return m
 
 
@@ -324,7 +289,7 @@ def apply_matrix(matrix: tuple[tuple[int, ...], ...], c: DivisorClass) -> Diviso
     """The class matrix . c; the matrix may be rectangular, with one column per coordinate of c."""
     rank = len(c.coeffs)
     if any(len(row) != rank for row in matrix):
-        raise RankMismatchError(f"matrix columns do not match a class of rank {rank}")
+        raise LatticeError(f"matrix columns do not match a class of rank {rank}")
     return DivisorClass(_apply(matrix, c.coeffs))
 
 
@@ -462,9 +427,6 @@ def adjunction_inverse(g: int, p: int) -> int:
     """
     params = numerology.CoverParams(g, p)
     g_c, g_d = numerology.cover_genera(params)
-    lattice = product_with_diagonal_lattice(g_d)
-    k = lattice.canonical
-    if k[2] != 0:
-        raise LatticeError("canonical class of a product must have no diagonal component")
+    k = product_with_diagonal_lattice(g_d).canonical  # (2 g_D - 2)(D1 + D2): no diagonal component
     gamma_dot_k = 2 * k[0] + 2 * k[1]
     return 2 * g_c - 2 - gamma_dot_k

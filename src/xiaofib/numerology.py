@@ -84,7 +84,7 @@ class FiberClass(Record):
     """Fiber classification of the cover-to-curve moduli map.
 
     ``kind`` is FINITE or POSITIVE_DIMENSIONAL; ``dimension`` is 0 for
-    finite fibers and None when positive but not pinned down.
+    finite fibers.
     """
 
     __slots__ = ("kind", "dimension")
@@ -96,8 +96,6 @@ class FiberClass(Record):
     def __str__(self) -> str:
         if self.finite:
             return "finite"
-        if self.dimension is None:
-            return "positive-dimensional"
         return f"positive-dimensional of dimension {self.dimension}"
 
 
@@ -159,10 +157,8 @@ def psi_fiber_class(params: CoverParams) -> FiberClass:
         return FiberClass(FINITE, 0)
     if (g, p) in _KNOWN_FIBER_DIMS:
         return FiberClass(POSITIVE_DIMENSIONAL, _KNOWN_FIBER_DIMS[(g, p)])
-    if (g, p) == (2, 3):
-        dim_h, dim_m = moduli_dims(params)
-        return FiberClass(POSITIVE_DIMENSIONAL, dim_h - dim_m)
-    return FiberClass(POSITIVE_DIMENSIONAL, None)
+    dim_h, dim_m = moduli_dims(params)  # p is an odd prime, so (g, p) = (2, 3) is all that is left
+    return FiberClass(POSITIVE_DIMENSIONAL, dim_h - dim_m)
 
 
 def moduli_dims(params: CoverParams) -> tuple[int, int]:

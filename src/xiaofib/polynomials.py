@@ -253,8 +253,6 @@ class BiPoly(Record):
 
     def shear(self, a: int) -> "BiPoly":
         """Substitute x -> x + a*y; common zeros correspond bijectively."""
-        if a == 0:
-            return self
         d = self.total_degree()
         rows = [[0] * (d + 1) for _ in range(d + 1)]  # rows[j][i]: the coefficient of x^i y^j
         for j, poly in enumerate(self.y_coeffs):

@@ -78,8 +78,7 @@ class TernaryForm:
 
     Coefficients map exponent triples (i, j, k) with i + j + k = degree
     to nonzero rationals, stored as ``int`` when integral.  Arithmetic
-    may produce the zero form internally; the public constructor and the
-    parser reject it.
+    may produce the zero form internally; the parser rejects it.
     """
 
     __slots__ = ("degree", "coefficients")
@@ -104,15 +103,6 @@ class TernaryForm:
         self.degree = degree
         self.coefficients = cleaned
 
-    @classmethod
-    def from_coefficients(
-        cls, degree: int, coefficients: dict[tuple[int, int, int], Coefficient]
-    ) -> "TernaryForm":
-        form = cls(degree, coefficients)
-        if form.is_zero():
-            raise DegenerateFormError("a ternary form needs at least one nonzero coefficient")
-        return form
-
     def is_zero(self) -> bool:
         return not self.coefficients
 
@@ -122,9 +112,6 @@ class TernaryForm:
             and self.degree == other.degree
             and self.coefficients == other.coefficients
         )
-
-    def __hash__(self):
-        return hash((self.degree, frozenset(self.coefficients.items())))
 
     def __add__(self, other: "TernaryForm") -> "TernaryForm":
         if self.degree != other.degree:
@@ -208,8 +195,6 @@ class TernaryForm:
         return BiPoly([UnivariatePoly(tuple(row)) for row in rows])
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
         parts = []
         for key in sorted(self.coefficients, reverse=True):
             c = self.coefficients[key]
@@ -323,7 +308,7 @@ def parse_ternary_form(text: str) -> TernaryForm:
         raise FormParseError("a positive-degree form is required", 0)
     if degree > MAX_FORM_DEGREE:
         raise FormParseError(f"form degree {degree} exceeds the limit {MAX_FORM_DEGREE}", 0)
-    return TernaryForm.from_coefficients(degree, terms)
+    return TernaryForm(degree, terms)
 
 
 def hessian(form: TernaryForm) -> TernaryForm:

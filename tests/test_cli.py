@@ -1,6 +1,5 @@
 import json
 import os
-import random
 import subprocess
 import sys
 import time
@@ -8,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus import HUGE_BASE_GENUS
+from corpus import HUGE_BASE_GENUS, dense_sextic
 from oracles import parse_reports
 from xiaofib import errors, lattice, ledger, monodromy, numerology, quartic
 from xiaofib.cli import main
@@ -460,15 +459,6 @@ def test_cli_quartic_refuses_a_form_above_the_degree_limit_at_once(poly):
     assert len(lines) == 1 and lines[0].startswith("parse error:")
     assert "exceeds the limit" in lines[0]
     assert elapsed < 1.0
-
-
-def dense_sextic(seed: int) -> str:
-    """All 28 monomials of degree 6, each with a signed random 12-digit coefficient."""
-    rng = random.Random(seed)
-    return " ".join(
-        f"{rng.choice('+-')}{rng.randrange(10**11, 10**12)}*x^{i}*y^{j}*z^{6 - i - j}"
-        for i in range(7) for j in range(7 - i)
-    )
 
 
 def test_cli_quartic_decides_a_dense_sextic_with_12_digit_coefficients_in_time():

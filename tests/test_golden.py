@@ -18,6 +18,8 @@ from unittest import mock
 import pytest
 
 from corpus import command_lines, run_cli
+from oracles import is_smooth_three_charts
+from xiaofib.quartic import is_smooth, parse_ternary_form
 
 GOLDEN = Path(__file__).with_name("golden_transcript.json")
 WORKDIR = "<workdir>"  # stands for the temporary directory that holds the corpus's cover files
@@ -57,6 +59,21 @@ def test_verify_prints_the_golden_report_for_seeds_1_to_20(fmt):
     want = golden()["verify"][fmt]
     for seed in range(1, 21):
         assert run_cli(["verify", "--format", fmt, "--seed", str(seed)]) == (0, want, "")
+
+
+# the form of every smoothness check the transcript holds an answer for
+SMOOTH_CHECKS = [
+    command["argv"][2] for command in golden()["commands"]
+    if command["argv"][:2] == ["quartic", "--poly"] and command["argv"][3:] == ["--check", "smooth"]
+    and command["exit"] == 0
+]
+
+
+@pytest.mark.parametrize("text", SMOOTH_CHECKS, ids=lambda text: text[:40])
+def test_every_smoothness_answer_in_the_transcript_agrees_with_the_three_chart_oracle(text):
+    """The transcript pins what ``is_smooth`` says; the oracle, which covers the plane by three charts, checks it."""
+    form = parse_ternary_form(text)
+    assert is_smooth(form) is is_smooth_three_charts(form)
 
 
 if __name__ == "__main__":

@@ -102,7 +102,6 @@ def test_fiber_classification():
 def test_fiber_class_renders_each_case():
     assert str(FiberClass("finite", 0)) == "finite"
     assert str(FiberClass("positive_dimensional", 2)) == "positive-dimensional of dimension 2"
-    assert str(FiberClass("positive_dimensional", None)) == "positive-dimensional"
 
 
 def test_fiber_sign_consistency_with_gamma():
