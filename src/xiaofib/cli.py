@@ -110,7 +110,7 @@ def _cmd_numerology(args) -> int:
     fiber = numerology.psi_fiber_class(params)
     dim_h, dim_m = numerology.moduli_dims(params)
     cw = numerology.chevalley_weil(params)
-    q_rel = cw.prym_dim  # relative irregularity of the associated fibration
+    q_rel = numerology.relative_irregularity(g_d)
     report = numerology.xiao_report(g_c, q_rel)
     print(f"g_C = {g_c}")
     print(f"g_D = {g_d}")
@@ -157,32 +157,22 @@ def _cmd_monodromy(args) -> int:
 def _cmd_lattice(args) -> int:
     import json
 
-    if args.case == "g3-product":
-        lat = lattice.product_with_diagonal_lattice(3)
-        chain = lattice.branch_class(3)
-        xp = lat.class_from_intersections((2, 2, 10))
-        classes = {
-            "K": lat.canonical_class(),
-            "X_P": xp,
-            "B": chain.branch,
-            "L": chain.half,
-        }
-    elif args.case == "g2-product":
-        lat = lattice.product_with_diagonal_lattice(2)
-        classes = {
-            "K": lat.canonical_class(),
-            "C_P": lat.class_from_intersections((2, 2, 8)),
-        }
+    if args.case == "g2-product":
+        lat, c_p = lattice.correspondence_class(2, 3)
+        classes = {"C_P": c_p}
     else:
-        lat = lattice.symmetric_square_lattice(3)
-        chain = lattice.branch_class(3)
-        classes = {
-            "K": lat.canonical_class(),
-            "tau_D_P": lattice.apply_matrix(chain.involution, lat.basis_class("D_P")),
-            "tau_delta": lattice.apply_matrix(chain.involution, lat.basis_class("delta")),
-            "tau_Delta": lattice.apply_matrix(chain.involution, lattice.DivisorClass((0, 2))),
-        }
-    print(json.dumps(lat.to_json_dict(classes), indent=2))
+        lat, xp = lattice.correspondence_class(3, 3)
+        chain = lattice.branch_class(lat, xp)
+        if args.case == "g3-product":
+            classes = {"X_P": xp, "B": chain.branch, "L": chain.half}
+        else:
+            lat = lattice.symmetric_square_lattice(3)
+            classes = {
+                "tau_D_P": lattice.apply_matrix(chain.involution, lat.basis_class("D_P")),
+                "tau_delta": lattice.apply_matrix(chain.involution, lat.basis_class("delta")),
+                "tau_Delta": chain.tau_diagonal,
+            }
+    print(json.dumps(lat.to_json_dict({"K": lat.canonical_class(), **classes}), indent=2))
     return 0
 
 

@@ -196,6 +196,18 @@ def product_with_diagonal_lattice(g: int) -> IntersectionLattice:
     return IntersectionLattice(("D1", "D2", "Delta"), gram, (k, k, 0))
 
 
+def correspondence_class(g: int, d: int) -> tuple[IntersectionLattice, DivisorClass]:
+    """The lattice of C x C, for C of genus g, and the correspondence X of a simply branched degree-d map.
+
+    For f: C -> P^1, X is the closure of {(x, y) : x != y, f(x) = f(y)}.  From
+    (f x f)^* Delta_(P^1) = X + Delta = d (D1 + D2), X meets each ruling in
+    d - 1 points and the diagonal in the b = 2g - 2 + 2d branch points
+    (Hartshorne, Algebraic Geometry, V.1).
+    """
+    lat = product_with_diagonal_lattice(g)
+    return lat, lat.class_from_intersections((d - 1, d - 1, 2 * g - 2 + 2 * d))
+
+
 def symmetric_square_lattice(g: int) -> IntersectionLattice:
     """Numerical lattice of the symmetric square of a genus-g curve: basis (D_P, delta).
 
@@ -388,33 +400,29 @@ def phi_morphism(g: int) -> LatticeMorphism:
 
 
 class BranchClassResult(Record):
-    """Branch class of the double cover of the genus-3 product, with its half."""
+    """Branch class of the double cover of the genus-3 product, its half, and tau_* of the diagonal."""
 
-    __slots__ = ("branch", "half", "involution")
+    __slots__ = ("branch", "half", "involution", "tau_diagonal")
 
 
-def branch_class(g: int) -> BranchClassResult:
+def branch_class(product: IntersectionLattice, fiber: DivisorClass) -> BranchClassResult:
     """Branch locus of the double cover of D x D for the plane-quartic case.
 
-    Runs the whole chain: determine the fiber class from its pairings
-    (2, 2, 10), push it to the symmetric square, halve to get the image
-    of D_P under the canonical involution, complete the involution using
-    invariance of the canonical class, push the diagonal through, and
-    pull the result back to D x D.  Only genus 3 is meaningful here.
+    Runs the whole chain from the fiber class X_P in ``product``: push
+    it to the symmetric square, halve to get the image of D_P under the
+    canonical involution tau, complete tau using invariance of the
+    canonical class, push the diagonal through, and pull the result back
+    to D x D.  Only genus 3 is meaningful here.
     """
+    g = product.adjunction_genus(product.basis_class("D1"))  # D1 = D x {pt} is a copy of D
     if g != 3:
         raise LatticeError("the branch-class chain is specific to the genus-3 case")
-    product = product_with_diagonal_lattice(g)
-    sym = symmetric_square_lattice(g)
     phi = phi_morphism(g)
-    fiber = product.class_from_intersections((2, 2, 10))
     tau_dp = phi.pushforward_class(fiber).halved()
-    tau = complete_involution(sym, {"D_P": tau_dp}, sym.canonical_class())
-    diagonal_upstairs = DivisorClass((0, 2))  # diagonal = 2 delta in the symmetric square
-    tau_diagonal = apply_matrix(tau, diagonal_upstairs)
+    tau = complete_involution(phi.target, {"D_P": tau_dp}, phi.target.canonical_class())
+    tau_diagonal = apply_matrix(tau, phi.pushforward_class(product.basis_class("Delta")))
     branch = phi.pullback_class(tau_diagonal)
-    half = branch.halved()
-    return BranchClassResult(branch=branch, half=half, involution=tau)
+    return BranchClassResult(branch=branch, half=branch.halved(), involution=tau, tau_diagonal=tau_diagonal)
 
 
 def adjunction_inverse(g: int, p: int) -> int:

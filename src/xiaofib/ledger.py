@@ -93,22 +93,12 @@ def fmt(value) -> str:
     raise TypeError(f"no exact rendering for {value!r}")
 
 
-def _q_rel(genera) -> int:
-    return 2 * genera[1]
-
-
 def _xiao(genera, q_rel) -> numerology.XiaoReport:
     return numerology.xiao_report(genera[0], q_rel)
 
 
 def _brill_noether(genera, q_rel) -> bool:
     return numerology.brill_noether_range(q_rel, genera[0])
-
-
-def _on_product(genera, pairings) -> tuple:
-    """The lattice of D x D, for D of genus g_D, and the class with these pairings with (D1, D2, Delta)."""
-    lat = lattice.product_with_diagonal_lattice(genera[1])
-    return lat, lat.class_from_intersections(pairings)
 
 
 def _genus(on_product) -> int:
@@ -175,9 +165,10 @@ def _monodromy_grid(bound: int) -> str:
         for p in (3, 5, 7):
             total += 1
             cover = monodromy.build_dihedral_cover(g, p, bound)
+            g_c, g_d = numerology.cover_genera(numerology.CoverParams(g, p))
             hits += (
                 _tower(cover, monodromy.cyclic_rotation_subgroup, bound)
-                == ((p - 1) * (g - 1) // 2, p * (g - 1) + 1, g, f"{monodromy.DIHEDRAL} of order {2 * p}")
+                == (g_d, g_c, g, f"{monodromy.DIHEDRAL} of order {2 * p}")
                 and set(monodromy.ramification_profile(cover)) == {(2,) * ((p - 1) // 2) + (1,)}
             )
     return f"{hits}/{total} verified"
@@ -210,7 +201,7 @@ def build_claims(seed: int, max_group_order: int) -> list[Claim]:
                              monodromy.cyclic_rotation_subgroup, max_group_order)),
         Claim("g2p5/q-rel",
               "S3 Lemma: q_pi = 2 g_D = 4, given a curve in the family with indecomposable Jacobian", "4",
-              ("g2p5/genera",), _q_rel, assumed=True),
+              ("g2p5/genera",), lambda genera: numerology.relative_irregularity(genera[1]), assumed=True),
         Claim("g2p5/xiao", "Thm 1.2(1): q_pi = 4 > (6+1)/2; eq. (1.3): q_pi = ceil((g_C+1)/2)",
               "bound 7/2, xiao true, ceiling true, bgn 4", ("g2p5/genera", "g2p5/q-rel"), _xiao),
         Claim("g2p5/brill-noether", "S1 Proposition: q(S) = 4 < g_a = 6 < 2q - 1", "true",
@@ -221,12 +212,12 @@ def build_claims(seed: int, max_group_order: int) -> list[Claim]:
         Claim("g3p3/fiber-dimension", "S6: fibers of dimension 2", "positive-dimensional of dimension 2",
               (), lambda: numerology.psi_fiber_class(p33)),
         Claim("g3p3/nodal-class", "S6: the fiber curve in the genus-2 product has pairings (2, 2, 8)",
-              "(3, 3, -1)", ("g3p3/genera",), lambda genera: _on_product(genera, (2, 2, 8))),
+              "(3, 3, -1)", ("g3p3/genera",), lambda genera: lattice.correspondence_class(genera[1], p33.p)),
         Claim("g3p3/nodal-genus", "S6: arithmetic genus 7 (g_C = 7)", "7", ("g3p3/nodal-class",), _genus),
         Claim("g3p3/geometric-genus", "S6: one simple node at (P, P); smooth model of genus 6", "6",
               ("g3p3/nodal-genus",), lambda p_a: numerology.geometric_genus(p_a, 1)),
         Claim("g3p3/q-rel", "S6: relative irregularity 2 g_D = 4 (recorded input)", "4",
-              ("g3p3/genera",), _q_rel, assumed=True),
+              ("g3p3/genera",), lambda genera: numerology.relative_irregularity(genera[1]), assumed=True),
         Claim("g3p3/xiao-generic", "S6: no contradiction for the generic member, g_C = 7 with q_pi = 4",
               "bound 4, xiao false, ceiling true, bgn 4", ("g3p3/genera", "g3p3/q-rel"), _xiao),
         Claim("g3p3/xiao-smooth-model", "Thm 1.2(3): after normalization g_C = 6, q_pi = 4",
@@ -241,7 +232,7 @@ def build_claims(seed: int, max_group_order: int) -> list[Claim]:
               lambda: _tower(_trigonal_cover(), monodromy.even_subgroup, max_group_order)),
         Claim("g4p3/fiber-class",
               "S5: X_P . D_1 = X_P . D_2 = 2 and X_P . Delta = 10 give X_P = 3(D_1 + D_2) - Delta",
-              "(3, 3, -1)", ("g4p3/genera",), lambda genera: _on_product(genera, (2, 2, 10))),
+              "(3, 3, -1)", ("g4p3/genera",), lambda genera: lattice.correspondence_class(genera[1], p43.p)),
         Claim("g4p3/fiber-self-intersection", "S5: X_P^2 = 2", "2",
               ("g4p3/fiber-class",), lambda fiber: fiber[0].intersect(fiber[1], fiber[1])),
         Claim("g4p3/fiber-genus", "S5: X_P has arithmetic genus 10", "10", ("g4p3/fiber-class",), _genus),
@@ -249,14 +240,13 @@ def build_claims(seed: int, max_group_order: int) -> list[Claim]:
               "S5: (H - X_P)^2 = 0 and the Hodge index theorem force X_P = H numerically", "true",
               ("g4p3/fiber-class",), _hodge_forced),
         Claim("g4p3/branch-class", "S5: B = 16(D_1 + D_2) - 6 Delta", "(16, 16, -6)",
-              ("g4p3/genera",), lambda genera: lattice.branch_class(genera[1])),
+              ("g4p3/fiber-class",), lambda fiber: lattice.branch_class(*fiber)),
         Claim("g4p3/involution-on-dp", "S5: tau_* D_P = 3 D_P - delta", "(3, -1)",
               ("g4p3/branch-class",), lambda chain: tuple(row[0] for row in chain.involution)),
         Claim("g4p3/involution-on-delta", "S5: tau_* delta = 8 D_P - 3 delta", "(8, -3)",
               ("g4p3/branch-class",), lambda chain: tuple(row[1] for row in chain.involution)),
         Claim("g4p3/involution-on-diagonal", "S5: tau_* Delta = 16 D_P - 6 delta", "(16, -6)",
-              ("g4p3/branch-class",),
-              lambda chain: lattice.apply_matrix(chain.involution, lattice.DivisorClass((0, 2)))),
+              ("g4p3/branch-class",), lambda chain: chain.tau_diagonal),
         Claim("g4p3/branch-half", "S5: L = B/2 = 8(D_1 + D_2) - 3 Delta", "(8, 8, -3)",
               ("g4p3/branch-class",), lambda chain: chain.half),
         Claim("g4p3/branch-genus-adjunction", "S5: p_a(B) = 1 + (B^2 + B.K)/2 = 33", "33",
@@ -283,7 +273,7 @@ def build_claims(seed: int, max_group_order: int) -> list[Claim]:
               ("g4p3/genera", "g4p3/double-cover-inputs"),
               lambda genera, inputs: invariants.double_cover_chi((1 - genera[1]) ** 2, *inputs[1:])),
         Claim("g4p3/q-rel", "S5: q_pi = 6 by Lemma qrel, so q_S = q_pi + g(D) = 9 (recorded input)", "6",
-              ("g4p3/genera",), _q_rel, assumed=True),
+              ("g4p3/genera",), lambda genera: numerology.relative_irregularity(genera[1]), assumed=True),
         Claim("g4p3/profile", "Thm 5.5: q_S = 9, c_2 = 96, K_S^2 = 216, p_g = 34",
               "q 9, chi 26, K2 216, c2 96, p_g 34", ("g4p3/q-rel", "g4p3/genera", "g4p3/K2", "g4p3/c2"),
               lambda q_rel, genera, k2, c2: invariants.assemble_profile(q_rel, genera[1], k2, c2)),

@@ -141,6 +141,11 @@ def cover_genera(params: CoverParams) -> tuple[int, int]:
     return g_c, g_d
 
 
+def relative_irregularity(g_d: int) -> int:
+    """q_pi = 2 g_D, the relative irregularity when the cover's Jacobian is indecomposable."""
+    return 2 * g_d
+
+
 def gamma_self_intersection(params: CoverParams) -> int:
     """Self-intersection 8 - 2(g - 1)(p - 2) of the embedded cover curve in D x D."""
     return 8 - 2 * (params.g - 1) * (params.p - 2)

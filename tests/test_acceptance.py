@@ -19,7 +19,7 @@ def _report(criterion: str, ok: bool):
 
 def test_criterion_01_surface_profile_end_to_end():
     lat = lattice.product_with_diagonal_lattice(3)
-    chain = lattice.branch_class(3)
+    chain = lattice.branch_class(*lattice.correspondence_class(3, 3))
     k = lat.canonical_class()
     inputs = (
         lat.intersect(k, k),
@@ -70,7 +70,7 @@ def test_criterion_03_branch_curve():
         for a in sym.basis_labels
         for b in sym.basis_labels
     )
-    chain = lattice.branch_class(3)
+    chain = lattice.branch_class(*lattice.correspondence_class(3, 3))
     prod = lattice.product_with_diagonal_lattice(3)
     ok = (
         lattice.apply_matrix(tau, lattice.DivisorClass((0, 1))) == lattice.DivisorClass((8, -3))

@@ -84,7 +84,7 @@ def test_corrupted_gram_fails_loudly(monkeypatch):
     code, reports = verify_paper()
     assert code == 1
     failing = _failing(reports)
-    # two roots: the fiber class solved in the poisoned lattice, and the branch-class chain
+    # one root: the fiber class solved in the poisoned lattice, which the branch-class chain reads
     assert set(failing) == {
         "g4p3/fiber-class", "g4p3/fiber-self-intersection", "g4p3/fiber-genus",
         "g4p3/hodge-determination", "g4p3/branch-class", "g4p3/involution-on-dp",
@@ -93,10 +93,10 @@ def test_corrupted_gram_fails_loudly(monkeypatch):
         "g4p3/chi-noether", "g4p3/chi-double-cover", "g4p3/profile",
     }
     assert failing["g4p3/fiber-class"].startswith("error: pairings (2, 2, 10) solve to non-integral")
-    assert failing["g4p3/branch-class"].startswith("error: projection formula fails")
+    assert failing["g4p3/branch-class"] == "blocked by g4p3/fiber-class"
     assert failing["g4p3/K2"] == "blocked by g4p3/double-cover-inputs"
     assert failing["g4p3/profile"] == "blocked by g4p3/K2"
-    _assert_blocked_below(failing, {"g4p3/fiber-class", "g4p3/branch-class"})
+    _assert_blocked_below(failing, {"g4p3/fiber-class"})
 
 
 def _poison_genera(case):
@@ -119,25 +119,39 @@ def _poison_plucker_counts(monkeypatch):
     )
 
 
+def _poison_correspondence(monkeypatch):
+    """Genus 3 only: X_P + D1 - D2, which pushes to the same class in the symmetric square."""
+    correspondence = lattice.correspondence_class
+
+    def poisoned(g, d):
+        lat, x = correspondence(g, d)
+        return (lat, x + lat.basis_class("D1") - lat.basis_class("D2")) if g == 3 else (lat, x)
+
+    monkeypatch.setattr(lattice, "correspondence_class", poisoned)
+
+
 # A root calls the poisoned function itself: ``adjunction_inverse`` (under
 # ``gamma-square`` and the gamma grid) and ``moduli_dims`` read ``cover_genera``
-# inside the engine, not through a claim.
+# inside the engine, not through a claim, and the monodromy grid compares each
+# tower with ``cover_genera``.
 @pytest.mark.parametrize("poison, roots, blocked", [
     pytest.param(
         _poison_genera((2, 5)),
         {"g2p5/genera": "(6, 3)", "g2p5/gamma-square": "-6", "g2p5/moduli-dimensions": "(3, 6)",
-         "general/gamma-grid": "14/15 agree"},
+         "general/gamma-grid": "14/15 agree", "general/monodromy-grid": "11/12 verified"},
         {"g2p5/q-rel", "g2p5/xiao", "g2p5/brill-noether"},
         id="genera-g2p5"),
     pytest.param(
         _poison_genera((3, 3)),
-        {"g3p3/genera": "(7, 3)", "general/gamma-grid": "14/15 agree"},
+        {"g3p3/genera": "(7, 3)", "general/gamma-grid": "14/15 agree",
+         "general/monodromy-grid": "11/12 verified"},
         {"g3p3/nodal-class", "g3p3/nodal-genus", "g3p3/geometric-genus", "g3p3/q-rel",
          "g3p3/xiao-generic", "g3p3/xiao-smooth-model"},
         id="genera-g3p3"),
     pytest.param(
         _poison_genera((4, 3)),
-        {"g4p3/genera": "(10, 4)", "general/gamma-grid": "14/15 agree"},
+        {"g4p3/genera": "(10, 4)", "general/gamma-grid": "14/15 agree",
+         "general/monodromy-grid": "11/12 verified"},
         {"g4p3/fiber-class", "g4p3/fiber-self-intersection", "g4p3/fiber-genus",
          "g4p3/hodge-determination", "g4p3/branch-class", "g4p3/involution-on-dp",
          "g4p3/involution-on-delta", "g4p3/involution-on-diagonal", "g4p3/branch-half",
@@ -151,6 +165,15 @@ def _poison_plucker_counts(monkeypatch):
         {"g4p3/branch-genus-riemann-hurwitz", "g4p3/c2", "g4p3/chi-noether", "g4p3/profile",
          "g4p3/base-point-position"},
         id="plucker-counts"),
+    pytest.param(
+        _poison_correspondence,
+        {"g4p3/fiber-class": "(4, 2, -1)"},
+        {"g4p3/fiber-self-intersection", "g4p3/fiber-genus", "g4p3/hodge-determination",
+         "g4p3/branch-class", "g4p3/involution-on-dp", "g4p3/involution-on-delta",
+         "g4p3/involution-on-diagonal", "g4p3/branch-half", "g4p3/branch-genus-adjunction",
+         "g4p3/double-cover-inputs", "g4p3/K2", "g4p3/chi-noether", "g4p3/chi-double-cover",
+         "g4p3/profile"},
+        id="correspondence-genus-3"),
 ])
 def test_a_poisoned_root_fails_exactly_its_readers(monkeypatch, poison, roots, blocked):
     poison(monkeypatch)
@@ -167,19 +190,32 @@ def test_a_poisoned_root_fails_exactly_its_readers(monkeypatch, poison, roots, b
     }
 
 
+def test_the_lattice_subcommand_prints_the_poisoned_correspondence(monkeypatch, capsys):
+    assert main(["lattice", "--case", "g3-product"]) == 0
+    honest = json.loads(capsys.readouterr().out)["classes"]
+    _poison_correspondence(monkeypatch)
+    assert main(["lattice", "--case", "g3-product"]) == 0
+    poisoned = json.loads(capsys.readouterr().out)["classes"]
+    assert (honest["X_P"], poisoned["X_P"]) == ([3, 3, -1], [4, 2, -1])
+    assert {name: c for name, c in poisoned.items() if name != "X_P"} == {
+        name: c for name, c in honest.items() if name != "X_P"
+    }
+
+
 def test_branch_class_is_built_once_per_run(monkeypatch):
     build = lattice.branch_class
     calls = []
 
-    def counted(g):
-        calls.append(g)
-        return build(g)
+    def counted(product, fiber):
+        calls.append((product, fiber))
+        return build(product, fiber)
 
     monkeypatch.setattr(lattice, "branch_class", counted)
+    fiber_class = (lattice.product_with_diagonal_lattice(3), lattice.DivisorClass((3, 3, -1)))
     assert verify_paper()[0] == 0
-    assert calls == [3]
+    assert calls == [fiber_class]
     assert verify_paper(only="g4p3")[0] == 0
-    assert calls == [3, 3]
+    assert calls == [fiber_class, fiber_class]
 
 
 def test_json_roundtrip():

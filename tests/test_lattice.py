@@ -14,6 +14,7 @@ from xiaofib.lattice import (
     apply_matrix,
     branch_class,
     complete_involution,
+    correspondence_class,
     hodge_index_forced_zero,
     phi_morphism,
     product_with_diagonal_lattice,
@@ -311,18 +312,44 @@ def test_rank_mismatches_are_refused():
         short - c
 
 
+def test_correspondence_class_is_d_times_the_rulings_minus_the_diagonal():
+    """(f x f)^* Delta_(P^1) = X + Delta = d (D1 + D2) for a simply branched degree-d map f."""
+    assert correspondence_class(3, 3) == (product_with_diagonal_lattice(3), DivisorClass((3, 3, -1)))
+    assert correspondence_class(2, 3) == (product_with_diagonal_lattice(2), DivisorClass((3, 3, -1)))
+    for g in range(1, 9):
+        for d in range(2, 6):
+            lat, x = correspondence_class(g, d)
+            assert lat == product_with_diagonal_lattice(g)
+            assert x == d * (lat.basis_class("D1") + lat.basis_class("D2")) - lat.basis_class("Delta")
+            assert pairings(lat, x) == (d - 1, d - 1, 2 * g - 2 + 2 * d)
+
+
 def test_branch_class_chain():
-    result = branch_class(3)
+    lat, fiber = correspondence_class(3, 3)
+    result = branch_class(lat, fiber)
     assert result.branch == DivisorClass((16, 16, -6))
     assert result.half == DivisorClass((8, 8, -3))
-    lat = product_with_diagonal_lattice(3)
+    assert result.involution == ((3, 8), (-1, -3))
+    assert result.tau_diagonal == DivisorClass((16, -6))
     assert lat.adjunction_genus(result.branch) == 33
     k = lat.canonical_class()
     assert lat.intersect(k, k) == 32
     assert lat.intersect(result.half, k) == 40
     assert lat.intersect(result.half, result.half) == -4
     with refuses("the branch-class chain is specific to the genus-3 case"):
-        branch_class(2)
+        branch_class(*correspondence_class(2, 3))
+
+
+def test_branch_class_refuses_a_poisoned_gram(monkeypatch):
+    def poisoned(g):
+        built = product_with_diagonal_lattice(g)
+        gram = [list(row) for row in built.gram]
+        gram[2][2] += 1
+        return IntersectionLattice(built.basis_labels, tuple(map(tuple, gram)), built.canonical)
+
+    monkeypatch.setattr("xiaofib.lattice.product_with_diagonal_lattice", poisoned)
+    with refuses("projection formula fails on basis pair (2, 1): -4 != -3"):
+        branch_class(poisoned(3), DivisorClass((3, 3, -1)))
 
 
 def test_halved():

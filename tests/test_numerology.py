@@ -22,6 +22,7 @@ from xiaofib.numerology import (
     is_odd_prime,
     moduli_dims,
     psi_fiber_class,
+    relative_irregularity,
     xiao_report,
 )
 
@@ -174,6 +175,14 @@ def test_chevalley_weil():
             assert len(cw.dims) == p
             assert sum(cw.dims) == cover_genera(params)[0]
             assert cw.prym_dim == (p - 1) * (g - 1)
+
+
+def test_relative_irregularity_is_the_prym_dimension():
+    """q_rel = 2 g_D, read by the ledger and the CLI, against Chevalley-Weil's (p - 1)(g - 1)."""
+    for g in range(2, 40):
+        for p in (3, 5, 7, 11, 13, 101):
+            params = CoverParams(g, p)
+            assert relative_irregularity(cover_genera(params)[1]) == chevalley_weil(params).prym_dim
 
 
 def test_geometric_genus():

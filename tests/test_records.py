@@ -34,8 +34,10 @@ CASES = {
     "ChevalleyWeil": (ChevalleyWeil, (Runs(((2, 1), (1, 4))), 4, 2), (Runs(((2, 1), (1, 4))), 4, 3),
                       "sym2_invariant_dim"),
     "BranchClassResult": (BranchClassResult,
-                          (DivisorClass((16, 16, -6)), DivisorClass((8, 8, -3)), ((3, 8), (-1, -3))),
-                          (DivisorClass((16, 16, -6)), DivisorClass((8, 8, -2)), ((3, 8), (-1, -3))),
+                          (DivisorClass((16, 16, -6)), DivisorClass((8, 8, -3)), ((3, 8), (-1, -3)),
+                           DivisorClass((16, -6))),
+                          (DivisorClass((16, 16, -6)), DivisorClass((8, 8, -2)), ((3, 8), (-1, -3)),
+                           DivisorClass((16, -6))),
                           "half"),
     "SurfaceProfile": (SurfaceProfile, (0, 1, 9, 3, 0), (1, 1, 8, 4, 1), "K2"),
 }
