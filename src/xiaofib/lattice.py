@@ -3,7 +3,13 @@
 Lattices are symmetric integer Gram matrices over a named basis,
 together with the canonical class.  Two families matter here: the
 product of a curve with itself (basis D1, D2, diagonal) and its
-symmetric square (basis D_P, half-diagonal delta).  Everything is done
+symmetric square (basis D_P, half-diagonal delta).  The degree-2
+quotient between them is a fixed pair of push and pull matrices,
+checked against the Gram matrix of the product lattice each time it is
+used.  The branch-class chain of the plane-quartic case completes the
+canonical involution tau of the symmetric square from tau_* D_P by one
+formula, tau_* delta = (2g - 2) tau_* D_P - K, which holds because tau
+fixes K = (2g - 2) D_P - delta.  Everything is done
 in exact integer arithmetic; a signature is read off the integer
 characteristic polynomial by Descartes' rule of signs, so that
 Hodge-index conclusions are certificates rather than approximations.
@@ -11,7 +17,6 @@ Hodge-index conclusions are certificates rather than approximations.
 
 from __future__ import annotations
 
-from . import numerology
 from .record import Record
 
 
@@ -243,60 +248,6 @@ def hodge_index_forced_zero(
     return lattice.intersect(v, v) == 0 and lattice.intersect(v, ample) == 0
 
 
-def complete_involution(
-    lattice: IntersectionLattice,
-    partial: dict[str, DivisorClass],
-    invariant: DivisorClass,
-) -> tuple[tuple[int, ...], ...]:
-    """Extend a partially known pushforward to the full matrix of an involution.
-
-    ``partial`` maps basis labels to their images; ``invariant`` is a
-    class fixed by the action.  The extension must be unique, and the
-    result is checked to square to the identity and preserve the Gram
-    matrix.  Returned as a rank x rank matrix of integers whose column j
-    is the image of the j-th basis vector.
-    """
-    n = lattice.rank
-    lattice._check_rank(invariant)
-    missing = [j for j, label in enumerate(lattice.basis_labels) if label not in partial]
-    for label in partial:
-        if label not in lattice.basis_labels:
-            raise LatticeError(f"unknown basis label {label!r}")
-        lattice._check_rank(partial[label])
-    columns: list[list[int] | None] = [None] * n
-    for label, image in partial.items():
-        columns[lattice.basis_labels.index(label)] = list(image.coeffs)
-    if len(missing) > 1:
-        raise LatticeError(
-            "invariance of a single class cannot determine more than one missing column"
-        )
-    if len(missing) == 1:
-        j0 = missing[0]
-        weight = invariant.coeffs[j0]
-        if weight == 0:
-            raise LatticeError(
-                f"invariant class has zero coefficient on {lattice.basis_labels[j0]!r}: "
-                "extension is underdetermined"
-            )
-        columns[j0] = [0] * n  # the known columns' share of the invariant's image
-        known = _apply(_transpose(columns), invariant.coeffs)
-        solved = [divmod(c - k, weight) for c, k in zip(invariant.coeffs, known)]
-        if any(left for _, left in solved):
-            raise LatticeError(
-                f"completed matrix is not integral in column {lattice.basis_labels[j0]!r}"
-            )
-        columns[j0] = [entry for entry, _ in solved]
-    m = _transpose(columns)
-    if _mat_mul(m, m) != _scalar_matrix(n, 1):
-        raise LatticeError("completed action does not square to the identity")
-    if _mat_mul(_mat_mul(_transpose(m), lattice.gram), m) != lattice.gram:
-        raise LatticeError("completed action does not preserve the intersection form")
-    check = apply_matrix(m, invariant)
-    if check != invariant:
-        raise LatticeError("completed action does not fix the required invariant class")
-    return m
-
-
 def apply_matrix(matrix: tuple[tuple[int, ...], ...], c: DivisorClass) -> DivisorClass:
     """The class matrix . c; the matrix may be rectangular, with one column per coordinate of c."""
     rank = len(c.coeffs)
@@ -324,79 +275,32 @@ def _scalar_matrix(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(d if i == j else 0 for j in range(n)) for i in range(n))
 
 
-class LatticeMorphism(Record):
-    """Push/pull pair between lattices for a finite quotient map.
+# The degree-2 quotient C x C -> Sym^2 C, bases (D1, D2, Delta) and (D_P, delta): the
+# pushforward sends D1 and D2 to D_P and the diagonal to 2 delta, the pullback sends
+# D_P to D1 + D2 and delta to the diagonal
+SYM2_PUSH = ((1, 1, 0), (0, 0, 2))
+SYM2_PULL = ((1, 0), (1, 0), (0, 1))
 
-    ``pushforward`` is a target rank x source rank matrix, ``pullback``
-    a source rank x target rank one.  The projection formula
+
+def symmetric_square_quotient(product: IntersectionLattice) -> IntersectionLattice:
+    """The symmetric-square lattice that a product lattice C x C pushes forward to.
+
+    The genus is read off D1 = C x {pt}.  The projection formula
     (push x).y = x.(pull y) on all basis pairs is the matrix identity
-    push^T G_target = G_source pull, and push o pull = degree x identity
-    is push pull = degree I; both are verified.
+    push^T G_sym = G_product pull, checked against the Gram matrix of
+    ``product``, and push o pull = 2 x identity is push pull = 2 I.
     """
-
-    __slots__ = ("source", "target", "pushforward", "pullback", "degree")
-
-    def __init__(
-        self,
-        source: IntersectionLattice,
-        target: IntersectionLattice,
-        pushforward: tuple[tuple[int, ...], ...],
-        pullback: tuple[tuple[int, ...], ...],
-        degree: int,
-    ):
-        super().__init__(
-            source,
-            target,
-            tuple(tuple(row) for row in pushforward),
-            tuple(tuple(row) for row in pullback),
-            degree,
-        )
-        ns, nt = self.source.rank, self.target.rank
-        if len(self.pushforward) != nt or any(len(r) != ns for r in self.pushforward):
-            raise LatticeError("pushforward matrix has the wrong shape")
-        if len(self.pullback) != ns or any(len(r) != nt for r in self.pullback):
-            raise LatticeError("pullback matrix has the wrong shape")
-        if self.degree < 1:
-            raise LatticeError("degree must be positive")
-        # entry (i, j) of each side is (push e_i).f_j and e_i.(pull f_j) for basis vectors e_i, f_j
-        left = _mat_mul(_transpose(self.pushforward), self.target.gram)
-        right = _mat_mul(self.source.gram, self.pullback)
-        for i, (left_row, right_row) in enumerate(zip(left, right)):
-            for j, (a, b) in enumerate(zip(left_row, right_row)):
-                if a != b:
-                    raise LatticeError(
-                        f"projection formula fails on basis pair ({i}, {j}): {a} != {b}"
-                    )
-        if _mat_mul(self.pushforward, self.pullback) != _scalar_matrix(nt, self.degree):
-            raise LatticeError("pushforward of pullback is not degree times the identity")
-
-    def pushforward_class(self, c: DivisorClass) -> DivisorClass:
-        return apply_matrix(self.pushforward, c)
-
-    def pullback_class(self, c: DivisorClass) -> DivisorClass:
-        return apply_matrix(self.pullback, c)
-
-
-def phi_morphism(g: int) -> LatticeMorphism:
-    """Degree-2 quotient from the product lattice to the symmetric-square lattice.
-
-    Pushforward sends D1 and D2 to D_P and the diagonal to 2 delta;
-    pullback sends D_P to D1 + D2 and delta to the diagonal.
-    """
-    if g < 2:
-        raise LatticeError("quotient morphism needs genus at least 2")
-    source = product_with_diagonal_lattice(g)
-    target = symmetric_square_lattice(g)
-    pushforward = (
-        (1, 1, 0),
-        (0, 0, 2),
-    )
-    pullback = (
-        (1, 0),
-        (1, 0),
-        (0, 1),
-    )
-    return LatticeMorphism(source, target, pushforward, pullback, 2)
+    sym = symmetric_square_lattice(product.adjunction_genus(product.basis_class("D1")))
+    # entry (i, j) of each side is (push e_i).f_j and e_i.(pull f_j) for basis vectors e_i, f_j
+    left = _mat_mul(_transpose(SYM2_PUSH), sym.gram)
+    right = _mat_mul(product.gram, SYM2_PULL)
+    for i, (left_row, right_row) in enumerate(zip(left, right)):
+        for j, (a, b) in enumerate(zip(left_row, right_row)):
+            if a != b:
+                raise LatticeError(f"projection formula fails on basis pair ({i}, {j}): {a} != {b}")
+    if _mat_mul(SYM2_PUSH, SYM2_PULL) != _scalar_matrix(2, 2):
+        raise LatticeError("pushforward of pullback is not degree times the identity")
+    return sym
 
 
 class BranchClassResult(Record):
@@ -409,32 +313,38 @@ def branch_class(product: IntersectionLattice, fiber: DivisorClass) -> BranchCla
     """Branch locus of the double cover of D x D for the plane-quartic case.
 
     Runs the whole chain from the fiber class X_P in ``product``: push
-    it to the symmetric square, halve to get the image of D_P under the
-    canonical involution tau, complete tau using invariance of the
-    canonical class, push the diagonal through, and pull the result back
-    to D x D.  Only genus 3 is meaningful here.
+    it to the symmetric square and halve it to get tau_* D_P, the image
+    of D_P under the canonical involution tau.  The canonical class
+    K = (2g - 2) D_P - delta is fixed by tau, so
+    tau_* delta = (2g - 2) tau_* D_P - K; tau is checked to square to
+    the identity and to preserve the intersection form.  The diagonal
+    is pushed through tau and the result pulled back to D x D.  Only
+    genus 3 is meaningful here.
     """
-    g = product.adjunction_genus(product.basis_class("D1"))  # D1 = D x {pt} is a copy of D
+    sym = symmetric_square_quotient(product)
+    g = sym.adjunction_genus(sym.basis_class("D_P"))  # D_P = {P} + C is a copy of C
     if g != 3:
         raise LatticeError("the branch-class chain is specific to the genus-3 case")
-    phi = phi_morphism(g)
-    tau_dp = phi.pushforward_class(fiber).halved()
-    tau = complete_involution(phi.target, {"D_P": tau_dp}, phi.target.canonical_class())
-    tau_diagonal = apply_matrix(tau, phi.pushforward_class(product.basis_class("Delta")))
-    branch = phi.pullback_class(tau_diagonal)
+    tau_dp = apply_matrix(SYM2_PUSH, fiber).halved()
+    tau_delta = (2 * g - 2) * tau_dp - sym.canonical_class()
+    tau = _transpose((tau_dp.coeffs, tau_delta.coeffs))  # column j is the image of basis vector j
+    if _mat_mul(tau, tau) != _scalar_matrix(2, 1):
+        raise LatticeError("completed action does not square to the identity")
+    if _mat_mul(_mat_mul(_transpose(tau), sym.gram), tau) != sym.gram:
+        raise LatticeError("completed action does not preserve the intersection form")
+    tau_diagonal = apply_matrix(tau, apply_matrix(SYM2_PUSH, product.basis_class("Delta")))
+    branch = apply_matrix(SYM2_PULL, tau_diagonal)
     return BranchClassResult(branch=branch, half=branch.halved(), involution=tau, tau_diagonal=tau_diagonal)
 
 
-def adjunction_inverse(g: int, p: int) -> int:
+def adjunction_inverse(g_c: int, g_d: int) -> int:
     """Self-intersection of the embedded cover curve, inverted from adjunction.
 
-    Works in the product lattice of the quotient curve: the curve meets
-    both rulings in 2 points and has arithmetic genus g_C, so its
-    self-intersection is 2 g_C - 2 - gamma.K.  Must equal
-    8 - 2(g - 1)(p - 2).
+    Works in the product lattice of the quotient curve D of genus g_D:
+    the cover curve C meets both rulings in 2 points and has arithmetic
+    genus g_C, so its self-intersection is 2 g_C - 2 - gamma.K.  For
+    the genera of a dihedral cover it must equal 8 - 2(g - 1)(p - 2).
     """
-    params = numerology.CoverParams(g, p)
-    g_c, g_d = numerology.cover_genera(params)
     k = product_with_diagonal_lattice(g_d).canonical  # (2 g_D - 2)(D1 + D2): no diagonal component
     gamma_dot_k = 2 * k[0] + 2 * k[1]
     return 2 * g_c - 2 - gamma_dot_k

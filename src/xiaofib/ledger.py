@@ -20,7 +20,7 @@ from upstream claims.
 
 from __future__ import annotations
 
-from . import invariants, lattice, monodromy, numerology, quartic
+from . import errors, invariants, lattice, monodromy, numerology, quartic
 from .record import Record
 
 PASS = "pass"
@@ -139,10 +139,10 @@ def _trigonal_cover() -> monodromy.BranchedCover:
 
 
 def _gamma_grid() -> str:
-    cases = [(g, p) for g in range(2, 7) for p in (3, 5, 7)]
+    cases = [numerology.CoverParams(g, p) for g in range(2, 7) for p in (3, 5, 7)]
     hits = sum(
-        lattice.adjunction_inverse(g, p) == numerology.gamma_self_intersection(numerology.CoverParams(g, p))
-        for g, p in cases
+        lattice.adjunction_inverse(*numerology.cover_genera(c)) == numerology.gamma_self_intersection(c)
+        for c in cases
     )
     return f"{hits}/{len(cases)} agree"
 
@@ -188,7 +188,7 @@ def build_claims(seed: int, max_group_order: int) -> list[Claim]:
         Claim("g2p5/genera", "S2: g_C = p(g-1)+1, g_D = (p-1)(g-1)/2; Thm 1.2(1): g_C = 6", "(6, 2)",
               (), lambda: numerology.cover_genera(p25)),
         Claim("g2p5/gamma-square", "Lemma C2: gamma(C)^2 = 8 - 2(g-1)(p-2) = 2", "2",
-              (), lambda: lattice.adjunction_inverse(p25.g, p25.p)),
+              ("g2p5/genera",), lambda genera: lattice.adjunction_inverse(*genera)),
         Claim("g2p5/fiber-dimension", "S4 Proposition: the fibers have dimension 1",
               "positive-dimensional of dimension 1", (), lambda: numerology.psi_fiber_class(p25)),
         Claim("g2p5/moduli-dimensions", "S2: dim H_{2,5} = dim M_2 = 3", "(3, 3)",
@@ -340,7 +340,7 @@ def exit_code(reports: list[ClaimReport]) -> int:
 def verify_paper(
     only: str | None = None,
     seed: int = 1,
-    max_group_order: int = monodromy.DEFAULT_MAX_GROUP_ORDER,
+    max_group_order: int = errors.DEFAULT_MAX_GROUP_ORDER,
 ) -> tuple[int, list[ClaimReport]]:
     """Run the full ledger and return (exit code, reports)."""
     reports = run_claims(build_claims(seed, max_group_order), only)

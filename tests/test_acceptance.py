@@ -54,9 +54,8 @@ def test_criterion_02_fiber_class_chain():
 
 def test_criterion_03_branch_curve():
     sym = lattice.symmetric_square_lattice(3)
-    tau = lattice.complete_involution(
-        sym, {"D_P": lattice.DivisorClass((3, -1))}, sym.canonical_class()
-    )
+    chain = lattice.branch_class(*lattice.correspondence_class(3, 3))
+    tau = chain.involution
     identity = ((1, 0), (0, 1))
     squared = tuple(
         tuple(sum(tau[i][k] * tau[k][j] for k in range(2)) for j in range(2)) for i in range(2)
@@ -70,10 +69,10 @@ def test_criterion_03_branch_curve():
         for a in sym.basis_labels
         for b in sym.basis_labels
     )
-    chain = lattice.branch_class(*lattice.correspondence_class(3, 3))
     prod = lattice.product_with_diagonal_lattice(3)
     ok = (
-        lattice.apply_matrix(tau, lattice.DivisorClass((0, 1))) == lattice.DivisorClass((8, -3))
+        lattice.apply_matrix(tau, lattice.DivisorClass((1, 0))) == lattice.DivisorClass((3, -1))
+        and lattice.apply_matrix(tau, lattice.DivisorClass((0, 1))) == lattice.DivisorClass((8, -3))
         and squared == identity
         and gram_preserved
         and chain.branch == lattice.DivisorClass((16, 16, -6))
@@ -86,7 +85,9 @@ def test_criterion_03_branch_curve():
 def test_criterion_04_gamma_square_equivalence():
     cases = [(g, p) for g in range(2, 7) for p in (3, 5, 7)]
     hits = sum(
-        lattice.adjunction_inverse(g, p) == 8 - 2 * (g - 1) * (p - 2) for g, p in cases
+        lattice.adjunction_inverse(*numerology.cover_genera(numerology.CoverParams(g, p)))
+        == 8 - 2 * (g - 1) * (p - 2)
+        for g, p in cases
     )
     ok = hits == 15
     _report(f"04 adjunction inversion equals 8 - 2(g-1)(p-2) on {hits}/15 cases", ok)
@@ -201,10 +202,11 @@ def test_criterion_11_property_suites():
     ok = True
     rng = random.Random(11)
     for g in range(2, 7):
-        phi = lattice.phi_morphism(g)  # projection formula checked on construction
-        for j, label in enumerate(phi.target.basis_labels):
-            y = phi.target.basis_class(label)
-            ok = ok and phi.pushforward_class(phi.pullback_class(y)) == 2 * y
+        # the projection formula is checked against the product lattice's Gram matrix
+        sym = lattice.symmetric_square_quotient(lattice.product_with_diagonal_lattice(g))
+        for label in sym.basis_labels:
+            y = sym.basis_class(label)
+            ok = ok and lattice.apply_matrix(lattice.SYM2_PUSH, lattice.apply_matrix(lattice.SYM2_PULL, y)) == 2 * y
         for lat in (lattice.product_with_diagonal_lattice(g), lattice.symmetric_square_lattice(g)):
             for _ in range(100):
                 c = lattice.DivisorClass(tuple(rng.randint(-40, 40) for _ in range(lat.rank)))

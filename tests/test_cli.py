@@ -130,16 +130,16 @@ def _poison_correspondence(monkeypatch):
     monkeypatch.setattr(lattice, "correspondence_class", poisoned)
 
 
-# A root calls the poisoned function itself: ``adjunction_inverse`` (under
-# ``gamma-square`` and the gamma grid) and ``moduli_dims`` read ``cover_genera``
-# inside the engine, not through a claim, and the monodromy grid compares each
-# tower with ``cover_genera``.
+# A root calls the poisoned function itself: ``moduli_dims`` reads ``cover_genera``
+# inside the engine, not through a claim, the gamma grid passes it to
+# ``adjunction_inverse``, and the monodromy grid compares each tower with it.
+# ``gamma-square`` reads the genera through ``g2p5/genera``, so it is blocked.
 @pytest.mark.parametrize("poison, roots, blocked", [
     pytest.param(
         _poison_genera((2, 5)),
-        {"g2p5/genera": "(6, 3)", "g2p5/gamma-square": "-6", "g2p5/moduli-dimensions": "(3, 6)",
+        {"g2p5/genera": "(6, 3)", "g2p5/moduli-dimensions": "(3, 6)",
          "general/gamma-grid": "14/15 agree", "general/monodromy-grid": "11/12 verified"},
-        {"g2p5/q-rel", "g2p5/xiao", "g2p5/brill-noether"},
+        {"g2p5/gamma-square", "g2p5/q-rel", "g2p5/xiao", "g2p5/brill-noether"},
         id="genera-g2p5"),
     pytest.param(
         _poison_genera((3, 3)),

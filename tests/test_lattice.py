@@ -1,26 +1,29 @@
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from oracles import congruence_signature, pairings
 from xiaofib.lattice import (
+    SYM2_PULL,
+    SYM2_PUSH,
     DivisorClass,
     IntersectionLattice,
     LatticeError,
-    LatticeMorphism,
     adjunction_inverse,
     apply_matrix,
     branch_class,
-    complete_involution,
     correspondence_class,
     hodge_index_forced_zero,
-    phi_morphism,
     product_with_diagonal_lattice,
     symmetric_square_lattice,
+    symmetric_square_quotient,
 )
-from xiaofib.numerology import CoverParams, gamma_self_intersection
+from xiaofib.numerology import CoverParams, cover_genera, gamma_self_intersection
 
 
 def refuses(message: str):
@@ -179,52 +182,19 @@ def test_hodge_index_forced_zero():
         hodge_index_forced_zero(negative, DivisorClass((0, 0)), DivisorClass((1, 0)))
 
 
-# ---- involution completion ----
+# ---- the degree-2 quotient ----
 
 
-def test_complete_involution_tau():
-    lat = symmetric_square_lattice(3)
-    tau = complete_involution(lat, {"D_P": DivisorClass((3, -1))}, lat.canonical_class())
-    assert tau == ((3, 8), (-1, -3))
-    assert apply_matrix(tau, DivisorClass((0, 1))) == DivisorClass((8, -3))
-    assert apply_matrix(tau, DivisorClass((0, 2))) == DivisorClass((16, -6))
-
-
-def test_complete_involution_identity():
-    lat = symmetric_square_lattice(3)
-    partial = {"D_P": lat.basis_class("D_P"), "delta": lat.basis_class("delta")}
-    assert complete_involution(lat, partial, lat.canonical_class()) == ((1, 0), (0, 1))
-
-
-def test_complete_involution_errors():
-    lat = symmetric_square_lattice(3)
-    with refuses("invariance of a single class cannot determine more than one missing column"):
-        complete_involution(lat, {}, lat.canonical_class())  # two unknown columns
-    with refuses("invariant class has zero coefficient on 'delta': extension is underdetermined"):
-        # invariant with no weight on the unknown column
-        complete_involution(lat, {"D_P": DivisorClass((3, -1))}, lat.basis_class("D_P"))
-    with refuses("completed action does not square to the identity"):
-        # not an isometry / not an involution
-        complete_involution(lat, {"D_P": DivisorClass((2, -1))}, lat.canonical_class())
-
-
-# ---- quotient morphism and the branch chain ----
-
-
-def test_phi_morphism():
+def test_symmetric_square_quotient():
     for g in range(2, 7):
-        phi = phi_morphism(g)
-        for j, label in enumerate(phi.target.basis_labels):
-            y = phi.target.basis_class(label)
-            assert phi.pushforward_class(phi.pullback_class(y)) == 2 * y
-    phi = phi_morphism(3)
-    assert phi.pullback_class(DivisorClass((0, 1))) == DivisorClass((0, 0, 1))
-    xp = DivisorClass((3, 3, -1))
-    assert phi.pushforward_class(xp) == DivisorClass((6, -2))
-
-
-PHI_PUSH = ((1, 1, 0), (0, 0, 2))
-PHI_PULL = ((1, 0), (1, 0), (0, 1))
+        sym = symmetric_square_quotient(product_with_diagonal_lattice(g))
+        assert sym == symmetric_square_lattice(g)
+        for label in sym.basis_labels:
+            y = sym.basis_class(label)
+            assert apply_matrix(SYM2_PUSH, apply_matrix(SYM2_PULL, y)) == 2 * y
+    assert apply_matrix(SYM2_PULL, DivisorClass((0, 1))) == DivisorClass((0, 0, 1))
+    assert apply_matrix(SYM2_PULL, DivisorClass((3, -1))) == DivisorClass((3, 3, -1))
+    assert apply_matrix(SYM2_PUSH, DivisorClass((3, 3, -1))) == DivisorClass((6, -2))
 
 
 def first_projection_failure(source, target, push, pull):
@@ -240,68 +210,36 @@ def first_projection_failure(source, target, push, pull):
     return None
 
 
-def test_morphism_refuses_a_pushforward_that_breaks_the_projection_formula():
-    source, target = product_with_diagonal_lattice(3), symmetric_square_lattice(3)
-    # the diagonal sent to delta, not 2 delta; then D2 sent to D_P + delta as well
-    for push, message in (
-        (((1, 1, 0), (0, 0, 1)), "projection formula fails on basis pair (2, 0): 1 != 2"),
-        (((1, 1, 0), (0, 1, 2)), "projection formula fails on basis pair (1, 0): 2 != 1"),
-    ):
-        assert first_projection_failure(source, target, push, PHI_PULL) == message
-        with refuses(message):
-            LatticeMorphism(source, target, push, PHI_PULL, 2)
-    rng = random.Random(5)
-    for _ in range(200):
-        push = tuple(tuple(v + rng.choice((0, 0, 0, 1, -1)) for v in row) for row in PHI_PUSH)
-        pull = tuple(tuple(v + rng.choice((0, 0, 0, 1, -1)) for v in row) for row in PHI_PULL)
-        message = first_projection_failure(source, target, push, pull)
-        if message is None:
-            continue
-        with refuses(message):
-            LatticeMorphism(source, target, push, pull, 2)
-
-
-def test_morphism_refuses_a_composite_that_is_not_degree_times_identity():
-    source, target = product_with_diagonal_lattice(3), symmetric_square_lattice(3)
-    assert first_projection_failure(source, target, PHI_PUSH, PHI_PULL) is None
-    assert LatticeMorphism(source, target, PHI_PUSH, PHI_PULL, 2) == phi_morphism(3)
-    with refuses("pushforward of pullback is not degree times the identity"):
-        LatticeMorphism(source, target, PHI_PUSH, PHI_PULL, 3)
-    with refuses("degree must be positive"):
-        LatticeMorphism(source, target, PHI_PUSH, PHI_PULL, 0)
-
-
-def test_morphism_built_from_lists_equals_and_hashes_like_phi():
-    source, target = product_with_diagonal_lattice(3), symmetric_square_lattice(3)
-    listed = LatticeMorphism(source, target, [[1, 1, 0], [0, 0, 2]], [[1, 0], [1, 0], [0, 1]], 2)
-    assert listed == phi_morphism(3)
-    assert hash(listed) == hash(phi_morphism(3))
-    assert listed.pushforward == PHI_PUSH and listed.pullback == PHI_PULL
-
-
-def test_morphism_refuses_matrices_of_the_wrong_shape():
-    source, target = product_with_diagonal_lattice(3), symmetric_square_lattice(3)
-    for push in (PHI_PULL, PHI_PUSH[:1], ((1, 1), (0, 0))):
-        with refuses("pushforward matrix has the wrong shape"):
-            LatticeMorphism(source, target, push, PHI_PULL, 2)
-    for pull in (PHI_PUSH, PHI_PULL[:2], ((1, 0), (1, 0), (0, 1, 0))):
-        with refuses("pullback matrix has the wrong shape"):
-            LatticeMorphism(source, target, PHI_PUSH, pull, 2)
+def test_quotient_checks_the_projection_formula_against_the_gram_it_is_given():
+    """Every change of the Gram entries D2^2, D2.Delta and Delta^2 by -1, 0 or 1; D1's row fixes the genus."""
+    product, sym = product_with_diagonal_lattice(3), symmetric_square_lattice(3)
+    assert first_projection_failure(product, sym, SYM2_PUSH, SYM2_PULL) is None
+    refused = 0
+    for d22 in (-1, 0, 1):
+        for d23 in (-1, 0, 1):
+            for d33 in (-1, 0, 1):
+                gram = [list(row) for row in product.gram]
+                gram[1][1] += d22
+                gram[1][2] += d23
+                gram[2][1] += d23
+                gram[2][2] += d33
+                changed = IntersectionLattice(product.basis_labels, gram, product.canonical)
+                message = first_projection_failure(changed, sym, SYM2_PUSH, SYM2_PULL)
+                if message is None:
+                    assert symmetric_square_quotient(changed) == sym
+                    continue
+                refused += 1
+                with refuses(message):
+                    symmetric_square_quotient(changed)
+    assert refused == 26
 
 
 def test_rank_mismatches_are_refused():
-    phi = phi_morphism(3)
-    lat = phi.source
+    lat = product_with_diagonal_lattice(3)
     c, short = DivisorClass((3, 3, -1)), DivisorClass((3, -1))
-    assert apply_matrix(phi.pushforward, c) == phi.pushforward_class(c) == DivisorClass((6, -2))
-    assert apply_matrix(phi.pullback, short) == phi.pullback_class(short) == DivisorClass((3, 3, -1))
-    for matrix, wrong in ((phi.pushforward, short), (phi.pullback, c), (lat.gram, short)):
+    for matrix, wrong in ((SYM2_PUSH, short), (SYM2_PULL, c), (lat.gram, short)):
         with refuses(f"matrix columns do not match a class of rank {len(wrong.coeffs)}"):
             apply_matrix(matrix, wrong)
-    with refuses("matrix columns do not match a class of rank 2"):
-        phi.pushforward_class(short)
-    with refuses("matrix columns do not match a class of rank 3"):
-        phi.pullback_class(c)
     with refuses("class of rank 2 in a lattice of rank 3"):
         lat.intersect(c, short)
     with refuses("class of rank 2 in a lattice of rank 3"):
@@ -331,6 +269,8 @@ def test_branch_class_chain():
     assert result.half == DivisorClass((8, 8, -3))
     assert result.involution == ((3, 8), (-1, -3))
     assert result.tau_diagonal == DivisorClass((16, -6))
+    assert apply_matrix(result.involution, DivisorClass((0, 1))) == DivisorClass((8, -3))
+    assert apply_matrix(result.involution, DivisorClass((0, 2))) == DivisorClass((16, -6))
     assert lat.adjunction_genus(result.branch) == 33
     k = lat.canonical_class()
     assert lat.intersect(k, k) == 32
@@ -340,16 +280,31 @@ def test_branch_class_chain():
         branch_class(*correspondence_class(2, 3))
 
 
-def test_branch_class_refuses_a_poisoned_gram(monkeypatch):
-    def poisoned(g):
-        built = product_with_diagonal_lattice(g)
-        gram = [list(row) for row in built.gram]
-        gram[2][2] += 1
-        return IntersectionLattice(built.basis_labels, tuple(map(tuple, gram)), built.canonical)
+def test_branch_class_of_a_fiber_pushing_to_2_d_p_is_the_identity_involution():
+    lat = product_with_diagonal_lattice(3)
+    result = branch_class(lat, lat.basis_class("D1") + lat.basis_class("D2"))
+    assert result.involution == ((1, 0), (0, 1))
+    assert result.tau_diagonal == DivisorClass((0, 2))
 
-    monkeypatch.setattr("xiaofib.lattice.product_with_diagonal_lattice", poisoned)
+
+def test_branch_class_refuses_a_poisoned_gram():
+    """The chain checks the projection formula against the Gram matrix it is given, not a rebuilt one."""
+    built = product_with_diagonal_lattice(3)
+    gram = [list(row) for row in built.gram]
+    gram[2][2] += 1
+    poisoned = IntersectionLattice(built.basis_labels, gram, built.canonical)
     with refuses("projection formula fails on basis pair (2, 1): -4 != -3"):
-        branch_class(poisoned(3), DivisorClass((3, 3, -1)))
+        branch_class(poisoned, DivisorClass((3, 3, -1)))
+
+
+@pytest.mark.parametrize("fiber, message", [
+    ((2, 2, -1), "completed action does not square to the identity"),
+    ((-1, -1, 0), "completed action does not preserve the intersection form"),
+    ((1, 0, 0), "class (1, 0) is not divisible by 2"),
+], ids=["not-an-involution", "not-an-isometry", "odd-pushforward"])
+def test_branch_class_refuses_a_fiber_that_gives_no_involution(fiber, message):
+    with refuses(message):
+        branch_class(product_with_diagonal_lattice(3), DivisorClass(fiber))
 
 
 def test_halved():
@@ -364,10 +319,20 @@ def test_halved():
 def test_adjunction_inverse_matches_formula():
     for g in range(2, 7):
         for p in (3, 5, 7):
-            assert adjunction_inverse(g, p) == gamma_self_intersection(CoverParams(g, p))
-    assert adjunction_inverse(2, 5) == 2
-    assert adjunction_inverse(4, 3) == 2
-    assert adjunction_inverse(3, 3) == 4
+            params = CoverParams(g, p)
+            assert adjunction_inverse(*cover_genera(params)) == gamma_self_intersection(params)
+    assert adjunction_inverse(6, 2) == 2  # (g, p) = (2, 5)
+    assert adjunction_inverse(10, 3) == 2  # (4, 3)
+    assert adjunction_inverse(7, 2) == 4  # (3, 3)
+
+
+def test_lattice_imports_no_numerology():
+    """The lattice engine reads genera from its callers: importing it loads no ``numerology``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = "import sys, xiaofib.lattice; print('xiaofib.numerology' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={"PYTHONPATH": src}, timeout=60)
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
 
 
 def test_json_dump():

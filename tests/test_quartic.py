@@ -185,6 +185,39 @@ def test_is_smooth_finds_singularities_the_chart_z1_misses(text):
     assert is_smooth(form) is False
 
 
+def random_binary_form(rng, degree):
+    """A nonzero form in x and y alone, as a ternary form."""
+    while True:
+        terms = {(i, degree - i, 0): rng.randint(-3, 3) for i in range(degree + 1)}
+        form = TernaryForm(degree, terms)
+        if not form.is_zero():
+            return form
+
+
+def test_is_smooth_decides_shared_factors_of_f_x_and_f_y_on_the_line_at_infinity(monkeypatch):
+    """F = A(x, y)^2 B(x, y) + c z^d, moved by x -> x + a z, y -> y + b z: F_x and F_y share A.
+
+    On a shared factor H of F_x and F_y, Euler's relation makes F_z a
+    constant times z^(d-1), so F is singular where H meets z = 0, and
+    the line-at-infinity test decides before the chart procedure runs.
+    """
+    def never(polys):
+        raise AssertionError("is_smooth reached common_affine_zero")
+
+    monkeypatch.setattr(quartic, "common_affine_zero", never)
+    rng = random.Random(29)
+    for d in range(3, 7):
+        for _ in range(60):
+            a_degree = rng.randint(1, d // 2)
+            a_form = random_binary_form(rng, a_degree)
+            form = a_form * a_form * random_binary_form(rng, d - 2 * a_degree)
+            form = form + TernaryForm(d, {(0, 0, d): rng.choice((-2, -1, 1, 3))})
+            form = form.compose([[1, 0, rng.randint(-3, 3)], [0, 1, rng.randint(-3, 3)], [0, 0, 1]])
+            fx, fy = (form.partial(v).chart(2) for v in range(2))
+            assert polynomials.bipoly_gcd(fx, fy).total_degree() >= 1
+            assert is_smooth(form) is False
+
+
 def random_conic(rng):
     terms = {}
     for i in range(3):
