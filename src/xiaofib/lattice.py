@@ -9,10 +9,11 @@ checked against the Gram matrix of the product lattice each time it is
 used.  The branch-class chain of the plane-quartic case completes the
 canonical involution tau of the symmetric square from tau_* D_P by one
 formula, tau_* delta = (2g - 2) tau_* D_P - K, which holds because tau
-fixes K = (2g - 2) D_P - delta.  Everything is done
-in exact integer arithmetic; a signature is read off the integer
-characteristic polynomial by Descartes' rule of signs, so that
-Hodge-index conclusions are certificates rather than approximations.
+fixes K = (2g - 2) D_P - delta.  Everything is exact integer
+arithmetic.  One recurrence (Faddeev-LeVerrier) gives the integer
+characteristic polynomial, whose signs are the signature by Descartes'
+rule, so Hodge-index conclusions are certificates, and the adjugate up
+to sign, which solves a class from its pairings.
 """
 
 from __future__ import annotations
@@ -106,46 +107,39 @@ class IntersectionLattice(Record):
         return 1 + total // 2
 
     def class_from_intersections(self, pairings) -> DivisorClass:
-        """Solve gram . c = pairings exactly; the solution must be integral."""
+        """Solve gram . c = pairings exactly; the solution must be integral.
+
+        ``_characteristic`` gives G M_n = -c_0 I, so c_0 c = -M_n . pairings.
+        """
         target = tuple(pairings)
         if len(target) != self.rank:
             raise LatticeError("pairing vector length does not match the lattice rank")
-        solution = _solve_exact(self.gram, target)
-        if solution is None:
+        coeffs, m_n = _characteristic(self.gram)
+        c_0 = coeffs[-1]
+        if not c_0:
             raise LatticeError("gram matrix is degenerate: pairings do not determine a class")
-        numerators, det = solution
-        if any(x % det for x in numerators):
-            raise LatticeError(
-                f"pairings {target} solve to non-integral coefficients {tuple(numerators)}/{det}"
-            )
-        return DivisorClass(tuple(x // det for x in numerators))
+        numerators = tuple(-x for x in _apply(m_n, target))
+        if any(x % c_0 for x in numerators):
+            raise LatticeError(f"pairings {target} solve to non-integral coefficients {numerators}/{c_0}")
+        return DivisorClass(tuple(x // c_0 for x in numerators))
 
     def signature(self) -> tuple[int, int, int]:
         """(positive, negative, zero) inertia indices, read off the characteristic polynomial.
 
-        The Faddeev-LeVerrier recurrence gives det(t I - G) with integer
-        coefficients and exact divisions: M_1 = I, c_(n-k) = -tr(G M_k) / k
-        and M_(k+1) = G M_k + c_(n-k) I.  A symmetric G has only real
-        eigenvalues, so Descartes' rule of signs is exact: the positive
-        ones number the sign changes of the coefficients, the zero ones
-        the vanishing lowest coefficients, and the negative ones the rest.
+        A symmetric G has only real eigenvalues, so Descartes' rule of
+        signs is exact on the coefficients of det(t I - G) that
+        ``_characteristic`` gives: the positive ones number the sign
+        changes of the coefficients, the zero ones the vanishing lowest
+        coefficients, and the negative ones the rest.
         """
-        n = self.rank
-        coeffs = [1]  # of t^n, t^(n-1), ..., t^0
-        product = _scalar_matrix(n, 0)  # G M_(k-1), with M_0 = 0
-        for k in range(1, n + 1):
-            m = [list(row) for row in product]
-            for i in range(n):
-                m[i][i] += coeffs[-1]
-            product = _mat_mul(self.gram, m)
-            coeffs.append(-sum(product[i][i] for i in range(n)) // k)
+        coeffs, _ = _characteristic(self.gram)
         zero = 0
         while not coeffs[-1]:
             coeffs.pop()
             zero += 1
         signs = [c > 0 for c in coeffs if c]
         pos = sum(a != b for a, b in zip(signs, signs[1:]))
-        return pos, n - pos - zero, zero
+        return pos, self.rank - pos - zero, zero
 
     def to_json_dict(self, classes: dict[str, DivisorClass] | None = None) -> dict:
         """Serializable dump: {basis, gram, canonical, classes}."""
@@ -157,30 +151,22 @@ class IntersectionLattice(Record):
         }
 
 
-def _solve_exact(gram, rhs) -> tuple[list[int], int] | None:
-    """Numerators and common denominator of the solution; None when the matrix is singular.
+def _characteristic(gram) -> tuple[list[int], list[list[int]]]:
+    """The coefficients c_n = 1, ..., c_0 of det(t I - G), from t^n down, and the matrix M_n.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss 1968): every entry
-    stays a minor of the augmented matrix, so each division is exact,
-    and the diagonal ends as d = +-det(gram) with d * x in the last
-    column.
+    The Faddeev-LeVerrier recurrence, with integer coefficients and exact
+    divisions: M_1 = I, c_(n-k) = -tr(G M_k) / k and M_(k+1) = G M_k +
+    c_(n-k) I.  Cayley-Hamilton makes M_(n+1) zero, so G M_n = -c_0 I,
+    with c_0 = (-1)^n det G: M_n is the adjugate of G up to sign.
     """
     n = len(gram)
-    aug = [list(gram[i]) + [rhs[i]] for i in range(n)]
-    prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        lead = aug[col]
-        d = lead[col]
-        for r in range(n):
-            if r != col:
-                a = aug[r][col]
-                aug[r] = [(d * v - a * w) // prev for v, w in zip(aug[r], lead)]
-        prev = d
-    return [aug[i][n] for i in range(n)], prev
+    coeffs = [1]
+    m = product = [[0] * n for _ in range(n)]  # G M_(k-1), with M_0 = 0
+    for k in range(1, n + 1):
+        m = [[x + (coeffs[-1] if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(product)]
+        product = _mat_mul(gram, m)
+        coeffs.append(-sum(product[i][i] for i in range(n)) // k)
+    return coeffs, m
 
 
 def product_with_diagonal_lattice(g: int) -> IntersectionLattice:
@@ -271,10 +257,6 @@ def _mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
     return tuple(_apply(columns, row) for row in a)
 
 
-def _scalar_matrix(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(d if i == j else 0 for j in range(n)) for i in range(n))
-
-
 # The degree-2 quotient C x C -> Sym^2 C, bases (D1, D2, Delta) and (D_P, delta): the
 # pushforward sends D1 and D2 to D_P and the diagonal to 2 delta, the pullback sends
 # D_P to D1 + D2 and delta to the diagonal
@@ -288,7 +270,7 @@ def symmetric_square_quotient(product: IntersectionLattice) -> IntersectionLatti
     The genus is read off D1 = C x {pt}.  The projection formula
     (push x).y = x.(pull y) on all basis pairs is the matrix identity
     push^T G_sym = G_product pull, checked against the Gram matrix of
-    ``product``, and push o pull = 2 x identity is push pull = 2 I.
+    ``product``.
     """
     sym = symmetric_square_lattice(product.adjunction_genus(product.basis_class("D1")))
     # entry (i, j) of each side is (push e_i).f_j and e_i.(pull f_j) for basis vectors e_i, f_j
@@ -298,8 +280,6 @@ def symmetric_square_quotient(product: IntersectionLattice) -> IntersectionLatti
         for j, (a, b) in enumerate(zip(left_row, right_row)):
             if a != b:
                 raise LatticeError(f"projection formula fails on basis pair ({i}, {j}): {a} != {b}")
-    if _mat_mul(SYM2_PUSH, SYM2_PULL) != _scalar_matrix(2, 2):
-        raise LatticeError("pushforward of pullback is not degree times the identity")
     return sym
 
 
@@ -328,7 +308,7 @@ def branch_class(product: IntersectionLattice, fiber: DivisorClass) -> BranchCla
     tau_dp = apply_matrix(SYM2_PUSH, fiber).halved()
     tau_delta = (2 * g - 2) * tau_dp - sym.canonical_class()
     tau = _transpose((tau_dp.coeffs, tau_delta.coeffs))  # column j is the image of basis vector j
-    if _mat_mul(tau, tau) != _scalar_matrix(2, 1):
+    if _mat_mul(tau, tau) != ((1, 0), (0, 1)):
         raise LatticeError("completed action does not square to the identity")
     if _mat_mul(_mat_mul(_transpose(tau), sym.gram), tau) != sym.gram:
         raise LatticeError("completed action does not preserve the intersection form")

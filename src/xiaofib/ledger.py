@@ -131,6 +131,15 @@ def _tower(cover: monodromy.BranchedCover, cut, bound: int) -> tuple:
     )
 
 
+def _case_tower(genera, g: int, cover: monodromy.BranchedCover, cut, bound: int) -> tuple:
+    """``_tower`` of a case's cover; raises unless its three genera are the case's (g_D, g_C, g)."""
+    tower = _tower(cover, cut, bound)
+    g_c, g_d = genera
+    if tower[:3] != (g_d, g_c, g):
+        raise ValueError(f"tower genera {tower[:3]} differ from the case's (g_D, g_C, g) = {(g_d, g_c, g)}")
+    return tower
+
+
 def _trigonal_cover() -> monodromy.BranchedCover:
     """Degree-3 cover with ten simple branch points and full symmetric monodromy."""
     t01 = monodromy.Permutation.from_cycles("(0 1)", 3)
@@ -196,9 +205,10 @@ def build_claims(seed: int, max_group_order: int) -> list[Claim]:
         Claim("g2p5/chevalley-weil", "S4: h^0 splits as 2+1+1+1+1; Prym dimension 4; dim A'_4(5) = 2",
               "dims (2, 1, 1, 1, 1), prym 4, sym2-invariants 2", (), lambda: numerology.chevalley_weil(p25)),
         Claim("g2p5/monodromy-tower", "S2: dihedral cover tower for (g, p) = (2, 5); Thm 1.2(1): g_C = 6",
-              "(2, 6, 2, dihedral of order 10)", (),
-              lambda: _tower(monodromy.build_dihedral_cover(p25.g, p25.p, max_group_order),
-                             monodromy.cyclic_rotation_subgroup, max_group_order)),
+              "(2, 6, 2, dihedral of order 10)", ("g2p5/genera",),
+              lambda genera: _case_tower(
+                  genera, p25.g, monodromy.build_dihedral_cover(p25.g, p25.p, max_group_order),
+                  monodromy.cyclic_rotation_subgroup, max_group_order)),
         Claim("g2p5/q-rel",
               "S3 Lemma: q_pi = 2 g_D = 4, given a curve in the family with indecomposable Jacobian", "4",
               ("g2p5/genera",), lambda genera: numerology.relative_irregularity(genera[1]), assumed=True),
@@ -228,8 +238,8 @@ def build_claims(seed: int, max_group_order: int) -> list[Claim]:
               (), lambda: numerology.cover_genera(p43)),
         Claim("g4p3/monodromy-tower",
               "S5: monodromy of f_P is S_3; Galois closure of genus 10; quotient by A_3 of genus 4",
-              "(3, 10, 4, dihedral of order 6)", (),
-              lambda: _tower(_trigonal_cover(), monodromy.even_subgroup, max_group_order)),
+              "(3, 10, 4, dihedral of order 6)", ("g4p3/genera",),
+              lambda genera: _case_tower(genera, p43.g, _trigonal_cover(), monodromy.even_subgroup, max_group_order)),
         Claim("g4p3/fiber-class",
               "S5: X_P . D_1 = X_P . D_2 = 2 and X_P . Delta = 10 give X_P = 3(D_1 + D_2) - Delta",
               "(3, 3, -1)", ("g4p3/genera",), lambda genera: lattice.correspondence_class(genera[1], p43.p)),

@@ -151,8 +151,8 @@ def gamma_self_intersection(params: CoverParams) -> int:
     return 8 - 2 * (params.g - 1) * (params.p - 2)
 
 
-# Fiber dimensions known from the source analysis of the three surface cases.
-_KNOWN_FIBER_DIMS = {(2, 5): 1, (3, 3): 2, (4, 3): 1}
+# Fiber dimensions other than dim H - dim M: at (2, 5), dim H = dim M = 3, yet the fibers are curves (S4)
+_KNOWN_FIBER_DIMS = {(2, 5): 1}
 
 
 def psi_fiber_class(params: CoverParams) -> FiberClass:
@@ -162,7 +162,7 @@ def psi_fiber_class(params: CoverParams) -> FiberClass:
         return FiberClass(FINITE, 0)
     if (g, p) in _KNOWN_FIBER_DIMS:
         return FiberClass(POSITIVE_DIMENSIONAL, _KNOWN_FIBER_DIMS[(g, p)])
-    dim_h, dim_m = moduli_dims(params)  # p is an odd prime, so (g, p) = (2, 3) is all that is left
+    dim_h, dim_m = moduli_dims(params)  # p is an odd prime, so p = 3 and g <= 4 is all that is left
     return FiberClass(POSITIVE_DIMENSIONAL, dim_h - dim_m)
 
 

@@ -158,33 +158,16 @@ class TernaryForm:
 
     def compose(self, matrix: list[list[int]]) -> "TernaryForm":
         """The form (F o M)(v) = F(M v) for an integer 3x3 matrix M."""
-        linear = []
-        for row in matrix:
-            linear.append(
-                TernaryForm(
-                    1,
-                    {
-                        (1, 0, 0): row[0],
-                        (0, 1, 0): row[1],
-                        (0, 0, 1): row[2],
-                    },
-                )
-            )
-        powers: list[dict[int, TernaryForm]] = [
-            {0: TernaryForm(0, {(0, 0, 0): 1})} for _ in range(3)
-        ]
-
-        def power(var: int, e: int) -> TernaryForm:
-            table = powers[var]
-            if e not in table:
-                table[e] = power(var, e - 1) * linear[var]
-            return table[e]
-
-        result = TernaryForm(self.degree, {})
-        for (i, j, k), c in self.coefficients.items():
-            term = power(0, i) * power(1, j) * power(2, k)
-            result = result + term.scale(c)
-        return result
+        linear = [TernaryForm(1, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}) for a, b, c in matrix]
+        terms: dict[tuple[int, int, int], Coefficient] = {}
+        for exponents, c in self.coefficients.items():
+            image = TernaryForm(0, {(0, 0, 0): c})
+            for form, e in zip(linear, exponents):
+                for _ in range(e):
+                    image = image * form
+            for key, v in image.coefficients.items():
+                terms[key] = terms.get(key, 0) + v
+        return TernaryForm(self.degree, terms)
 
     def chart(self, var: int) -> BiPoly:
         """Dehomogenize an integer form by setting one variable to 1, keeping the other two in order."""

@@ -21,9 +21,11 @@ element not commuting with it, cycle notation read by regular
 expressions instead of string methods, transitivity by a search over
 every permutation instead of the n-cycle test, trial division instead of Miller-Rabin
 for primality, smoothness by bivariate elimination on all three
-affine charts instead of one chart and the line at infinity, and lattice
+affine charts instead of one chart and the line at infinity, lattice
 signatures by congruence diagonalization instead of the signs of the
-characteristic polynomial.
+characteristic polynomial, and classes solved from their pairings by
+fraction-free Gauss-Jordan elimination instead of the adjugate that the
+same characteristic-polynomial recurrence gives.
 
 The permutation helpers ``identity``, ``inverse``, ``sign`` and
 ``internal``, ``term_map`` and the term-map
@@ -747,6 +749,32 @@ def congruence_signature(gram) -> tuple[int, int, int]:
             for j in range(n):
                 m[j][i] = d * m[j][i] - a * m[j][k]
     return pos, neg, zero
+
+
+def solve_exact(gram, rhs) -> tuple[list[int], int] | None:
+    """Numerators and common denominator of the solution of gram . x = rhs; None when gram is singular.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968): every entry
+    stays a minor of the augmented matrix, so each division is exact,
+    and the diagonal ends as d = +-det(gram) with d * x in the last
+    column.
+    """
+    n = len(gram)
+    aug = [list(gram[i]) + [rhs[i]] for i in range(n)]
+    prev = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        lead = aug[col]
+        d = lead[col]
+        for r in range(n):
+            if r != col:
+                a = aug[r][col]
+                aug[r] = [(d * v - a * w) // prev for v, w in zip(aug[r], lead)]
+        prev = d
+    return [aug[i][n] for i in range(n)], prev
 
 
 def parse_reports(text: str) -> list[ClaimReport]:

@@ -131,20 +131,21 @@ def _poison_correspondence(monkeypatch):
 
 
 # A root calls the poisoned function itself: ``moduli_dims`` reads ``cover_genera``
-# inside the engine, not through a claim, the gamma grid passes it to
+# inside the engine, not through a claim, and so does ``psi_fiber_class``
+# through it, except for (2, 5); the gamma grid passes it to
 # ``adjunction_inverse``, and the monodromy grid compares each tower with it.
-# ``gamma-square`` reads the genera through ``g2p5/genera``, so it is blocked.
+# ``gamma-square`` and the tower claims read the genera through ``*/genera``, so they are blocked.
 @pytest.mark.parametrize("poison, roots, blocked", [
     pytest.param(
         _poison_genera((2, 5)),
         {"g2p5/genera": "(6, 3)", "g2p5/moduli-dimensions": "(3, 6)",
          "general/gamma-grid": "14/15 agree", "general/monodromy-grid": "11/12 verified"},
-        {"g2p5/gamma-square", "g2p5/q-rel", "g2p5/xiao", "g2p5/brill-noether"},
+        {"g2p5/gamma-square", "g2p5/monodromy-tower", "g2p5/q-rel", "g2p5/xiao", "g2p5/brill-noether"},
         id="genera-g2p5"),
     pytest.param(
         _poison_genera((3, 3)),
-        {"g3p3/genera": "(7, 3)", "general/gamma-grid": "14/15 agree",
-         "general/monodromy-grid": "11/12 verified"},
+        {"g3p3/genera": "(7, 3)", "g3p3/fiber-dimension": "positive-dimensional of dimension -1",
+         "general/gamma-grid": "14/15 agree", "general/monodromy-grid": "11/12 verified"},
         {"g3p3/nodal-class", "g3p3/nodal-genus", "g3p3/geometric-genus", "g3p3/q-rel",
          "g3p3/xiao-generic", "g3p3/xiao-smooth-model"},
         id="genera-g3p3"),
@@ -152,7 +153,7 @@ def _poison_correspondence(monkeypatch):
         _poison_genera((4, 3)),
         {"g4p3/genera": "(10, 4)", "general/gamma-grid": "14/15 agree",
          "general/monodromy-grid": "11/12 verified"},
-        {"g4p3/fiber-class", "g4p3/fiber-self-intersection", "g4p3/fiber-genus",
+        {"g4p3/monodromy-tower", "g4p3/fiber-class", "g4p3/fiber-self-intersection", "g4p3/fiber-genus",
          "g4p3/hodge-determination", "g4p3/branch-class", "g4p3/involution-on-dp",
          "g4p3/involution-on-delta", "g4p3/involution-on-diagonal", "g4p3/branch-half",
          "g4p3/branch-genus-adjunction", "g4p3/branch-genus-riemann-hurwitz",
@@ -187,6 +188,19 @@ def test_a_poisoned_root_fails_exactly_its_readers(monkeypatch, poison, roots, b
     case = next(iter(blocked)).partition("/")[0]
     assert _failing(verify_paper(only=case)[1]) == {
         claim_id: computed for claim_id, computed in failing.items() if claim_id.startswith(case + "/")
+    }
+
+
+def test_a_tower_claim_refuses_a_tower_other_than_its_case(monkeypatch):
+    """The case's genera pass, so each tower claim is the root and names both triples."""
+    closure_genus = monodromy.galois_closure_genus
+    monkeypatch.setattr(monodromy, "galois_closure_genus", lambda cover, bound: closure_genus(cover, bound) + 1)
+    code, reports = verify_paper()
+    assert code == 1
+    assert _failing(reports) == {
+        "g2p5/monodromy-tower": "error: tower genera (2, 7, 2) differ from the case's (g_D, g_C, g) = (2, 6, 2)",
+        "g4p3/monodromy-tower": "error: tower genera (3, 11, 4) differ from the case's (g_D, g_C, g) = (3, 10, 4)",
+        "general/monodromy-grid": "0/12 verified",
     }
 
 

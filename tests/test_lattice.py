@@ -1,3 +1,4 @@
+import ast
 import random
 import re
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import congruence_signature, pairings
+from oracles import congruence_signature, pairings, solve_exact
 from xiaofib.lattice import (
     SYM2_PULL,
     SYM2_PUSH,
@@ -164,6 +165,41 @@ def test_signature_matches_congruence_diagonalization():
         # with the whole diagonal zero, a nonzero matrix sends the oracle to a partner row
         partner_cases += all(gram[i][i] == 0 for i in range(n)) and any(map(any, gram))
     assert partner_cases >= 50
+
+
+def test_class_from_intersections_matches_fraction_free_elimination():
+    """Random symmetric matrices of rank 1-5, mostly zeros, with random pairings: the refusal when
+    the oracle finds no pivot, its solution when that is integral, and its fractions otherwise."""
+    rng = random.Random(13)
+    outcomes = {"degenerate": 0, "integral": 0, "fractional": 0}
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = rng.choice((0, 0, 0, 0, 1, -1, 2, -3, 7))
+        target = tuple(rng.randint(-9, 9) for _ in range(n))
+        lattice = IntersectionLattice(tuple(f"e{i}" for i in range(n)), gram, (0,) * n)
+        solution = solve_exact(gram, target)
+        if solution is None:
+            outcomes["degenerate"] += 1
+            with refuses("gram matrix is degenerate: pairings do not determine a class"):
+                lattice.class_from_intersections(target)
+            continue
+        numerators, det = solution
+        expected = [Fraction(x, det) for x in numerators]
+        if all(x.denominator == 1 for x in expected):
+            outcomes["integral"] += 1
+            assert lattice.class_from_intersections(target) == DivisorClass(tuple(map(int, expected))), gram
+            continue
+        outcomes["fractional"] += 1
+        with pytest.raises(LatticeError) as refusal:
+            lattice.class_from_intersections(target)
+        prefix = f"pairings {target} solve to non-integral coefficients "
+        assert str(refusal.value).startswith(prefix)
+        numerators_text, denominator = str(refusal.value).removeprefix(prefix).rsplit("/", 1)
+        assert [Fraction(x, int(denominator)) for x in ast.literal_eval(numerators_text)] == expected, gram
+    assert min(outcomes.values()) >= 300, outcomes
 
 
 def test_hodge_index_forced_zero():

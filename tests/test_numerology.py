@@ -100,6 +100,23 @@ def test_fiber_classification():
     assert psi_fiber_class(CoverParams(2, 7)).finite
 
 
+def test_fiber_dimension_is_the_dimension_count():
+    """Away from (2, 5), the fibers are finite exactly when dim H <= dim M, and of dimension
+    dim H - dim M otherwise; at (2, 5), dim H = dim M, yet the fibers are curves."""
+    for g in range(2, 40):
+        for p in (3, 5, 7, 11, 13, 101):
+            if (g, p) == (2, 5):
+                continue
+            params = CoverParams(g, p)
+            dim_h, dim_m = moduli_dims(params)
+            if dim_h <= dim_m:
+                assert psi_fiber_class(params) == FiberClass("finite", 0), (g, p)
+            else:
+                assert psi_fiber_class(params) == FiberClass("positive_dimensional", dim_h - dim_m), (g, p)
+    assert moduli_dims(CoverParams(2, 5)) == (3, 3)
+    assert psi_fiber_class(CoverParams(2, 5)) == FiberClass("positive_dimensional", 1)
+
+
 def test_fiber_class_renders_each_case():
     assert str(FiberClass("finite", 0)) == "finite"
     assert str(FiberClass("positive_dimensional", 2)) == "positive-dimensional of dimension 2"

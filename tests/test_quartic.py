@@ -356,10 +356,24 @@ def test_random_unimodular_determinant():
 
 
 def test_compose_is_substitution():
+    """Forms of degree 0-6: random quartics and their sextic Hessians, sparse integer and rational
+    forms, and the zero form."""
     rng = random.Random(83)
-    for _ in range(10):
-        form = random_quartic(rng)
+    quartics = [random_quartic(rng) for _ in range(10)]
+    forms = quartics + [hessian(q) for q in quartics] + [TernaryForm(d, {}) for d in (0, 1, 4)]
+    for degree in range(1, 7):
+        for denominators in ((1,), (1, 2, 3, 7)):
+            for _ in range(3):
+                terms = {
+                    (i, j, degree - i - j): Fraction(rng.randint(-9, 9), rng.choice(denominators))
+                    for i in range(degree + 1) for j in range(degree + 1 - i) if rng.random() < 0.5
+                }
+                forms.append(TernaryForm(degree, terms))
+    for form in forms:
         matrix = random_unimodular(rng)
-        x, y, z = (Fraction(rng.randint(-3, 3)) for _ in range(3))
-        image = [sum(matrix[i][j] * v for j, v in enumerate((x, y, z))) for i in range(3)]
-        assert evaluate_form(form.compose(matrix), x, y, z) == evaluate_form(form, *image)
+        composed = form.compose(matrix)
+        assert composed.degree == form.degree and composed.is_zero() == form.is_zero()
+        for _ in range(3):
+            x, y, z = (Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3))
+            image = [sum(matrix[i][j] * v for j, v in enumerate((x, y, z))) for i in range(3)]
+            assert evaluate_form(composed, x, y, z) == evaluate_form(form, *image)

@@ -55,11 +55,9 @@ ALLOWED = {
         "cli: sys.exit(main())",
     ),
     "internal invariants that no input can violate: the callers build only well-formed values, a "
-    "connected cover's Riemann-Hurwitz total is even and its genus non-negative, and the quotient "
-    "matrices are constants": (
+    "connected cover's Riemann-Hurwitz total is even and its genus non-negative": (
         "invariants.SurfaceProfile.__init__: raise InvariantError(",
         "invariants.SurfaceProfile.__init__: raise InvariantError(",
-        'lattice.symmetric_square_quotient: raise LatticeError("pushforward of pullback is not degree times the identity")',
         'ledger.fmt: raise TypeError(f"no exact rendering for {value!r}")',
         'ledger._checked: raise ValueError(f"claim {claim.claim_id} reads {name}, which is unknown or declared later")',
         'monodromy.Permutation.then: raise MonodromyDataError("composing permutations of different degrees")',
@@ -88,7 +86,7 @@ ALLOWED = {
         "lattice.IntersectionLattice._check_rank: raise LatticeError(",
         'lattice.IntersectionLattice.adjunction_genus: raise LatticeError(f"c^2 + c.K = {total} is odd: genus is not an integer")',
         'lattice.IntersectionLattice.class_from_intersections: raise LatticeError("pairing vector length does not match the lattice rank")',
-        "lattice.IntersectionLattice.class_from_intersections: raise LatticeError(",
+        'lattice.IntersectionLattice.class_from_intersections: raise LatticeError(f"pairings {target} solve to non-integral coefficients {numerators}/{c_0}")',
         'lattice.product_with_diagonal_lattice: raise LatticeError("curve genus must be non-negative")',
         'lattice.symmetric_square_lattice: raise LatticeError("symmetric-square lattice needs genus at least 2")',
         "lattice.hodge_index_forced_zero: raise LatticeError(",
@@ -99,6 +97,7 @@ ALLOWED = {
         'lattice.branch_class: raise LatticeError("completed action does not square to the identity")',
         'lattice.branch_class: raise LatticeError("completed action does not preserve the intersection form")',
         'ledger.Claim.run: computed = f"blocked by {blocked[0]}"',
+        'ledger._case_tower: raise ValueError(f"tower genera {tower[:3]} differ from the case\'s (g_D, g_C, g) = {(g_d, g_c, g)}")',
         'monodromy.BranchedCover.__init__: raise MonodromyDataError("base genus must be non-negative")',
         'monodromy.BranchedCover.__init__: raise MonodromyDataError("permutation degree does not match cover degree")',
         'monodromy.generated_group: raise EnumerationLimitError(f"group closure exceeds the configured bound {max_order}")',
@@ -127,7 +126,6 @@ ALLOWED = {
         'lattice.IntersectionLattice.class_from_intersections: raise LatticeError("gram matrix is degenerate: pairings do not determine a class")',
         "lattice.IntersectionLattice.signature: coeffs.pop()",
         "lattice.IntersectionLattice.signature: zero += 1",
-        "lattice._solve_exact: return None",
     ),
     "value-class protocol: equality, hashing, repr, immutability, copy and pickle by value, and the "
     "checked Permutation constructor; no supported input uses them, and the tests do": (
