@@ -24,6 +24,8 @@ CYCLIC5 = "degree 5; base_genus 0\n(0 1 2 3 4)\n(0 4 3 2 1)\n"
 S5_CYCLE_AND_SWAP = "degree 5; base_genus 0\n(0 1 2 3 4)\n(0 1)\n(1 4 3 2)\n"
 KLEIN_FOUR = "degree 4; base_genus 0\n" + "(0 1)(2 3)\n" * 2 + "(0 2)(1 3)\n" * 2
 S3_TRIANGLE = "degree 3; base_genus 0\n" + "".join(f"({a} {b})\n" * 2 for a, b in ((0, 1), (1, 2), (0, 2)))
+# D_4, which the closure labels: r^2 = (0 2)(1 3), an involution and a rotation, is a branch element
+D4_ROTATION_INVOLUTION = "degree 4; base_genus 0\n(0 2)(1 3)\n(1 3)\n(0 1)(2 3)\n(0 1 2 3)\n"
 S4_CHAIN = "degree 4; base_genus 0\n(0 1)\n(1 2)\n(2 3)\n(2 3)\n(1 2)\n(0 1)\n"
 S6_CHAIN = "degree 6; base_genus 0\n" + "".join(f"({i} {i + 1})\n" * 2 for i in range(5))
 # S4_CHAIN with its lines spelled in other ways: each distinct line is parsed once
@@ -51,6 +53,7 @@ def command_lines(workdir: str) -> list[list[str]]:
         "cyclic5.txt": CYCLIC5.encode(),
         "klein-four.txt": KLEIN_FOUR.encode(),
         "s3-triangle.txt": S3_TRIANGLE.encode(),
+        "d4-rotation-involution.txt": D4_ROTATION_INVOLUTION.encode(),
         "s5-cycle-and-swap.txt": S5_CYCLE_AND_SWAP.encode(),
         "s4.txt": S4_CHAIN.encode(),
         "s6.txt": S6_CHAIN.encode(),
@@ -106,6 +109,7 @@ def command_lines(workdir: str) -> list[list[str]]:
         ["monodromy", "--file", path["cyclic5.txt"]],
         ["monodromy", "--file", path["klein-four.txt"]],
         ["monodromy", "--file", path["s3-triangle.txt"]],
+        ["monodromy", "--file", path["d4-rotation-involution.txt"]],
         ["monodromy", "--file", path["s5-cycle-and-swap.txt"]],
         ["monodromy", "--file", path["s4.txt"]],
         ["monodromy", "--file", path["s6.txt"]],

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from corpus import D4_ROTATION_INVOLUTION
 from oracles import (
     brute_closure,
     brute_regular_genus,
@@ -824,6 +825,8 @@ S3_FROM_THREE_TRANSPOSITIONS = "degree 3; base_genus 0\n" + "".join(f"{t}\n{t}\n
     pytest.param(lambda tmp_path: parse_cover(S3_FROM_THREE_TRANSPOSITIONS), 1, id="S3-transpositions"),
     pytest.param(lambda tmp_path: polygon_cover(tmp_path, 4), 1, id="D4-file"),
     pytest.param(lambda tmp_path: polygon_cover(tmp_path, 6), 1, id="D6-file"),
+    # r^2 = (0 2)(1 3) is a branch element: an involution inside the rotations
+    pytest.param(lambda tmp_path: parse_cover(D4_ROTATION_INVOLUTION), 1, id="D4-rotation-involution"),
 ])
 def test_the_commutation_cut_matches_the_coset_oracle(monkeypatch, tmp_path, make, enumerated):
     cover = make(tmp_path)
