@@ -18,11 +18,18 @@ cycles of sheets in range (``from_cycles``) and the reflections
 ``build_dihedral_cover`` makes are bijections by construction and are not
 checked again.  ``parse_cover`` parses each distinct line once, so
 repeated lines share one ``Permutation`` object; a cover file that is not
-UTF-8 raises ``MonodromyDataError``.  A cover walks the cycles of each
-distinct permutation once (``cycle_type``, which also keeps its order)
-and of r, the product of its first two distinct elements, once;
-the reflections of ``build_dihedral_cover`` carry their cycle type from
-construction, so a dihedral cover walks r alone.
+UTF-8 raises ``MonodromyDataError``.  A cover keeps its branch word as
+runs: one (permutation, multiplicity) pair for each maximal run of one
+object.  As sigma^k = sigma^(k mod ord sigma), the product check
+composes only each run's residue, so the paper's word (s_1, s_1, s_0,
+..., s_0), whose runs have even length and reflections of order 2, needs
+no composition at all, and no word more than its plain product.  The
+genera sum multiplicity times term over the runs.  A cover walks the
+cycles of each distinct permutation once (``cycle_type``, which also
+keeps its order) and of r, the ``then`` product of its first two distinct
+elements, once; the reflections of ``build_dihedral_cover`` carry their
+cycle type and order from construction, so a dihedral cover walks r alone
+and composes r alone.
 That walk of r gives transitivity when r is an n-cycle (otherwise the
 cover follows forward images), the order with which the closure and the
 label start, and the parity the even subgroup reads.  Inside the module
@@ -59,7 +66,7 @@ from __future__ import annotations
 
 import re
 from functools import reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, groupby, repeat
 from math import factorial, lcm
 from operator import itemgetter
 
@@ -96,6 +103,8 @@ def _numeral(text: str) -> int:
 
 # Cycle notation with its whitespace removed
 _CYCLE_NOTATION = re.compile(r"(?:\([0-9,]*\))*")
+# The first line of a cover file
+_HEADER = re.compile(r"degree\s*(\d+)\s*;\s*base_genus\s*(\d+)")
 
 
 class Permutation(Record):
@@ -114,12 +123,13 @@ class Permutation(Record):
             raise MonodromyDataError(f"not a bijection of 0..{len(images) - 1}: {images!r}")
 
     @classmethod
-    def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
-        """Wrap images already known to form a bijection, skipping the check."""
+    def _unchecked(cls, images: tuple[int, ...], cycle_type: tuple[int, ...] | None = None,
+                   order: int | None = None) -> "Permutation":
+        """Wrap images already known to form a bijection, skipping the check, with a cycle type and order if known."""
         perm = object.__new__(cls)  # set directly: every product of ``then`` comes through here
         object.__setattr__(perm, "images", images)
-        object.__setattr__(perm, "_cycle_type", None)
-        object.__setattr__(perm, "_order", None)
+        object.__setattr__(perm, "_cycle_type", cycle_type)
+        object.__setattr__(perm, "_order", order)
         return perm
 
     @classmethod
@@ -200,10 +210,10 @@ def _right(s):
 class BranchedCover(Record):
     """Degree-n cover of a genus-b curve, branch monodromy acting left to right."""
 
-    # ``_elements``: the images of each branch permutation, one object per distinct permutation
-    # object; ``_lengths``: the cycle lengths of r, the product of the first two distinct
+    # ``_runs``: (permutation object, multiplicity) for each maximal run of one object in the
+    # branch word; ``_lengths``: the cycle lengths of r, the product of the first two distinct
     # elements, keyed by r; ``_group``: set by the first ``generated_group`` call
-    __slots__ = ("degree", "base_genus", "branch_monodromy", "_elements", "_lengths", "_group")
+    __slots__ = ("degree", "base_genus", "branch_monodromy", "_runs", "_lengths", "_group")
 
     def __init__(self, degree: int, base_genus: int, branch_monodromy: tuple[Permutation, ...]):
         self._set(degree=degree, base_genus=base_genus, branch_monodromy=tuple(branch_monodromy), _group=None)
@@ -217,22 +227,21 @@ class BranchedCover(Record):
         if self.base_genus >= GENUS_LIMIT:
             raise MonodromyDataError("base genus must be below 10^2000")
         identity = tuple(range(self.degree))
-        distinct = {id(sigma): sigma for sigma in self.branch_monodromy}  # by object: no image tuple is hashed
+        runs = tuple((run[0], len(run)) for run in (list(run) for _, run in groupby(self.branch_monodromy, id)))
+        distinct = {id(sigma): sigma for sigma, _ in runs}  # by object: no image tuple is hashed
         for sigma in distinct.values():
             if sigma.degree != self.degree:
                 raise MonodromyDataError("permutation degree does not match cover degree")
             if sigma.images == identity:
                 raise MonodromyDataError("branch permutations must be non-identity")
-        if self.branch_monodromy and reduce(Permutation.then, self.branch_monodromy).images != identity:
+        residues = [sigma for sigma, k in runs for _ in range(k % sigma.order())]  # sigma^k = sigma^(k mod ord)
+        if residues and reduce(Permutation.then, residues).images != identity:
             raise MonodromyDataError("branch monodromy product is not the identity")
-        gens = list(dict.fromkeys(sigma.images for sigma in distinct.values()))
-        r = _right(gens[1])(gens[0]) if len(gens) > 1 else None
-        self._set(
-            _elements=tuple(sigma.images for sigma in self.branch_monodromy),
-            _lengths={r: _cycle_lengths(r)} if r else {},
-        )
+        gens = list({sigma.images: sigma for sigma in distinct.values()}.values())  # one per distinct image tuple
+        r = gens[0].then(gens[1]).images if len(gens) > 1 else None
+        self._set(_runs=runs, _lengths={r: _cycle_lengths(r)} if r else {})
         # an n-cycle in the group proves it transitive; otherwise follow forward images
-        if [self.degree] not in self._lengths.values() and not self._is_transitive(gens):
+        if [self.degree] not in self._lengths.values() and not self._is_transitive([g.images for g in gens]):
             raise MonodromyDataError("monodromy group is not transitive: cover is disconnected")
 
     def _is_transitive(self, maps) -> bool:
@@ -270,7 +279,7 @@ class GroupDescriptor:
 def rh_genus(cover: BranchedCover) -> int:
     """Genus from Riemann-Hurwitz: 2g - 2 = n(2b - 2) + sum over cycles of (len - 1)."""
     n = cover.degree
-    ramification = sum(n - len(sigma.cycle_type()) for sigma in cover.branch_monodromy)
+    ramification = sum(k * (n - len(sigma.cycle_type())) for sigma, k in cover._runs)
     return _rh_solve(n, cover.base_genus, ramification)
 
 
@@ -429,8 +438,7 @@ def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORD
     _refuse_degree_above(n, max_order)
     group = cover._group
     if group is None:
-        distinct = {id(sigma): sigma for sigma in cover.branch_monodromy}  # by object: no image tuple is hashed
-        gens = {sigma.images: sigma.cycle_type() for sigma in distinct.values()}
+        gens = {sigma.images: sigma.cycle_type() for sigma, _ in cover._runs}
         lengths = {**gens, **cover._lengths}  # the generators, then r: as candidates, the same span
         order = 0
         if len(gens) == 2 and all(cycles[0] == 2 for cycles in gens.values()):  # two involutions
@@ -455,15 +463,22 @@ def cyclic_rotation_subgroup(group: GroupDescriptor) -> GroupDescriptor:
     Every dihedral label is D_m with m >= 3, where an element commutes with
     a rotation r of order m exactly when it is a rotation: a reflection s
     has s r s = r^-1, which is not r.  So a generator h lies inside exactly
-    when h r = r h, two compositions each, and no rotation is listed.  A
-    descriptor ``generated_group`` did not make holds no generators, and
+    when h r = r h, two compositions each, and no rotation is listed.  Two
+    cases need no composition: r itself commutes with r, and when m is odd
+    no involution is a rotation, since a rotation's order divides m (Holt,
+    Eick & O'Brien, *Handbook of Computational Group Theory*, 2005, 4.1).
+    A descriptor ``generated_group`` did not make holds no generators, and
     ``quotient_genus`` refuses its cut.
     """
     if group.classification != DIHEDRAL:
         raise MonodromyDataError("rotation subgroup is defined for dihedral groups only")
     r = group._rotation
     then_r = _right(r)
-    inside = {h for h in group._lengths or () if then_r(h) == _right(h)(r)}
+    odd = group.order // 2 % 2
+    inside = {
+        h for h, cycles in (group._lengths or {}).items()
+        if h is r or (not (odd and lcm(*cycles) == 2) and then_r(h) == _right(h)(r))
+    }
     return GroupDescriptor(group.order // 2, CYCLIC, parent=group, inside=inside)
 
 
@@ -487,7 +502,7 @@ def galois_closure_genus(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROU
     elements into |G| / ord(sigma) cycles of length ord(sigma).
     """
     order = generated_group(cover, max_order).order
-    ramification = sum(order - order // sigma.order() for sigma in cover.branch_monodromy)
+    ramification = sum(k * (order - order // sigma.order()) for sigma, k in cover._runs)
     return _rh_solve(order, cover.base_genus, ramification)
 
 
@@ -503,19 +518,15 @@ def quotient_genus(
     from it; any other descriptor is refused.  A subgroup of index 2 is
     normal, so a branch permutation outside it swaps the two cosets and
     one inside it fixes both; branch points whose induced action is
-    trivial are dropped.  Each generator outside the subgroup is looked up
-    once, and its branch points are counted by ``tuple.count``, which
-    compares by identity first: the cover shares one object per distinct
-    permutation.
+    trivial are dropped.  Each run of the branch word is looked up once
+    and counts its multiplicity when it lies outside.
     """
     group = generated_group(cover, max_order)
     if subgroup is not group and subgroup._parent is not group:
         raise MonodromyDataError(
             "subgroup is neither this cover's group nor cut from it by even_subgroup or cyclic_rotation_subgroup"
         )
-    moved = 0 if subgroup is group else sum(
-        cover._elements.count(h) for h in group._lengths if h not in subgroup._inside
-    )
+    moved = 0 if subgroup is group else sum(k for sigma, k in cover._runs if sigma.images not in subgroup._inside)
     return _rh_solve(group.order // subgroup.order, cover.base_genus, moved)
 
 
@@ -546,9 +557,9 @@ def build_dihedral_cover(
         raise EnumerationLimitError(f"group closure exceeds the configured bound {max_group_order}")
 
     # x -> a - x fixes a/2 alone and swaps the other points in pairs, so no cycle walk is needed
-    reflection = {"_cycle_type": (2,) * ((p - 1) // 2) + (1,), "_order": 2}
-    s_1 = Permutation._unchecked((1, 0, *range(p - 1, 1, -1)))._set(**reflection)  # x -> 1 - x
-    s_0 = Permutation._unchecked((0, *range(p - 1, 0, -1)))._set(**reflection)  # x -> -x
+    reflection = (2,) * ((p - 1) // 2) + (1,)
+    s_1 = Permutation._unchecked((1, 0, *range(p - 1, 1, -1)), reflection, 2)  # x -> 1 - x
+    s_0 = Permutation._unchecked((0, *range(p - 1, 0, -1)), reflection, 2)  # x -> -x
     return BranchedCover(p, 0, (s_1, s_1) + (s_0,) * (2 * g))
 
 
@@ -565,7 +576,7 @@ def parse_cover(text: str, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -> Br
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise MonodromyDataError("empty cover description")
-    header = re.fullmatch(r"degree\s*(\d+)\s*;\s*base_genus\s*(\d+)", lines[0])
+    header = _HEADER.fullmatch(lines[0])
     if not header:
         raise MonodromyDataError(f"bad header line {lines[0]!r}: expected 'degree n; base_genus b'")
     degree, base_genus = map(_numeral, header.groups())

@@ -38,6 +38,7 @@ them.
 import json
 import re
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial, gcd, lcm
 
 from xiaofib import monodromy, polynomials
@@ -522,6 +523,22 @@ def is_transitive(perms, degree: int) -> bool:
         frontier = [p.images[i] for i in frontier for p in perms if p.images[i] not in reached]
         reached.update(frontier)
     return len(reached) == degree
+
+
+def plain_product(word, degree: int) -> tuple[int, ...]:
+    """Images of the left-to-right product of a branch word, one composition per letter.
+
+    The reference for ``BranchedCover``'s product check, which composes
+    only each run's residue.
+    """
+    return reduce(lambda a, b: tuple(b[i] for i in a), (sigma.images for sigma in word), tuple(range(degree)))
+
+
+def pointwise_rh_genus(cover) -> int:
+    """Riemann-Hurwitz with one term per branch point, each from that point's own cycles."""
+    n = cover.degree
+    rhs = n * (2 * cover.base_genus - 2) + sum(n - len(cycles(sigma)) for sigma in cover.branch_monodromy)
+    return rhs // 2 + 1
 
 
 def composition_order(perm) -> int:

@@ -16,6 +16,9 @@ from oracles import (
     identity,
     internal,
     inverse,
+    is_transitive,
+    plain_product,
+    pointwise_rh_genus,
     rotations_of,
     sign,
 )
@@ -113,6 +116,84 @@ def test_cover_rejects_bad_data():
         BranchedCover(4, 0, (far, far))  # sheet 2, 3 unreachable: disconnected
     with pytest.raises(MonodromyDataError):
         BranchedCover(3, -1, (t, t))
+
+
+# ---- the branch word as runs ----
+
+PRODUCT_NOT_ONE = "branch monodromy product is not the identity"
+
+
+@pytest.mark.parametrize("copies", [1, 2, 4, 5])
+def test_a_run_whose_residue_is_not_zero_and_whose_product_is_not_one_is_refused(copies):
+    """(0 1 2) four or five times leaves its residue, once or twice: not the identity."""
+    with pytest.raises(MonodromyDataError, match=f"^{PRODUCT_NOT_ONE}$"):
+        BranchedCover(3, 0, (Permutation((1, 2, 0)),) * copies)
+
+
+@pytest.mark.parametrize("copies", [3, 6])
+def test_a_run_of_whole_orders_is_accepted_without_a_composition(monkeypatch, copies):
+    thens = counting(monkeypatch, Permutation, "then")
+    cover = BranchedCover(3, 0, (Permutation((1, 2, 0)),) * copies)
+    assert thens["n"] == 0
+    assert rh_genus(cover) == pointwise_rh_genus(cover) == copies - 2
+
+
+def test_a_repeat_apart_is_a_run_of_its_own():
+    """(0 1)(1 2)(0 1)(1 2) is a 3-cycle squared; merged into (0 1)^2 (1 2)^2 it would read 1."""
+    a, b = transposition(0, 1), transposition(1, 2)
+    with pytest.raises(MonodromyDataError, match=PRODUCT_NOT_ONE):
+        BranchedCover(3, 0, (a, b, a, b))
+    cover = BranchedCover(3, 0, (a, b) * 3)
+    assert [k for _, k in cover._runs] == [1] * 6
+    assert rh_genus(cover) == pointwise_rh_genus(cover) == 1
+
+
+def random_word(rng):
+    """A branch word of short and long runs over a few permutations of 2 to 5 sheets.
+
+    One permutation comes twice, as distinct objects with equal images.
+    Half the time the inverse of the product closes the word.
+    """
+    n = rng.randint(2, 5)
+    pool = []
+    while len(pool) < 2:
+        images = list(range(n))
+        rng.shuffle(images)
+        if images != list(range(n)):
+            pool.append(Permutation(tuple(images)))
+    pool.append(Permutation(pool[0].images))
+    word = []
+    for _ in range(rng.randint(1, 6)):
+        word += [rng.choice(pool)] * rng.choice((1, 2, 3, rng.randint(4, 40)))
+    closing = inverse(Permutation(plain_product(word, n)))
+    if rng.randrange(2) and closing != identity(n):
+        word.append(closing)
+    return n, tuple(word)
+
+
+@pytest.mark.parametrize("seed", [101, 103, 107])
+def test_the_run_length_check_and_genera_match_the_plain_product(seed):
+    rng = random.Random(seed)
+    accepted = 0
+    for _ in range(60):
+        n, word = random_word(rng)
+        one = plain_product(word, n) == tuple(range(n))
+        if not (one and is_transitive(word, n)):
+            refusal = PRODUCT_NOT_ONE if not one else "monodromy group is not transitive: cover is disconnected"
+            with pytest.raises(MonodromyDataError, match=f"^{refusal}$"):
+                BranchedCover(n, 0, word)
+            continue
+        cover = BranchedCover(n, 0, word)
+        accepted += 1
+        group = generated_group(cover)
+        assert rh_genus(cover) == pointwise_rh_genus(cover)
+        assert galois_closure_genus(cover) == brute_regular_genus(cover)
+        evens = even_by_sign(elements_of(cover))
+        assert quotient_genus(cover, even_subgroup(group)) == coset_quotient_genus(cover, images_of(evens))
+        if group.classification == "dihedral":
+            rotations = cyclic_rotation_subgroup(group)
+            assert quotient_genus(cover, rotations) == coset_quotient_genus(cover, rotations_of(group))
+    assert 10 <= accepted <= 50
 
 
 # ---- Riemann-Hurwitz ----
@@ -333,7 +414,7 @@ def test_closure_composes_each_element_about_once(monkeypatch):
     calls = counting_compositions(monkeypatch)
     group = generated_group(cover)
     assert group.order == 720 and calls["n"] == 0
-    assert len(monodromy._span(cover._elements, 6, 720)) == 720
+    assert len(monodromy._span(internal(cover.branch_monodromy), 6, 720)) == 720
     assert 0 < calls["n"] < 2 * 720  # breadth first, every element met every generator: about 720 x 5
 
 
@@ -726,6 +807,23 @@ def test_a_tower_walks_each_permutation_once(monkeypatch, make, walks, answer):
     assert counted["n"] == walks
 
 
+@pytest.mark.parametrize("g, p", [(2, 3), (3, 7), (10, 151), (50, 151), (2, 257)])
+def test_a_dihedral_tower_composes_r_alone(monkeypatch, g, p):
+    """One ``then`` call, for r = s_1 s_0, and no composition through ``_right``.
+
+    The word's runs, s_1 twice and s_0 2g times, have residue 0 modulo the
+    reflections' order 2, so the product check composes nothing; in D_p
+    with p odd no involution is a rotation, and r commutes with itself,
+    so the rotation cut composes nothing either.
+    """
+    thens = counting(monkeypatch, Permutation, "then")
+    compositions = counting_compositions(monkeypatch)
+    cover = build_dihedral_cover(g, p)
+    assert (thens["n"], compositions["n"]) == (1, 0)
+    assert tower(cover) == ((p - 1) * (g - 1) // 2, p * (g - 1) + 1, g, "dihedral", 2 * p)
+    assert (thens["n"], compositions["n"]) == (1, 0)
+
+
 # ---- dihedral construction ----
 
 
@@ -781,7 +879,7 @@ def test_a_cover_of_256_sheets_matches_the_breadth_first_closure(tmp_path):
     cover = load_cover(str(path))
     group = generated_group(cover)
     expected = brute_closure([sigma.images for sigma in cover.branch_monodromy], 256)
-    assert {tuple(h) for h in monodromy._span(cover._elements, 256, 512)} == expected
+    assert {tuple(h) for h in monodromy._span(internal(cover.branch_monodromy), 256, 512)} == expected
     assert (group.order, group.classification) == (512, "dihedral")
     rotations = cyclic_rotation_subgroup(group)
     assert quotient_genus(cover, rotations) == coset_quotient_genus(cover, rotations_of(group))
@@ -789,7 +887,7 @@ def test_a_cover_of_256_sheets_matches_the_breadth_first_closure(tmp_path):
 
 
 def test_the_rotation_cut_makes_as_many_kernels_at_every_p():
-    """The cut tests each generator and r by commutation with r, so its cost does not grow with p."""
+    """The cut makes one kernel, for r, and tests by commutation only what may be a rotation: nothing here."""
 
     def kernels_made(p):
         cover = build_dihedral_cover(3, p)
@@ -800,7 +898,7 @@ def test_the_rotation_cut_makes_as_many_kernels_at_every_p():
         assert quotient_genus(cover, rotations) == 3
         return made["n"]
 
-    assert 0 < kernels_made(7) == kernels_made(151) <= 2 * 3  # two reflections and r, two each
+    assert 0 < kernels_made(7) == kernels_made(151) == 1  # _right(r), applied to nothing
 
 
 def polygon_cover(tmp_path, m):

@@ -151,7 +151,7 @@ def test_generated_group_matches_the_breadth_first_closure(cover):
     group = generated_group(cover)
     expected = brute_closure([sigma.images for sigma in cover.branch_monodromy], cover.degree)
     assert group.order == len(expected)
-    span = monodromy._span(cover._elements, cover.degree, group.order)
+    span = monodromy._span(internal(cover.branch_monodromy), cover.degree, group.order)
     assert {tuple(h) for h in span} == expected
     for h in span:  # every product the closure made passes the bijection check
         assert Permutation(tuple(h)).images == tuple(h)
@@ -212,7 +212,7 @@ def reflections_of(n, ks):
 @example(parse_cover("degree 4; base_genus 0\n(0 1)\n(0 1)\n(1 2 3)\n(1 3 2)\n"))  # S_4, inverse pair second
 def test_the_label_from_the_closures_generators_matches_the_eager_oracle(cover):
     group = generated_group(cover, max_order=5040)  # S_7 passes the default bound
-    span = bfs_span(cover._elements, cover.degree, 5040)
+    span = bfs_span(internal(cover.branch_monodromy), cover.degree, 5040)
     elements = [Permutation(tuple(h)) for h in span]
     label = classify_by_orders(elements)
     assert group.classification == label
