@@ -103,8 +103,8 @@ def _numeral(text: str) -> int:
 
 # Cycle notation with its whitespace removed
 _CYCLE_NOTATION = re.compile(r"(?:\([0-9,]*\))*")
-# The first line of a cover file
-_HEADER = re.compile(r"degree\s*(\d+)\s*;\s*base_genus\s*(\d+)")
+# The first line of a cover file; ``\d`` would take any Unicode decimal digit, the cycle notation only 0-9
+_HEADER = re.compile(r"degree\s*([0-9]+)\s*;\s*base_genus\s*([0-9]+)")
 
 
 class Permutation(Record):

@@ -30,6 +30,8 @@ S4_CHAIN = "degree 4; base_genus 0\n(0 1)\n(1 2)\n(2 3)\n(2 3)\n(1 2)\n(0 1)\n"
 S6_CHAIN = "degree 6; base_genus 0\n" + "".join(f"({i} {i + 1})\n" * 2 for i in range(5))
 # S4_CHAIN with its lines spelled in other ways: each distinct line is parsed once
 S4_VARIANTS = "degree 4; base_genus 0\n( 0 , 1 )\n(1 2)\n(2,3)\n(2 3)\n( 1 2 )\n(0 1)\n"
+# Arabic-Indic digits three and zero in the header: cover input takes ASCII digits only
+NON_ASCII_HEADER = "degree \u0663; base_genus \u0660\n(0 1 2)\n(0 2 1)\n"
 # 4,301 digits, one more than the interpreter converts from text to an int
 TOO_MANY_DIGITS = "1" * 4301
 
@@ -60,6 +62,7 @@ def command_lines(workdir: str) -> list[list[str]]:
         "s4-variants.txt": S4_VARIANTS.encode(),
         "empty.txt": b"",
         "bad-header.txt": b"deg 3\n(0 1)\n",
+        "non-ascii-header.txt": NON_ASCII_HEADER.encode(),
         "open-cycle.txt": b"degree 3; base_genus 0\n(0 1\n",
         "sheet-out-of-range.txt": b"degree 3; base_genus 0\n(0 5)\n",
         "repeated-sheet.txt": b"degree 3; base_genus 0\n(0 1)(1 2)\n",
@@ -116,6 +119,7 @@ def command_lines(workdir: str) -> list[list[str]]:
         ["monodromy", "--file", path["s4-variants.txt"]],
         ["monodromy", "--file", path["empty.txt"]],
         ["monodromy", "--file", path["bad-header.txt"]],
+        ["monodromy", "--file", path["non-ascii-header.txt"]],
         ["monodromy", "--file", path["open-cycle.txt"]],
         ["monodromy", "--file", path["sheet-out-of-range.txt"]],
         ["monodromy", "--file", path["repeated-sheet.txt"]],

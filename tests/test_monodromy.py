@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from corpus import D4_ROTATION_INVOLUTION
+from corpus import D4_ROTATION_INVOLUTION, NON_ASCII_HEADER, run_cli
 from oracles import (
     brute_closure,
     brute_regular_genus,
@@ -962,6 +962,16 @@ def test_parse_cover():
     assert cover.base_genus == 0
     assert len(cover.branch_monodromy) == 4
     assert rh_genus(cover) == 0
+
+
+def test_a_header_of_non_ascii_digits_is_refused(tmp_path):
+    """``degree \u0663; base_genus \u0660`` spells 3 and 0 in Arabic-Indic digits: exit 2, one ``error:`` line."""
+    path = tmp_path / "cover.txt"
+    path.write_text(NON_ASCII_HEADER, encoding="utf-8")
+    code, out, err = run_cli(["monodromy", "--file", str(path)])
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: bad header line")
 
 
 def test_parse_cover_errors():
