@@ -475,9 +475,10 @@ def cyclic_rotation_subgroup(group: GroupDescriptor) -> GroupDescriptor:
     r = group._rotation
     then_r = _right(r)
     odd = group.order // 2 % 2
+    # h has order 2 exactly when its longest cycle has length 2; r's lengths are not sorted
     inside = {
         h for h, cycles in (group._lengths or {}).items()
-        if h is r or (not (odd and lcm(*cycles) == 2) and then_r(h) == _right(h)(r))
+        if h is r or (not (odd and max(cycles) == 2) and then_r(h) == _right(h)(r))
     }
     return GroupDescriptor(group.order // 2, CYCLIC, parent=group, inside=inside)
 
