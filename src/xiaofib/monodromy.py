@@ -227,7 +227,8 @@ class BranchedCover(Record):
         if self.base_genus >= GENUS_LIMIT:
             raise MonodromyDataError("base genus must be below 10^2000")
         identity = tuple(range(self.degree))
-        runs = tuple((run[0], len(run)) for run in (list(run) for _, run in groupby(self.branch_monodromy, id)))
+        groups = (list(run) for _, run in groupby(self.branch_monodromy, id))  # maximal runs of one object
+        runs = tuple((run[0], len(run)) for run in groups)
         distinct = {id(sigma): sigma for sigma, _ in runs}  # by object: no image tuple is hashed
         for sigma in distinct.values():
             if sigma.degree != self.degree:

@@ -172,18 +172,27 @@ def random_word(rng):
 
 
 @pytest.mark.parametrize("seed", [101, 103, 107])
-def test_the_run_length_check_and_genera_match_the_plain_product(seed):
+def test_the_run_length_check_and_genera_match_the_plain_product(monkeypatch, seed):
+    """Same refusal and genera as one term per letter, and never more compositions than the plain product and r."""
     rng = random.Random(seed)
+    thens = counting(monkeypatch, Permutation, "then")
     accepted = 0
     for _ in range(60):
         n, word = random_word(rng)
         one = plain_product(word, n) == tuple(range(n))
-        if not (one and is_transitive(word, n)):
-            refusal = PRODUCT_NOT_ONE if not one else "monodromy group is not transitive: cover is disconnected"
-            with pytest.raises(MonodromyDataError, match=f"^{refusal}$"):
-                BranchedCover(n, 0, word)
+        before = thens["n"]
+        try:
+            cover, refusal = BranchedCover(n, 0, word), None
+        except MonodromyDataError as error:
+            refusal = str(error)
+        assert thens["n"] - before <= len(word)  # len(word) - 1 for the plain product, 1 for r
+        if not one:
+            assert refusal == PRODUCT_NOT_ONE
             continue
-        cover = BranchedCover(n, 0, word)
+        if not is_transitive(word, n):
+            assert refusal == "monodromy group is not transitive: cover is disconnected"
+            continue
+        assert refusal is None
         accepted += 1
         group = generated_group(cover)
         assert rh_genus(cover) == pointwise_rh_genus(cover)
