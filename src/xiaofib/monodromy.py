@@ -24,42 +24,43 @@ object.  As sigma^k = sigma^(k mod ord sigma), the product check
 composes only each run's residue, so the paper's word (s_1, s_1, s_0,
 ..., s_0), whose runs have even length and reflections of order 2, needs
 no composition at all, and no word more than its plain product.  The
-genera sum multiplicity times term over the runs.  A cover walks the
-cycles of each distinct permutation once (``cycle_type``, which also
-keeps its order) and of r, the ``then`` product of its first two distinct
-elements, once; the reflections of ``build_dihedral_cover`` carry their
-cycle type and order from construction, so a dihedral cover walks r alone
-and composes r alone.
-That walk of r gives transitivity when r is an n-cycle (otherwise the
-cover follows forward images), the order with which the closure and the
-label start, and the parity the even subgroup reads.  Inside the module
-a group element is a permutation's ``images`` tuple, composed by one
-kernel, ``_right(s)``, the map ``h -> h then s`` through one ``itemgetter``.
+genera sum multiplicity times term over the runs.
 
-``generated_group`` first names the group from the cover's distinct
-branch elements, whose cycle lengths it already holds: two distinct
+A cover keeps one record of its generators: one ``Permutation`` per
+distinct image tuple, in first-seen order, led by r = first.then(second)
+when there are two or more.  r is composed there and nowhere else, and
+every cycle type and order below is read from these objects' memos
+(``cycle_type``, one walk that also keeps the order).  The reflections of
+``build_dihedral_cover`` carry theirs from construction, so a dihedral
+cover walks r alone and composes r alone.  The walk of r decides
+transitivity when r is an n-cycle (otherwise the cover follows forward
+images).  Inside the module a group element is a permutation's
+``images`` tuple, composed by one kernel, ``_right(s)``, the map
+``h -> h then s`` through one ``itemgetter``.
+
+``generated_group`` first names the group from that record: two distinct
 involutions whose product r has order m >= 3 generate D_m, of order 2m,
 with rotations <r>; transpositions on n >= 4 sheets generate S_n, of
 order n!, because every cover is transitive.  Every other group, and
-every refusal, comes from the closure (Dimino's algorithm, after Butler
-1991), which builds the group a whole right coset at a time, starting
-from the powers of r; it refuses before a batch would pass
-``max_order`` elements or ``errors.MAX_GROUP_CELLS`` cells, each element
-costing its degree plus ``errors.ELEMENT_OVERHEAD`` cells (a tuple's
-header, a dict slot and a list slot).  The enumerated group is
+every refusal, comes from the closure of the record (Dimino's algorithm,
+after Butler 1991), which walks the powers of r (of the first generator
+when r = 1) and then builds
+the group a whole right coset at a time; it refuses before a batch would
+pass ``max_order`` elements or ``errors.MAX_GROUP_CELLS`` cells, each
+element costing its degree plus ``errors.ELEMENT_OVERHEAD`` cells (a
+tuple's header, a dict slot and a list slot).  The enumerated group is
 labelled at once (see ``_classify``) and its elements are dropped.
 
-A ``GroupDescriptor`` holds only what a tower reads: the order, the
-label and, when the label is dihedral, a rotation of half order.  The
-one ``generated_group`` makes also keeps the cycle lengths of the
-generators and of r.  ``cyclic_rotation_subgroup`` keeps the generators
-that commute with the rotation, and ``even_subgroup`` reads its order off
-the generators' parities; both cuts record the descriptor they cut from
-and which of its generators lie inside.  Every quotient the paper takes
-is by such a subgroup, of index 1 or 2, so ``quotient_genus`` answers
-only for the very descriptor ``generated_group`` keeps on the cover and
-the subgroups cut from it, counting the branch points outside; it
-refuses every other descriptor.  Descriptors compare by identity.
+A ``GroupDescriptor`` holds what a tower reads: the order, the label,
+when the label is dihedral a rotation of half order, and the cover's
+record.  ``cyclic_rotation_subgroup`` keeps the generators that commute
+with the rotation, and ``even_subgroup`` reads its order off their
+parities; both cuts record the descriptor they cut from and which of its
+generators lie inside.  Every quotient the paper takes is by such a
+subgroup, of index 1 or 2, so ``quotient_genus(cover, subgroup)``
+answers only for the very descriptor ``generated_group`` keeps on the
+cover and the subgroups cut from it, counting the branch points outside;
+it refuses every other descriptor.  Descriptors compare by identity.
 """
 
 from __future__ import annotations
@@ -211,9 +212,10 @@ class BranchedCover(Record):
     """Degree-n cover of a genus-b curve, branch monodromy acting left to right."""
 
     # ``_runs``: (permutation object, multiplicity) for each maximal run of one object in the
-    # branch word; ``_lengths``: the cycle lengths of r, the product of the first two distinct
-    # elements, keyed by r; ``_group``: set by the first ``generated_group`` call
-    __slots__ = ("degree", "base_genus", "branch_monodromy", "_runs", "_lengths", "_group")
+    # branch word; ``_generators``: one permutation per distinct image tuple, in first-seen order,
+    # led by r = first.then(second) when there are two or more; ``_group``: set by the first
+    # ``generated_group`` call
+    __slots__ = ("degree", "base_genus", "branch_monodromy", "_runs", "_generators", "_group")
 
     def __init__(self, degree: int, base_genus: int, branch_monodromy: tuple[Permutation, ...]):
         self._set(degree=degree, base_genus=base_genus, branch_monodromy=tuple(branch_monodromy), _group=None)
@@ -238,11 +240,12 @@ class BranchedCover(Record):
         residues = [sigma for sigma, k in runs for _ in range(k % sigma.order())]  # sigma^k = sigma^(k mod ord)
         if residues and reduce(Permutation.then, residues).images != identity:
             raise MonodromyDataError("branch monodromy product is not the identity")
-        gens = list({sigma.images: sigma for sigma in distinct.values()}.values())  # one per distinct image tuple
-        r = gens[0].then(gens[1]).images if len(gens) > 1 else None
-        self._set(_runs=runs, _lengths={r: _cycle_lengths(r)} if r else {})
+        gens = tuple({sigma.images: sigma for sigma in distinct.values()}.values())  # one per distinct image tuple
+        if len(gens) > 1:
+            gens = (gens[0].then(gens[1]), *gens)
+        self._set(_runs=runs, _generators=gens)
         # an n-cycle in the group proves it transitive; otherwise follow forward images
-        if [self.degree] not in self._lengths.values() and not self._is_transitive([g.images for g in gens]):
+        if not (gens and len(gens[0].cycle_type()) == 1) and not self._is_transitive([g.images for g in gens]):
             raise MonodromyDataError("monodromy group is not transitive: cover is disconnected")
 
     def _is_transitive(self, maps) -> bool:
@@ -263,18 +266,18 @@ class BranchedCover(Record):
 class GroupDescriptor:
     """A permutation group as a tower reads it: order, coarse label and, when dihedral, a rotation.
 
-    ``generated_group`` passes ``lengths``, the cycle lengths of the
-    distinct generators and of their product; a cut passes ``parent``, the
-    group it was cut from, and ``inside``, the set of the parent's
-    generators that lie in the subgroup.
+    ``generated_group`` passes ``generators``, the cover's own r and
+    distinct generators; a cut passes ``parent``, the group it was cut
+    from, and ``inside``, the image tuples of the parent's generators that
+    lie in the subgroup.
     """
 
-    __slots__ = ("order", "classification", "_rotation", "_lengths", "_parent", "_inside")
+    __slots__ = ("order", "classification", "_rotation", "_generators", "_parent", "_inside")
 
     def __init__(self, order: int, classification: str | None, rotation=None, *,
-                 lengths=None, parent=None, inside=None):
+                 generators=None, parent=None, inside=None):
         self.order, self.classification, self._rotation = order, classification, rotation
-        self._lengths, self._parent, self._inside = lengths, parent, inside
+        self._generators, self._parent, self._inside = generators, parent, inside
 
 
 def rh_genus(cover: BranchedCover) -> int:
@@ -305,30 +308,27 @@ def _bound(degree: int, max_order: int) -> int:
     return min(max_order, MAX_GROUP_CELLS // (degree + ELEMENT_OVERHEAD))
 
 
-def _span(candidates, degree: int, max_order: int, lengths: dict | None = None) -> dict:
-    """The group generated by ``candidates``, a whole right coset at a time, as a dict's keys.
+def _span(candidates, degree: int, max_order: int) -> dict:
+    """The group generated by the permutations ``candidates``, a whole right coset at a time, as a dict's keys.
 
     Dimino's algorithm (G. Butler, *Fundamental Algorithms for Permutation
-    Groups*, LNCS 559, 1991).  Candidates and the result's keys are
-    image tuples.  The product of the first two distinct candidates
-    is taken first (for two reflections, a rotation), and its powers are
-    walked.  A later candidate outside the span H joins it as right
-    cosets of H: for each coset H r and each generator s taken, H r then s
-    is the coset H (r s) when r s is outside the span, built in one pass in
-    H's order.  Each element so costs one composition and one dict insert.
-    The keys keep that order: the identity, the powers r, r^2, ... of the
-    first generator taken (the product, unless it is the identity) up to
-    its order, then the second generator taken and the rest of its coset.
-    The first generator's order comes from its cycle lengths, read from
-    ``lengths`` when it is a key.  The size of each batch (an order, or
-    |H|) is known before it is built, so ``EnumerationLimitError`` is
-    raised before the span would pass ``max_order`` elements or
-    ``MAX_GROUP_CELLS`` cells, each element costing its degree plus
-    ``ELEMENT_OVERHEAD``.
+    Groups*, LNCS 559, 1991).  The result's keys are image tuples.  The
+    first candidate that is not the identity is taken first, and its
+    powers are walked up to its order, read from its memo; a cover hands
+    over r first, for two reflections a rotation.  A later candidate
+    outside the span H joins it as right cosets of H: for each coset H r
+    and each generator s taken, H r then s is the coset H (r s) when r s
+    is outside the span, built in one pass in H's order.  Each element so
+    costs one composition and one dict insert.  The keys keep that order:
+    the identity, the powers of the first generator taken, then the
+    second generator taken and the rest of its coset.  The size of each
+    batch (an order, or |H|) is known before it is built, so
+    ``EnumerationLimitError`` is raised before the span would pass
+    ``max_order`` elements or ``MAX_GROUP_CELLS`` cells, each element
+    costing its degree plus ``ELEMENT_OVERHEAD``.
     """
     span = dict.fromkeys([tuple(range(degree))])
     bound = _bound(degree, max_order)
-    known = lengths or {}
 
     def admit(size: int) -> None:
         """Refuse ``size`` more elements past the bound."""
@@ -338,18 +338,15 @@ def _span(candidates, degree: int, max_order: int, lengths: dict | None = None) 
                 raise EnumerationLimitError(f"group closure exceeds the configured bound {max_order}")
             raise EnumerationLimitError(f"group closure of degree {degree} exceeds {MAX_GROUP_CELLS} cells")
 
-    gens = list(dict.fromkeys(candidates))
-    if len(gens) > 1:  # the product lies in the group
-        gens.insert(0, _right(gens[1])(gens[0]))
     steps = []  # - then s, for each generator s taken
-    for u in gens:
-        if u in span:
+    for u in candidates:
+        if u.images in span:
             continue
-        steps.append(_right(u))
+        steps.append(_right(u.images))
         if len(steps) == 1:  # u, u^2, ... up to its order, after the identity
-            order = lcm(*known.get(u) or _cycle_lengths(u))
+            order = u.order()
             admit(order - 1)
-            powers = accumulate(repeat(steps[0], order - 2), lambda h, then_u: then_u(h), initial=u)
+            powers = accumulate(repeat(steps[0], order - 2), lambda h, then_u: then_u(h), initial=u.images)
             span.update(dict.fromkeys(powers))
             continue
         cosets = [list(span)]  # the identity first, so each coset's first element is its representative
@@ -363,11 +360,11 @@ def _span(candidates, degree: int, max_order: int, lengths: dict | None = None) 
     return span
 
 
-def _classify(members, known: dict) -> tuple:
+def _classify(members, generators) -> tuple:
     """Coarse label of the group whose elements are ``members``, with a rotation when dihedral.
 
-    ``known`` maps the closure's generators and their product to their
-    cycle lengths, or is empty.  Symmetric is tested first, and only when
+    ``generators`` are the permutations the closure was handed, whose
+    orders are memoised, or none.  Symmetric is tested first, and only when
     |G| = k! with k >= 4: a group of that order moving exactly k points is
     all of Sym of them, which is neither cyclic nor dihedral (S_3 is D_3
     and is left to the dihedral test).  A point every generator fixes is
@@ -391,13 +388,14 @@ def _classify(members, known: dict) -> tuple:
     k = 4
     while factorial(k) < n:
         k += 1
-    pool = list(known) or members  # the generators and their product, or every element
+    known = {g.images: g for g in generators}
+    pool = list(known) or members  # the generators, or every element
     # a point is moved when its column of images is not constant
     if factorial(k) == n and sum(column.count(i) != len(pool) for i, column in enumerate(zip(*pool))) == k:
         return SYMMETRIC, None
     half = n // 2 if n % 2 == 0 and n >= 6 else None
     for r in members:
-        order = lcm(*known.get(r) or _cycle_lengths(r))
+        order = known[r].order() if r in known else lcm(*_cycle_lengths(r))
         if order == n:
             return CYCLIC, None
         if order == half:
@@ -439,19 +437,17 @@ def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORD
     _refuse_degree_above(n, max_order)
     group = cover._group
     if group is None:
-        gens = {sigma.images: sigma.cycle_type() for sigma, _ in cover._runs}
-        lengths = {**gens, **cover._lengths}  # the generators, then r: as candidates, the same span
-        order = 0
-        if len(gens) == 2 and all(cycles[0] == 2 for cycles in gens.values()):  # two involutions
-            [(r, cycles)] = cover._lengths.items()
-            label, order = DIHEDRAL, 2 * lcm(*cycles)
-        elif n >= 4 and all(len(cycles) == n - 1 for cycles in gens.values()):  # transpositions
+        elements = cover._generators
+        gens, order = elements[1:], 0  # past r: the distinct generators, when there are two or more
+        if len(gens) == 2 and gens[0].order() == gens[1].order() == 2:  # two involutions
+            label, order, r = DIHEDRAL, 2 * elements[0].order(), elements[0].images
+        elif n >= 4 and gens and all(len(g.cycle_type()) == n - 1 for g in gens):  # transpositions
             label, order, r = SYMMETRIC, factorial(n), None
         if 4 < order <= _bound(n, max_order):  # m >= 3: D_2 is the Klein four group, labelled other
-            group = GroupDescriptor(order, label, r, lengths=lengths)
+            group = GroupDescriptor(order, label, r, generators=elements)
         else:
-            members = _span(gens, n, max_order, lengths)
-            group = GroupDescriptor(len(members), *_classify(members, lengths), lengths=lengths)
+            members = _span(elements, n, max_order)
+            group = GroupDescriptor(len(members), *_classify(members, elements), generators=elements)
         cover._set(_group=group)
     elif group.order > max_order:
         raise EnumerationLimitError(f"group closure exceeds the configured bound {max_order}")
@@ -476,10 +472,9 @@ def cyclic_rotation_subgroup(group: GroupDescriptor) -> GroupDescriptor:
     r = group._rotation
     then_r = _right(r)
     odd = group.order // 2 % 2
-    # h has order 2 exactly when its longest cycle has length 2; r's lengths are not sorted
     inside = {
-        h for h, cycles in (group._lengths or {}).items()
-        if h is r or (not (odd and max(cycles) == 2) and then_r(h) == _right(h)(r))
+        h.images for h in group._generators or ()
+        if h.images is r or (not (odd and h.order() == 2) and then_r(h.images) == _right(h.images)(r))
     }
     return GroupDescriptor(group.order // 2, CYCLIC, parent=group, inside=inside)
 
@@ -490,11 +485,11 @@ def even_subgroup(group: GroupDescriptor) -> GroupDescriptor:
     It has index 2 when some generator is odd and is the whole group
     otherwise.  No tower reads its label, so it carries none.
     """
-    if group._lengths is None:
-        raise MonodromyDataError("even subgroup needs the cycle lengths generated_group records")
-    inside = {h for h, cycles in group._lengths.items() if (len(h) - len(cycles)) % 2 == 0}
-    order = group.order // 2 if len(inside) < len(group._lengths) else group.order
-    return GroupDescriptor(order, None, parent=group, inside=inside)
+    if group._generators is None:
+        raise MonodromyDataError("even subgroup needs the generators generated_group records")
+    even = [h.images for h in group._generators if (h.degree - len(h.cycle_type())) % 2 == 0]
+    order = group.order if len(even) == len(group._generators) else group.order // 2
+    return GroupDescriptor(order, None, parent=group, inside=set(even))
 
 
 def galois_closure_genus(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> int:

@@ -559,17 +559,20 @@ def test_cli_input_errors_exit_2_but_bugs_propagate(monkeypatch, capsys):
 
 
 def test_verify_passes_the_group_order_bound_to_every_tower(monkeypatch):
-    bounds = []
-    quotient_genus = monodromy.quotient_genus
+    """Every group a tower builds, and every later read of it, is under the run's bound."""
+    builds, bounds = [], []
+    generated_group = monodromy.generated_group
 
-    def recording(cover, subgroup, max_order=monodromy.DEFAULT_MAX_GROUP_ORDER):
+    def recording(cover, max_order=monodromy.DEFAULT_MAX_GROUP_ORDER):
+        if cover._group is None:
+            builds.append(cover)
         bounds.append(max_order)
-        return quotient_genus(cover, subgroup, max_order)
+        return generated_group(cover, max_order)
 
-    monkeypatch.setattr(monodromy, "quotient_genus", recording)
+    monkeypatch.setattr(monodromy, "generated_group", recording)
     code, _ = verify_paper(max_group_order=4321)
     assert code == 0
-    assert len(bounds) > 2  # the g2p5 and trigonal towers and the monodromy grid
+    assert len(builds) > 2  # the g2p5 and trigonal towers and the monodromy grid
     assert set(bounds) == {4321}
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from corpus import D4_ROTATION_INVOLUTION, NON_ASCII_HEADER, run_cli
+from corpus import D4_ROTATION_INVOLUTION, KLEIN_FOUR, NON_ASCII_HEADER, S5_CYCLE_AND_SWAP, run_cli
 from oracles import (
     brute_closure,
     brute_regular_genus,
@@ -371,7 +371,7 @@ def test_quotient_rejects_non_subgroups():
     rotations = [e for e in elements if e.order() != 2]
     for subset in ((identity(5),), rotations, elements):
         refused(quotient_genus, cover, cut_by_hand(len(subset), subset))
-    refused(quotient_genus, cover, GroupDescriptor(10, "dihedral", group._rotation, lengths=group._lengths))
+    refused(quotient_genus, cover, GroupDescriptor(10, "dihedral", group._rotation, generators=group._generators))
     # a descriptor built by the constructor holds no generators: its rotation cut is refused alike
     refused(quotient_genus, cover, cyclic_rotation_subgroup(GroupDescriptor(10, "dihedral", group._rotation)))
 
@@ -423,7 +423,7 @@ def test_closure_composes_each_element_about_once(monkeypatch):
     calls = counting_compositions(monkeypatch)
     group = generated_group(cover)
     assert group.order == 720 and calls["n"] == 0
-    assert len(monodromy._span(internal(cover.branch_monodromy), 6, 720)) == 720
+    assert len(monodromy._span(cover._generators, 6, 720)) == 720
     assert 0 < calls["n"] < 2 * 720  # breadth first, every element met every generator: about 720 x 5
 
 
@@ -653,11 +653,11 @@ def test_even_subgroup_matches_the_sign_filter():
         group = generated_group(cover)
         evens = even_subgroup(group)
         assert evens.order == len(even_by_sign(elements_of(cover)))
-        assert evens._inside == {h for h in group._lengths if sign(Permutation(tuple(h))) == 1}
+        assert evens._inside == {h.images for h in group._generators if sign(h) == 1}
         parities.add(group.order // evens.order)
-        # the cycle lengths are generated_group's: a descriptor it did not build has none to read
+        # the generators are generated_group's: a descriptor it did not build has none to read
         for other in (public_copy(group), evens):
-            refused(even_subgroup, other, match="cycle lengths")
+            refused(even_subgroup, other, match="generators")
     assert parities == {1, 2}
 
 
@@ -767,7 +767,7 @@ def classified_families():
     "elements, label", [pytest.param(elements, label, id=name) for name, elements, label in classified_families()]
 )
 def test_classification_matches_the_eager_oracle_on_known_families(elements, label):
-    assert monodromy._classify(internal(elements), {})[0] == classify_by_orders(elements) == label
+    assert monodromy._classify(internal(elements), ())[0] == classify_by_orders(elements) == label
 
 
 def test_classification_matches_the_eager_oracle_on_random_subgroups():
@@ -787,7 +787,7 @@ def test_classification_matches_the_eager_oracle_on_random_subgroups():
             generators.append(tuple(images))
         elements = closure_group(generators, n)
         label = classify_by_orders(elements)
-        assert monodromy._classify(internal(elements), {})[0] == label
+        assert monodromy._classify(internal(elements), ())[0] == label
         labels.add(label)
     assert labels == {"cyclic", "dihedral", "symmetric", "other"}
 
@@ -831,6 +831,54 @@ def test_a_dihedral_tower_composes_r_alone(monkeypatch, g, p):
     assert (thens["n"], compositions["n"]) == (1, 0)
     assert tower(cover) == ((p - 1) * (g - 1) // 2, p * (g - 1) + 1, g, "dihedral", 2 * p)
     assert (thens["n"], compositions["n"]) == (1, 0)
+
+
+@pytest.mark.parametrize("text, label, order", [
+    pytest.param(S5_CYCLE_AND_SWAP, "symmetric", 120, id="S5-cycle-and-swap"),
+    pytest.param(KLEIN_FOUR, "other", 4, id="Klein-four"),
+])
+def test_the_closure_starts_from_the_covers_own_r_composed_once(monkeypatch, text, label, order):
+    """A tower whose group the closure enumerates composes r = first.then(second) once, with the cover.
+
+    One ``then`` call of the cover's build makes the object the cover keeps
+    as r.  The tower ops after it make no ``then`` call, hand the closure
+    that object first, and apply no map ``_right`` makes of the second
+    generator to the first: r is not composed again.
+    """
+    products, applied, closures = [], [], []
+    then, right, span = Permutation.then, monodromy._right, monodromy._span
+
+    def recording_then(first, second):
+        products.append(then(first, second))
+        return products[-1]
+
+    def recording_right(s):
+        compose = right(s)
+
+        def composition(h):
+            applied.append((h, s))
+            return compose(h)
+
+        return composition
+
+    def recording_span(candidates, *args):
+        closures.append(candidates)
+        return span(candidates, *args)
+
+    monkeypatch.setattr(Permutation, "then", recording_then)
+    monkeypatch.setattr(monodromy, "_right", recording_right)
+    monkeypatch.setattr(monodromy, "_span", recording_span)
+    cover = parse_cover(text)
+    built = products[:]  # the product check's and r's
+    products.clear()
+    assert tower(cover)[3:] == (label, order)
+    assert products == []
+    [candidates] = closures
+    r = next(iter(candidates))  # the first candidate handed over
+    assert [p for p in built if p is r] == [r]
+    first, second = list({sigma.images: sigma for sigma in cover.branch_monodromy}.values())[:2]
+    assert r == then(first, second)
+    assert (first.images, second.images) not in applied
 
 
 # ---- dihedral construction ----
@@ -888,7 +936,7 @@ def test_a_cover_of_256_sheets_matches_the_breadth_first_closure(tmp_path):
     cover = load_cover(str(path))
     group = generated_group(cover)
     expected = brute_closure([sigma.images for sigma in cover.branch_monodromy], 256)
-    assert {tuple(h) for h in monodromy._span(internal(cover.branch_monodromy), 256, 512)} == expected
+    assert {tuple(h) for h in monodromy._span(cover._generators, 256, 512)} == expected
     assert (group.order, group.classification) == (512, "dihedral")
     rotations = cyclic_rotation_subgroup(group)
     assert quotient_genus(cover, rotations) == coset_quotient_genus(cover, rotations_of(group))

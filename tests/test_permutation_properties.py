@@ -151,7 +151,11 @@ def test_generated_group_matches_the_breadth_first_closure(cover):
     group = generated_group(cover)
     expected = brute_closure([sigma.images for sigma in cover.branch_monodromy], cover.degree)
     assert group.order == len(expected)
-    span = monodromy._span(internal(cover.branch_monodromy), cover.degree, group.order)
+    # one permutation per distinct image tuple in first-seen order, led by r, the product of the first two
+    distinct = list({sigma.images: sigma for sigma in cover.branch_monodromy}.values())
+    r = [distinct[0].then(distinct[1])] if len(distinct) > 1 else []
+    assert [g.images for g in cover._generators] == [g.images for g in r + distinct]
+    span = monodromy._span(cover._generators, cover.degree, group.order)
     assert {tuple(h) for h in span} == expected
     for h in span:  # every product the closure made passes the bijection check
         assert Permutation(tuple(h)).images == tuple(h)
@@ -216,7 +220,7 @@ def test_the_label_from_the_closures_generators_matches_the_eager_oracle(cover):
     elements = [Permutation(tuple(h)) for h in span]
     label = classify_by_orders(elements)
     assert group.classification == label
-    assert monodromy._classify(internal(elements), {})[0] == label  # the scan, without generators
+    assert monodromy._classify(internal(elements), ())[0] == label  # the scan, without generators
     if label == "dihedral":
         rotations = cyclic_rotation_subgroup(group)
         powers = rotations_of(group)
@@ -234,25 +238,22 @@ def span_outcome(span, candidates, degree, max_order):
 
 
 def assert_spans_agree(candidates, degree):
-    """Dimino's closure and the breadth-first one agree at |G| and |G| - 1.
+    """Dimino's closure of the permutations and the breadth-first one of their images agree at |G| and |G| - 1.
 
     Dimino's keys start with the identity and the powers of the first
-    generator it takes: the product of the first two distinct candidates,
-    unless that is the identity.
+    candidate that is not the identity: the one it takes first.
     """
+    perms = [Permutation(tuple(h)) for h in candidates]
     group = bfs_span(candidates, degree, 10**6)
-    keys = [tuple(h) for h in monodromy._span(list(candidates), degree, len(group))]
+    keys = [tuple(h) for h in monodromy._span(perms, degree, len(group))]
     assert set(keys) == {tuple(h) for h in group}
-    gens = [Permutation(tuple(h)) for h in dict.fromkeys(candidates)]
-    if len(gens) > 1:
-        gens.insert(0, gens[0].then(gens[1]))
-    first = next((g for g in gens if g != identity(degree)), None)
+    first = next((g for g in perms if g != identity(degree)), None)
     powers = [identity(degree)]
     while first and powers[-1].then(first) != powers[0]:
         powers.append(powers[-1].then(first))
     assert keys[:len(powers)] == [g.images for g in powers]
     for max_order in (len(group) - 1, len(group)):
-        assert span_outcome(monodromy._span, candidates, degree, max_order) == span_outcome(
+        assert span_outcome(monodromy._span, perms, degree, max_order) == span_outcome(
             bfs_span, candidates, degree, max_order
         )
 
@@ -330,7 +331,7 @@ def test_the_dihedral_label_matches_a_search_over_every_pair_of_elements(case, r
     degree, generators = case
     elements = [Permutation(images) for images in brute_closure(generators, degree)]
     rng.shuffle(elements)
-    label, rotation = monodromy._classify(internal(elements), {})
+    label, rotation = monodromy._classify(internal(elements), ())
     assert (label == "dihedral") == is_dihedral(elements) == (rotation is not None)
 
 

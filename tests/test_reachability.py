@@ -102,7 +102,7 @@ ALLOWED = {
         'monodromy.BranchedCover.__init__: raise MonodromyDataError("permutation degree does not match cover degree")',
         'monodromy.generated_group: raise EnumerationLimitError(f"group closure exceeds the configured bound {max_order}")',
         'monodromy.cyclic_rotation_subgroup: raise MonodromyDataError("rotation subgroup is defined for dihedral groups only")',
-        'monodromy.even_subgroup: raise MonodromyDataError("even subgroup needs the cycle lengths generated_group records")',
+        'monodromy.even_subgroup: raise MonodromyDataError("even subgroup needs the generators generated_group records")',
         "monodromy.quotient_genus: raise MonodromyDataError(",
         'numerology.bgn_bound: raise NumerologyError("fiber genus must be at least 2")',
         'numerology.xiao_report: raise NumerologyError("fiber genus must be at least 2")',

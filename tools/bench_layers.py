@@ -10,12 +10,19 @@ For each tree the file records:
 - its commit (``git rev-parse HEAD`` in the directory, or null), and its
   lines and tokens: ``tokenize`` tokens without COMMENT, NL, NEWLINE,
   INDENT, DEDENT and ENDMARKER;
+- ``allowed``: the number of unrun statements that ``ALLOWED`` lists in
+  ``tests/test_reachability.py`` next to the directory, or null when
+  there is none;
 - the minimum and median of CALLS timed calls of
-  ``build_dihedral_cover(10, 151)``, ``parse_cover`` of the S_6 chain, and
-  the D_151 and S_6 tower ops (the cover, then ``rh_genus``,
-  ``generated_group``, the rotation or even cut, ``galois_closure_genus``
-  and ``quotient_genus``).  One untimed call warms each up, and
-  ``gc.collect()`` runs before each timed call;
+  ``build_dihedral_cover(10, 151)``, ``parse_cover`` of the S_6 chain,
+  the tower ops of D_151, of the S_6 chain and of the S_5 cover from a
+  5-cycle and a transposition, whose group the closure enumerates (the
+  cover, then ``rh_genus``, ``generated_group``, the rotation or even
+  cut, ``galois_closure_genus`` and ``quotient_genus``),
+  ``verify_paper()``, the flex certificates of the Klein and Fermat
+  quartics at seed 1 (of forms parsed beforehand) and
+  ``parse_ternary_form`` of the Klein quartic.  One untimed call warms
+  each up, and ``gc.collect()`` runs before each timed call;
 - per tower op, the ``Permutation.then`` calls, the applications of the
   maps ``_right`` makes and the ``_cycle_lengths`` walks.
 
@@ -27,6 +34,7 @@ are wall seconds from ``time.perf_counter``.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import ast
 import gc
 import json
 import os
@@ -41,6 +49,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = 1
 S6_CHAIN = "degree 6; base_genus 0\n" + "".join(f"({i} {i + 1})\n" * 2 for i in range(5))
+S5_CYCLE_AND_SWAP = "degree 5; base_genus 0\n(0 1 2 3 4)\n(0 1)\n(1 4 3 2)\n"
 UNCOUNTED_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
                     tokenize.ENDMARKER}
 
@@ -62,6 +71,17 @@ def source_size(src: Path) -> dict:
             tokens += sum(t.type not in UNCOUNTED_TOKENS for t in tokenize.tokenize(handle.readline)
                           if t.type != tokenize.ENCODING)
     return {"lines": lines, "tokens": tokens}
+
+
+def allowed_size(src: Path) -> int | None:
+    """The statements listed in ``ALLOWED`` of the reachability test beside ``src``, read without importing it."""
+    path = src.parent / "tests" / "test_reachability.py"
+    if not path.is_file():
+        return None
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["ALLOWED"]:
+            return sum(map(len, ast.literal_eval(node.value).values()))
+    return None
 
 
 def commit_of(directory: Path) -> str | None:
@@ -124,7 +144,7 @@ def counted(monodromy, call) -> dict:
 def measure(src: Path, calls: int) -> dict:
     """The record of one source tree, measured in this interpreter."""
     sys.path.insert(0, str(src))
-    from xiaofib import monodromy
+    from xiaofib import ledger, monodromy, quartic
 
     def dihedral():
         return monodromy.build_dihedral_cover(10, 151)
@@ -132,12 +152,26 @@ def measure(src: Path, calls: int) -> dict:
     def symmetric():
         return monodromy.parse_cover(S6_CHAIN)
 
-    towers = {"tower D_151 g=10": lambda: tower(monodromy, dihedral), "tower S_6 chain": lambda: tower(monodromy, symmetric)}
-    timings = {"build_dihedral_cover(10, 151)": dihedral, "parse_cover(S6_CHAIN)": symmetric, **towers}
+    klein, fermat = (quartic.parse_ternary_form(text) for text in (quartic.KLEIN_QUARTIC, quartic.FERMAT_QUARTIC))
+    towers = {
+        "tower D_151 g=10": lambda: tower(monodromy, dihedral),
+        "tower S_6 chain": lambda: tower(monodromy, symmetric),
+        "tower S_5 cycle and swap": lambda: tower(monodromy, lambda: monodromy.parse_cover(S5_CYCLE_AND_SWAP)),
+    }
+    timings = {
+        "build_dihedral_cover(10, 151)": dihedral,
+        "parse_cover(S6_CHAIN)": symmetric,
+        **towers,
+        "verify_paper()": ledger.verify_paper,
+        "flexes_all_simple(Klein, seed 1)": lambda: quartic.flexes_all_simple(klein, 1),
+        "flexes_all_simple(Fermat, seed 1)": lambda: quartic.flexes_all_simple(fermat, 1),
+        "parse_ternary_form(KLEIN_QUARTIC)": lambda: quartic.parse_ternary_form(quartic.KLEIN_QUARTIC),
+    }
     return {
         "src": str(src),
         "commit": commit_of(src),
         "size": source_size(src),
+        "allowed": allowed_size(src),
         "timings": {name: timed(call, calls) for name, call in timings.items()},
         "counts": {name: counted(monodromy, call) for name, call in towers.items()},
     }
