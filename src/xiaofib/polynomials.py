@@ -10,12 +10,13 @@ gives univariate gcds only.  A bivariate polynomial in (x, y) has y as
 the main variable and is stored as ``BiPoly.y_coeffs``, the tuple of its
 coefficients of 1, y, y^2, ... in Z[x] with no trailing zero, the zero
 polynomial being ``()``; one subresultant remainder sequence in y runs on
-those tuples and gives the whole determinantal subresultant chain of two
-of them.  Everything in y is read off that chain: the resultant
-is its entry S_0, its first nonzero entry is a gcd over Q(x), and two
-polynomials with constant leading y-coefficients are coprime exactly
-when S_0 is nonzero.  On top sits an exact decision for whether up to three
-bivariate polynomials share a complex zero, which backs the smoothness
+those tuples as given, with no content taken, and gives the whole
+determinantal subresultant chain of two of them.  Everything in y is
+read off that chain: the resultant is its entry S_0, its first nonzero
+entry is a gcd over Q(x), and two polynomials with constant leading
+y-coefficients are coprime exactly when S_0 is nonzero.  On top sits an
+exact decision for whether up to three bivariate polynomials, the first
+two of them coprime, share a complex zero, which backs the smoothness
 certificate for plane curves.  One test is modular and one-way:
 ``poly_gcd`` first runs Euclid modulo the prime 2^31 - 1, and only a
 coprime answer there is a certificate; otherwise the exact remainder
@@ -261,25 +262,6 @@ class BiPoly(Record):
                     rows[j + t][i - t] += c * comb(i, t) * a**t
         return BiPoly([UnivariatePoly(tuple(row)) for row in rows])
 
-    def exact_div(self, other: "BiPoly") -> "BiPoly":
-        """The quotient in Z[x, y]; raises unless other divides self there.
-
-        Long division in y, each quotient coefficient an exact division in Z[x].
-        """
-        if other.is_zero():
-            raise PolynomialError("division by the zero polynomial")
-        rem = list(self.y_coeffs)
-        divisor = other.y_coeffs
-        d = len(divisor) - 1
-        quotient = [UnivariatePoly.zero()] * max(len(rem) - d, 0)
-        for shift in range(len(rem) - 1 - d, -1, -1):
-            factor = quotient[shift] = rem[shift + d].exact_div(divisor[-1])
-            for i in range(d):
-                rem[shift + i] = rem[shift + i] - factor * divisor[i]
-        if not all(c.is_zero() for c in rem[:d]):
-            raise PolynomialError("bivariate division expected to be exact left a remainder")
-        return BiPoly(quotient)
-
 
 def _strip(coeffs: list[UnivariatePoly]) -> list[UnivariatePoly]:
     while coeffs and coeffs[-1].is_zero():
@@ -336,18 +318,14 @@ def subresultant_chain_y(p: BiPoly, q: BiPoly) -> list[BiPoly]:
     Traub 1971): the remainder after a divisor of degree d is S_(d-1),
     its degree e < d - 1 makes the entries strictly between vanish, and
     the regular S_e is S_(d-1) scaled by (lc S_(d-1) / s_d)^(d-1-e)
-    (Lazard; Ducos 2000), s_d being the y^d coefficient of S_d.  The
-    inputs are divided by their contents first, so the sequence runs in
-    Z[x][y] with exact divisions, and S_k(u p, v q) = u^(n-k) v^(m-k) S_k(p, q)
-    scales the entries back.
+    (Lazard; Ducos 2000), s_d being the y^d coefficient of S_d.  Each
+    division the sequence makes is exact in Z[x] whether or not p and q
+    are primitive, so it runs on them as given and takes no content.
     """
     a, b = p.y_coeffs, q.y_coeffs
     m, n = len(a) - 1, len(b) - 1
     if m < n or n < 1:
         raise PolynomialError("subresultants need deg_y(p) >= deg_y(q) >= 1")
-    cont_a, cont_b = _content_y(a), _content_y(b)
-    a = [c.exact_div(cont_a) for c in a]
-    b = [c.exact_div(cont_b) for c in b]
     chain: list[list[UnivariatePoly]] = [[] for _ in range(n)]
     s = b[-1] ** (m - n)  # y^n coefficient of S_n = lc(q)^(m-n-1) q
     r = _pseudo_rem_y(a, b)
@@ -365,11 +343,7 @@ def subresultant_chain_y(p: BiPoly, q: BiPoly) -> list[BiPoly]:
         beta = -(b[-1] * (-s) ** (d - e))
         b, r = r, [c.exact_div(beta) for c in _pseudo_rem_y(b, r)]
         s, d = chain[e][-1], e
-    scaled = []
-    for k, entry in enumerate(chain):
-        factor = cont_a ** (n - k) * cont_b ** (m - k)
-        scaled.append(BiPoly([c * factor for c in entry]))
-    return scaled
+    return [BiPoly(entry) for entry in chain]
 
 
 def subresultant_y(p: BiPoly, q: BiPoly, k: int) -> BiPoly:
@@ -427,42 +401,36 @@ def res_y_prs(p: BiPoly, q: BiPoly) -> UnivariatePoly:
 def common_affine_zero(polys: list[BiPoly]) -> bool:
     """Whether the listed bivariate polynomials share a complex affine zero.
 
-    Exact decision for at most three polynomials.  The variables are
-    sheared so every leading y-coefficient is a nonzero constant.  Then
-    zero polynomials impose nothing, a nonzero constant makes the answer
-    no, a single nonconstant polynomial always has zeros, and for two or
-    three gcds, resultants and the subresultant gcd-specialization give
-    an exact criterion.
+    Exact decision for at most three polynomials, of which the first two
+    nonzero ones must be coprime: they share no nonconstant factor.  Zero
+    polynomials impose nothing, a nonzero constant makes the answer no and
+    a single nonconstant polynomial always has zeros.  Otherwise the
+    variables are sheared so every leading y-coefficient is a nonzero
+    constant; then no factor lies in Z[x] alone, so the first pair's
+    resultant S_0 vanishes exactly when the pair shares a factor, which
+    the precondition excludes and this refuses.  Two coprime polynomials
+    meet exactly when S_0 has a root; a third is decided by
+    ``_coprime_pair_meets``.
     """
     ps = [p for p in polys if not p.is_zero()]
     if len(ps) > 3:
         raise PolynomialError("common-zero decision implemented for at most three polynomials")
-    a = 0
-    while not all(p.top_form_at(a) != 0 for p in ps):
-        a = -a if a > 0 else -a + 1
-    return _common_zero_normalized([p.shear(a) for p in ps])
-
-
-def _common_zero_normalized(polys: list[BiPoly]) -> bool:
-    # Invariant: every nonzero entry has constant nonzero leading y-coefficient,
-    # so no factor of one lies in Z[x] alone and S_0 = 0 exactly when a pair shares one.
-    ps = [p for p in polys if not p.is_zero()]
     if not ps:
         return True
     if any(p.total_degree() == 0 for p in ps):
         return False
     if len(ps) == 1:
         return True
-    p, q, rest = ps[0], ps[1], ps[2:]
+    a = 0
+    while not all(p.top_form_at(a) != 0 for p in ps):
+        a = -a if a > 0 else -a + 1
+    p, q, *rest = (p.shear(a) for p in ps)
     if p.deg_y() < q.deg_y():
         p, q = q, p
     chain = subresultant_chain_y(p, q)
     resultant = chain[0].y_coeff(0)
     if resultant.is_zero():
-        h = bipoly_gcd(p, q)
-        if _common_zero_normalized([h] + rest):
-            return True
-        return _common_zero_normalized([p.exact_div(h), q.exact_div(h)] + rest)
+        raise PolynomialError("the first two polynomials of a common-zero decision share a factor")
     if not rest:
         return resultant.degree >= 1
     return _coprime_pair_meets(chain + [q], rest[0])

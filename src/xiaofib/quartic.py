@@ -40,11 +40,12 @@ FLEX_RETRY_BUDGET = 32
 # Highest form degree the parser and ``is_smooth`` accept.  A smooth
 # dense form, where the modular test in ``poly_gcd`` decides every
 # coprimality, takes about 0.005 s at degree 6, 0.012 s at degree 7 and
-# 0.03 s at degree 8 with coefficients up to +-3, and 0.016 s at degree 6
-# with 12-digit ones.  A singular form runs the exact remainder
-# sequences: a product of two dense cubics takes 0.03 s with coefficients
-# up to +-3 and 1.4 s with 6-digit ones (Python 3.11 on a shared 2-core
-# Linux machine).
+# 0.03 s at degree 8 with coefficients up to +-3, and 0.02 s at degree 6
+# with 12-digit ones (the corpus's ``dense_sextic(5)``).  A singular form
+# runs the exact remainder sequences: the corpus's ``singular_sextic(1, k)``,
+# a product of two dense cubics with k-digit coefficients, takes 0.1 s at
+# k = 1, 0.6 s at k = 3 and 2.2-2.4 s at k = 6 (Python 3.11 on a shared
+# 2-core Linux machine).
 MAX_FORM_DEGREE = 6
 
 # The type of a coefficient, as text: ``typing.get_type_hints`` imports ``fractions`` to resolve
@@ -338,6 +339,12 @@ def is_smooth(form: TernaryForm) -> bool:
         on_line = poly_gcd(on_line, UnivariatePoly(tuple(restricted)))
     if on_line.degree != 0:
         return False  # singular at some (x : 1 : 0), or along the whole line
+    # common_affine_zero needs its first two nonzero inputs coprime, and here they are.  F_x = 0
+    # makes F a form in y and z, singular at (1 : 0 : 0), and F_y = 0 one in x and z, singular at
+    # (0 : 1 : 0): both returned above, so the pair is F_x, F_y.  On a factor H they share, Euler's
+    # relation d F = x F_x + y F_y + z F_z gives d F = z F_z, and dF = F_z dz along H; so
+    # (d - 1) F_z dz = z dF_z there, F_z is a constant times z^(d-1) on H, and every point where H
+    # meets z = 0 is singular, and returned above.
     return not common_affine_zero([p.chart(2) for p in partials])
 
 

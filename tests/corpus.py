@@ -45,6 +45,25 @@ def dense_sextic(seed: int) -> str:
     )
 
 
+def singular_sextic(seed: int, digits: int) -> str:
+    """The product of two dense cubics, each of whose 10 monomials has a signed random ``digits``-digit coefficient.
+
+    The sextic is singular where the two cubics meet.
+    """
+    rng = random.Random(seed)
+    cubics = [
+        {(i, j, 3 - i - j): rng.choice((1, -1)) * rng.randrange(10 ** (digits - 1), 10**digits)
+         for i in range(4) for j in range(4 - i)}
+        for _ in range(2)
+    ]
+    product: dict[tuple[int, int, int], int] = {}
+    for (a, b, c), u in cubics[0].items():
+        for (d, e, f), v in cubics[1].items():
+            key = (a + d, b + e, c + f)
+            product[key] = product.get(key, 0) + u * v
+    return " ".join(f"{c:+d}*x^{i}*y^{j}*z^{k}" for (i, j, k), c in product.items() if c)
+
+
 def command_lines(workdir: str) -> list[list[str]]:
     """Valid, malformed and hostile argument lists for each subcommand; cover files go to ``workdir``."""
     files = {

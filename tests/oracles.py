@@ -6,8 +6,8 @@ elimination instead of remainder sequences, Euclid over Fraction
 coefficients instead of integer remainder sequences (its monic gcd
 returned as the primitive integer associate), a primitive remainder
 sequence in y instead of the subresultant chain for bivariate gcds,
-total degree, top form, shear and exact division on term maps
-(``terms_*``) instead of on tuples of y-coefficients, and for
+total degree, top form and shear on term maps (``terms_*``) instead
+of on tuples of y-coefficients, and for
 permutations, breadth-first closure over all generators instead of
 closure a coset at a time, orders by repeated composition instead of
 cycle lengths, a
@@ -21,14 +21,15 @@ element not commuting with it, cycle notation read by regular
 expressions instead of string methods, transitivity by a search over
 every permutation instead of the n-cycle test, trial division instead of Miller-Rabin
 for primality, smoothness by bivariate elimination on all three
-affine charts instead of one chart and the line at infinity, lattice
+affine charts, with shared factors split off by the remainder-sequence
+gcd, instead of one chart and the line at infinity, lattice
 signatures by congruence diagonalization instead of the signs of the
 characteristic polynomial, and classes solved from their pairings by
 fraction-free Gauss-Jordan elimination instead of the adjugate that the
 same characteristic-polynomial recurrence gives.
 
 The permutation helpers ``identity``, ``inverse``, ``sign`` and
-``internal``, ``term_map`` and the term-map
+``internal``, ``term_map``, ``terms_exact_div`` and the term-map
 constructor and ring operations of the ``BiPoly`` subclass, the
 evaluators ``evaluate_poly``, ``evaluate_bipoly`` and ``evaluate_form``, ``pairings``, ``parse_reports``, ``is_squarefree`` and
 the ``FibrationProfile`` record serve tests only; the program never needs
@@ -691,16 +692,35 @@ def trial_division_is_odd_prime(p: int) -> bool:
     return True
 
 
+def common_zero_splitting_shared_factors(polys) -> bool:
+    """``common_affine_zero`` for up to three polynomials, the first two of them not necessarily coprime.
+
+    A gcd h of positive degree of the first two nonzero ones splits the
+    question: the common zeros lie on h with the rest, or on the two
+    cofactors, which are coprime, with the rest.
+    """
+    ps = [BiPoly.of(p) for p in polys if not p.is_zero()]
+    if len(ps) >= 2:
+        h = bipoly_gcd_prs(ps[0], ps[1])
+        if h.total_degree() >= 1:
+            cofactors = [BiPoly(terms_exact_div(p.terms, h.terms)) for p in ps[:2]]
+            return (common_zero_splitting_shared_factors([h] + ps[2:])
+                    or common_zero_splitting_shared_factors(cofactors + ps[2:]))
+    return common_affine_zero(ps)
+
+
 def is_smooth_three_charts(form) -> bool:
     """Smoothness of a plane curve: no common zero of the partials on the charts x, y, z = 1.
 
     The three charts overlap and together cover the projective plane.
+    On the charts x = 1 and y = 1 two partials can share a factor, so
+    shared factors are split off first.
     """
     form = form.primitive()
     partials = [form.partial(v) for v in range(3)]
     for chart_var in range(3):
         charted = [p.chart(chart_var) for p in partials]
-        if common_affine_zero(charted):
+        if common_zero_splitting_shared_factors(charted):
             return False
     return True
 

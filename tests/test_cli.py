@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus import HUGE_BASE_GENUS, dense_sextic
+from corpus import HUGE_BASE_GENUS, dense_sextic, singular_sextic
 from oracles import parse_reports
 from xiaofib import errors, lattice, ledger, monodromy, numerology, quartic
 from xiaofib.cli import main
@@ -519,6 +519,15 @@ def test_cli_quartic_decides_a_dense_sextic_with_12_digit_coefficients_in_time()
     assert result.returncode == 0 and result.stderr == ""
     assert result.stdout.splitlines()[-1] == "smooth: true"
     assert elapsed < 1.0
+
+
+def test_cli_quartic_decides_a_singular_sextic_with_6_digit_coefficients_in_time():
+    """Two dense cubics meet where their product is singular: the exact remainder sequences in ``poly_gcd`` run."""
+    poly = singular_sextic(1, 6)
+    result, elapsed = run_fresh_cli("quartic", "--poly", poly, "--check", "smooth")
+    assert result.returncode == 0 and result.stderr == ""
+    assert result.stdout.splitlines()[-1] == "smooth: false"
+    assert elapsed < 10.0
 
 
 @pytest.mark.parametrize("buffering", ["default", "unbuffered"])

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     BiPoly,
+    coprime_bipolys,
     evaluate_bipoly,
     evaluate_poly,
     fraction_divmod,
@@ -15,6 +16,8 @@ from oracles import (
     res_y,
     resultant,
     sylvester_matrix,
+    term_map,
+    terms_exact_div,
 )
 from xiaofib.polynomials import (
     MODULUS,
@@ -223,19 +226,6 @@ def test_bipoly_shear_preserves_zero_sets():
         assert evaluate_bipoly(p.shear(a), x0, y0) == evaluate_bipoly(p, x0 + a * y0, y0)
 
 
-def test_bipoly_exact_division():
-    rng = random.Random(19)
-    for _ in range(25):
-        f = rand_bipoly(rng, 2, 2)
-        g = rand_bipoly(rng, 2, 2)
-        product = f * g
-        if f.is_zero() or g.is_zero():
-            continue
-        assert BiPoly.of(product.exact_div(f)) == g
-    with pytest.raises(PolynomialError):
-        (X * Y + ONE).exact_div(X)
-
-
 def test_bipoly_gcd_with_planted_factor():
     rng = random.Random(29)
     for _ in range(20):
@@ -243,8 +233,8 @@ def test_bipoly_gcd_with_planted_factor():
         f = h * rand_bipoly(rng, 1, 2)
         g = h * rand_bipoly(rng, 2, 1)
         d = bipoly_gcd(f, g)
-        f.exact_div(d)  # raises unless the gcd divides both
-        g.exact_div(d)
+        terms_exact_div(f.terms, term_map(d))  # raises unless the gcd divides both
+        terms_exact_div(g.terms, term_map(d))
         # the planted factor divides the gcd
         assert bipoly_gcd(d, h).total_degree() == h.total_degree()
 
@@ -331,10 +321,24 @@ def test_common_zero_three_polynomials():
     assert common_affine_zero(planted) is True
     pairwise_only = [X * (Y - ONE), Y * (X - ONE), lin(1, -1, -5)]
     assert common_affine_zero(pairwise_only) is False
-    through_origin = [X * (X + Y), X * (Y - ONE - ONE), Y]
+    through_origin = [X * (X + Y), Y, X * (Y - ONE - ONE)]
     assert common_affine_zero(through_origin) is True
-    line_excluded = [X * (X + Y - ONE), X * (Y - ONE), ONE + X * X]
+    line_excluded = [X * (X + Y - ONE), ONE + X * X, X * (Y - ONE)]
     assert common_affine_zero(line_excluded) is False
+    # the first two share the factor x: outside the precondition, refused
+    for shared in ([X * (X + Y), X * (Y - ONE - ONE), Y], [X * (X + Y - ONE), X * (Y - ONE), ONE + X * X]):
+        with pytest.raises(PolynomialError, match="share a factor"):
+            common_affine_zero(shared)
+
+
+def test_common_zero_refuses_a_first_pair_with_a_common_factor():
+    """The first two nonzero inputs must be coprime: a planted common factor is refused, whatever else is listed."""
+    rng = random.Random(31)
+    for planted in [X + ONE, X * Y - ONE] + [rand_bipoly(rng, 1, 1) for _ in range(10)]:
+        p, q = planted * rand_bipoly(rng, 1, 2), planted * rand_bipoly(rng, 2, 1)
+        for polys in ([p, q], [BiPoly.zero(), q, p], [p, q, lin(1, 1, 1)]):
+            with pytest.raises(PolynomialError, match="share a factor"):
+                common_affine_zero(polys)
 
 
 def test_common_zero_skips_an_x_value_whose_gcd_degree_is_higher():
@@ -359,7 +363,12 @@ def test_common_zero_planted_random_points():
             base = rand_bipoly(rng, 2, 2)
             value = evaluate_bipoly(base, x0, y0)
             polys.append(base - BiPoly.constant(value))
-        assert common_affine_zero(polys) is True
+        first, second = [p for p in polys if not p.is_zero()][:2]
+        if coprime_bipolys(first, second):
+            assert common_affine_zero(polys) is True
+        else:
+            with pytest.raises(PolynomialError, match="share a factor"):
+                common_affine_zero(polys)
 
 
 def test_common_zero_tangential_contact():

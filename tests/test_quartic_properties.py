@@ -81,6 +81,14 @@ def plane_curves(draw):
 @example(parse_ternary_form("x^4 - 4*x^2*y^2 + 4*y^4 + x*z^3"))
 @example(parse_ternary_form("x^2*z^2 + y^2*z^2 + z^4"))
 @example(parse_ternary_form("x^6 + y^6 + z^6"))
+# non-reduced: F_x and F_y share the squared factor
+@example(parse_ternary_form("x + 2*y - z") * parse_ternary_form("x + 2*y - z") * parse_ternary_form("x^2 + y^2 + z^2"))
+@example(parse_ternary_form("x^2 + y*z") * parse_ternary_form("x^2 + y*z") * parse_ternary_form("x - y + 3*z"))
+# in two variables: one partial is zero, and in the second F_x and F_y share x*y
+@example(parse_ternary_form("x^3*y - x*y^3"))
+@example(parse_ternary_form("x^3*y^2 + x^2*y^3"))
+@example(parse_ternary_form("y^3*z + y*z^3"))
+@example(parse_ternary_form("x^3*z + x*z^3"))
 def test_is_smooth_matches_the_three_chart_oracle(form):
     assert is_smooth(form) is is_smooth_three_charts(form)
 

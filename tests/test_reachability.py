@@ -68,6 +68,7 @@ ALLOWED = {
         'polynomials.UnivariatePoly.exact_div: raise PolynomialError("division expected to be exact left a remainder")',
         'polynomials._pseudo_rem_y: raise PolynomialError("pseudo-division by zero")',
         'polynomials.subresultant_chain_y: raise PolynomialError("subresultants need deg_y(p) >= deg_y(q) >= 1")',
+        'polynomials.common_affine_zero: raise PolynomialError("the first two polynomials of a common-zero decision share a factor")',
         'quartic.TernaryForm.__add__: raise DegenerateFormError("adding forms of different degrees")',
         'quartic.hessian: raise DegenerateFormError("identically zero hessian: degenerate form")',
     ),
@@ -114,7 +115,8 @@ ALLOWED = {
         "polynomials.squarefree_part: return f",
         'polynomials.res_y_prs: raise PolynomialError("resultant needs two nonzero polynomials")',
         'polynomials.common_affine_zero: raise PolynomialError("common-zero decision implemented for at most three polynomials")',
-        "polynomials._common_zero_normalized: return True",  # no nonzero polynomial at all
+        "polynomials.common_affine_zero: return True",  # no nonzero polynomial at all
+        "polynomials.common_affine_zero: return True",  # a single nonconstant polynomial
         "quartic.TernaryForm.__init__: raise DegenerateFormError(",
         'quartic.TernaryForm.__init__: raise PolynomialError(f"form coefficients must be int or Fraction, got {value!r}")',
         'quartic.hessian: raise DegenerateFormError("hessian certificate needs degree at least 3")',
@@ -147,24 +149,12 @@ ALLOWED = {
         'record.Record.__delattr__: raise AttributeError(f"cannot delete field {name!r}")',
         "record.Record.__reduce__: return self.__class__, self._values()",
     ),
-    "the shared-factor branch of common_affine_zero, split off by bipoly_gcd and BiPoly.exact_div, "
-    "which is_smooth never reaches: if F_x and F_y share a factor H, Euler's relation "
-    "d F = x F_x + y F_y + z F_z gives d F = z F_z on H, so F_z is a constant times z^(d-1) on H and "
-    "vanishes wherever H meets z = 0; F is then singular on the line at infinity, and is_smooth returns "
-    "False before it calls common_affine_zero.  The tests call common_affine_zero directly": (
-        "polynomials.BiPoly.exact_div: if other.is_zero():",
-        'polynomials.BiPoly.exact_div: raise PolynomialError("division by the zero polynomial")',
-        "polynomials.BiPoly.exact_div: rem = list(self.y_coeffs)",
-        "polynomials.BiPoly.exact_div: divisor = other.y_coeffs",
-        "polynomials.BiPoly.exact_div: d = len(divisor) - 1",
-        "polynomials.BiPoly.exact_div: quotient = [UnivariatePoly.zero()] * max(len(rem) - d, 0)",
-        "polynomials.BiPoly.exact_div: for shift in range(len(rem) - 1 - d, -1, -1):",
-        "polynomials.BiPoly.exact_div: factor = quotient[shift] = rem[shift + d].exact_div(divisor[-1])",
-        "polynomials.BiPoly.exact_div: for i in range(d):",
-        "polynomials.BiPoly.exact_div: rem[shift + i] = rem[shift + i] - factor * divisor[i]",
-        "polynomials.BiPoly.exact_div: if not all(c.is_zero() for c in rem[:d]):",
-        'polynomials.BiPoly.exact_div: raise PolynomialError("bivariate division expected to be exact left a remainder")',
-        "polynomials.BiPoly.exact_div: return BiPoly(quotient)",
+    "res_y_prs of a polynomial constant in y: the surface's resultants pair entries S_j of y-degree j "
+    ">= 1, and the tests and oracles pass constants": (
+        "polynomials.res_y_prs: result = q.y_coeff(0) ** p.deg_y()",
+    ),
+    "hooked by name: perfbench/tracing.py spans subresultant_y and bipoly_gcd, which no caller in src/ "
+    "uses, and _content_y and UnivariatePoly.scale serve bipoly_gcd only (ROADMAP items 1 and 18)": (
         "polynomials.bipoly_gcd: if p.is_zero() or q.is_zero():",
         "polynomials.bipoly_gcd: coeffs = (q if p.is_zero() else p).y_coeffs",
         "polynomials.bipoly_gcd: content = poly_gcd(_content_y(p.y_coeffs), _content_y(q.y_coeffs))",
@@ -177,17 +167,13 @@ ALLOWED = {
         "polynomials.bipoly_gcd: if coeffs and coeffs[-1].coeffs[-1] < 0:",
         "polynomials.bipoly_gcd: coeffs = [-c for c in coeffs]",
         "polynomials.bipoly_gcd: return BiPoly(coeffs)",
-        "polynomials._common_zero_normalized: return True",
-        "polynomials._common_zero_normalized: h = bipoly_gcd(p, q)",
-        "polynomials._common_zero_normalized: if _common_zero_normalized([h] + rest):",
-        "polynomials._common_zero_normalized: return True",
-        "polynomials._common_zero_normalized: return _common_zero_normalized([p.exact_div(h), q.exact_div(h)] + rest)",
-    ),
-    "res_y_prs of a polynomial constant in y: the surface's resultants pair entries S_j of y-degree j "
-    ">= 1, and the tests and oracles pass constants": (
-        "polynomials.res_y_prs: result = q.y_coeff(0) ** p.deg_y()",
-    ),
-    "hooked by name: perfbench/tracing.py spans subresultant_y": (
+        "polynomials._content_y: content = UnivariatePoly.zero()",
+        "polynomials._content_y: for c in coeffs:",
+        "polynomials._content_y: content = poly_gcd(content, c)",
+        "polynomials._content_y: if content.degree == 0:",
+        "polynomials._content_y: break",
+        "polynomials._content_y: return content.scale(gcd(*(v for c in coeffs for v in c.coeffs)))",
+        "polynomials.UnivariatePoly.scale: return UnivariatePoly(tuple(a * c for a in self.coeffs))",
         "polynomials.subresultant_y: chain = subresultant_chain_y(p, q)",
         "polynomials.subresultant_y: if not 0 <= k < len(chain):",
         'polynomials.subresultant_y: raise PolynomialError(f"subresultant index {k} out of range 0..{len(chain) - 1}")',

@@ -1,4 +1,4 @@
-"""In-process timings and counts of the monodromy tower layers, written to a bench file.
+"""In-process timings of the engine layers and counts of the tower compositions, written to a bench file.
 
     python tools/bench_layers.py [--src DIR ...] [-n CALLS] --out BENCH_<n>.json
 
@@ -20,15 +20,23 @@ For each tree the file records:
   cover, then ``rh_genus``, ``generated_group``, the rotation or even
   cut, ``galois_closure_genus`` and ``quotient_genus``),
   ``verify_paper()``, the flex certificates of the Klein and Fermat
-  quartics at seed 1 (of forms parsed beforehand) and
-  ``parse_ternary_form`` of the Klein quartic.  One untimed call warms
-  each up, and ``gc.collect()`` runs before each timed call;
+  quartics and of ``WITNESS`` at seed 1, ``is_smooth`` on the corpus's
+  smooth ``dense_sextic(5)`` and singular ``singular_sextic(1, 3)``
+  (all of forms parsed beforehand) and ``parse_ternary_form`` of the
+  Klein quartic.  One untimed call warms each up, and ``gc.collect()``
+  runs before each timed call;
 - per tower op, the ``Permutation.then`` calls, the applications of the
   maps ``_right`` makes and the ``_cycle_lengths`` walks.
 
-The file also records the Python version, the CPU count and
-``/proc/loadavg`` before and after the run, which is read only.  Times
-are wall seconds from ``time.perf_counter``.  Standard library only.
+The sextics come from ``tests/corpus.py`` of this checkout, so every
+tree gets the same input.  Listing a ``--src`` more than once measures
+it in that many processes, alternating with the others as listed;
+``spread`` then holds, for each such tree, the least and the greatest
+``min_s`` of each timing over its processes, so a difference between
+trees can be read against a tree's own spread.  The file also records
+the Python version, the CPU count and ``/proc/loadavg`` before and
+after the run, which is read only.  Times are wall seconds from
+``time.perf_counter``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -50,6 +58,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = 1
 S6_CHAIN = "degree 6; base_genus 0\n" + "".join(f"({i} {i + 1})\n" * 2 for i in range(5))
 S5_CYCLE_AND_SWAP = "degree 5; base_genus 0\n(0 1 2 3 4)\n(0 1)\n(1 4 3 2)\n"
+# a smooth quartic with one hyperflex, whose flex certificate answers False
+WITNESS = "x^3*y + y^3*z + z^3*x + y^4 + x^2*z^2"
 UNCOUNTED_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
                     tokenize.ENDMARKER}
 
@@ -143,7 +153,8 @@ def counted(monodromy, call) -> dict:
 
 def measure(src: Path, calls: int) -> dict:
     """The record of one source tree, measured in this interpreter."""
-    sys.path.insert(0, str(src))
+    sys.path[:0] = [str(src), str(ROOT / "tests")]
+    from corpus import dense_sextic, singular_sextic
     from xiaofib import ledger, monodromy, quartic
 
     def dihedral():
@@ -152,7 +163,10 @@ def measure(src: Path, calls: int) -> dict:
     def symmetric():
         return monodromy.parse_cover(S6_CHAIN)
 
-    klein, fermat = (quartic.parse_ternary_form(text) for text in (quartic.KLEIN_QUARTIC, quartic.FERMAT_QUARTIC))
+    klein, fermat, witness, dense, singular = (
+        quartic.parse_ternary_form(text)
+        for text in (quartic.KLEIN_QUARTIC, quartic.FERMAT_QUARTIC, WITNESS, dense_sextic(5), singular_sextic(1, 3))
+    )
     towers = {
         "tower D_151 g=10": lambda: tower(monodromy, dihedral),
         "tower S_6 chain": lambda: tower(monodromy, symmetric),
@@ -165,6 +179,9 @@ def measure(src: Path, calls: int) -> dict:
         "verify_paper()": ledger.verify_paper,
         "flexes_all_simple(Klein, seed 1)": lambda: quartic.flexes_all_simple(klein, 1),
         "flexes_all_simple(Fermat, seed 1)": lambda: quartic.flexes_all_simple(fermat, 1),
+        "flexes_all_simple(witness, seed 1)": lambda: quartic.flexes_all_simple(witness, 1),
+        "is_smooth(dense_sextic(5))": lambda: quartic.is_smooth(dense),
+        "is_smooth(singular_sextic(1, 3))": lambda: quartic.is_smooth(singular),
         "parse_ternary_form(KLEIN_QUARTIC)": lambda: quartic.parse_ternary_form(quartic.KLEIN_QUARTIC),
     }
     return {
@@ -175,6 +192,19 @@ def measure(src: Path, calls: int) -> dict:
         "timings": {name: timed(call, calls) for name, call in timings.items()},
         "counts": {name: counted(monodromy, call) for name, call in towers.items()},
     }
+
+
+def spread(trees: list[dict]) -> list[dict]:
+    """For each tree measured in more than one process, the least and greatest ``min_s`` of each timing."""
+    processes: dict[str, list[dict]] = {}
+    for tree in trees:
+        processes.setdefault(tree["src"], []).append(tree["timings"])
+    return [
+        {"src": src, "processes": len(runs),
+         "min_s": {name: {"low": min(run[name]["min_s"] for run in runs),
+                          "high": max(run[name]["min_s"] for run in runs)} for name in runs[0]}}
+        for src, runs in processes.items() if len(runs) > 1
+    ]
 
 
 def main(argv=None) -> int:
@@ -205,6 +235,7 @@ def main(argv=None) -> int:
         "loadavg_before": before,
         "loadavg_after": loadavg(),
         "trees": trees,
+        "spread": spread(trees),
     }
     args.out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     return 0
