@@ -58,7 +58,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = 1
 S6_CHAIN = "degree 6; base_genus 0\n" + "".join(f"({i} {i + 1})\n" * 2 for i in range(5))
 S5_CYCLE_AND_SWAP = "degree 5; base_genus 0\n(0 1 2 3 4)\n(0 1)\n(1 4 3 2)\n"
-# a smooth quartic with one hyperflex, whose flex certificate answers False
+# a smooth quartic whose flexes are all simple: the witness curve of ROADMAP item 6
 WITNESS = "x^3*y + y^3*z + z^3*x + y^4 + x^2*z^2"
 UNCOUNTED_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
                     tokenize.ENDMARKER}
