@@ -128,7 +128,7 @@ def _cmd_numerology(args) -> int:
 def _monodromy_summary(cover: monodromy.BranchedCover, max_group_order: int) -> int:
     group = monodromy.generated_group(cover, max_group_order)
     genus = monodromy.rh_genus(cover)
-    closure = monodromy.galois_closure_genus(cover, max_group_order)
+    closure = monodromy.galois_closure_genus(cover)
     print(f"degree {cover.degree} cover of a genus-{cover.base_genus} base, "
           f"{len(cover.branch_monodromy)} branch points")
     print(f"genus = {genus}")
@@ -140,8 +140,7 @@ def _monodromy_summary(cover: monodromy.BranchedCover, max_group_order: int) -> 
     print(f"ramification profiles: {rendered}")
     if group.classification == monodromy.DIHEDRAL:
         rotations = monodromy.cyclic_rotation_subgroup(group)
-        print(f"quotient by the rotation subgroup: genus = "
-              f"{monodromy.quotient_genus(cover, rotations, max_group_order)}")
+        print(f"quotient by the rotation subgroup: genus = {monodromy.quotient_genus(cover, rotations)}")
     return 0
 
 

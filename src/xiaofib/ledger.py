@@ -125,8 +125,8 @@ def _tower(cover: monodromy.BranchedCover, cut, bound: int) -> tuple:
     group = monodromy.generated_group(cover, bound)
     return (
         monodromy.rh_genus(cover),
-        monodromy.galois_closure_genus(cover, bound),
-        monodromy.quotient_genus(cover, cut(group), bound),
+        monodromy.galois_closure_genus(cover),
+        monodromy.quotient_genus(cover, cut(group)),
         f"{group.classification} of order {group.order}",
     )
 

@@ -28,13 +28,14 @@ genera sum multiplicity times term over the runs.
 
 A cover keeps one record of its generators: one ``Permutation`` per
 distinct image tuple, in first-seen order, led by r = first.then(second)
-when there are two or more.  r is composed there and nowhere else, and
-every cycle type and order below is read from these objects' memos
-(``cycle_type``, one walk that also keeps the order).  The reflections of
-``build_dihedral_cover`` carry theirs from construction, so a dihedral
-cover walks r alone and composes r alone.  The walk of r decides
-transitivity when r is an n-cycle (otherwise the cover follows forward
-images).  Inside the module a group element is a permutation's
+when there are two or more.  r is composed there and nowhere else: the
+product check starts from r when the first two residues are its
+factors.  Every cycle type and order below is read from these objects'
+memos (``cycle_type``, one walk that also keeps the order).  The
+reflections of ``build_dihedral_cover`` carry theirs from construction,
+so a dihedral cover walks r alone and composes r alone.  The walk of r
+decides transitivity when r is an n-cycle (otherwise the cover follows
+forward images).  Inside the module a group element is a permutation's
 ``images`` tuple, composed by one kernel, ``_right(s)``, the map
 ``h -> h then s`` through one ``itemgetter``.
 
@@ -49,7 +50,9 @@ the group a whole right coset at a time; it refuses before a batch would
 pass ``max_order`` elements or ``errors.MAX_GROUP_CELLS`` cells, each
 element costing its degree plus ``errors.ELEMENT_OVERHEAD`` cells (a
 tuple's header, a dict slot and a list slot).  The enumerated group is
-labelled at once (see ``_classify``) and its elements are dropped.
+labelled at once (see ``_classify``) and its elements are dropped.  The
+group is built once per cover and kept on it, so ``max_order`` bounds
+that build alone; the genera read the kept group and take no bound.
 
 A ``GroupDescriptor`` holds what a tower reads: the order, the label,
 when the label is dihedral a rotation of half order, and the cover's
@@ -237,12 +240,14 @@ class BranchedCover(Record):
                 raise MonodromyDataError("permutation degree does not match cover degree")
             if sigma.images == identity:
                 raise MonodromyDataError("branch permutations must be non-identity")
-        residues = [sigma for sigma, k in runs for _ in range(k % sigma.order())]  # sigma^k = sigma^(k mod ord)
-        if residues and reduce(Permutation.then, residues).images != identity:
-            raise MonodromyDataError("branch monodromy product is not the identity")
         gens = tuple({sigma.images: sigma for sigma in distinct.values()}.values())  # one per distinct image tuple
         if len(gens) > 1:
             gens = (gens[0].then(gens[1]), *gens)
+        residues = [sigma for sigma, k in runs for _ in range(k % sigma.order())]  # sigma^k = sigma^(k mod ord)
+        if residues and residues[:2] == list(gens[1:3]):  # equal images: their product is r, so start from it
+            residues[:2] = gens[:1]
+        if residues and reduce(Permutation.then, residues).images != identity:
+            raise MonodromyDataError("branch monodromy product is not the identity")
         self._set(_runs=runs, _generators=gens)
         # an n-cycle in the group proves it transitive; otherwise follow forward images
         if not (gens and len(gens[0].cycle_type()) == 1) and not self._is_transitive([g.images for g in gens]):
@@ -430,13 +435,14 @@ def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORD
     enumerated.  The closure answers every other group (the Klein four
     group and S_3 from transpositions, labelled other and dihedral, among
     them) and makes every refusal.  The group is built once per cover and
-    kept on it; ``max_order`` is checked on every call, and a cover of
-    larger degree is refused at once.
+    kept on it.  ``max_order`` bounds that build, and a cover of larger
+    degree is refused before it; every later call returns the kept group,
+    whatever its bound.
     """
-    n = cover.degree
-    _refuse_degree_above(n, max_order)
     group = cover._group
     if group is None:
+        n = cover.degree
+        _refuse_degree_above(n, max_order)
         elements = cover._generators
         gens, order = elements[1:], 0  # past r: the distinct generators, when there are two or more
         if len(gens) == 2 and gens[0].order() == gens[1].order() == 2:  # two involutions
@@ -449,8 +455,6 @@ def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORD
             members = _span(elements, n, max_order)
             group = GroupDescriptor(len(members), *_classify(members, elements), generators=elements)
         cover._set(_group=group)
-    elif group.order > max_order:
-        raise EnumerationLimitError(f"group closure exceeds the configured bound {max_order}")
     return group
 
 
@@ -492,22 +496,18 @@ def even_subgroup(group: GroupDescriptor) -> GroupDescriptor:
     return GroupDescriptor(order, None, parent=group, inside=set(even))
 
 
-def galois_closure_genus(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> int:
+def galois_closure_genus(cover: BranchedCover) -> int:
     """Genus of the regular cover on which the monodromy group acts by translation.
 
     Translation by sigma has no fixed element, so it splits the |G|
     elements into |G| / ord(sigma) cycles of length ord(sigma).
     """
-    order = generated_group(cover, max_order).order
+    order = generated_group(cover).order
     ramification = sum(k * (order - order // sigma.order()) for sigma, k in cover._runs)
     return _rh_solve(order, cover.base_genus, ramification)
 
 
-def quotient_genus(
-    cover: BranchedCover,
-    subgroup: GroupDescriptor,
-    max_order: int = DEFAULT_MAX_GROUP_ORDER,
-) -> int:
+def quotient_genus(cover: BranchedCover, subgroup: GroupDescriptor) -> int:
     """Genus of the quotient of the Galois closure by ``subgroup``, of index 1 or 2.
 
     ``subgroup`` is the cover's own group, ``generated_group(cover)``, or a
@@ -518,7 +518,7 @@ def quotient_genus(
     trivial are dropped.  Each run of the branch word is looked up once
     and counts its multiplicity when it lies outside.
     """
-    group = generated_group(cover, max_order)
+    group = generated_group(cover)
     if subgroup is not group and subgroup._parent is not group:
         raise MonodromyDataError(
             "subgroup is neither this cover's group nor cut from it by even_subgroup or cyclic_rotation_subgroup"

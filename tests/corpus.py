@@ -28,6 +28,8 @@ S3_TRIANGLE = "degree 3; base_genus 0\n" + "".join(f"({a} {b})\n" * 2 for a, b i
 D4_ROTATION_INVOLUTION = "degree 4; base_genus 0\n(0 2)(1 3)\n(1 3)\n(0 1)(2 3)\n(0 1 2 3)\n"
 S4_CHAIN = "degree 4; base_genus 0\n(0 1)\n(1 2)\n(2 3)\n(2 3)\n(1 2)\n(0 1)\n"
 S6_CHAIN = "degree 6; base_genus 0\n" + "".join(f"({i} {i + 1})\n" * 2 for i in range(5))
+# S_7, of order 5040, past the default group-order bound: built under --max-group-order 5040, then read
+S7_CHAIN = "degree 7; base_genus 0\n" + "".join(f"({i} {i + 1})\n" * 2 for i in range(6))
 # S4_CHAIN with its lines spelled in other ways: each distinct line is parsed once
 S4_VARIANTS = "degree 4; base_genus 0\n( 0 , 1 )\n(1 2)\n(2,3)\n(2 3)\n( 1 2 )\n(0 1)\n"
 # Arabic-Indic digits three and zero in the header: cover input takes ASCII digits only
@@ -78,6 +80,7 @@ def command_lines(workdir: str) -> list[list[str]]:
         "s5-cycle-and-swap.txt": S5_CYCLE_AND_SWAP.encode(),
         "s4.txt": S4_CHAIN.encode(),
         "s6.txt": S6_CHAIN.encode(),
+        "s7.txt": S7_CHAIN.encode(),
         "s4-variants.txt": S4_VARIANTS.encode(),
         "empty.txt": b"",
         "bad-header.txt": b"deg 3\n(0 1)\n",
@@ -135,6 +138,7 @@ def command_lines(workdir: str) -> list[list[str]]:
         ["monodromy", "--file", path["s5-cycle-and-swap.txt"]],
         ["monodromy", "--file", path["s4.txt"]],
         ["monodromy", "--file", path["s6.txt"]],
+        ["monodromy", "--file", path["s7.txt"], "--max-group-order", "5040"],
         ["monodromy", "--file", path["s4-variants.txt"]],
         ["monodromy", "--file", path["empty.txt"]],
         ["monodromy", "--file", path["bad-header.txt"]],

@@ -13,44 +13,56 @@ TIMED = TOWERS | {
     "flexes_all_simple(Klein, seed 1)", "flexes_all_simple(Fermat, seed 1)", "parse_ternary_form(KLEIN_QUARTIC)",
     "flexes_all_simple(witness, seed 1)", "is_smooth(dense_sextic(5))", "is_smooth(singular_sextic(1, 3))",
 }
+FRESH = {"python -c pass", "python -S -c pass", "python -m xiaofib.cli verify"}
 
 
 def test_one_call_per_measurement_writes_the_schema(tmp_path):
-    """This checkout's tree, a copy with no git history and no reachability test beside it, then this tree again."""
+    """This checkout's tree three times, alternating with a copy that has no git history and no reachability test."""
     copy = tmp_path / "copy" / "src"
     shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
     out = tmp_path / "bench.json"
+    listed = [ROOT / "src", copy, ROOT / "src", copy, ROOT / "src"]
     subprocess.run([sys.executable, str(ROOT / "tools" / "bench_layers.py"), "-n", "1", "--out", str(out),
-                    "--src", str(ROOT / "src"), "--src", str(copy), "--src", str(ROOT / "src")],
-                   check=True, timeout=120)
+                    *(arg for src in listed for arg in ("--src", str(src)))], check=True, timeout=180)
+    # no child wrote bytecode into the copy
+    assert not list(copy.parent.rglob("__pycache__"))
     bench = json.loads(out.read_text(encoding="utf-8"))
     assert set(bench) == {"schema", "python", "cpu_count", "calls", "loadavg_before", "loadavg_after", "trees",
                           "spread"}
     assert (bench["schema"], bench["calls"]) == (1, 1)
-    here, there, again = bench["trees"]
-    assert (Path(here["src"]), Path(there["src"]), Path(again["src"])) == (ROOT / "src", copy, ROOT / "src")
-    # only this tree ran in two processes: its spread is the least and greatest of their two minima
-    [spread] = bench["spread"]
-    assert (Path(spread["src"]), spread["processes"]) == (ROOT / "src", 2)
-    assert set(spread["min_s"]) == TIMED
-    for name, bounds in spread["min_s"].items():
-        pair = sorted(tree["timings"][name]["min_s"] for tree in (here, again))
-        assert [bounds["low"], bounds["high"]] == pair
+    trees = bench["trees"]
+    assert [Path(tree["src"]) for tree in trees] == listed
+    here, there = trees[:2]
+    # a tree's spread is the least and greatest of its processes' minima, and from three processes on their median
+    assert [(Path(spread["src"]), spread["processes"]) for spread in bench["spread"]] == [(ROOT / "src", 3), (copy, 2)]
+    for spread in bench["spread"]:
+        assert set(spread["min_s"]) == TIMED
+        runs = [tree for tree in trees if tree["src"] == spread["src"]]
+        for name, row in spread["min_s"].items():
+            minima = sorted(tree["timings"][name]["min_s"] for tree in runs)
+            assert [row["low"], row["high"]] == [minima[0], minima[-1]]
+            assert row.get("median") == (minima[1] if len(minima) == 3 else None)
     assert there["commit"] is None and there["allowed"] is None
     assert here["allowed"] > 0
-    for tree in (here, there, again):
-        assert set(tree) == {"src", "commit", "size", "allowed", "timings", "counts"}
+    for tree in trees:
+        assert set(tree) == {"src", "commit", "size", "allowed", "compile_s", "processes", "timings", "counts"}
         assert tree["size"] == here["size"]
         assert tree["size"]["lines"] > 0 and tree["size"]["tokens"] > tree["size"]["lines"]
+        assert 0 < tree["compile_s"] < 5
+        # one process of each kind: its median and both quartiles are its one time
+        assert set(tree["processes"]) == FRESH
+        for quartiles in tree["processes"].values():
+            assert set(quartiles) == {"median_s", "q1_s", "q3_s"}
+            assert 0 < quartiles["q1_s"] == quartiles["median_s"] == quartiles["q3_s"]
         assert set(tree["timings"]) == TIMED
         for timing in tree["timings"].values():
             assert set(timing) == {"min_s", "median_s"} and 0 < timing["min_s"] <= timing["median_s"]
         # r is the one composition the named towers make; the S_6 chain walks five transpositions and r.
-        # The S_5 cover's product check makes two then calls and r one; its closure makes each of the
-        # 118 elements other than the identity and r by one composition, plus the coset probes, and
-        # walks nothing: r and the three generators are walked once each.
+        # The S_5 cover composes r, and its product check folds on from r with one more then call; its
+        # closure makes each of the 118 elements other than the identity and r by one composition, plus
+        # the coset probes, and walks nothing: r and the three generators are walked once each.
         assert set(tree["counts"]) == TOWERS
         assert tree["counts"]["tower D_151 g=10"] == {"then": 1, "right_applications": 0, "cycle_walks": 1}
         assert tree["counts"]["tower S_6 chain"] == {"then": 1, "right_applications": 0, "cycle_walks": 6}
         s5 = tree["counts"]["tower S_5 cycle and swap"]
-        assert (s5["then"], s5["cycle_walks"]) == (3, 4) and 118 <= s5["right_applications"] < 2 * 120
+        assert (s5["then"], s5["cycle_walks"]) == (2, 4) and 118 <= s5["right_applications"] < 2 * 120

@@ -194,7 +194,7 @@ def test_a_poisoned_root_fails_exactly_its_readers(monkeypatch, poison, roots, b
 def test_a_tower_claim_refuses_a_tower_other_than_its_case(monkeypatch):
     """The case's genera pass, so each tower claim is the root and names both triples."""
     closure_genus = monodromy.galois_closure_genus
-    monkeypatch.setattr(monodromy, "galois_closure_genus", lambda cover, bound: closure_genus(cover, bound) + 1)
+    monkeypatch.setattr(monodromy, "galois_closure_genus", lambda cover: closure_genus(cover) + 1)
     code, reports = verify_paper()
     assert code == 1
     assert _failing(reports) == {
@@ -568,21 +568,20 @@ def test_cli_input_errors_exit_2_but_bugs_propagate(monkeypatch, capsys):
 
 
 def test_verify_passes_the_group_order_bound_to_every_tower(monkeypatch):
-    """Every group a tower builds, and every later read of it, is under the run's bound."""
-    builds, bounds = [], []
+    """Every group a tower builds is built under the run's bound; the genera read it and pass no bound."""
+    builds, reads = [], []
     generated_group = monodromy.generated_group
 
-    def recording(cover, max_order=monodromy.DEFAULT_MAX_GROUP_ORDER):
-        if cover._group is None:
-            builds.append(cover)
-        bounds.append(max_order)
-        return generated_group(cover, max_order)
+    def recording(cover, *bound):
+        (builds if cover._group is None else reads).append(bound)
+        return generated_group(cover, *bound)
 
     monkeypatch.setattr(monodromy, "generated_group", recording)
     code, _ = verify_paper(max_group_order=4321)
     assert code == 0
     assert len(builds) > 2  # the g2p5 and trigonal towers and the monodromy grid
-    assert set(bounds) == {4321}
+    assert set(builds) == {(4321,)}
+    assert len(reads) == 2 * len(builds) and set(reads) == {()}  # the closure and the quotient genus
 
 
 def test_cli_verify_fails_the_towers_above_the_group_order_bound(capsys):

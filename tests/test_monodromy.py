@@ -171,6 +171,20 @@ def random_word(rng):
     return n, tuple(word)
 
 
+def test_a_word_opening_with_the_factors_of_r_folds_on_from_r(monkeypatch):
+    """S_5 from (0 1 2 3 4), (0 1), (1 4 3 2): r = (0 1 2 3 4) then (0 1), and r then (1 4 3 2) is the check."""
+    thens = counting(monkeypatch, Permutation, "then")
+    parse_cover(S5_CYCLE_AND_SWAP)
+    assert thens["n"] == 2
+    with pytest.raises(MonodromyDataError, match=f"^{PRODUCT_NOT_ONE}$"):
+        parse_cover(S5_CYCLE_AND_SWAP.replace("(1 4 3 2)", "(1 2 3 4)"))
+    # a first run of whole orders leaves the residues (0 1), (0 1 2 3 4): not r's factors in order
+    thens["n"] = 0
+    cover = parse_cover("degree 5; base_genus 0\n" + "(0 1 2 3 4)\n" * 5 + "(0 1)\n(0 1 2 3 4)\n(0 4 3 2)\n")
+    assert thens["n"] == 3
+    assert rh_genus(cover) == pointwise_rh_genus(cover)
+
+
 @pytest.mark.parametrize("seed", [101, 103, 107])
 def test_the_run_length_check_and_genera_match_the_plain_product(monkeypatch, seed):
     """Same refusal and genera as one term per letter, and never more compositions than the plain product and r."""
@@ -570,15 +584,30 @@ def test_quotients_by_known_subgroups():
         refused(quotient_genus, cover, cut_by_hand(1, (identity(cover.degree),)))
 
 
-def test_memoised_group_still_enforces_the_bound():
+def test_a_bound_below_the_order_refuses_the_build():
+    """The refusal keeps nothing on the cover, so a build under a large enough bound follows."""
     for cover in random_covers(37, 8):
+        order = generated_group(BranchedCover(cover.degree, cover.base_genus, cover.branch_monodromy)).order
+        with pytest.raises(EnumerationLimitError):
+            generated_group(cover, max_order=order - 1)
+        assert cover._group is None
+        assert generated_group(cover, max_order=order).order == order
+
+
+def test_a_built_group_is_read_under_any_bound_without_naming_or_enumerating_again(monkeypatch):
+    """The bound limits the build alone: every later call returns the kept group, and the genera read it."""
+    for cover in random_covers(41, 8):
         group = generated_group(cover)
-        assert generated_group(cover, max_order=group.order) is group
-        with pytest.raises(EnumerationLimitError):
-            generated_group(cover, max_order=group.order - 1)
-        with pytest.raises(EnumerationLimitError):
-            galois_closure_genus(cover, max_order=group.order - 1)
-        assert generated_group(cover) is group
+        cut = cyclic_rotation_subgroup if group.classification == "dihedral" else even_subgroup
+        subgroup = cut(group)
+        closure, quotient = brute_regular_genus(cover), quotient_genus(cover, subgroup)
+        with monkeypatch.context() as patched:
+            for name in ("_span", "GroupDescriptor"):
+                patched.setattr(monodromy, name, lambda *args, name=name, **named: pytest.fail(f"{name} called"))
+            for bound in (1, group.order - 1, group.order, monodromy.DEFAULT_MAX_GROUP_ORDER):
+                assert generated_group(cover, bound) is group
+            assert galois_closure_genus(cover) == closure
+            assert quotient_genus(cover, subgroup) == quotient
 
 
 def test_degree_above_the_bound_is_refused_before_enumeration(monkeypatch):
@@ -606,6 +635,15 @@ def test_a_dihedral_group_above_the_bound_is_refused_at_build(monkeypatch):
             build_dihedral_cover(2, 7, max_group_order=13)
     group = generated_group(build_dihedral_cover(2, 2477))  # 2 * 2477 = 4954 is within the bound
     assert (group.order, group.classification) == (4954, "dihedral")
+
+
+def test_the_genera_read_a_group_built_above_the_default_bound():
+    """D_2503 has order 5006, past the default bound 5000: built under 5006, it is read with no bound."""
+    cover = build_dihedral_cover(2, 2503, 5006)
+    group = generated_group(cover, 5006)
+    assert (group.order, group.classification) == (5006, "dihedral")
+    assert galois_closure_genus(cover) == 2504  # p (g - 1) + 1
+    assert quotient_genus(cover, cyclic_rotation_subgroup(group)) == 2
 
 
 # ---- index-2 quotients and generator parities against the coset-table and sign oracles ----
@@ -869,7 +907,7 @@ def test_the_closure_starts_from_the_covers_own_r_composed_once(monkeypatch, tex
     monkeypatch.setattr(monodromy, "_right", recording_right)
     monkeypatch.setattr(monodromy, "_span", recording_span)
     cover = parse_cover(text)
-    built = products[:]  # the product check's and r's
+    built = products[:]  # r's and the product check's
     products.clear()
     assert tower(cover)[3:] == (label, order)
     assert products == []

@@ -435,10 +435,10 @@ def test_a_named_group_answers_as_the_enumerated_one(case):
         assert len(closures) == (kind not in NAMED)
         evens = even_subgroup(group)
         answers = [group.order, group.classification, evens.order,
-                   quotient_genus(cover, evens, bound), galois_closure_genus(cover, bound)]
+                   quotient_genus(cover, evens), galois_closure_genus(cover)]
         if group.classification == "dihedral":
             rotations = cyclic_rotation_subgroup(group)
-            answers += [rotations.order, quotient_genus(cover, rotations, bound)]
+            answers += [rotations.order, quotient_genus(cover, rotations)]
     assert len(closures) == (kind not in NAMED)  # no answer enumerated a named group
 
     span = bfs_span(internal(cover.branch_monodromy), size, bound)

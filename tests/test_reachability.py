@@ -101,7 +101,6 @@ ALLOWED = {
         'ledger._case_tower: raise ValueError(f"tower genera {tower[:3]} differ from the case\'s (g_D, g_C, g) = {(g_d, g_c, g)}")',
         'monodromy.BranchedCover.__init__: raise MonodromyDataError("base genus must be non-negative")',
         'monodromy.BranchedCover.__init__: raise MonodromyDataError("permutation degree does not match cover degree")',
-        'monodromy.generated_group: raise EnumerationLimitError(f"group closure exceeds the configured bound {max_order}")',
         'monodromy.cyclic_rotation_subgroup: raise MonodromyDataError("rotation subgroup is defined for dihedral groups only")',
         'monodromy.even_subgroup: raise MonodromyDataError("even subgroup needs the generators generated_group records")',
         "monodromy.quotient_genus: raise MonodromyDataError(",
@@ -139,9 +138,7 @@ ALLOWED = {
         'monodromy.Permutation.__init__: raise MonodromyDataError(f"not a bijection of 0..{len(images) - 1}: {images!r}")',
         "quartic.TernaryForm.__eq__: return (",
         "record.Record.__init__: raise TypeError(",
-        "record.Record.__eq__: if other.__class__ is not self.__class__:",
         "record.Record.__eq__: return NotImplemented",
-        "record.Record.__eq__: return self._values() == other._values()",
         "record.Record.__hash__: return hash(self._values())",
         'record.Record.__repr__: fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)',
         'record.Record.__repr__: return f"{self.__class__.__qualname__}({fields})"',

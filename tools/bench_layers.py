@@ -13,6 +13,13 @@ For each tree the file records:
 - ``allowed``: the number of unrun statements that ``ALLOWED`` lists in
   ``tests/test_reachability.py`` next to the directory, or null when
   there is none;
+- ``compile_s``: the sum over its modules of the least of 5
+  ``compile()`` calls on the module's source, the cost a process pays
+  for every module it finds no bytecode for;
+- ``processes``: the median and quartiles of CALLS wall times each of
+  fresh ``python -c pass``, ``python -S -c pass`` and ``python -m
+  xiaofib.cli verify`` processes, taken in turn, so that machine drift
+  can be told from a change;
 - the minimum and median of CALLS timed calls of
   ``build_dihedral_cover(10, 151)``, ``parse_cover`` of the S_6 chain,
   the tower ops of D_151, of the S_6 chain and of the S_5 cover from a
@@ -29,11 +36,16 @@ For each tree the file records:
   maps ``_right`` makes and the ``_cycle_lengths`` walks.
 
 The sextics come from ``tests/corpus.py`` of this checkout, so every
-tree gets the same input.  Listing a ``--src`` more than once measures
-it in that many processes, alternating with the others as listed;
-``spread`` then holds, for each such tree, the least and the greatest
-``min_s`` of each timing over its processes, so a difference between
-trees can be read against a tree's own spread.  The file also records
+tree gets the same input.  Every child process, the measuring
+interpreter and the fresh processes alike, runs with
+``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPATH`` set to the tree, so no
+tree gains a ``__pycache__`` and each fresh ``verify`` compiles the tree
+again.  Listing a ``--src`` more than once measures it in that many
+processes, alternating with the others as listed; ``spread`` then
+holds, for each such tree, the least and the greatest ``min_s`` of each
+timing over its processes, and from three processes on their median, so
+a difference between trees can be read against a tree's own spread
+without hinging on one outlier process.  The file also records
 the Python version, the CPU count and ``/proc/loadavg`` before and
 after the run, which is read only.  Times are wall seconds from
 ``time.perf_counter``.  Standard library only.
@@ -60,6 +72,12 @@ S6_CHAIN = "degree 6; base_genus 0\n" + "".join(f"({i} {i + 1})\n" * 2 for i in 
 S5_CYCLE_AND_SWAP = "degree 5; base_genus 0\n(0 1 2 3 4)\n(0 1)\n(1 4 3 2)\n"
 # a smooth quartic whose flexes are all simple: the witness curve of ROADMAP item 6
 WITNESS = "x^3*y + y^3*z + z^3*x + y^4 + x^2*z^2"
+FRESH = {
+    "python -c pass": ["-c", "pass"],
+    "python -S -c pass": ["-S", "-c", "pass"],
+    "python -m xiaofib.cli verify": ["-m", "xiaofib.cli", "verify"],
+}
+COMPILES = 5
 UNCOUNTED_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
                     tokenize.ENDMARKER}
 
@@ -92,6 +110,36 @@ def allowed_size(src: Path) -> int | None:
         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["ALLOWED"]:
             return sum(map(len, ast.literal_eval(node.value).values()))
     return None
+
+
+def compile_seconds(src: Path) -> float:
+    """The sum over the ``.py`` files under ``src`` of the least of ``COMPILES`` ``compile()`` calls on each."""
+    sources = {str(path): path.read_bytes() for path in sorted(src.rglob("*.py"))}
+    return sum(timed(lambda: compile(source, name, "exec"), COMPILES)["min_s"] for name, source in sources.items())
+
+
+def child_env(src: Path) -> dict:
+    """This environment, with ``src`` as the whole ``PYTHONPATH`` and no bytecode written."""
+    return dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+
+
+def fresh_processes(src: Path, runs: int) -> dict:
+    """Median and quartiles of ``runs`` wall times of each ``FRESH`` process, the three kinds taken in turn.
+
+    The processes start in ``src``, so ``-m`` finds the tree's own package first.
+    """
+    seconds: dict[str, list[float]] = {name: [] for name in FRESH}
+    for _ in range(runs):
+        for name, args in FRESH.items():
+            start = perf_counter()
+            subprocess.run([sys.executable, *args], cwd=src, env=child_env(src), stdout=subprocess.DEVNULL,
+                           check=True)
+            seconds[name].append(perf_counter() - start)
+    quartiles = {}
+    for name, times in seconds.items():
+        q1, median, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
+        quartiles[name] = {"median_s": median, "q1_s": q1, "q3_s": q3}
+    return quartiles
 
 
 def commit_of(directory: Path) -> str | None:
@@ -153,6 +201,7 @@ def counted(monodromy, call) -> dict:
 
 def measure(src: Path, calls: int) -> dict:
     """The record of one source tree, measured in this interpreter."""
+    processes = fresh_processes(src, calls)
     sys.path[:0] = [str(src), str(ROOT / "tests")]
     from corpus import dense_sextic, singular_sextic
     from xiaofib import ledger, monodromy, quartic
@@ -189,22 +238,29 @@ def measure(src: Path, calls: int) -> dict:
         "commit": commit_of(src),
         "size": source_size(src),
         "allowed": allowed_size(src),
+        "compile_s": compile_seconds(src),
+        "processes": processes,
         "timings": {name: timed(call, calls) for name, call in timings.items()},
         "counts": {name: counted(monodromy, call) for name, call in towers.items()},
     }
 
 
 def spread(trees: list[dict]) -> list[dict]:
-    """For each tree measured in more than one process, the least and greatest ``min_s`` of each timing."""
+    """For each tree measured in more than one process, the least, greatest and, from three on, median ``min_s``."""
     processes: dict[str, list[dict]] = {}
     for tree in trees:
         processes.setdefault(tree["src"], []).append(tree["timings"])
-    return [
-        {"src": src, "processes": len(runs),
-         "min_s": {name: {"low": min(run[name]["min_s"] for run in runs),
-                          "high": max(run[name]["min_s"] for run in runs)} for name in runs[0]}}
-        for src, runs in processes.items() if len(runs) > 1
-    ]
+    spreads = []
+    for src, runs in processes.items():
+        if len(runs) > 1:
+            rows = {}
+            for name in runs[0]:
+                minima = [run[name]["min_s"] for run in runs]
+                rows[name] = {"low": min(minima), "high": max(minima)}
+                if len(runs) > 2:
+                    rows[name]["median"] = statistics.median(minima)
+            spreads.append({"src": src, "processes": len(runs), "min_s": rows})
+    return spreads
 
 
 def main(argv=None) -> int:
@@ -225,7 +281,7 @@ def main(argv=None) -> int:
     trees = []
     for src in args.src or [ROOT / "src"]:
         child = subprocess.run([sys.executable, __file__, "--record", str(src), "-n", str(args.calls)],
-                               capture_output=True, text=True, check=True)
+                               env=child_env(src.resolve()), capture_output=True, text=True, check=True)
         trees.append(json.loads(child.stdout))
     bench = {
         "schema": SCHEMA,
