@@ -42,14 +42,14 @@ forward images).  Inside the module a group element is a permutation's
 ``generated_group`` first names the group from that record: two distinct
 involutions whose product r has order m >= 3 generate D_m, of order 2m,
 with rotations <r>; transpositions on n >= 4 sheets generate S_n, of
-order n!, because every cover is transitive.  Every other group, and
-every refusal, comes from the closure of the record (Dimino's algorithm,
-after Butler 1991), which walks the powers of r (of the first generator
-when r = 1) and then builds
-the group a whole right coset at a time; it refuses before a batch would
-pass ``max_order`` elements or ``errors.MAX_GROUP_CELLS`` cells, each
-element costing its degree plus ``errors.ELEMENT_OVERHEAD`` cells (a
-tuple's header, a dict slot and a list slot).  The enumerated group is
+order n!, because every cover is transitive.  A named group past
+``max_order`` elements or ``errors.MAX_GROUP_CELLS`` cells, each element
+costing its degree plus ``errors.ELEMENT_OVERHEAD`` cells (a tuple's
+header, a dict slot and a list slot), is refused from its order alone.
+Every other group comes from the closure of the record (Dimino's
+algorithm, after Butler 1991), which walks the powers of r (of the first
+generator when r = 1) and then builds the group a whole right coset at a
+time; it refuses before a batch would pass either bound.  The enumerated group is
 labelled at once (see ``_classify``) and its elements are dropped.  The
 group is built once per cover and kept on it, so ``max_order`` bounds
 that build alone; the genera read the kept group and take no bound.
@@ -308,9 +308,15 @@ def ramification_profile(cover: BranchedCover) -> list[tuple[int, ...]]:
     return [sigma.cycle_type() for sigma in cover.branch_monodromy]
 
 
-def _bound(degree: int, max_order: int) -> int:
-    """The most elements a group of this degree may have: ``max_order``, or fewer by the cell budget."""
-    return min(max_order, MAX_GROUP_CELLS // (degree + ELEMENT_OVERHEAD))
+def _refuse_past_bound(total: int, degree: int, max_order: int) -> None:
+    """Refuse a group of ``total`` elements past ``max_order`` or the cell budget, naming the bound it passes.
+
+    Past both, the configured bound is named.
+    """
+    if total > min(max_order, MAX_GROUP_CELLS // (degree + ELEMENT_OVERHEAD)):
+        if total > max_order:
+            raise EnumerationLimitError(f"group closure exceeds the configured bound {max_order}")
+        raise EnumerationLimitError(f"group closure of degree {degree} exceeds {MAX_GROUP_CELLS} cells")
 
 
 def _span(candidates, degree: int, max_order: int) -> dict:
@@ -333,16 +339,6 @@ def _span(candidates, degree: int, max_order: int) -> dict:
     costing its degree plus ``ELEMENT_OVERHEAD``.
     """
     span = dict.fromkeys([tuple(range(degree))])
-    bound = _bound(degree, max_order)
-
-    def admit(size: int) -> None:
-        """Refuse ``size`` more elements past the bound."""
-        total = len(span) + size
-        if total > bound:
-            if total > max_order:
-                raise EnumerationLimitError(f"group closure exceeds the configured bound {max_order}")
-            raise EnumerationLimitError(f"group closure of degree {degree} exceeds {MAX_GROUP_CELLS} cells")
-
     steps = []  # - then s, for each generator s taken
     for u in candidates:
         if u.images in span:
@@ -350,7 +346,7 @@ def _span(candidates, degree: int, max_order: int) -> dict:
         steps.append(_right(u.images))
         if len(steps) == 1:  # u, u^2, ... up to its order, after the identity
             order = u.order()
-            admit(order - 1)
+            _refuse_past_bound(len(span) + order - 1, degree, max_order)
             powers = accumulate(repeat(steps[0], order - 2), lambda h, then_u: then_u(h), initial=u.images)
             span.update(dict.fromkeys(powers))
             continue
@@ -358,7 +354,7 @@ def _span(candidates, degree: int, max_order: int) -> dict:
         for coset in cosets:  # grows as the loop runs
             for then_s in steps:
                 if then_s(coset[0]) not in span:
-                    admit(len(coset))
+                    _refuse_past_bound(len(span) + len(coset), degree, max_order)
                     fresh = list(map(then_s, coset))
                     span.update(dict.fromkeys(fresh))
                     cosets.append(fresh)
@@ -430,11 +426,13 @@ def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORD
     that generate a transitive group (every cover's does) generate all of
     S_n (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*,
     2005, 4.1; Dixon & Mortimer, *Permutation Groups*, 1996, 3.3).  So a
-    D_m with m >= 3 or an S_n with n >= 4, of an order ``_span`` admits,
-    is named from the cycle lengths of its generators and never
-    enumerated.  The closure answers every other group (the Klein four
-    group and S_3 from transpositions, labelled other and dihedral, among
-    them) and makes every refusal.  The group is built once per cover and
+    D_m with m >= 3 or an S_n with n >= 4 is named from the cycle lengths
+    of its generators and never enumerated; past the bound, it is refused
+    from its order, with the message the closure would give: the
+    configured bound's when the order is past ``max_order``, the cell
+    budget's otherwise.  The closure answers every other group (the Klein
+    four group and S_3 from transpositions, labelled other and dihedral,
+    among them) and makes every other refusal.  The group is built once per cover and
     kept on it.  ``max_order`` bounds that build, and a cover of larger
     degree is refused before it; every later call returns the kept group,
     whatever its bound.
@@ -449,7 +447,8 @@ def generated_group(cover: BranchedCover, max_order: int = DEFAULT_MAX_GROUP_ORD
             label, order, r = DIHEDRAL, 2 * elements[0].order(), elements[0].images
         elif n >= 4 and gens and all(len(g.cycle_type()) == n - 1 for g in gens):  # transpositions
             label, order, r = SYMMETRIC, factorial(n), None
-        if 4 < order <= _bound(n, max_order):  # m >= 3: D_2 is the Klein four group, labelled other
+        if order > 4:  # m >= 3: D_2 is the Klein four group, labelled other
+            _refuse_past_bound(order, n, max_order)
             group = GroupDescriptor(order, label, r, generators=elements)
         else:
             members = _span(elements, n, max_order)

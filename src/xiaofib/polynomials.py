@@ -5,12 +5,16 @@ Every coefficient is an ``int``: the constructors refuse anything else,
 scaled to an integer one before it gets here.  Gcds are primitive
 integer polynomials with positive leading coefficient; by Gauss's lemma a
 primitive divisor leaves an integer quotient, so each division they make
-is an exact integer division.  A primitive remainder sequence over Z
-gives univariate gcds only.  A bivariate polynomial in (x, y) has y as
-the main variable and is stored as ``BiPoly.y_coeffs``, the tuple of its
-coefficients of 1, y, y^2, ... in Z[x] with no trailing zero, the zero
+is an exact integer division.  All arithmetic runs on bare ascending
+tuples of ``int`` with no trailing zero, one kernel per operation
+(``_mul``, ``_sub``, ``_pow``, ``_exact_div``, ``_primitive``);
+``UnivariatePoly`` is the type the functions take and return.  A
+primitive remainder sequence over Z gives univariate gcds only.  A
+bivariate polynomial in (x, y) has y as the main variable and is stored
+as ``BiPoly.y_coeffs``, the tuple of its coefficients of 1, y, y^2, ...
+in Z[x], each such an int tuple, with no trailing zero row, the zero
 polynomial being ``()``; one subresultant remainder sequence in y runs on
-those tuples as given, with no content taken, and gives the whole
+those rows as given, with no content taken, and gives the whole
 determinantal subresultant chain of two of them.  Everything in y is
 read off that chain: the resultant is its entry S_0, its first nonzero
 entry is a gcd over Q(x), and two polynomials with constant leading
@@ -25,6 +29,7 @@ sequence decides.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import comb, gcd
 
 from .record import Record
@@ -34,31 +39,94 @@ class PolynomialError(ValueError):
     """Invalid polynomial input for an exact operation."""
 
 
+def _strip(coeffs: list) -> list:
+    """Drop trailing zeros, of ints or of rows alike, in place; returns the list."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _ints(coeffs) -> tuple[int, ...]:
+    """The coefficients as an ascending tuple with no trailing zero; raises unless each is an ``int``."""
+    cs = list(coeffs)
+    for c in cs:
+        if type(c) is not int:
+            raise PolynomialError(f"polynomial coefficients must be int, got {c!r}")
+    return tuple(_strip(cs))
+
+
+def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b, i):
+                out[j] += u * v
+    return tuple(out)
+
+
+def _sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a - b; ``_sub((), b)`` is -b."""
+    return tuple(_strip([u - v for u, v in zip_longest(a, b, fillvalue=0)]))
+
+
+def _pow(a: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """a^k for k >= 0, by k products: every exponent the chain takes is small."""
+    result = (1,)
+    for _ in range(k):
+        result = _mul(result, a)
+    return result
+
+
+def _exact_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The quotient in Z[x]; raises unless b divides a there."""
+    if not b:
+        raise PolynomialError("polynomial division by zero")
+    rem = list(a)
+    d = len(b) - 1
+    lead = b[-1]
+    quotient = [0] * max(len(rem) - d, 0)
+    for shift in range(len(rem) - 1 - d, -1, -1):
+        factor, left = divmod(rem[shift + d], lead)
+        if left:
+            raise PolynomialError("division expected to be exact left a fraction")
+        if factor:
+            quotient[shift] = factor
+            for i in range(d):
+                rem[shift + i] -= factor * b[i]
+    if any(rem[:d]):
+        raise PolynomialError("division expected to be exact left a remainder")
+    return tuple(quotient)
+
+
+def _primitive(a: tuple[int, ...]) -> tuple[int, ...]:
+    """The associate with coprime coefficients and positive leading coefficient; () for zero."""
+    if not a:
+        return a
+    content = gcd(*a)
+    if a[-1] < 0:
+        content = -content
+    return a if content == 1 else tuple(c // content for c in a)
+
+
 class UnivariatePoly(Record):
     """Dense univariate polynomial over Z, coefficients ascending.
 
     The zero polynomial is the empty coefficient tuple; any nonzero
-    polynomial has a nonzero leading coefficient.
+    polynomial has a nonzero leading coefficient.  This is the type the
+    module's functions take and return; inside, they compute on bare
+    coefficient tuples.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[int, ...]):
-        cs = list(coeffs)
-        for c in cs:
-            if type(c) is not int:
-                raise PolynomialError(f"polynomial coefficients must be int, got {c!r}")
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", _ints(coeffs))
 
     @classmethod
     def zero(cls) -> "UnivariatePoly":
         return cls(())
-
-    @classmethod
-    def one(cls) -> "UnivariatePoly":
-        return cls((1,))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -68,75 +136,16 @@ class UnivariatePoly(Record):
         """Degree, with the convention -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def coeff(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def __sub__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UnivariatePoly(tuple(self.coeff(i) - other.coeff(i) for i in range(n)))
-
-    def __neg__(self) -> "UnivariatePoly":
-        return UnivariatePoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        if self.is_zero() or other.is_zero():
-            return UnivariatePoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs, i):
-                    out[j] += a * b
-        return UnivariatePoly(tuple(out))
-
-    def scale(self, c: int) -> "UnivariatePoly":
-        return UnivariatePoly(tuple(a * c for a in self.coeffs))
-
-    def __pow__(self, k: int) -> "UnivariatePoly":
-        if k < 0:
-            raise PolynomialError("negative polynomial power")
-        result = UnivariatePoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def derivative(self) -> "UnivariatePoly":
         return UnivariatePoly(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
 
     def exact_div(self, other: "UnivariatePoly") -> "UnivariatePoly":
         """The quotient in Z[x]; raises unless other divides self there."""
-        if other.is_zero():
-            raise PolynomialError("polynomial division by zero")
-        rem = list(self.coeffs)
-        divisor = other.coeffs
-        d = len(divisor) - 1
-        lead = divisor[-1]
-        quotient = [0] * max(len(rem) - d, 0)
-        for shift in range(len(rem) - 1 - d, -1, -1):
-            factor, left = divmod(rem[shift + d], lead)
-            if left:
-                raise PolynomialError("division expected to be exact left a fraction")
-            if factor:
-                quotient[shift] = factor
-                for i in range(d):
-                    rem[shift + i] -= factor * divisor[i]
-        if any(rem[:d]):
-            raise PolynomialError("division expected to be exact left a remainder")
-        return UnivariatePoly(tuple(quotient))
+        return UnivariatePoly(_exact_div(self.coeffs, other.coeffs))
 
     def primitive(self) -> "UnivariatePoly":
         """The associate with coprime coefficients and positive leading coefficient."""
-        if self.is_zero():
-            return self
-        content = gcd(*self.coeffs)
-        if self.coeffs[-1] < 0:
-            content = -content
-        if content == 1:
-            return self
-        return UnivariatePoly(tuple(c // content for c in self.coeffs))
+        return UnivariatePoly(_primitive(self.coeffs))
 
 
 def _pseudo_rem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -159,9 +168,7 @@ def _pseudo_rem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
             r = [s * c for c in r]
         for i in range(d):
             r[shift + i] -= t * b[i]
-    while r and not r[-1]:
-        r.pop()
-    return tuple(r)
+    return tuple(_strip(r))
 
 
 MODULUS = 2**31 - 1  # a prime
@@ -203,13 +210,13 @@ def poly_gcd(f: UnivariatePoly, g: UnivariatePoly) -> UnivariatePoly:
     integer content.
     """
     if _coprime_mod_p(f, g):
-        return UnivariatePoly.one()
-    a, b = f.primitive(), g.primitive()
-    if a.degree < b.degree:
+        return UnivariatePoly((1,))
+    a, b = _primitive(f.coeffs), _primitive(g.coeffs)
+    if len(a) < len(b):
         a, b = b, a
-    while not b.is_zero():
-        a, b = b, UnivariatePoly(_pseudo_rem(a.coeffs, b.coeffs)).primitive()
-    return a
+    while b:
+        a, b = b, _primitive(_pseudo_rem(a, b))
+    return UnivariatePoly(a)
 
 
 def squarefree_part(f: UnivariatePoly) -> UnivariatePoly:
@@ -224,52 +231,47 @@ class BiPoly(Record):
     """Polynomial in (x, y) over Z with y as the main variable.
 
     ``y_coeffs`` holds the coefficients of 1, y, y^2, ... as polynomials
-    in x, the form the subresultant chain computes in, with no trailing
-    zero polynomial: the zero polynomial is ``()``.
+    in x, each an ascending tuple of ``int`` with no trailing zero, the
+    form the subresultant chain computes in, with no trailing zero row:
+    the zero polynomial is ``()``.
     """
 
     __slots__ = ("y_coeffs",)
 
-    def __init__(self, y_coeffs: tuple[UnivariatePoly, ...]):
-        self._set(y_coeffs=tuple(_strip(list(y_coeffs))))
+    def __init__(self, y_coeffs: tuple[tuple[int, ...], ...]):
+        self._set(y_coeffs=tuple(_strip([_ints(row) for row in y_coeffs])))
 
     def is_zero(self) -> bool:
         return not self.y_coeffs
 
     def total_degree(self) -> int:
         """Total degree, -1 for zero."""
-        return max((j + c.degree for j, c in enumerate(self.y_coeffs)), default=-1)
+        return max((j + len(c) - 1 for j, c in enumerate(self.y_coeffs)), default=-1)
 
     def deg_y(self) -> int:
         return len(self.y_coeffs) - 1
 
     def y_coeff(self, k: int) -> UnivariatePoly:
         """The coefficient of y^k as a polynomial in x."""
-        return self.y_coeffs[k] if 0 <= k < len(self.y_coeffs) else UnivariatePoly.zero()
+        return UnivariatePoly(self.y_coeffs[k] if 0 <= k < len(self.y_coeffs) else ())
 
     def top_form_at(self, a: int) -> int:
         """The top-degree homogeneous part evaluated at (a, 1)."""
         d = self.total_degree()
-        return sum(c.coeff(d - j) * a ** (d - j) for j, c in enumerate(self.y_coeffs))
+        return sum(c[d - j] * a ** (d - j) for j, c in enumerate(self.y_coeffs) if d - j < len(c))
 
     def shear(self, a: int) -> "BiPoly":
         """Substitute x -> x + a*y; common zeros correspond bijectively."""
         d = self.total_degree()
         rows = [[0] * (d + 1) for _ in range(d + 1)]  # rows[j][i]: the coefficient of x^i y^j
-        for j, poly in enumerate(self.y_coeffs):
-            for i, c in enumerate(poly.coeffs):
+        for j, row in enumerate(self.y_coeffs):
+            for i, c in enumerate(row):
                 for t in range(i + 1):  # (x + a y)^i expanded by binomials
                     rows[j + t][i - t] += c * comb(i, t) * a**t
-        return BiPoly([UnivariatePoly(tuple(row)) for row in rows])
+        return BiPoly(rows)
 
 
-def _strip(coeffs: list[UnivariatePoly]) -> list[UnivariatePoly]:
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return coeffs
-
-
-def _content_y(coeffs: list[UnivariatePoly]) -> UnivariatePoly:
+def _content_y(coeffs: tuple[tuple[int, ...], ...]) -> UnivariatePoly:
     """Content in Z[x] of the polynomial in y with these coefficients.
 
     Dividing every coefficient by it leaves a primitive polynomial in
@@ -278,32 +280,31 @@ def _content_y(coeffs: list[UnivariatePoly]) -> UnivariatePoly:
     """
     content = UnivariatePoly.zero()
     for c in coeffs:
-        content = poly_gcd(content, c)
+        content = poly_gcd(content, UnivariatePoly(c))
         if content.degree == 0:
             break
-    return content.scale(gcd(*(v for c in coeffs for v in c.coeffs)))
+    return UnivariatePoly(_mul(content.coeffs, (gcd(*(v for c in coeffs for v in c)),)))
 
 
-def _pseudo_rem_y(a: list[UnivariatePoly], b: list[UnivariatePoly]) -> list[UnivariatePoly]:
-    """Pseudo-remainder in y: lc(b)^(deg a - deg b + 1) * a modulo b."""
-    r = _strip(list(a))
-    b = _strip(list(b))
+def _pseudo_rem_y(a: list[tuple[int, ...]], b: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Pseudo-remainder in y of two lists of rows: lc(b)^(deg a - deg b + 1) * a modulo b."""
     if not b:
         raise PolynomialError("pseudo-division by zero")
+    r = list(a)
     db = len(b) - 1
     lb = b[-1]
-    e = len(r) - 1 - db + 1
-    while r and len(r) - 1 >= db:
-        lr = r[-1]
-        shift = len(r) - 1 - db
-        r = [lb * c for c in r]
-        for i, bc in enumerate(b):
-            r[shift + i] = r[shift + i] - lr * bc
-        r = _strip(r)
+    e = len(r) - db
+    while len(r) > db:
+        lr = r.pop()
+        shift = len(r) - db
+        r = [_mul(lb, c) for c in r]
+        for i in range(db):
+            r[shift + i] = _sub(r[shift + i], _mul(lr, b[i]))
+        _strip(r)
         e -= 1
     if e > 0:
-        factor = lb**e
-        r = [factor * c for c in r]
+        factor = _pow(lb, e)
+        r = [_mul(factor, c) for c in r]
     return r
 
 
@@ -326,22 +327,22 @@ def subresultant_chain_y(p: BiPoly, q: BiPoly) -> list[BiPoly]:
     m, n = len(a) - 1, len(b) - 1
     if m < n or n < 1:
         raise PolynomialError("subresultants need deg_y(p) >= deg_y(q) >= 1")
-    chain: list[list[UnivariatePoly]] = [[] for _ in range(n)]
-    s = b[-1] ** (m - n)  # y^n coefficient of S_n = lc(q)^(m-n-1) q
+    chain: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    s = _pow(b[-1], m - n)  # y^n coefficient of S_n = lc(q)^(m-n-1) q
     r = _pseudo_rem_y(a, b)
     if (m - n) % 2 == 0:
-        r = [-c for c in r]  # S_(n-1) = (-1)^(m-n+1) prem(p, q)
+        r = [_sub((), c) for c in r]  # S_(n-1) = (-1)^(m-n+1) prem(p, q)
     d = n
     while r:
         e = len(r) - 1
         chain[d - 1] = r
         if e < d - 1:
-            lift, drop = r[-1] ** (d - 1 - e), s ** (d - 1 - e)
-            chain[e] = [(c * lift).exact_div(drop) for c in r]
+            lift, drop = _pow(r[-1], d - 1 - e), _pow(s, d - 1 - e)
+            chain[e] = [_exact_div(_mul(c, lift), drop) for c in r]
         if e == 0:
             break
-        beta = -(b[-1] * (-s) ** (d - e))
-        b, r = r, [c.exact_div(beta) for c in _pseudo_rem_y(b, r)]
+        beta = _mul(_sub((), b[-1]), _pow(_sub((), s), d - e))  # -lc(b) (-s)^(d-e)
+        b, r = r, [_exact_div(c, beta) for c in _pseudo_rem_y(b, r)]
         s, d = chain[e][-1], e
     return [BiPoly(entry) for entry in chain]
 
@@ -367,15 +368,15 @@ def bipoly_gcd(p: BiPoly, q: BiPoly) -> BiPoly:
     if p.is_zero() or q.is_zero():
         coeffs = (q if p.is_zero() else p).y_coeffs
     else:
-        content = poly_gcd(_content_y(p.y_coeffs), _content_y(q.y_coeffs))
+        content = poly_gcd(_content_y(p.y_coeffs), _content_y(q.y_coeffs)).coeffs
         if p.deg_y() < q.deg_y():
             p, q = q, p
         chain = subresultant_chain_y(p, q) if q.deg_y() >= 1 else []
         coeffs = next((s for s in chain if not s.is_zero()), q).y_coeffs
-        cont_g = _content_y(coeffs)
-        coeffs = [c.exact_div(cont_g) * content for c in coeffs]
-    if coeffs and coeffs[-1].coeffs[-1] < 0:
-        coeffs = [-c for c in coeffs]
+        cont_g = _content_y(coeffs).coeffs
+        coeffs = [_mul(_exact_div(c, cont_g), content) for c in coeffs]
+    if coeffs and coeffs[-1][-1] < 0:
+        coeffs = [_sub((), c) for c in coeffs]
     return BiPoly(coeffs)
 
 
@@ -392,10 +393,10 @@ def res_y_prs(p: BiPoly, q: BiPoly) -> UnivariatePoly:
         sign = -1 if p.deg_y() * q.deg_y() % 2 else 1
         p, q = q, p
     if q.deg_y() == 0:
-        result = q.y_coeff(0) ** p.deg_y()
+        result = _pow(q.y_coeffs[0], p.deg_y())
     else:
-        result = subresultant_chain_y(p, q)[0].y_coeff(0)
-    return result if sign == 1 else -result
+        result = subresultant_chain_y(p, q)[0].y_coeff(0).coeffs
+    return UnivariatePoly(_mul((sign,), result))
 
 
 def common_affine_zero(polys: list[BiPoly]) -> bool:

@@ -39,12 +39,12 @@ FLEX_RETRY_BUDGET = 32
 
 # Highest form degree the parser and ``is_smooth`` accept.  A smooth
 # dense form, where the modular test in ``poly_gcd`` decides every
-# coprimality, takes about 0.005 s at degree 6, 0.012 s at degree 7 and
-# 0.03 s at degree 8 with coefficients up to +-3, and 0.02 s at degree 6
+# coprimality, takes about 0.004 s at degree 6, 0.011 s at degree 7 and
+# 0.03 s at degree 8 with coefficients up to +-3, and 0.01 s at degree 6
 # with 12-digit ones (the corpus's ``dense_sextic(5)``).  A singular form
 # runs the exact remainder sequences: the corpus's ``singular_sextic(1, k)``,
 # a product of two dense cubics with k-digit coefficients, takes 0.1 s at
-# k = 1, 0.6 s at k = 3 and 2.2-2.4 s at k = 6 (Python 3.11 on a shared
+# k = 1, 0.5-0.7 s at k = 3 and 2.1-2.3 s at k = 6 (Python 3.11 on a shared
 # 2-core Linux machine).
 MAX_FORM_DEGREE = 6
 
@@ -176,7 +176,7 @@ class TernaryForm:
         rows = [[0] * (self.degree + 1) for _ in range(self.degree + 1)]  # rows[j][i]: x^i y^j
         for key, c in self.coefficients.items():
             rows[key[y]][key[x]] = c
-        return BiPoly([UnivariatePoly(tuple(row)) for row in rows])
+        return BiPoly(rows)
 
     def __str__(self) -> str:
         parts = []

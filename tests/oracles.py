@@ -2,7 +2,12 @@
 
 Each one computes a value the program also computes, by a different
 route: Sylvester determinants and their fraction-free Bareiss
-elimination instead of remainder sequences, Euclid over Fraction
+elimination instead of remainder sequences, univariate products,
+differences, powers, exact quotients and primitive parts of coefficient
+tuples by convolution sums, padding and arithmetic over Q (``ring_*``)
+instead of the program's kernels, so that the Bareiss determinant, the
+Sylvester resultant in y and ``bipoly_gcd_prs`` share no arithmetic
+with the code they check, Euclid over Fraction
 coefficients instead of integer remainder sequences (its monic gcd
 returned as the primitive integer associate), a primitive remainder
 sequence in y instead of the subresultant chain for bivariate gcds,
@@ -29,7 +34,7 @@ fraction-free Gauss-Jordan elimination instead of the adjugate that the
 same characteristic-polynomial recurrence gives.
 
 The permutation helpers ``identity``, ``inverse``, ``sign`` and
-``internal``, ``term_map``, ``terms_exact_div`` and the term-map
+``internal``, ``term_map``, ``terms_exact_div``, ``trim``, ``times`` and the term-map
 constructor and ring operations of the ``BiPoly`` subclass, the
 evaluators ``evaluate_poly``, ``evaluate_bipoly`` and ``evaluate_form``, ``pairings``, ``parse_reports``, ``is_squarefree`` and
 the ``FibrationProfile`` record serve tests only; the program never needs
@@ -52,7 +57,7 @@ from xiaofib.record import Record
 
 def term_map(p: polynomials.BiPoly) -> dict[tuple[int, int], int]:
     """The nonzero terms of a bivariate polynomial, (x-exponent, y-exponent) -> int."""
-    return {(i, j): c for j, poly in enumerate(p.y_coeffs) for i, c in enumerate(poly.coeffs) if c}
+    return {(i, j): c for j, row in enumerate(p.y_coeffs) for i, c in enumerate(row) if c}
 
 
 class BiPoly(polynomials.BiPoly):
@@ -70,7 +75,7 @@ class BiPoly(polynomials.BiPoly):
         rows = [[0] * width for _ in range(max((j + 1 for _, j in terms), default=0))]
         for (i, j), c in terms.items():
             rows[j][i] = c
-        super().__init__([UnivariatePoly(tuple(row)) for row in rows])
+        super().__init__(rows)
 
     @classmethod
     def of(cls, p: polynomials.BiPoly) -> "BiPoly":
@@ -216,33 +221,76 @@ def resultant(f: UnivariatePoly, g: UnivariatePoly) -> Fraction:
     return _fraction_det(sylvester_matrix(f, g))
 
 
-def _poly_matrix_det(matrix: list[list[UnivariatePoly]]) -> UnivariatePoly:
+def trim(coeffs) -> tuple[int, ...]:
+    """The coefficients as a tuple without trailing zeros."""
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ring_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of two coefficient tuples, each coefficient its convolution sum."""
+    return trim(sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+                for k in range(len(a) + len(b) - 1))
+
+
+def ring_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The difference of two coefficient tuples, both padded to one length."""
+    n = max(len(a), len(b))
+    return trim(u - v for u, v in zip(list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))))
+
+
+def ring_pow(a: tuple[int, ...], k: int) -> tuple[int, ...]:
+    return reduce(ring_mul, [a] * k, (1,))
+
+
+def ring_exact_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The quotient by division over Q; raises unless it leaves no remainder and integer coefficients."""
+    if not b:
+        raise PolynomialError("division by the zero polynomial")
+    quotient, remainder = fraction_divmod(a, b)
+    if remainder or any(c.denominator != 1 for c in quotient):
+        raise PolynomialError("division in Z[x] expected to be exact failed")
+    return trim(int(c) for c in quotient)
+
+
+def ring_primitive(a: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive associate with positive leading coefficient, by way of the monic associate."""
+    return primitive_associate([Fraction(c, a[-1]) for c in a]).coeffs if a else ()
+
+
+def times(*polys: UnivariatePoly) -> UnivariatePoly:
+    """The product of univariate polynomials, by ``ring_mul``."""
+    return UnivariatePoly(reduce(ring_mul, (f.coeffs for f in polys), (1,)))
+
+
+def _poly_matrix_det(matrix: list[list[tuple[int, ...]]]) -> tuple[int, ...]:
     """Fraction-free Bareiss determinant; every division is exact in Z[x] for integer input."""
     n = len(matrix)
     if n == 0:
-        return UnivariatePoly.one()
+        return (1,)
     m = [row[:] for row in matrix]
     sign = 1
-    prev = UnivariatePoly.one()
+    prev = (1,)
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
+        if not m[k][k]:
+            pivot = next((r for r in range(k + 1, n) if m[r][k]), None)
             if pivot is None:
-                return UnivariatePoly.zero()
+                return ()
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                numerator = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = numerator.exact_div(prev)
-            m[i][k] = UnivariatePoly.zero()
+                numerator = ring_sub(ring_mul(m[k][k], m[i][j]), ring_mul(m[i][k], m[k][j]))
+                m[i][j] = ring_exact_div(numerator, prev)
+            m[i][k] = ()
         prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return ring_mul((sign,), m[n - 1][n - 1])
 
 
-def _poly_coeff(coeffs: list[UnivariatePoly], k: int) -> UnivariatePoly:
-    return coeffs[k] if 0 <= k < len(coeffs) else UnivariatePoly.zero()
+def _poly_coeff(coeffs: tuple[tuple[int, ...], ...], k: int) -> tuple[int, ...]:
+    return coeffs[k] if 0 <= k < len(coeffs) else ()
 
 
 def subresultant_det(p: BiPoly, q: BiPoly, k: int) -> BiPoly:
@@ -261,7 +309,7 @@ def subresultant_det(p: BiPoly, q: BiPoly, k: int) -> BiPoly:
         rows.append([_poly_coeff(pc, c - 1 - col - t) for col in range(c)])
     for t in range(m - k - 1, -1, -1):  # rows y^t * q
         rows.append([_poly_coeff(qc, c - 1 - col - t) for col in range(c)])
-    coeffs = [UnivariatePoly.zero()] * (k + 1)
+    coeffs = [()] * (k + 1)
     for l in range(k + 1):
         cols = list(range(r - 1)) + [r - 1 + l]
         coeffs[k - l] = _poly_matrix_det([[row[col] for col in cols] for row in rows])
@@ -275,9 +323,9 @@ def res_y(p: BiPoly, q: BiPoly) -> UnivariatePoly:
     m, n = p.deg_y(), q.deg_y()
     if m < n:
         r = res_y(q, p)
-        return r if (m * n) % 2 == 0 else -r
+        return r if (m * n) % 2 == 0 else UnivariatePoly(ring_sub((), r.coeffs))
     if n == 0:
-        return q.y_coeffs[0] ** m if m > 0 else UnivariatePoly.one()
+        return UnivariatePoly(ring_pow(q.y_coeffs[0], m))
     pc, qc = p.y_coeffs, q.y_coeffs
     size = m + n
     rows = []
@@ -285,7 +333,7 @@ def res_y(p: BiPoly, q: BiPoly) -> UnivariatePoly:
         rows.append([_poly_coeff(pc, size - 1 - col - t) for col in range(size)])
     for t in range(m - 1, -1, -1):
         rows.append([_poly_coeff(qc, size - 1 - col - t) for col in range(size)])
-    return _poly_matrix_det(rows)
+    return UnivariatePoly(_poly_matrix_det(rows))
 
 
 def fraction_divmod(f, g) -> tuple[list[Fraction], list[Fraction]]:
@@ -351,7 +399,7 @@ def coprime_bipolys(p: BiPoly, q: BiPoly) -> bool:
     """
     shared = UnivariatePoly.zero()
     for c in p.y_coeffs + q.y_coeffs:
-        shared = poly_gcd_euclid(shared, c)
+        shared = poly_gcd_euclid(shared, UnivariatePoly(c))
     if shared.degree >= 1:
         return False
     if p.deg_y() == 0 or q.deg_y() == 0:
@@ -359,29 +407,29 @@ def coprime_bipolys(p: BiPoly, q: BiPoly) -> bool:
     return not res_y(p, q).is_zero()
 
 
-def _content_in_x(coeffs: list[UnivariatePoly]) -> UnivariatePoly:
-    """The primitive gcd of the y-coefficients times the integer gcd of all their coefficients."""
+def _content_in_x(coeffs: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The Euclid gcd of the y-coefficients times the integer gcd of all their coefficients."""
     content = UnivariatePoly.zero()
     for c in coeffs:
-        content = poly_gcd(content, c)
-    return content.scale(gcd(*(v for c in coeffs for v in c.coeffs)))
+        content = poly_gcd_euclid(content, UnivariatePoly(c))
+    return ring_mul(content.coeffs, (gcd(*(v for c in coeffs for v in c)),))
 
 
-def _primitive_in_y(coeffs: list[UnivariatePoly]) -> list[UnivariatePoly]:
+def _primitive_in_y(coeffs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     content = _content_in_x(coeffs)
-    return [c.exact_div(content) for c in coeffs] if coeffs else coeffs
+    return [ring_exact_div(c, content) for c in coeffs] if coeffs else coeffs
 
 
-def _pseudo_rem_in_y(a: list[UnivariatePoly], b: list[UnivariatePoly]) -> list[UnivariatePoly]:
+def _pseudo_rem_in_y(a: list[tuple[int, ...]], b: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """lc(b)^(deg a - deg b + 1) a modulo b, for coefficient lists with nonzero last entries."""
     r = list(a)
     for _ in range(len(a) - len(b) + 1):
         lead, shift = r[-1], len(r) - len(b)
-        r = [c * b[-1] for c in r]
+        r = [ring_mul(c, b[-1]) for c in r]
         for i, c in enumerate(b):
-            r[shift + i] = r[shift + i] - lead * c
+            r[shift + i] = ring_sub(r[shift + i], ring_mul(lead, c))
         r.pop()
-    while r and r[-1].is_zero():
+    while r and not r[-1]:
         r.pop()
     return r
 
@@ -398,13 +446,13 @@ def bipoly_gcd_prs(p: BiPoly, q: BiPoly) -> BiPoly:
     if q.is_zero():
         return p
     pc, qc = p.y_coeffs, q.y_coeffs
-    content = poly_gcd(_content_in_x(pc), _content_in_x(qc))
+    content = poly_gcd_euclid(*(UnivariatePoly(_content_in_x(c)) for c in (pc, qc))).coeffs
     a, b = _primitive_in_y(pc), _primitive_in_y(qc)
     if len(a) < len(b):
         a, b = b, a
     while b:
         a, b = b, _primitive_in_y(_pseudo_rem_in_y(a, b))
-    return BiPoly.of(polynomials.BiPoly([c * content for c in a]))
+    return BiPoly.of(polynomials.BiPoly([ring_mul(c, content) for c in a]))
 
 
 def identity(degree: int) -> Permutation:

@@ -1,5 +1,6 @@
-"""The layer bench script writes a file of the documented schema."""
+"""The layer bench script writes a file of the documented schema, and compares two trees by their spreads."""
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -28,7 +29,8 @@ def test_one_call_per_measurement_writes_the_schema(tmp_path):
     assert not list(copy.parent.rglob("__pycache__"))
     bench = json.loads(out.read_text(encoding="utf-8"))
     assert set(bench) == {"schema", "python", "cpu_count", "calls", "loadavg_before", "loadavg_after", "trees",
-                          "spread"}
+                          "spread", "compare"}
+    assert bench["compare"] is None  # the copy has two processes only
     assert (bench["schema"], bench["calls"]) == (1, 1)
     trees = bench["trees"]
     assert [Path(tree["src"]) for tree in trees] == listed
@@ -66,3 +68,36 @@ def test_one_call_per_measurement_writes_the_schema(tmp_path):
         assert tree["counts"]["tower S_6 chain"] == {"then": 1, "right_applications": 0, "cycle_walks": 6}
         s5 = tree["counts"]["tower S_5 cycle and swap"]
         assert (s5["then"], s5["cycle_walks"]) == (2, 4) and 118 <= s5["right_applications"] < 2 * 120
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_layers", ROOT / "tools" / "bench_layers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def synthetic(src: str, minima: dict[str, float]) -> dict:
+    return {"src": src, "timings": {name: {"min_s": value, "median_s": value} for name, value in minima.items()}}
+
+
+def test_compare_gives_each_row_the_ratio_of_medians_and_a_verdict_from_the_spreads():
+    """Synthetic trees, listed alternating: faster, slower and overlapping rows, and too few processes."""
+    tool = load_tool()
+    parent = [{"a": 10, "b": 10, "c": 10, "d": 10}, {"a": 12, "b": 11, "c": 12, "d": 12},
+              {"a": 11, "b": 12, "c": 11, "d": 11}]
+    change = [{"a": 8, "b": 13, "c": 9, "d": 8}, {"a": 9, "b": 14, "c": 13, "d": 10},
+              {"a": 9.5, "b": 12.5, "c": 11, "d": 9}]
+    trees = [synthetic(src, minima) for pair in zip(parent, change) for src, minima in zip("pc", pair)]
+    result = tool.compare(tool.spread(trees))
+    assert (result["parent"], result["change"]) == ("p", "c")
+    assert result["min_s"] == {
+        "a": {"ratio": 9 / 11, "verdict": "faster"},  # 9.5 < 10
+        "b": {"ratio": 13 / 11, "verdict": "slower"},  # 12.5 > 12
+        "c": {"ratio": 1.0, "verdict": "unresolved"},  # 9 < 10 but 13 > 12
+        "d": {"ratio": 9 / 11, "verdict": "unresolved"},  # 10 is not below the parent's least, 10
+    }
+    assert tool.compare(tool.spread(trees[:5])) is None  # the change has two processes
+    third = [synthetic("x", minima) for minima in parent]
+    assert tool.compare(tool.spread(trees + third)) is None  # three trees have three processes
+    assert tool.compare(tool.spread(trees + third[:1])) == result  # a tree listed once is no party

@@ -421,12 +421,15 @@ def test_cli_monodromy_refuses_a_huge_dihedral_cover_before_building_it():
     assert elapsed < 1.0
 
 
-def cap_memory():
-    """Limit the child's address space to 600 MB, so a huge allocation raises MemoryError."""
-    import resource
+def cap_memory_at(megabytes: int):
+    """A ``preexec_fn`` capping the child's address space at ``megabytes``: a larger allocation raises MemoryError."""
+    def cap():
+        import resource
 
-    limit = 600 * 2**20
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        limit = megabytes * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return cap
 
 
 def test_cli_monodromy_refuses_a_huge_cover_file_before_parsing_cycles(tmp_path):
@@ -434,41 +437,50 @@ def test_cli_monodromy_refuses_a_huge_cover_file_before_parsing_cycles(tmp_path)
     path = tmp_path / "huge.txt"
     path.write_text("degree 2000000000; base_genus 0\n(0 1)\n(0 1)\n")
 
-    result, elapsed = run_fresh_cli("monodromy", "--file", str(path), preexec_fn=cap_memory)
+    result, elapsed = run_fresh_cli("monodromy", "--file", str(path), preexec_fn=cap_memory_at(600))
     assert_refused(result, "2000000000")
     assert elapsed < 1.0
-
-
-def cap_memory_at_1_gb():
-    import resource
-
-    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
 def test_cli_monodromy_refuses_a_group_past_the_cell_budget_before_building_it():
     """D_9973 under a bound of a million elements: 2 x 10^8 cells, refused from the rotation's order."""
     result, elapsed = run_fresh_cli(
-        "monodromy", "--dihedral", "2", "9973", "--max-group-order", "1000000", preexec_fn=cap_memory_at_1_gb
+        "monodromy", "--dihedral", "2", "9973", "--max-group-order", "1000000", preexec_fn=cap_memory_at(1024)
     )
     assert_refused(result, f"{errors.MAX_GROUP_CELLS} cells")
     assert elapsed < 2.0
 
 
+def transposition_chain(tmp_path: Path, sheets: int) -> Path:
+    """A cover file of the chain (0 1), ..., (n-2 n-1), each twice: its group is S_n."""
+    path = tmp_path / f"s{sheets}.txt"
+    path.write_text(f"degree {sheets}; base_genus 0\n" + "".join(f"({i} {i + 1})\n" * 2 for i in range(sheets - 1)))
+    return path
+
+
 def test_cli_monodromy_budget_charges_each_elements_overhead(tmp_path):
-    """S_10 on ten sheets: 3.6 million small elements, refused at about 230,000 by their overhead."""
-    path = tmp_path / "s10.txt"
-    path.write_text("degree 10; base_genus 0\n" + "".join(f"({i} {i + 1})\n" * 2 for i in range(9)))
-    result, elapsed = run_fresh_cli(
-        "monodromy", "--file", str(path), "--max-group-order", "100000000", preexec_fn=cap_memory_at_1_gb
-    )
+    """S_10 on ten sheets: 3.6 million small elements, past the cell budget by their overhead.
+
+    Refused from 10! before any element is built, so 48 MB of address space is enough.
+    """
+    result, elapsed = run_fresh_cli("monodromy", "--file", str(transposition_chain(tmp_path, 10)),
+                                    "--max-group-order", "100000000", preexec_fn=cap_memory_at(48))
     assert_refused(result, f"degree 10 exceeds {errors.MAX_GROUP_CELLS} cells")
+    assert elapsed < 1.0
+
+
+def test_cli_monodromy_refuses_s7_past_the_default_bound_in_30_mb(tmp_path):
+    """7! = 5040 is past the default bound 5000: refused from the order, in 30 MB of address space."""
+    result, elapsed = run_fresh_cli("monodromy", "--file", str(transposition_chain(tmp_path, 7)),
+                                    preexec_fn=cap_memory_at(30))
+    assert_refused(result, "the configured bound 5000")
     assert elapsed < 1.0
 
 
 def test_cli_monodromy_answers_the_largest_dihedral_group_the_default_bound_admits():
     """D_2477 has 4954 elements of 2477 sheets: inside the cell budget, overhead included."""
     assert 2 * 2477 <= errors.DEFAULT_MAX_GROUP_ORDER < 2 * 2503
-    result, _ = run_fresh_cli("monodromy", "--dihedral", "2", "2477", preexec_fn=cap_memory_at_1_gb)
+    result, _ = run_fresh_cli("monodromy", "--dihedral", "2", "2477", preexec_fn=cap_memory_at(1024))
     assert result.returncode == 0 and result.stderr == ""
     assert "monodromy group: dihedral of order 4954" in result.stdout.splitlines()
 
@@ -491,7 +503,7 @@ def test_cli_numerology_refuses_a_degree_at_the_primality_limit():
 def test_cli_numerology_answers_a_huge_degree_at_once():
     """A degree of a billion under a 600 MB address-space cap: run-length dimensions, exit 0."""
     result, elapsed = run_fresh_cli(
-        "numerology", "--genus", "100000000000", "--degree", "1000000007", preexec_fn=cap_memory
+        "numerology", "--genus", "100000000000", "--degree", "1000000007", preexec_fn=cap_memory_at(600)
     )
     assert result.returncode == 0
     assert result.stderr == ""

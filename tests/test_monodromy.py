@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from corpus import D4_ROTATION_INVOLUTION, KLEIN_FOUR, NON_ASCII_HEADER, S5_CYCLE_AND_SWAP, run_cli
+from corpus import D4_ROTATION_INVOLUTION, KLEIN_FOUR, NON_ASCII_HEADER, S5_CYCLE_AND_SWAP, S7_CHAIN, run_cli
 from oracles import (
     brute_closure,
     brute_regular_genus,
@@ -638,6 +638,31 @@ def test_a_dihedral_group_above_the_bound_is_refused_at_build(monkeypatch):
             build_dihedral_cover(2, 7, max_group_order=13)
     group = generated_group(build_dihedral_cover(2, 2477))  # 2 * 2477 = 4954 is within the bound
     assert (group.order, group.classification) == (4954, "dihedral")
+
+
+S10_CHAIN = "degree 10; base_genus 0\n" + "".join(f"({i} {i + 1})\n" * 2 for i in range(9))
+CELLS = monodromy.MAX_GROUP_CELLS
+
+
+@pytest.mark.parametrize("make, bound, refusal", [
+    pytest.param(lambda: parse_cover(S10_CHAIN), 10**8, f"group closure of degree 10 exceeds {CELLS} cells",
+                 id="S10-cells"),
+    pytest.param(lambda: parse_cover(S7_CHAIN), monodromy.DEFAULT_MAX_GROUP_ORDER,
+                 "group closure exceeds the configured bound 5000", id="S7-default-bound"),
+    pytest.param(lambda: build_dihedral_cover(2, 9973, 10**6), 10**6,
+                 f"group closure of degree 9973 exceeds {CELLS} cells", id="D9973-cells"),
+])
+def test_a_named_group_past_its_bound_is_refused_from_its_order(monkeypatch, make, bound, refusal):
+    """S_n and D_m are refused from n! and 2m, with the message the closure gave, and nothing is enumerated."""
+    def no_closure(*args):
+        raise AssertionError("enumerated a named group past its bound")
+
+    cover = make()
+    monkeypatch.setattr(monodromy, "_span", no_closure)
+    with pytest.raises(EnumerationLimitError) as refused:
+        generated_group(cover, bound)
+    assert str(refused.value) == refusal
+    assert cover._group is None
 
 
 def test_the_genera_read_a_group_built_above_the_default_bound():

@@ -12,7 +12,7 @@ from math import gcd
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from oracles import (  # noqa: E402
     BiPoly,
@@ -22,6 +22,11 @@ from oracles import (  # noqa: E402
     poly_gcd_euclid,
     primitive_associate,
     res_y,
+    ring_exact_div,
+    ring_mul,
+    ring_pow,
+    ring_primitive,
+    ring_sub,
     squarefree_part_euclid,
     subresultant_det,
     term_map,
@@ -29,11 +34,19 @@ from oracles import (  # noqa: E402
     terms_shear,
     terms_top_form_at,
     terms_total_degree,
+    times,
+    trim,
 )
 from xiaofib.polynomials import (  # noqa: E402
     MODULUS,
+    PolynomialError,
     UnivariatePoly,
     _coprime_mod_p,
+    _exact_div,
+    _mul,
+    _pow,
+    _primitive,
+    _sub,
     bipoly_gcd,
     poly_gcd,
     res_y_prs,
@@ -83,10 +96,44 @@ def assert_exact(values) -> None:
         assert type(c) is int, repr(c)
 
 
+# The kernels' inputs as the module keeps them, ascending int tuples without trailing zeros:
+# zero, nonzero constants, and polynomials whose leading coefficient has either sign.
+kernel_input = st.one_of(
+    st.just(()), coefficients.filter(bool).map(lambda c: (c,)), st.lists(coefficients, max_size=6).map(trim)
+)
+
+
+@PROPERTY
+@given(kernel_input, kernel_input, st.integers(0, 3))
+@example((), (), 0)
+@example((-4,), (6, 0, -2), 2)
+@example((2, 4, -6), (-1, 2), 3)
+def test_kernels_match_the_oracle_ring_functions(a, b, k):
+    assert _mul(a, b) == ring_mul(a, b)
+    assert _sub(a, b) == ring_sub(a, b)
+    assert _sub((), b) == ring_sub((), b)
+    assert _pow(a, k) == ring_pow(a, k)
+    assert _primitive(a) == ring_primitive(a)
+    for result in (_mul(a, b), _sub(a, b), _pow(a, k), _primitive(a)):
+        assert_exact(result)
+    if not b:
+        with pytest.raises(PolynomialError):
+            _exact_div(a, b)
+        return
+    assert _exact_div(ring_mul(a, b), b) == a
+    try:
+        expected = ring_exact_div(a, b)
+    except PolynomialError:
+        with pytest.raises(PolynomialError):
+            _exact_div(a, b)
+    else:
+        assert _exact_div(a, b) == expected
+
+
 @PROPERTY
 @given(univariate, univariate, univariate)
 def test_poly_gcd_matches_euclid_over_fractions(common, f, g):
-    f, g = common * f, common * g
+    f, g = times(common, f), times(common, g)
     got = poly_gcd(f, g)
     assert got == poly_gcd_euclid(f, g)
     assert_exact(got.coeffs)
@@ -95,7 +142,7 @@ def test_poly_gcd_matches_euclid_over_fractions(common, f, g):
 @PROPERTY
 @given(univariate, univariate)
 def test_squarefree_part_and_test_match_the_oracle(f, square):
-    f = f * square * square
+    f = times(f, square, square)
     part = squarefree_part(f)
     assert part == squarefree_part_euclid(f)
     assert_exact(part.coeffs)
@@ -105,7 +152,7 @@ def test_squarefree_part_and_test_match_the_oracle(f, square):
 @PROPERTY
 @given(nonconstant, univariate)
 def test_planted_square_is_never_squarefree(h, k):
-    e = h * h * k
+    e = times(h, h, k)
     assert not is_squarefree(e)
     assert not _coprime_mod_p(e, e.derivative())
 
@@ -122,18 +169,18 @@ wide_univariate = st.lists(near_modulus | coefficients, max_size=7).map(lambda c
 @given(wide_univariate, wide_univariate, wide_univariate)
 def test_coprime_mod_p_certifies_only_coprime_pairs(f, g, h):
     """True from the kernel is a proof, planted factor or not; ``poly_gcd`` matches the oracle either way."""
-    for a, b in ((f, g), (f * h, g * h)):
+    for a, b in ((f, g), (times(f, h), times(g, h))):
         if _coprime_mod_p(a, b):
             assert poly_gcd_euclid(a, b).degree == 0
-    got = poly_gcd(f * h, g * h)
-    assert got == poly_gcd_euclid(f * h, g * h)
+    got = poly_gcd(times(f, h), times(g, h))
+    assert got == poly_gcd_euclid(times(f, h), times(g, h))
     assert_exact(got.coeffs)
 
 
 @PROPERTY
 @given(wide_univariate, wide_univariate)
 def test_coprime_mod_p_on_a_derivative_certifies_only_squarefree_polynomials(f, square):
-    for g in (f, f * square * square, f - square.scale(MODULUS)):
+    for g in (f, times(f, square, square), U(ring_sub(f.coeffs, ring_mul(square.coeffs, (MODULUS,))))):
         if _coprime_mod_p(g, g.derivative()):
             assert poly_gcd_euclid(g, g.derivative()).degree == 0
 
@@ -143,7 +190,7 @@ def test_coprime_mod_p_on_a_derivative_certifies_only_squarefree_polynomials(f, 
 def test_coprime_mod_p_refuses_a_leading_coefficient_divisible_by_p(f, k):
     g = U(f.coeffs[:-1] + (k * MODULUS,))
     assert not _coprime_mod_p(g, g.derivative())
-    assert not _coprime_mod_p(g, U.one())
+    assert not _coprime_mod_p(g, U((1,)))
 
 
 @PROPERTY
@@ -228,7 +275,7 @@ def test_kernels_match_sympy(f, g, h, u, v):
     def bi(poly):
         return sum((sympy.Integer(c) * x**i * y**j for (i, j), c in term_map(poly).items()), sympy.Integer(0))
 
-    f, g = f * g, g * g
+    f, g = times(f, g), times(g, g)
     expected = sympy.Poly(sympy.gcd(uni(f), uni(g)), x, domain="QQ")
     expected = expected.monic() if not expected.is_zero else expected
     monic = [Fraction(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs())]

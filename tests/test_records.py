@@ -22,8 +22,7 @@ from xiaofib.record import Record
 CASES = {
     "Permutation": (Permutation, ((1, 2, 0),), ((2, 0, 1),), "images"),
     "UnivariatePoly": (UnivariatePoly, ((1, 0, 3, 0),), ((1, 0, 3, 1),), "coeffs"),
-    "BiPoly": (BiPoly, ((UnivariatePoly((1, 2)), UnivariatePoly(()), UnivariatePoly((0, 3))),),
-               ((UnivariatePoly((1, 2)), UnivariatePoly((0, 3))),), "y_coeffs"),
+    "BiPoly": (BiPoly, (((1, 2), (), (0, 3)),), (((1, 2), (0, 3)),), "y_coeffs"),
     "DivisorClass": (DivisorClass, ((3, 3, -1),), ((3, -1, 3),), "coeffs"),
     "CoverParams": (CoverParams, (2, 5), (5, 2 ** 13 - 1), "p"),
     "ClaimReport": (ClaimReport, ("id", "anchor", "1", "1", "pass"),

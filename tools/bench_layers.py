@@ -45,7 +45,13 @@ processes, alternating with the others as listed; ``spread`` then
 holds, for each such tree, the least and the greatest ``min_s`` of each
 timing over its processes, and from three processes on their median, so
 a difference between trees can be read against a tree's own spread
-without hinging on one outlier process.  The file also records
+without hinging on one outlier process.  When exactly two trees are
+listed three or more times, the first being the parent and the second
+the change, ``compare`` holds per timing the ratio of the change's
+median ``min_s`` to the parent's and a verdict: ``faster`` when the
+change's greatest ``min_s`` is below the parent's least, ``slower`` when
+its least is above the parent's greatest, ``unresolved`` otherwise;
+else ``compare`` is null.  The file also records
 the Python version, the CPU count and ``/proc/loadavg`` before and
 after the run, which is read only.  Times are wall seconds from
 ``time.perf_counter``.  Standard library only.
@@ -263,6 +269,21 @@ def spread(trees: list[dict]) -> list[dict]:
     return spreads
 
 
+def compare(spreads: list[dict]) -> dict | None:
+    """Per timing, the ratio and verdict of the change against the parent; None unless exactly two trees have
+    three or more processes, the first of them being the parent."""
+    pair = [tree for tree in spreads if tree["processes"] >= 3]
+    if len(pair) != 2:
+        return None
+    parent, change = (tree["min_s"] for tree in pair)
+    rows = {}
+    for name, old in parent.items():
+        new = change[name]
+        verdict = "faster" if new["high"] < old["low"] else "slower" if new["low"] > old["high"] else "unresolved"
+        rows[name] = {"ratio": new["median"] / old["median"], "verdict": verdict}
+    return {"parent": pair[0]["src"], "change": pair[1]["src"], "min_s": rows}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     parser.add_argument("--src", action="append", type=Path, help="a src/ directory (repeatable)")
@@ -283,6 +304,7 @@ def main(argv=None) -> int:
         child = subprocess.run([sys.executable, __file__, "--record", str(src), "-n", str(args.calls)],
                                env=child_env(src.resolve()), capture_output=True, text=True, check=True)
         trees.append(json.loads(child.stdout))
+    spreads = spread(trees)
     bench = {
         "schema": SCHEMA,
         "python": platform.python_version(),
@@ -291,7 +313,8 @@ def main(argv=None) -> int:
         "loadavg_before": before,
         "loadavg_after": loadavg(),
         "trees": trees,
-        "spread": spread(trees),
+        "spread": spreads,
+        "compare": compare(spreads),
     }
     args.out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     return 0
